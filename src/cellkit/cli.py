@@ -5,22 +5,24 @@ keys; given the same payload and seed the bytes are identical) or as
 plain text.  Elapsed time is shown only in text mode so that the JSON
 reports stay byte-reproducible.
 
-Exit codes: 0 success, 1 acceptance failure, 2 malformed input,
-3 internal invariant breach.
+Exit codes: 0 success, 1 acceptance or suite failure, 2 malformed input,
+3 internal error (a failed certificate or any unexpected exception).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 
 from . import acceptance as acceptance_mod
 from .complexes import (ChainComplex, ChainComplexError, ChainMap,
                         ChainMapError, SupportCapError, triangle_check)
 from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, CellShape,
-                     CellZero, EMObject, InadmissibleCaseError, acyclization,
+                     CellZero, EMObject, acyclization,
                      cell_primary_torsion, cell_shape, constraint_check,
                      hzp_dichotomy, ring_unit_obstruction,
                      semiexact_counterexample)
@@ -47,11 +49,14 @@ class InternalInvariantError(RuntimeError):
 
 
 def _load_payload(args) -> dict:
-    if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if getattr(args, "input", None):
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read payload: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -94,8 +99,8 @@ def _group_from_text(text: str) -> FgAbGroup:
 
 
 def _parse_primes(args) -> PrimeSet:
-    listed = [int(p) for p in args.primes.split(",")] if args.primes else []
     try:
+        listed = [int(p) for p in args.primes.split(",")] if args.primes else []
         return (PrimeSet.complement_of(listed) if args.cofinite
                 else PrimeSet.of(listed))
     except ValueError as exc:
@@ -182,6 +187,12 @@ def _cmd_triangle_check(args) -> dict:
 
 
 def _sample_family(args):
+    if args.samples < 1:
+        raise SchemaError("--samples must be at least 1")
+    if args.max_degree < 1:
+        raise SchemaError("--max-degree must be at least 1")
+    if args.max_rank < 0:
+        raise SchemaError("--max-rank must be at least 0")
     rng = random.Random(args.seed)
     return random_complex_family(rng, args.samples, max_degrees=args.max_degree,
                                  max_rank=args.max_rank)
@@ -247,9 +258,9 @@ def _cmd_acyclization(args) -> dict:
     try:
         case = AcyclizationCase(target, args.outcome, primes=primes,
                                 p=args.p, k=args.k)
-        obj = acyclization(case)
-    except InadmissibleCaseError as exc:
+    except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    obj = acyclization(case)
     return {"target": target, "outcome": args.outcome,
             "result": obj.to_json(), "convention": CONVENTION_NOTE}
 
@@ -273,7 +284,10 @@ def _cmd_ring_obstruction(args) -> dict:
 
 
 def _cmd_semiexact(args) -> dict:
-    report = semiexact_counterexample(args.p)
+    try:
+        report = semiexact_counterexample(args.p)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     return {"report": report.to_json(), "verdict": report.verdict,
             "convention": CONVENTION_NOTE}
 
@@ -407,26 +421,28 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         body = handler(args)
-    except SchemaError as exc:
+    except (SchemaError, GroupSyntaxError, ChainComplexError, ChainMapError,
+            SupportCapError, MatrixShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GroupSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ChainComplexError, ChainMapError, SupportCapError,
-            MatrixShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInvariantError as exc:
+    except Exception as exc:
+        # Anything else is a bug; exit 1 stays reserved for a failed suite.
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {"schema": SCHEMA, "subcommand": args.command, "seed": args.seed}
     report.update(body)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        text = json.dumps(report, sort_keys=True, indent=2)
     else:
-        print(_render_text(report, elapsed_ms))
+        text = _render_text(report, elapsed_ms)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Point stdout at /dev/null so
+        # the interpreter's final flush does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # Suites and the acceptance gate signal failure through the exit code;
     # query commands report their (possibly negative) answer with exit 0.
     gated = ("acceptance", "tstructure-check", "closure-suite",

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (IntMatrix, block, hstack, kernel_basis,
+from .matrices import (IntMatrix, block, hstack, json_int, kernel_basis,
                        smith_normal_form, solve, vstack)
 
 DEGREE_CAP = 64
@@ -81,6 +81,16 @@ class GradedGroup:
         if self.is_zero:
             return "0"
         return ", ".join(f"H{n}={g}" for n, g in self.groups)
+
+
+def _json_table(obj, key: str) -> dict:
+    """The JSON object under ``key`` in the JSON object ``obj``, or {}."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    table = obj.get(key, {})
+    if not isinstance(table, dict):
+        raise TypeError(f"{key!r} must be a JSON object, got {type(table).__name__}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -216,9 +226,9 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ChainComplex":
-        ranks = {int(n): int(r) for n, r in obj.get("ranks", {}).items()}
+        ranks = {int(n): json_int(r) for n, r in _json_table(obj, "ranks").items()}
         boundaries = {int(n): IntMatrix.from_json(d)
-                      for n, d in obj.get("boundaries", {}).items()}
+                      for n, d in _json_table(obj, "boundaries").items()}
         return cls.build(ranks, boundaries)
 
     def __str__(self) -> str:
@@ -306,7 +316,7 @@ class ChainMap:
             ChainComplex.from_json(obj["source"]),
             ChainComplex.from_json(obj["target"]),
             {int(n): IntMatrix.from_json(f)
-             for n, f in obj.get("components", {}).items()})
+             for n, f in _json_table(obj, "components").items()})
 
 
 def homology(x: ChainComplex) -> GradedGroup:
@@ -598,10 +608,6 @@ def _kernel_gens(m: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     """Generators of {x : m x lies in the span of target_relations}."""
     solutions = kernel_basis(hstack([m, target_relations]))
     return solutions.take(range(m.cols), None)
-
-
-def presented_map_is_zero(m: IntMatrix, target_relations: IntMatrix) -> bool:
-    return _lattice_subset(m, target_relations)
 
 
 def presented_map_is_iso(m: IntMatrix, source_relations: IntMatrix,

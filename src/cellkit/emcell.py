@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 from .complexes import (ChainComplex, ChainMap, TriangleReport, coproduct,
                         derived_hom, em_complex, triangle_check)
-from .groups import FgAbGroup, Z, ext_fg, hom_fg
+from .groups import FgAbGroup, Z, ext_fg, hom_fg, is_prime
 from .matrices import IntMatrix
 from .symbolic import Q as QAtom
 from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
@@ -269,6 +269,8 @@ def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
     """
     if k < 1 or n < 1:
         raise ValueError("exponents must be positive")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return EMObject.of([(m, FgAbGroup.cyclic(p ** min(k, n)))])
 
 
@@ -281,6 +283,8 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
     """
     if r < 1:
         raise ValueError("r must be positive")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if not cellular_flag:
         return CellZero()
     if r == 1:
@@ -326,8 +330,12 @@ class AcyclizationCase:
             raise InadmissibleCaseError("product outcome needs a nonempty prime set")
         if self.target == "HZpk" and (self.p is None or self.k is None):
             raise InadmissibleCaseError("HZpk cases need p and k")
+        if self.target == "HZpk" and self.k < 1:
+            raise InadmissibleCaseError("HZpk cases need k >= 1")
         if self.target == "HZpinf" and self.p is None:
             raise InadmissibleCaseError("HZpinf cases need p")
+        if self.target != "HZ" and not is_prime(self.p):
+            raise InadmissibleCaseError(f"{self.p} is not prime")
 
 
 def acyclization_HZ(case: AcyclizationCase) -> EMObject:

@@ -68,7 +68,10 @@ def _parse_token(token: str, pos: int):
             raise GroupSyntaxError(str(exc), pos) from None
     m = _CYCLIC_RE.match(token)
     if m:
-        n = int(m.group(1))
+        try:
+            n = int(m.group(1))
+        except ValueError as exc:  # more digits than int() accepts
+            raise GroupSyntaxError(str(exc), pos) from None
         if n == 0:
             raise GroupSyntaxError("Z/0 is not allowed; write Z", pos)
         return FgAbGroup.cyclic(n)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Mapping
 
-from sympy import factorint
-
 from .matrices import IntMatrix, smith_normal_form
 
 
@@ -138,18 +136,6 @@ class FgAbGroup:
     def torsion_part(self) -> "FgAbGroup":
         return FgAbGroup(0, self.invariant_factors)
 
-    def primary_decomposition(self) -> dict[int, tuple[int, ...]]:
-        """Map p -> exponents (descending) of the p-power cyclic summands.
-
-        >>> FgAbGroup.of_orders([12, 2]).primary_decomposition()
-        {2: (2, 1), 3: (1,)}
-        """
-        out: dict[int, list[int]] = {}
-        for d in self.invariant_factors:
-            for p, e in factorint(d).items():
-                out.setdefault(int(p), []).append(int(e))
-        return {p: tuple(sorted(es, reverse=True)) for p, es in sorted(out.items())}
-
     def is_annihilated_by(self, m: int) -> bool:
         return self.rank == 0 and all(m % d == 0 for d in self.invariant_factors)
 
@@ -261,3 +247,60 @@ def p_valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
+
+
+def primary_part(d: int, primes: Iterable[int], cofinite: bool = False) -> int:
+    """The P-primary part of a cyclic order d != 0: the largest divisor of d
+    all of whose prime factors lie in P.
+
+    P is the listed primes, or with ``cofinite`` every prime but the listed
+    ones; either way no factorization of d is needed.
+
+    >>> primary_part(360, [2, 5])
+    40
+    >>> primary_part(360, [2, 5], cofinite=True)
+    9
+    """
+    d = abs(d)
+    if cofinite:
+        for p in primes:
+            d //= p ** p_valuation(d, p)
+        return d
+    return prod(p ** p_valuation(d, p) for p in primes)
+
+
+# Miller-Rabin with the first twelve primes as bases has no strong
+# pseudoprime below PSI_12 (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017), so below it the test is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test for n < PSI_12; larger n raise ValueError.
+
+    >>> [n for n in range(-3, 20) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    if n >= PSI_12:
+        raise ValueError(f"{n} is beyond the exact primality bound {PSI_12}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -19,6 +19,14 @@ class MatrixShapeError(ValueError):
     """Inconsistent matrix dimensions."""
 
 
+def json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; floats, booleans and strings
+    raise TypeError instead of being coerced."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major.
@@ -35,7 +43,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise MatrixShapeError(f"negative shape {self.rows}x{self.cols}")
-        ents = tuple(int(e) for e in self.entries)
+        ents = tuple(self.entries)
         if len(ents) != self.rows * self.cols:
             raise MatrixShapeError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
@@ -167,8 +175,8 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
-        return cls(int(obj["rows"]), int(obj["cols"]),
-                   tuple(int(x) for x in obj["data"]))
+        return cls(json_int(obj["rows"]), json_int(obj["cols"]),
+                   tuple(json_int(x) for x in obj["data"]))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -67,12 +67,6 @@ def random_finite_group(rng: random.Random, max_order: int = 100) -> FgAbGroup:
     return FgAbGroup.of_orders(orders)
 
 
-def random_fg_group(rng: random.Random, max_order: int = 100,
-                    max_rank: int = 2) -> FgAbGroup:
-    g = random_finite_group(rng, max_order)
-    return FgAbGroup.direct_sum(FgAbGroup.free(rng.randint(0, max_rank)), g)
-
-
 def sample_pairs(items: Sequence, count: int) -> list[tuple]:
     """Deterministic pairing: consecutive items, wrapping around."""
     items = list(items)

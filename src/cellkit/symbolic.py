@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Union
 
-from sympy import factorint, isprime
-
-from .groups import FgAbGroup, ZERO_GROUP, ext_fg, hom_fg, p_valuation
+from .groups import (FgAbGroup, ZERO_GROUP, ext_fg, hom_fg, is_prime,
+                     primary_part)
 
 
 class UnknownValue:
@@ -54,7 +53,7 @@ class NotDivisibleError(ValueError):
 
 def _check_prime(p: int) -> int:
     p = int(p)
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -409,6 +408,13 @@ def _pieces(g: SymbolicGroup) -> list[_Piece]:
     return out
 
 
+def _primary_group(orders: Iterable[int], primes: Iterable[int],
+                   cofinite: bool = False) -> SymbolicGroup:
+    """The sum of the P-primary parts of the cyclic groups Z/d."""
+    return SymbolicGroup.of(FgAbGroup.of_orders(
+        primary_part(d, primes, cofinite) for d in orders))
+
+
 def _torsion_to_atom_hom(factors: tuple[int, ...], y: Atom):
     """Hom of a finite sum of cyclic groups into an atom."""
     if isinstance(y, _TORSION_FREE_ATOMS):
@@ -416,15 +422,9 @@ def _torsion_to_atom_hom(factors: tuple[int, ...], y: Atom):
     if isinstance(y, Prufer):
         # Hom(Z/d, Z/p^oo) = Z/p^{v_p(d)}: the colimit of Hom(Z/d, Z/p^n)
         # stabilizes once n exceeds v_p(d).
-        return SymbolicGroup.of(
-            FgAbGroup.of_orders([y.p ** p_valuation(d, y.p) for d in factors]))
+        return _primary_group(factors, (y.p,))
     if isinstance(y, PruferSum):
-        orders = []
-        for d in factors:
-            for p, e in factorint(d).items():
-                if int(p) in y.primes:
-                    orders.append(int(p) ** int(e))
-        return SymbolicGroup.of(FgAbGroup.of_orders(orders))
+        return _primary_group(factors, y.primes.primes, y.primes.cofinite)
     return UNKNOWN
 
 
@@ -501,17 +501,12 @@ def _hom_pair(x: _Piece, y: _Piece):
         if isinstance(x, ZpHat):
             # Every map lands in the p-primary part and factors through
             # ZpHat/p^e = Z/p^e; maps to Z would have q-divisible image.
-            orders = [x.p ** p_valuation(d, x.p) for d in y.invariant_factors]
-            return SymbolicGroup.of(FgAbGroup.of_orders(orders))
+            return _primary_group(y.invariant_factors, (x.p,))
         if isinstance(x, ZLocal):
             # Hom(Z_P, finite) keeps the P-primary part; Hom(Z_P, Z) = 0
             # because images must be divisible by the inverted primes.
-            orders = []
-            for d in y.invariant_factors:
-                for p, e in factorint(d).items():
-                    if int(p) in x.primes:
-                        orders.append(int(p) ** int(e))
-            return SymbolicGroup.of(FgAbGroup.of_orders(orders))
+            return _primary_group(y.invariant_factors, x.primes.primes,
+                                  x.primes.cofinite)
         return UNKNOWN
     return _hom_atom_atom(x, y)
 
@@ -550,15 +545,10 @@ def _ext_pair(x: _Piece, y: _Piece):
         if not x.invariant_factors:
             return SymbolicGroup.zero()
         if isinstance(y, ZpHat):
-            orders = [y.p ** p_valuation(d, y.p) for d in x.invariant_factors]
-            return SymbolicGroup.of(FgAbGroup.of_orders(orders))
+            return _primary_group(x.invariant_factors, (y.p,))
         if isinstance(y, (ZLocal, ProdZpHat)):
-            orders = []
-            for d in x.invariant_factors:
-                for p, e in factorint(d).items():
-                    if int(p) in y.primes:
-                        orders.append(int(p) ** int(e))
-            return SymbolicGroup.of(FgAbGroup.of_orders(orders))
+            return _primary_group(x.invariant_factors, y.primes.primes,
+                                  y.primes.cofinite)
         return UNKNOWN
     return UNKNOWN
 

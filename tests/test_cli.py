@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cellkit
 from cellkit.cli import main
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
-from cellkit.groups import FgAbGroup
+from cellkit.groups import PSI_12, FgAbGroup
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup, ZLocal,
                               ZpHat)
@@ -245,3 +249,106 @@ class TestAcceptanceGate:
         code, out = run_cli(capsys, "acceptance")
         assert code == 1
         assert json.loads(out)["verdict"] is False
+
+
+def _snf_payload(rows, cols, data):
+    return json.dumps({"matrix": {"rows": rows, "cols": cols, "data": data}})
+
+
+def _complex_payload(complex_obj):
+    return json.dumps({"complex": complex_obj})
+
+
+BAD_INPUTS = [
+    # A composite (or unverifiable) p where the tables need a prime.
+    (["em-cellularize", "--mode", "primary", "--m", "0", "--k", "1",
+      "--n", "2", "--p", "4"], None),
+    (["em-cellularize", "--mode", "dichotomy", "--r", "2", "--p", "4"], None),
+    (["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "4",
+      "--k", "1"], None),
+    (["acyclization", "--target", "HZpinf", "--outcome", "zero", "--p", "4"],
+     None),
+    (["acyclization", "--target", "HZpinf", "--outcome", "zero",
+      "--p", str(PSI_12)], None),
+    (["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "2",
+      "--k", "0"], None),
+    (["semiexact-demo", "--p", "4"], None),
+    (["acyclization", "--target", "HZ", "--outcome", "HZ_P",
+      "--primes", "2,x"], None),
+    # Suite sampling parameters that would pass vacuously or crash.
+    (["closure-suite", "--k", "0", "--samples", "0"], None),
+    (["tstructure-check", "--k", "0", "--samples", "0"], None),
+    (["tstructure-check", "--k", "0", "--max-rank", "-1"], None),
+    (["closure-suite", "--k", "0", "--max-rank", "-1"], None),
+    (["tstructure-check", "--k", "0", "--max-degree", "0"], None),
+    (["closure-suite", "--k", "0", "--max-degree", "0"], None),
+    (["snf", "--input", os.path.join("no", "such", "payload.json")], None),
+    # Only JSON integers are integers: no floats, booleans or strings.
+    (["snf"], _snf_payload(1, 2, [2.7, True])),
+    (["snf"], _snf_payload(1, 1, ["2"])),
+    (["snf"], _snf_payload(1.0, 1, [2])),
+    (["snf"], _snf_payload(1, True, [2])),
+    (["homology"], _complex_payload({"ranks": {"0": 1.0}})),
+    (["homology"], _complex_payload({"ranks": {"0": True}})),
+    (["homology"], _complex_payload({"ranks": {"0": "1"}})),
+    (["homology"], _complex_payload({"ranks": [1]})),
+    (["homology"], _complex_payload([1])),
+    (["homology"], _complex_payload({
+        "ranks": {"0": 1, "1": 1},
+        "boundaries": {"1": {"rows": 1, "cols": 1, "data": [2.0]}}})),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", BAD_INPUTS, ids=[
+    " ".join(argv) + (f" <<< {stdin}" if stdin else "")
+    for argv, stdin in BAD_INPUTS])
+def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    from cellkit import cli as cli_mod
+
+    def broken_handler(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "hom", broken_handler)
+    code = main(["hom", "--a", "Z", "--b", "Z"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: boom") and "Traceback" in err
+
+
+def _cellkit_env():
+    src = os.path.dirname(os.path.dirname(cellkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_closed_stdout_keeps_exit_code(tmp_path):
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cellkit.cli", "nontriangulated-suite",
+             "--k", "0"],
+            stdout=subprocess.PIPE, stderr=err, env=_cellkit_env())
+        proc.stdout.close()  # the reader is gone before the report is written
+        code = proc.wait(timeout=120)
+    assert code == 0
+    assert err_path.read_text() == ""
+
+
+def test_import_loads_no_sympy():
+    probe = ("import sys, cellkit.cli; print(sorted(m for m in sys.modules "
+             "if m == 'sympy' or m.startswith('sympy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True).stdout
+    assert out.strip() == "[]"

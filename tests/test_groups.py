@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellkit.groups import (FgAbGroup, SizeBoundExceededError, Z, ZERO_GROUP,
-                            brute_force_hom_count, cokernel, ext_fg, hom_fg,
-                            p_valuation)
+from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
+                            ZERO_GROUP, brute_force_hom_count, cokernel,
+                            ext_fg, hom_fg, is_prime, p_valuation)
 from cellkit.matrices import IntMatrix
 
 
@@ -37,10 +37,6 @@ class TestCanonicalForm:
         g = FgAbGroup.of_orders([2, 12])
         assert g.order == 24 and g.exponent == 12
         assert Z.order is None
-
-    def test_primary_decomposition(self):
-        assert FgAbGroup.of_orders([12, 2]).primary_decomposition() == {
-            2: (2, 1), 3: (1,)}
 
     def test_json(self):
         g = FgAbGroup.of_orders([0, 2, 6])
@@ -129,3 +125,41 @@ def test_p_valuation():
     assert p_valuation(5, 2) == 0
     with pytest.raises(ValueError):
         p_valuation(0, 3)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# psi_k: the least strong pseudoprime to all of the first k prime bases
+# (OEIS A014233), i.e. the first input a k-base Miller-Rabin test gets wrong.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051)
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(-5, 10**5):
+            assert is_prime(n) == _trial_division_is_prime(n), n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for psi in PSI:
+            assert not is_prime(psi), psi
+
+    def test_mersenne(self):
+        assert is_prime(2**61 - 1)
+        assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+    def test_refuses_beyond_exact_bound(self):
+        assert not is_prime(PSI_12 - 1)  # even
+        for n in (PSI_12, PSI_12 + 2, 10**30):
+            with pytest.raises(ValueError):
+                is_prime(n)

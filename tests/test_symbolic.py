@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellkit.groups import FgAbGroup, Z, hom_fg
+from cellkit.groups import FgAbGroup, Z, hom_fg, primary_part
 from cellkit.symbolic import (UNKNOWN, NotDivisibleError, PrimeSet, ProdZpHat,
                               ProdZpHatModZ, Prufer, PruferSum, Q, QpHat,
                               SymbolicGroup, ZLocal, ZpHat, ext_divisible,
@@ -175,3 +175,43 @@ class TestExtRules:
         val = ext_rule(FgAbGroup.cyclic(12),
                        SymbolicGroup.of(ZLocal(PrimeSet.of([2]))))
         assert val == SymbolicGroup.of(FgAbGroup.cyclic(4))
+
+
+def _factor(n):
+    """{p: v_p(n)} by trial division."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _primary_orders(orders, s):
+    """One Z/p^e summand per prime p in s dividing each order."""
+    return [p ** e for d in orders for p, e in _factor(d).items() if p in s]
+
+
+class TestPrimaryParts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), prime_sets)
+    def test_primary_part_matches_factorization(self, d, s):
+        expected = 1
+        for q in _primary_orders([d], s):
+            expected *= q
+        assert primary_part(d, s.primes, s.cofinite) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(2, 3000), min_size=1, max_size=3), prime_sets)
+    def test_rules_match_per_prime_sums(self, orders, s):
+        # Every P-primary site of the rule table, including the single-prime
+        # Prufer and ZpHat ones that finite sets normalize into.
+        g = FgAbGroup.of_orders(orders)
+        expected = SymbolicGroup.of(FgAbGroup.of_orders(_primary_orders(orders, s)))
+        assert hom_rule(g, SymbolicGroup.of(PruferSum(s))) == expected
+        assert hom_rule(SymbolicGroup.of(ZLocal(s)), g) == expected
+        assert ext_rule(g, SymbolicGroup.of(ZLocal(s))) == expected
+        assert ext_rule(g, SymbolicGroup.of(ProdZpHat(s))) == expected
