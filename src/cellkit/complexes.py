@@ -260,16 +260,23 @@ class ChainMap:
             if not f.is_zero:
                 kept[n] = f
 
-        def comp(n):
-            return kept.get(n, IntMatrix.zero(target.rank(n), source.rank(n)))
+        def product(a, b):
+            # A missing factor is a zero matrix, and so is the product.
+            return None if a is None or b is None else a @ b
 
         degrees = set(kept)
         degrees.update(n for n, _ in source.ranks)
         degrees.update(n for n, _ in target.ranks)
         for n in degrees:
-            left = comp(n - 1) @ source.boundary(n)
-            right = target.boundary(n) @ comp(n)
-            if left != right:
+            left = product(kept.get(n - 1), source._boundary_map.get(n))
+            right = product(target._boundary_map.get(n), kept.get(n))
+            if left is None:
+                commutes = right is None or right.is_zero
+            elif right is None:
+                commutes = left.is_zero
+            else:
+                commutes = left == right
+            if not commutes:
                 raise ChainMapError(f"not a chain map in degree {n}")
         return cls(source, target, tuple(sorted(kept.items())))
 
@@ -578,8 +585,10 @@ def homology_presentation(x: ChainComplex, n: int) -> HomologyPresentation:
     r = x.rank(n)
     if down.rows and down.cols:
         f = smith_normal_form(down)
-        cycles = f.v.take(None, range(f.rank, r))
-        coords = f.v_inv.take(range(f.rank, r), None)
+        # Transforms before the rank, so one reduction serves both.
+        v, v_inv = f.v, f.v_inv
+        cycles = v.take(None, range(f.rank, r))
+        coords = v_inv.take(range(f.rank, r), None)
     else:
         cycles = IntMatrix.identity(r)
         coords = IntMatrix.identity(r)

@@ -2,10 +2,12 @@
 
 Everything runs on Python's unbounded integers: invariant factors of even
 small random matrices overflow 64-bit types, so no fixed-width arithmetic
-appears anywhere.  The Smith normal form returns the change-of-basis
-matrices together with their inverses; the homology and truncation code
-uses those to extract kernel bases, solve linear systems and rewrite
-cycles in kernel coordinates.
+appears anywhere.  The Smith normal form gives its diagonal without
+building any change-of-basis matrix: homology, rank and cokernels read
+only the invariant factors, and transform entries grow far faster than
+the diagonal.  The change-of-basis matrices and their inverses are built
+on first use, by the code that needs a basis: kernel bases, linear
+solves, cycles rewritten in kernel coordinates, and ``cellkit snf``.
 """
 
 from __future__ import annotations
@@ -97,10 +99,17 @@ class IntMatrix:
     def take(self, row_idx: Sequence[int] | None = None,
              col_idx: Sequence[int] | None = None) -> "IntMatrix":
         """Submatrix on the given row/column indices (None keeps all)."""
-        ri = list(range(self.rows)) if row_idx is None else list(row_idx)
-        ci = list(range(self.cols)) if col_idx is None else list(col_idx)
-        ents = tuple(self.entry(i, j) for i in ri for j in ci)
-        return IntMatrix(len(ri), len(ci), ents)
+        ri = range(self.rows) if row_idx is None else list(row_idx)
+        ci = range(self.cols) if col_idx is None else list(col_idx)
+        if not all(0 <= i < self.rows for i in ri) or not all(
+                0 <= j < self.cols for j in ci):
+            raise IndexError((row_idx, col_idx))
+        c, e = self.cols, self.entries
+        ents: list[int] = []
+        for i in ri:
+            row = e[i * c:(i + 1) * c]
+            ents.extend(row if col_idx is None else [row[j] for j in ci])
+        return IntMatrix(len(ri), len(ci), tuple(ents))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows(
@@ -130,9 +139,9 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise MatrixShapeError("vector length mismatch")
-        return tuple(
-            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows))
+        c, e = self.cols, self.entries
+        return tuple(sum(x * y for x, y in zip(e[i * c:(i + 1) * c], vec))
+                     for i in range(self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -185,7 +194,7 @@ class IntMatrix:
 
     @cached_property
     def _snf(self) -> "SmithNormalForm":
-        return _compute_snf(self)
+        return SmithNormalForm(self)
 
 
 def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -226,19 +235,53 @@ class SmithNormalForm:
     chain d1 | d2 | ...; the nonzero entries occupy a leading prefix of the
     diagonal.  ``u_inv`` and ``v_inv`` are the exact inverses, accumulated
     during the reduction.
+
+    The two halves are computed lazily.  ``diagonal`` (and with it
+    ``rank`` and ``nonzero_diagonal``) comes from a reduction of ``m``
+    alone, which builds no transform.  The first read of ``s``, ``u``,
+    ``v``, ``u_inv`` or ``v_inv`` runs the tracked reduction once and
+    freezes all five; a later ``diagonal`` is read off that ``s``.  A
+    caller that needs a basis therefore reads a transform before the
+    diagonal, or the matrix is reduced twice.
     """
 
     matrix: IntMatrix
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+
+    @cached_property
+    def _certified(self) -> tuple[IntMatrix, ...]:
+        nr, nc = self.matrix.rows, self.matrix.cols
+        a, u, v, uinv, vinv = _reduce(self.matrix, track=True)
+        shapes = ((nr, nc), (nr, nr), (nc, nc), (nr, nr), (nc, nc))
+        return tuple(IntMatrix(r, c, tuple(x for row in rows for x in row))
+                     for rows, (r, c) in zip((a, u, v, uinv, vinv), shapes))
 
     @property
+    def s(self) -> IntMatrix:
+        return self._certified[0]
+
+    @property
+    def u(self) -> IntMatrix:
+        return self._certified[1]
+
+    @property
+    def v(self) -> IntMatrix:
+        return self._certified[2]
+
+    @property
+    def u_inv(self) -> IntMatrix:
+        return self._certified[3]
+
+    @property
+    def v_inv(self) -> IntMatrix:
+        return self._certified[4]
+
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        n = min(self.s.rows, self.s.cols)
-        return tuple(self.s.entry(i, i) for i in range(n))
+        if "_certified" in self.__dict__:
+            a = self.s.to_rows()
+        else:
+            a = _reduce(self.matrix, track=False)[0]
+        return tuple(a[i][i] for i in range(min(self.matrix.rows, self.matrix.cols)))
 
     @property
     def nonzero_diagonal(self) -> tuple[int, ...]:
@@ -253,54 +296,65 @@ def _eye_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _compute_snf(m: IntMatrix) -> SmithNormalForm:
+def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
+    """Reduce ``m`` to Smith form; returns the rows of s, u, v, u_inv, v_inv.
+
+    With ``track`` false the same pivoting runs on ``m`` alone and the four
+    transforms come back as None, so the diagonal is found without the
+    coefficient growth of u and v.
+    """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = _eye_rows(nr)
-    uinv = _eye_rows(nr)
-    v = _eye_rows(nc)
-    vinv = _eye_rows(nc)
+    u = uinv = v = vinv = None
+    if track:
+        u, uinv = _eye_rows(nr), _eye_rows(nr)
+        v, vinv = _eye_rows(nc), _eye_rows(nc)
 
     # Row operation A <- E A keeps u <- E u and uinv <- uinv E^{-1};
     # column operation A <- A F keeps v <- v F and vinv <- F^{-1} vinv.
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
+            for row in uinv:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):  # row_i += q * row_j
         ai, aj = a[i], a[j]
         for t in range(nc):
             ai[t] += q * aj[t]
-        ui, uj = u[i], u[j]
-        for t in range(nr):
-            ui[t] += q * uj[t]
-        for row in uinv:
-            row[j] -= q * row[i]
+        if track:
+            ui, uj = u[i], u[j]
+            for t in range(nr):
+                ui[t] += q * uj[t]
+            for row in uinv:
+                row[j] -= q * row[i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
+        if track:
+            u[i] = [-x for x in u[i]]
+            for row in uinv:
+                row[i] = -row[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        if track:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(j, i, q):  # col_j += q * col_i
         for row in a:
             row[j] += q * row[i]
-        for row in v:
-            row[j] += q * row[i]
-        ri, rj = vinv[i], vinv[j]
-        for t in range(nc):
-            ri[t] -= q * rj[t]
+        if track:
+            for row in v:
+                row[j] += q * row[i]
+            ri, rj = vinv[i], vinv[j]
+            for t in range(nc):
+                ri[t] -= q * rj[t]
 
     t = 0
     limit = min(nr, nc)
@@ -362,17 +416,7 @@ def _compute_snf(m: IntMatrix) -> SmithNormalForm:
             add_row(t, bad_row, 1)
         t += 1
 
-    def freeze(rows, r, c):
-        return IntMatrix(r, c, tuple(x for row in rows for x in row))
-
-    return SmithNormalForm(
-        matrix=m,
-        s=freeze(a, nr, nc),
-        u=freeze(u, nr, nr),
-        v=freeze(v, nc, nc),
-        u_inv=freeze(uinv, nr, nr),
-        v_inv=freeze(vinv, nc, nc),
-    )
+    return a, u, v, uinv, vinv
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
@@ -404,8 +448,9 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     if m.rows == 0:
         return IntMatrix.identity(m.cols)
     f = smith_normal_form(m)
-    r = f.rank
-    return f.v.take(None, range(r, m.cols))
+    # Transforms before the rank, so one reduction serves both.
+    v = f.v
+    return v.take(None, range(f.rank, m.cols))
 
 
 def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import (ChainComplex, ChainMap, DegreeCheck, TriangleReport,
-                        cone, coproduct, derived_hom, em_complex,
+                        cone, coproduct, derived_hom, em_complex, fiber,
                         fiber_with_maps, map_on_homology_is_iso, quasi_iso_eq,
                         shift, shift_map, triangle_check)
 from .groups import FgAbGroup, ZERO_GROUP
@@ -49,9 +49,11 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, dict[int, IntMat
         return ChainComplex.zero_complex(), {}
     down = x.boundary(k)
     f = smith_normal_form(down)
+    # Transforms before the rank, so one reduction serves both.
+    v, v_inv = f.v, f.v_inv
     r = x.rank(k)
-    kernel = f.v.take(None, range(f.rank, r))          # r x kappa
-    coords = f.v_inv.take(range(f.rank, r), None)      # kappa x r
+    kernel = v.take(None, range(f.rank, r))            # r x kappa
+    coords = v_inv.take(range(f.rank, r), None)        # kappa x r
     kappa = r - f.rank
     ranks = {n: x.rank(n) for n in range(k + 1, x.hi + 1)}
     ranks[k] = kappa
@@ -103,6 +105,8 @@ def section_with_projection(x: ChainComplex, k: int) -> tuple[ChainComplex, Chai
         zero = ChainComplex.zero_complex()
         return zero, ChainMap.zero_map(x, zero)
     f = smith_normal_form(x.boundary(k))
+    # Transforms before the rank, so one reduction serves both.
+    u_inv, v_inv = f.u_inv, f.v_inv
     rho = f.rank
     ranks = {n: x.rank(n) for n in range(x.lo, k)}
     boundaries = {n: x.boundary(n) for n in range(x.lo + 1, k)}
@@ -111,10 +115,10 @@ def section_with_projection(x: ChainComplex, k: int) -> tuple[ChainComplex, Chai
         ranks[k] = rho
         # Image basis: the first rho columns of u_inv scaled by the
         # invariant factors; projection is the matching block of v_inv.
-        scaled = [[f.u_inv.entry(i, j) * f.diagonal[j] for j in range(rho)]
+        scaled = [[u_inv.entry(i, j) * f.diagonal[j] for j in range(rho)]
                   for i in range(x.rank(k - 1))]
         boundaries[k] = IntMatrix.from_rows(scaled)
-        comps[k] = f.v_inv.take(range(rho), None)
+        comps[k] = v_inv.take(range(rho), None)
     section = ChainComplex.build(ranks, boundaries)
     return section, ChainMap.build(x, section, comps)
 
@@ -128,7 +132,7 @@ def nullification_fiber(x: ChainComplex, k: int) -> tuple[ChainComplex, bool]:
     nullification is the cellularization.
     """
     _, proj = section_with_projection(x, k)
-    fib, _, _ = fiber_with_maps(proj)
+    fib = fiber(proj)
     return fib, quasi_iso_eq(fib, connective_cover(x, k))
 
 
@@ -435,8 +439,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     for i, a in enumerate(sections):
         b = sections[(i + 1) % len(sections)]
         for name, f in _canonical_maps(a, b):
-            fib, _, _ = fiber_with_maps(f)
-            if not is_null(fib, k):
+            if not is_null(fiber(f), k):
                 bad.append(f"fibre of {name} map on sample {i}")
         # Extension of a by shift(b, 0): the cone of a map
         # shift(b, -1) -> a is an extension of b by a.

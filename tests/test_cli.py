@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellkit
+from cellkit import cli as cli_mod
 from cellkit.cli import main
+from cellkit.complexes import DEGREE_CAP
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
 from cellkit.groups import PSI_12, FgAbGroup
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
@@ -240,7 +242,6 @@ class TestAcceptanceGate:
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
         from cellkit import acceptance as acc
-        from cellkit import cli as cli_mod
 
         def fake_run_all(seed=0):
             return [acc.CriterionResult("stub", False, "forced failure")]
@@ -282,6 +283,14 @@ BAD_INPUTS = [
     (["closure-suite", "--k", "0", "--max-rank", "-1"], None),
     (["tstructure-check", "--k", "0", "--max-degree", "0"], None),
     (["closure-suite", "--k", "0", "--max-degree", "0"], None),
+    # ... and ones whose SNF cost is out of reach.
+    (["tstructure-check", "--k", "0", "--samples", "1", "--max-rank", "25"],
+     None),
+    (["tstructure-check", "--k", "0", "--samples", "1", "--max-rank", "600"],
+     None),
+    (["closure-suite", "--k", "0", "--max-rank", "25"], None),
+    (["tstructure-check", "--k", "0", "--max-degree", "65"], None),
+    (["closure-suite", "--k", "0", "--max-degree", "65"], None),
     (["snf", "--input", os.path.join("no", "such", "payload.json")], None),
     # Only JSON integers are integers: no floats, booleans or strings.
     (["snf"], _snf_payload(1, 2, [2.7, True])),
@@ -311,8 +320,14 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_sampler_caps_are_accepted(capsys):
+    code = main(["tstructure-check", "--k", "0", "--samples", "1",
+                 "--max-rank", str(cli_mod.SAMPLE_RANK_CAP),
+                 "--max-degree", str(DEGREE_CAP)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
-    from cellkit import cli as cli_mod
 
     def broken_handler(args):
         raise RuntimeError("boom")

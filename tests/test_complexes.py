@@ -99,6 +99,45 @@ class TestChainMaps:
         with pytest.raises(ChainMapError):
             ChainMap.build(x, y, {0: IntMatrix.from_rows([[1]]),
                                   1: IntMatrix.from_rows([[1]])})
+        # A missing component on either side of a nonzero boundary.
+        for n in (0, 1):
+            with pytest.raises(ChainMapError):
+                ChainMap.build(x, x, {n: IntMatrix.from_rows([[1]])})
+
+    def test_check_agrees_with_dense_products(self):
+        # The commuting check skips products with a missing factor; it must
+        # accept exactly the maps that the products of full (zero-filled)
+        # matrices accept.
+        def commutes(x, y, comps):
+            def comp(n):
+                return comps.get(n, IntMatrix.zero(y.rank(n), x.rank(n)))
+            degrees = {n for n, _ in x.ranks} | {n for n, _ in y.ranks}
+            return all(comp(n - 1) @ x.boundary(n) == y.boundary(n) @ comp(n)
+                       for n in degrees | set(comps))
+
+        rng = random.Random(23)
+        accepted = rejected = 0
+        for _ in range(150):
+            x = random_complex(rng, max_degrees=4, max_rank=3)
+            y = x if rng.random() < 0.5 else random_complex(
+                rng, max_degrees=4, max_rank=3)
+            if y is x:
+                m = rng.randint(-3, 3)
+                comps = {n: IntMatrix.diagonal([m] * r) for n, r in x.ranks}
+            else:
+                comps = {n: random_matrix(rng, y.rank(n), x.rank(n), 1)
+                         for n in {n for n, _ in x.ranks} & {n for n, _ in y.ranks}}
+            if comps and rng.random() < 0.5:
+                del comps[rng.choice(sorted(comps))]
+            try:
+                ChainMap.build(x, y, comps)
+                built = True
+            except ChainMapError:
+                built = False
+            assert built == commutes(x, y, comps)
+            accepted += built
+            rejected += not built
+        assert accepted and rejected
 
     def test_compose(self):
         x = two_term(2)

@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellkit import matrices as matrices_mod
+from cellkit.complexes import ChainComplex, homology_presentation
 from cellkit.matrices import (IntMatrix, MatrixShapeError, block, hstack,
                               kernel_basis, smith_normal_form, solve, vstack)
+from cellkit.truncation import connective_cover, section_with_projection
 
 
 def mat(rows):
@@ -14,6 +17,52 @@ matrices = st.integers(1, 8).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-50, 50), min_size=c, max_size=c),
             min_size=r, max_size=r).map(mat)))
+
+
+def dense(rows, cols, elements):
+    return st.lists(elements, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: IntMatrix(rows, cols, tuple(e)))
+
+
+shapes = st.tuples(st.integers(0, 7), st.integers(0, 7))
+# Every shape from 0x0 up, small and wider-than-64-bit entries, products
+# through at most three columns (rank-deficient), and zero matrices.
+snf_inputs = st.one_of(
+    shapes.flatmap(lambda s: dense(*s, st.integers(-50, 50))),
+    shapes.flatmap(lambda s: dense(*s, st.integers(-2**80, 2**80))),
+    st.tuples(st.integers(1, 7), st.integers(0, 3), st.integers(1, 7)).flatmap(
+        lambda s: st.tuples(dense(s[0], s[1], st.integers(-9, 9)),
+                            dense(s[1], s[2], st.integers(-9, 9)))).map(
+        lambda ab: ab[0] @ ab[1]),
+    shapes.map(lambda s: IntMatrix.zero(*s)),
+)
+
+
+def cold(m):
+    """An equal matrix with no cached Smith normal form."""
+    return IntMatrix(m.rows, m.cols, m.entries)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """(matrix, track) for every Smith reduction run while the test runs."""
+    calls = []
+    real = matrices_mod._reduce
+
+    def counting(m, track):
+        calls.append((m, track))
+        return real(m, track)
+
+    monkeypatch.setattr(matrices_mod, "_reduce", counting)
+    return calls
+
+
+def fresh_complex():
+    # d1 has rank 1, so degree 1 has both a kernel and an image.
+    return ChainComplex.build({0: 2, 1: 3, 2: 1}, {
+        1: IntMatrix.from_rows([[2, 4, 6], [4, 8, 12]]),
+        2: IntMatrix.from_rows([[2], [-1], [0]]),
+    })
 
 
 class TestIntMatrix:
@@ -116,3 +165,38 @@ class TestSmithNormalForm:
         assert solve(mat([[2]]), (1,)) is None
         assert solve(mat([[2, 0], [0, 0]]), (2, 1)) is None
         assert solve(IntMatrix.zero(1, 0), (5,)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(snf_inputs)
+    def test_transform_free_diagonal_matches_full_reduction(self, m):
+        diag = smith_normal_form(cold(m)).diagonal
+        f = smith_normal_form(m)
+        assert f.s == IntMatrix.diagonal(diag, m.rows, m.cols)
+        assert f.diagonal == diag
+        assert f.u @ m @ f.v == f.s
+
+    def test_diagonal_alone_builds_no_transform(self, reductions):
+        f = smith_normal_form(mat([[2, 4], [6, 8]]))
+        assert (f.diagonal, f.rank, f.nonzero_diagonal) == ((2, 4), 2, (2, 4))
+        assert [track for _, track in reductions] == [False]
+
+    def test_homology_of_fresh_complex_builds_no_transform(self, reductions):
+        h = fresh_complex().homology
+        assert str(h) == "H0=Z + Z/2, H1=Z"
+        assert reductions and not any(track for _, track in reductions)
+
+    @pytest.mark.parametrize("use", [
+        lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])),
+        lambda: solve(mat([[1, 2, 3], [2, 4, 6]]), (1, 2)),
+        lambda: section_with_projection(fresh_complex(), 1),
+        lambda: connective_cover(fresh_complex(), 1),
+        lambda: homology_presentation.__wrapped__(fresh_complex(), 1),
+    ], ids=["kernel_basis", "solve", "section_with_projection",
+            "connective_cover", "homology_presentation"])
+    def test_basis_users_reduce_each_matrix_once(self, reductions, use):
+        use()
+        reduced = [m for m, _ in reductions]
+        assert reduced and len(reduced) == len({id(m) for m in reduced})
+        for m in reduced:  # a later rank is read off the same reduction
+            smith_normal_form(m).rank
+        assert len(reductions) == len(reduced)
