@@ -10,8 +10,8 @@ Two executable models of the same functor pair:
 """
 
 from .complexes import (ChainComplex, ChainMap, GradedGroup, TriangleReport,
-                        cone, coproduct, derived_hom, em_complex, fiber,
-                        homology, quasi_iso_eq, shift, triangle_check)
+                        cone, cone_maps, coproduct, derived_hom, em_complex,
+                        fiber, quasi_iso_eq, shift, triangle_check)
 from .emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
                      ConstraintSet, EMObject, acyclization, acyclization_HZ,
                      acyclization_HZpinf, acyclization_HZpk,
@@ -22,11 +22,10 @@ from .grammar import format_group, parse_group
 from .groups import (FgAbGroup, brute_force_hom_count, cokernel, ext_fg,
                      hom_fg)
 from .matrices import IntMatrix, kernel_basis, smith_normal_form, solve
-from .symbolic import (UNKNOWN, PrimeSet, SymbolicGroup, ext_divisible,
-                       ext_rule, hom_rule, is_divisible, is_unknown)
+from .symbolic import (UNKNOWN, PrimeSet, SymbolicGroup, ext_rule, hom_rule,
+                       is_divisible, is_unknown)
 from .truncation import (TruncationResult, cell_null_triangle, closure_suite,
-                         cofibrewise_cellularization, connective_cover,
-                         fibrewise_nullification, nontriangulated_witness_suite,
+                         connective_cover, nontriangulated_witness_suite,
                          nullification_fiber, postnikov,
                          suspension_noncommute_witness, tstructure_check)
 
@@ -39,11 +38,10 @@ __all__ = [
     "TruncationResult", "UNKNOWN", "acyclization", "acyclization_HZ",
     "acyclization_HZpinf", "acyclization_HZpk", "brute_force_hom_count",
     "cell_null_triangle", "cell_primary_torsion", "cell_shape",
-    "closure_suite", "cofibrewise_cellularization", "cokernel", "cone",
-    "connective_cover", "constraint_check", "coproduct", "derived_hom",
-    "em_complex", "em_morphism_group", "ext_divisible", "ext_fg", "ext_rule",
-    "fiber", "fibrewise_nullification", "format_group", "gem_closure_check",
-    "hom_fg", "hom_rule", "homology", "hzp_dichotomy", "is_divisible",
+    "closure_suite", "cokernel", "cone", "cone_maps", "connective_cover",
+    "constraint_check", "coproduct", "derived_hom", "em_complex",
+    "em_morphism_group", "ext_fg", "ext_rule", "fiber", "format_group",
+    "gem_closure_check", "hom_fg", "hom_rule", "hzp_dichotomy", "is_divisible",
     "is_unknown", "kernel_basis", "nontriangulated_witness_suite",
     "nullification_fiber", "parse_group", "postnikov", "quasi_iso_eq",
     "ring_unit_obstruction", "semiexact_counterexample", "shift",

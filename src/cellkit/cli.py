@@ -44,6 +44,11 @@ SCHEMA = "cellkit/1"
 # finished in about 2 s on every seed tried, while single samples at
 # rank 48 took 28 s and at rank 600 more than 2 minutes and 820 MB.
 SAMPLE_RANK_CAP = 24
+# Largest --max-degree of the sampled suites.  Samples reach degree
+# --max-degree, and the suites build complexes at most two degrees higher:
+# closure-suite shifts samples by up to +2 against a moved cut, and cones
+# and single shifts add one.  So every complex stays inside DEGREE_CAP.
+SAMPLE_DEGREE_CAP = DEGREE_CAP - 2
 
 
 class SchemaError(ValueError):
@@ -195,8 +200,9 @@ def _cmd_triangle_check(args) -> dict:
 def _sample_family(args):
     if args.samples < 1:
         raise SchemaError("--samples must be at least 1")
-    if not 1 <= args.max_degree <= DEGREE_CAP:
-        raise SchemaError(f"--max-degree must be between 1 and {DEGREE_CAP}")
+    if not 1 <= args.max_degree <= SAMPLE_DEGREE_CAP:
+        raise SchemaError(
+            f"--max-degree must be between 1 and {SAMPLE_DEGREE_CAP}")
     if not 0 <= args.max_rank <= SAMPLE_RANK_CAP:
         raise SchemaError(
             f"--max-rank must be between 0 and {SAMPLE_RANK_CAP}")

@@ -186,9 +186,6 @@ class ChainComplex:
             return IntMatrix.zero(self.rank(n - 1), self.rank(n))
         return d
 
-    def total_rank(self) -> int:
-        return sum(r for _, r in self.ranks)
-
     @cached_property
     def homology(self) -> GradedGroup:
         """Graded homology, canonical in every degree.
@@ -326,11 +323,6 @@ class ChainMap:
              for n, f in _json_table(obj, "components").items()})
 
 
-def homology(x: ChainComplex) -> GradedGroup:
-    """Graded homology of x (see :attr:`ChainComplex.homology`)."""
-    return x.homology
-
-
 def shift(x: ChainComplex, k: int) -> ChainComplex:
     """Suspension: degree n of the result is degree n-k of x.
 
@@ -353,51 +345,45 @@ def shift_map(f: ChainMap, k: int) -> ChainMap:
     return ChainMap.build(shift(f.source, k), shift(f.target, k), comps)
 
 
-def cone(f: ChainMap) -> tuple[ChainComplex, ChainMap, ChainMap]:
-    """Mapping cone with its structure maps.
+def cone(f: ChainMap) -> ChainComplex:
+    """Mapping cone C = shift(X, 1) (+) Y with boundary [[d_SigmaX, 0], [-f, d_Y]].
 
-    Returns (C, inject, project) where C_n = X_{n-1} (+) Y_n with boundary
-    [[-dX, 0], [-f, dY]], inject: Y -> C and project: C -> shift(X, 1).
-    The triangle X -> Y -> C -> Sigma X has an exact homology sequence.
+    In degree n, C_n = X_{n-1} (+) Y_n.  The triangle X -> Y -> C -> Sigma X
+    has an exact homology sequence; :func:`cone_maps` builds its two maps.
     """
-    x, y = f.source, f.target
-    degrees = set()
-    degrees.update(n + 1 for n, _ in x.ranks)
-    degrees.update(n for n, _ in y.ranks)
-    ranks = {n: x.rank(n - 1) + y.rank(n) for n in degrees}
+    sx, y = shift(f.source, 1), f.target
+    degrees = {n for n, _ in sx.ranks} | {n for n, _ in y.ranks}
+    ranks = {n: sx.rank(n) + y.rank(n) for n in degrees}
     boundaries = {}
     for n in degrees | {n + 1 for n in degrees}:
-        rows_x, rows_y = x.rank(n - 2), y.rank(n - 1)
-        cols_x, cols_y = x.rank(n - 1), y.rank(n)
+        rows_x, rows_y = sx.rank(n - 1), y.rank(n - 1)
+        cols_x, cols_y = sx.rank(n), y.rank(n)
         if (rows_x + rows_y) == 0 or (cols_x + cols_y) == 0:
             continue
         boundaries[n] = block([
-            [-x.boundary(n - 1), IntMatrix.zero(rows_x, cols_y)],
+            [sx.boundary(n), IntMatrix.zero(rows_x, cols_y)],
             [-f.component(n - 1), y.boundary(n)],
         ])
-    c = ChainComplex.build(ranks, boundaries)
+    return ChainComplex.build(ranks, boundaries)
+
+
+def cone_maps(f: ChainMap) -> tuple[ChainComplex, ChainMap, ChainMap]:
+    """The cone C of f with inject: Y -> C and project: C -> shift(X, 1)."""
+    c, sx, y = cone(f), shift(f.source, 1), f.target
     inject = ChainMap.build(y, c, {
-        n: vstack([IntMatrix.zero(x.rank(n - 1), y.rank(n)),
+        n: vstack([IntMatrix.zero(sx.rank(n), y.rank(n)),
                    IntMatrix.identity(y.rank(n))])
-        for n in degrees})
-    project = ChainMap.build(c, shift(x, 1), {
-        n: hstack([IntMatrix.identity(x.rank(n - 1)),
-                   IntMatrix.zero(x.rank(n - 1), y.rank(n))])
-        for n in degrees})
+        for n, _ in c.ranks})
+    project = ChainMap.build(c, sx, {
+        n: hstack([IntMatrix.identity(sx.rank(n)),
+                   IntMatrix.zero(sx.rank(n), y.rank(n))])
+        for n, _ in c.ranks})
     return c, inject, project
 
 
 def fiber(f: ChainMap) -> ChainComplex:
     """The fibre shift(cone(f), -1), so that fiber -> X -> Y extends to a triangle."""
-    return shift(cone(f)[0], -1)
-
-
-def fiber_with_maps(f: ChainMap) -> tuple[ChainComplex, ChainMap, ChainMap]:
-    """Fibre F of f together with F -> X and shift(Y, -1) -> F."""
-    c, inject, project = cone(f)
-    to_source = shift_map(project, -1)
-    from_desuspended_target = shift_map(inject, -1)
-    return to_source.source, to_source, from_desuspended_target
+    return shift(cone(f), -1)
 
 
 def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
@@ -428,27 +414,6 @@ def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
             grid.append(row)
         boundaries[n] = block(grid)
     return ChainComplex.build(ranks, boundaries)
-
-
-def summand_maps(xs: Sequence[ChainComplex], i: int) -> tuple[ChainMap, ChainMap]:
-    """Inclusion of and projection onto the i-th summand of coproduct(xs)."""
-    total = coproduct(xs)
-    xi = xs[i]
-    inc_comps = {}
-    proj_comps = {}
-    for n in total.degrees():
-        offset = sum(x.rank(n) for x in xs[:i])
-        r_i, r_tot = xi.rank(n), total.rank(n)
-        if r_i == 0:
-            continue
-        rows = [[1 if (row == offset + col) else 0 for col in range(r_i)]
-                for row in range(r_tot)]
-        inc = IntMatrix.from_rows(rows)
-        inc_comps[n] = inc
-        proj_comps[n] = inc.transpose()
-    inclusion = ChainMap.build(xi, total, inc_comps)
-    projection = ChainMap.build(total, xi, proj_comps)
-    return inclusion, projection
 
 
 def em_complex(g: FgAbGroup, n: int) -> ChainComplex:
@@ -544,8 +509,7 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> TriangleReport:
     The candidate closes the triangle exactly when it has the homology of
     cone(f); the report carries both graded homologies degree by degree.
     """
-    c, _, _ = cone(f)
-    hc = c.homology
+    hc = cone(f).homology
     hz = z_candidate.homology
     degrees = sorted(set(hc.degrees) | set(hz.degrees))
     checks = tuple(
@@ -584,11 +548,7 @@ def homology_presentation(x: ChainComplex, n: int) -> HomologyPresentation:
     up = x.boundary(n + 1)
     r = x.rank(n)
     if down.rows and down.cols:
-        f = smith_normal_form(down)
-        # Transforms before the rank, so one reduction serves both.
-        v, v_inv = f.v, f.v_inv
-        cycles = v.take(None, range(f.rank, r))
-        coords = v_inv.take(range(f.rank, r), None)
+        cycles, coords = smith_normal_form(down).kernel()
     else:
         cycles = IntMatrix.identity(r)
         coords = IntMatrix.identity(r)
@@ -648,7 +608,7 @@ def cone_les_checks(f: ChainMap) -> tuple[DegreeCheck, ...]:
     Verified degree by degree with the honest induced maps, not with rank
     or order bookkeeping.
     """
-    c, inject, project = cone(f)
+    c, inject, project = cone_maps(f)
     sf = shift_map(f, 1)
     degrees = set()
     for obj in (f.source, f.target, c):

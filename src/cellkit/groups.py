@@ -113,10 +113,6 @@ class FgAbGroup:
         return self.rank == 0
 
     @property
-    def is_free(self) -> bool:
-        return not self.invariant_factors
-
-    @property
     def order(self) -> int | None:
         """Cardinality, or None when infinite."""
         if self.rank:
@@ -129,12 +125,6 @@ class FgAbGroup:
         if self.rank:
             return None
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    def free_part(self) -> "FgAbGroup":
-        return FgAbGroup(self.rank, ())
-
-    def torsion_part(self) -> "FgAbGroup":
-        return FgAbGroup(0, self.invariant_factors)
 
     def is_annihilated_by(self, m: int) -> bool:
         return self.rank == 0 and all(m % d == 0 for d in self.invariant_factors)

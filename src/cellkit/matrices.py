@@ -111,10 +111,6 @@ class IntMatrix:
             ents.extend(row if col_idx is None else [row[j] for j in ci])
         return IntMatrix(len(ri), len(ci), tuple(ents))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)])
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
@@ -274,6 +270,15 @@ class SmithNormalForm:
     @property
     def v_inv(self) -> IntMatrix:
         return self._certified[4]
+
+    def kernel(self) -> tuple[IntMatrix, IntMatrix]:
+        """(basis, coords): the columns of ``basis`` are a basis of ker(m),
+        and ``coords`` is its left inverse, zero on the other columns of v.
+        """
+        # Transforms before the rank, so one reduction serves both.
+        v, v_inv = self.v, self.v_inv
+        r, n = self.rank, self.matrix.cols
+        return v.take(None, range(r, n)), v_inv.take(range(r, n), None)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -447,10 +452,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
         return IntMatrix.zero(0, 0)
     if m.rows == 0:
         return IntMatrix.identity(m.cols)
-    f = smith_normal_form(m)
-    # Transforms before the rank, so one reduction serves both.
-    v = f.v
-    return v.take(None, range(f.rank, m.cols))
+    return smith_normal_form(m).kernel()[0]
 
 
 def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:

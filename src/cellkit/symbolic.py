@@ -47,10 +47,6 @@ class UnknownRuleError(ValueError):
     """A computation needed a Hom/Ext value outside the rule table."""
 
 
-class NotDivisibleError(ValueError):
-    """The divisible-target shortcut was applied to a non-divisible group."""
-
-
 def _check_prime(p: int) -> int:
     p = int(p)
     if not is_prime(p):
@@ -571,15 +567,3 @@ def ext_rule(a: Union[SymbolicGroup, FgAbGroup],
                 return UNKNOWN
             parts.append(val)
     return SymbolicGroup.of(*parts)
-
-
-def ext_divisible(a: Union[SymbolicGroup, FgAbGroup],
-                  g: Union[SymbolicGroup, FgAbGroup]) -> SymbolicGroup:
-    """Ext into a divisible group vanishes; raises if g is not divisible.
-
-    >>> ext_divisible(FgAbGroup.cyclic(8), SymbolicGroup.of(Q())).is_zero
-    True
-    """
-    if not is_divisible(g):
-        raise NotDivisibleError(f"{as_symbolic(g)} is not known to be divisible")
-    return SymbolicGroup.zero()

@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .complexes import (ChainComplex, ChainMap, DegreeCheck, TriangleReport,
                         cone, coproduct, derived_hom, em_complex, fiber,
-                        fiber_with_maps, map_on_homology_is_iso, quasi_iso_eq,
-                        shift, shift_map, triangle_check)
+                        map_on_homology_is_iso, quasi_iso_eq, shift,
+                        shift_map)
 from .groups import FgAbGroup, ZERO_GROUP
 from .matrices import IntMatrix, smith_normal_form
 
@@ -47,14 +47,8 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, dict[int, IntMat
         return x, {n: IntMatrix.identity(r) for n, r in x.ranks}
     if k > x.hi:
         return ChainComplex.zero_complex(), {}
-    down = x.boundary(k)
-    f = smith_normal_form(down)
-    # Transforms before the rank, so one reduction serves both.
-    v, v_inv = f.v, f.v_inv
-    r = x.rank(k)
-    kernel = v.take(None, range(f.rank, r))            # r x kappa
-    coords = v_inv.take(range(f.rank, r), None)        # kappa x r
-    kappa = r - f.rank
+    kernel, coords = smith_normal_form(x.boundary(k)).kernel()
+    kappa = kernel.cols                                # kernel is rank(k) x kappa
     ranks = {n: x.rank(n) for n in range(k + 1, x.hi + 1)}
     ranks[k] = kappa
     boundaries = {n: x.boundary(n) for n in range(k + 2, x.hi + 1)}
@@ -198,59 +192,6 @@ def suspension_noncommute_witness(x: ChainComplex, k: int) -> bool:
         raise PreconditionError(f"H_{k-1}(X) vanishes; the witness needs it nonzero")
     return not quasi_iso_eq(connective_cover(shift(x, 1), k),
                             shift(connective_cover(x, k), 1))
-
-
-def cofibrewise_cellularization(f: ChainMap, k: int) -> TriangleReport:
-    """Replace the cofibre of f by its cover, reconstructing the middle.
-
-    From the triangle X -> Y -> Z (Z the cone of f), form
-    Y' = fiber(cover(Z, k) -> Z -> shift(X, 1)).  The output triangle
-    X -> Y' -> cover(Z, k) is verified against the cone of the honest
-    chain map X -> Y', and the report asserts that Y' -> Y is an
-    equivalence on homology in degrees >= k.
-    """
-    x, y = f.source, f.target
-    z, _, project = cone(f)
-    incl = cover_inclusion(z, k)
-    composite = project.compose(incl)            # cover(Z) -> shift(X, 1)
-    y_prime, to_cover, from_x = fiber_with_maps(composite)
-    report = triangle_check(from_x, to_cover.target)
-    checks = list(report.checks)
-    hy, hyp = y.homology, y_prime.homology
-    for n in sorted(set(hy.degrees) | set(hyp.degrees)):
-        if n >= k:
-            checks.append(DegreeCheck(
-                n, hy.at(n) == hyp.at(n),
-                f"H{n}: rebuilt middle={hyp.at(n)} original={hy.at(n)}"))
-    return TriangleReport(x, y_prime, to_cover.target, report.cone_homology,
-                          report.candidate_homology, tuple(checks),
-                          "cofibrewise-cellularization")
-
-
-def fibrewise_nullification(f: ChainMap, k: int) -> TriangleReport:
-    """Dual construction: replace X by its section, rebuild the middle.
-
-    Y'' is the cone of the composite shift(Z, -1) -> X -> section(X, k);
-    the output triangle section -> Y'' -> Z is verified against a cone,
-    and Y -> Y'' is asserted to be an equivalence on H_n for n < k.
-    """
-    x, y = f.source, f.target
-    z, _, project = cone(f)
-    to_x = shift_map(project, -1)                # shift(Z, -1) -> X
-    section, proj = section_with_projection(x, k)
-    composite = proj.compose(to_x)               # shift(Z, -1) -> section
-    y_second, inject, _ = cone(composite)
-    report = triangle_check(inject, z)
-    checks = list(report.checks)
-    hy, hys = y.homology, y_second.homology
-    for n in sorted(set(hy.degrees) | set(hys.degrees)):
-        if n < k:
-            checks.append(DegreeCheck(
-                n, hy.at(n) == hys.at(n),
-                f"H{n}: rebuilt middle={hys.at(n)} original={hy.at(n)}"))
-    return TriangleReport(section, y_second, z, report.cone_homology,
-                          report.candidate_homology, tuple(checks),
-                          "fibrewise-nullification")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +366,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     for i, a in enumerate(covers):
         b = covers[(i + 1) % len(covers)]
         for name, f in _canonical_maps(a, b):
-            c, _, _ = cone(f)
+            c = cone(f)
             if not is_colocal(c, k):
                 bad.append(f"cone of {name} map on sample {i}")
     for i in range(0, len(covers) - 1, 2):
@@ -444,7 +385,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
         # Extension of a by shift(b, 0): the cone of a map
         # shift(b, -1) -> a is an extension of b by a.
         for name, g in _canonical_maps(shift(b, -1), a):
-            ext, _, _ = cone(g)
+            ext = cone(g)
             if not is_null(ext, k):
                 bad.append(f"extension via {name} map on sample {i}")
     for i in range(0, len(sections) - 1, 2):
@@ -456,7 +397,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     base = em_complex(FgAbGroup.cyclic(p), k - 2)
     glue = ChainMap.build(shift(base, -1), base,
                           {k - 2: IntMatrix.from_rows([[1]])})
-    ext, _, _ = cone(glue)
+    ext = cone(glue)
     if not (is_null(ext, k) and ext.homology.at(k - 2) == FgAbGroup.cyclic(p * p)):
         bad.append("non-split extension probe")
     checks.append(CheckResult("section-class-closed-under-fibres-extensions-products",
@@ -485,7 +426,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     bad = []
     for i, s in enumerate(samples):
         f = cover_inclusion(s, k)
-        z, _, _ = cone(f)
+        z = cone(f)
         if not connective_cover(z, k).homology.is_zero:
             bad.append(f"sample {i}: cofibre cover unexpectedly nonzero")
             continue
@@ -502,7 +443,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     target = em_complex(FgAbGroup.free(1), k)
     probe_map = ChainMap.build(null_source, target,
                                {k: IntMatrix.from_rows([[1]])})
-    probe_cone, _, _ = cone(probe_map)
+    probe_cone = cone(probe_map)
     checks.append(CheckResult(
         "section-class-closed-under-cofibres",
         is_null(probe_cone, k),
@@ -551,7 +492,7 @@ def nontriangulated_witness_suite(k: int) -> SuiteReport:
     p = 2
     x = em_complex(FgAbGroup.free(1), k - 1)
     f = ChainMap.scalar(x, p)
-    z, _, _ = cone(f)
+    z = cone(f)
     corners = [connective_cover(obj, k) for obj in (x, x, z, shift(x, 1))]
     survivor = corners[3].homology.at(k)
     dead = all(c.homology.is_zero for c in corners[:3])

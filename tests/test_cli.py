@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import cellkit
 from cellkit import cli as cli_mod
 from cellkit.cli import main
-from cellkit.complexes import DEGREE_CAP
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
 from cellkit.groups import PSI_12, FgAbGroup
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
@@ -291,6 +290,10 @@ BAD_INPUTS = [
     (["closure-suite", "--k", "0", "--max-rank", "25"], None),
     (["tstructure-check", "--k", "0", "--max-degree", "65"], None),
     (["closure-suite", "--k", "0", "--max-degree", "65"], None),
+    # ... and degrees that the suites' shifts and cones would push past
+    # DEGREE_CAP.
+    (["tstructure-check", "--k", "0", "--max-degree", "63"], None),
+    (["closure-suite", "--k", "0", "--max-degree", "63"], None),
     (["snf", "--input", os.path.join("no", "such", "payload.json")], None),
     # Only JSON integers are integers: no floats, booleans or strings.
     (["snf"], _snf_payload(1, 2, [2.7, True])),
@@ -321,10 +324,19 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
 
 
 def test_sampler_caps_are_accepted(capsys):
-    code = main(["tstructure-check", "--k", "0", "--samples", "1",
-                 "--max-rank", str(cli_mod.SAMPLE_RANK_CAP),
-                 "--max-degree", str(DEGREE_CAP)])
-    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
+    # Seed 476 crossed DEGREE_CAP when --max-degree could reach it; seed
+    # 459 samples up to degree SAMPLE_DEGREE_CAP itself, which closure-suite
+    # then shifts by +2.
+    rank_cap = cli_mod.SAMPLE_RANK_CAP
+    for suite, seed, rank in (("tstructure-check", 0, rank_cap),
+                              ("tstructure-check", 476, rank_cap),
+                              ("closure-suite", 476, rank_cap),
+                              ("tstructure-check", 459, 2),
+                              ("closure-suite", 459, 2)):
+        code = main([suite, "--k", "0", "--samples", "1", "--seed", str(seed),
+                     "--max-rank", str(rank),
+                     "--max-degree", str(cli_mod.SAMPLE_DEGREE_CAP)])
+        assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

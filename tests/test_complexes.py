@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from cellkit.complexes import (ChainComplex, ChainComplexError, ChainMap,
                                ChainMapError, GradedGroup, SupportCapError,
-                               cone, cone_les_checks, coproduct, derived_hom,
-                               em_complex, fiber, fiber_with_maps,
+                               cone, cone_les_checks, cone_maps, coproduct,
+                               derived_hom, em_complex, fiber,
                                map_on_homology_is_iso, quasi_iso_eq, shift,
-                               shift_map, summand_maps, triangle_check)
+                               shift_map, triangle_check)
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
 from cellkit.matrices import IntMatrix
 from cellkit.sampling import random_complex, random_matrix
+from cellkit.truncation import section_with_projection
 
 
 def cyc(n):
@@ -153,17 +154,17 @@ class TestChainMaps:
 class TestCone:
     def test_cone_of_identity_acyclic(self):
         x = two_term(4, lo=-1)
-        c, _, _ = cone(ChainMap.identity(x))
+        c = cone(ChainMap.identity(x))
         assert c.homology.is_zero
 
     def test_cone_of_multiplication(self):
         emz = em_complex(Z, 0)
-        c, _, _ = cone(ChainMap.scalar(emz, 2))
+        c = cone(ChainMap.scalar(emz, 2))
         assert quasi_iso_eq(c, em_complex(cyc(2), 0))
 
     def test_cone_of_zero_map(self):
         x = two_term(5)
-        c, _, _ = cone(ChainMap.zero_map(ChainComplex.zero_complex(), x))
+        c = cone(ChainMap.zero_map(ChainComplex.zero_complex(), x))
         assert quasi_iso_eq(c, x)
 
     def test_fiber(self):
@@ -180,12 +181,26 @@ class TestCone:
         for _ in range(10):
             x = random_complex(rng, max_degrees=5, max_rank=4)
             f = ChainMap.scalar(x, rng.randint(-4, 4))
-            c, inject, project = cone(f)
-            assert inject.source == x or inject.source == f.target
-            assert project.target == shift(x, 1)
-            fib, to_src, from_tgt = fiber_with_maps(f)
-            assert to_src.source == fib and to_src.target == x
-            assert from_tgt.target == fib
+            c, inject, project = cone_maps(f)
+            assert c == cone(f)
+            assert inject.source == f.target and inject.target == c
+            assert project.source == c and project.target == shift(x, 1)
+
+    def test_cone_builds_no_chain_map(self, monkeypatch):
+        x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
+        _, proj = section_with_projection(x, x.lo + 1)
+        maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)), proj]
+        built = []
+        real = ChainMap.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ChainMap, "build", classmethod(counting))
+        for f in maps:
+            cone(f)
+        assert built == []
 
 
 class TestCoproduct:
@@ -205,12 +220,6 @@ class TestCoproduct:
         total = coproduct(xs)
         summed = xs[0].homology.direct_sum(*(x.homology for x in xs[1:]))
         assert total.homology == summed
-
-    def test_summand_maps(self):
-        a = em_complex(cyc(2), 0)
-        b = em_complex(cyc(9), 1)
-        inc, proj = summand_maps([a, b], 1)
-        assert proj.compose(inc) == ChainMap.identity(b)
 
 
 class TestDerivedHom:
@@ -263,9 +272,9 @@ def _random_chain_map(rng, x):
     if kind == 0:
         return ChainMap.scalar(x, rng.randint(-3, 3))
     if kind == 1:
-        c, inject, project = cone(ChainMap.scalar(x, rng.randint(-2, 2)))
+        c, inject, project = cone_maps(ChainMap.scalar(x, rng.randint(-2, 2)))
         return inject
-    c, inject, project = cone(ChainMap.scalar(x, rng.randint(-2, 2)))
+    c, inject, project = cone_maps(ChainMap.scalar(x, rng.randint(-2, 2)))
     return project
 
 

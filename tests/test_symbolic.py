@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellkit.groups import FgAbGroup, Z, hom_fg, primary_part
-from cellkit.symbolic import (UNKNOWN, NotDivisibleError, PrimeSet, ProdZpHat,
-                              ProdZpHatModZ, Prufer, PruferSum, Q, QpHat,
-                              SymbolicGroup, ZLocal, ZpHat, ext_divisible,
-                              ext_rule, hom_rule, is_divisible, is_unknown)
+from cellkit.symbolic import (UNKNOWN, PrimeSet, ProdZpHat, ProdZpHatModZ,
+                              Prufer, PruferSum, Q, QpHat, SymbolicGroup,
+                              ZLocal, ZpHat, ext_rule, hom_rule, is_divisible,
+                              is_unknown)
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -81,12 +81,12 @@ class TestDivisibility:
         assert not is_divisible(SymbolicGroup.of(ProdZpHat(PrimeSet.complement_of([]))))
 
     def test_ext_divisible(self):
-        assert ext_divisible(FgAbGroup.cyclic(8), SymbolicGroup.of(Q())).is_zero
-        assert ext_divisible(Z, SymbolicGroup.of(Prufer(2))).is_zero
-        assert ext_divisible(FgAbGroup.cyclic(5),
-                             SymbolicGroup.of(Prufer(5))).is_zero
-        with pytest.raises(NotDivisibleError):
-            ext_divisible(FgAbGroup.cyclic(2), SymbolicGroup.of(Z))
+        assert ext_rule(FgAbGroup.cyclic(8), SymbolicGroup.of(Q())).is_zero
+        assert ext_rule(Z, SymbolicGroup.of(Prufer(2))).is_zero
+        assert ext_rule(FgAbGroup.cyclic(5), SymbolicGroup.of(Prufer(5))).is_zero
+        # A reduced target keeps its Ext.
+        assert (ext_rule(FgAbGroup.cyclic(2), SymbolicGroup.of(Z))
+                == SymbolicGroup.of(FgAbGroup.cyclic(2)))
 
     @settings(max_examples=30, deadline=None)
     @given(fg_groups)

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from cellkit.complexes import (ChainComplex, ChainMap, GradedGroup,
+from cellkit.complexes import (ChainComplex, GradedGroup,
                                cone_les_checks, coproduct, em_complex,
                                quasi_iso_eq, shift)
 from cellkit.groups import FgAbGroup, Z
 from cellkit.sampling import random_complex, random_complex_family, sample_pairs
 from cellkit.truncation import (PreconditionError, cell_null_triangle,
-                                closure_suite, cofibrewise_cellularization,
-                                connective_cover, cover_inclusion,
-                                fibrewise_nullification, in_heart, is_colocal,
+                                closure_suite, connective_cover,
+                                cover_inclusion, in_heart, is_colocal,
                                 is_null, nontriangulated_witness_suite,
                                 nullification_fiber, postnikov,
                                 section_with_projection,
@@ -155,56 +154,6 @@ class TestSuspensionWitness:
             for k in (-1, 0, 1):
                 if not x.homology.at(k - 1).is_zero:
                     assert suspension_noncommute_witness(x, k)
-
-
-class TestFibrewiseConstructions:
-    def test_cofibrewise_multiplication(self):
-        emz = em_complex(Z, 0)
-        rep = cofibrewise_cellularization(ChainMap.scalar(emz, 2), 0)
-        assert rep.verdict
-        assert rep.y.homology == GradedGroup.of({0: Z})
-
-    def test_cofibrewise_acyclic_cofibre(self):
-        x = em_complex(cyc(7), 1)
-        rep = cofibrewise_cellularization(ChainMap.identity(x), 0)
-        assert rep.verdict
-        assert quasi_iso_eq(rep.y, x)
-
-    def test_cofibrewise_drops_low_summand(self):
-        from cellkit.complexes import summand_maps
-        parts = [em_complex(Z, 0), shift(em_complex(cyc(3), 0), -1)]
-        b = coproduct(parts)
-        inc, _ = summand_maps(parts, 0)
-        rep = cofibrewise_cellularization(inc, 0)
-        assert rep.verdict
-        assert rep.y.homology.at(0) == b.homology.at(0)
-        assert rep.y.homology.at(-1).is_zero
-
-    def test_fibrewise_examples(self):
-        emz = em_complex(Z, 0)
-        rep = fibrewise_nullification(ChainMap.scalar(emz, 3), 0)
-        assert rep.verdict
-        assert rep.y.homology == GradedGroup.of({0: cyc(3)})
-        # cut above every support: the middle is recovered
-        rep = fibrewise_nullification(ChainMap.scalar(emz, 3), 5)
-        assert rep.verdict
-        assert rep.y.homology == emz.homology
-
-    def test_fibrewise_acyclic_source_recovers_cofibre(self):
-        y = em_complex(cyc(6), 1)
-        f = ChainMap.zero_map(ChainComplex.zero_complex(), y)
-        rep = fibrewise_nullification(f, 0)
-        assert rep.verdict
-        assert quasi_iso_eq(rep.y, rep.z)
-
-    def test_random_maps(self):
-        rng = random.Random(16)
-        for _ in range(12):
-            x = random_complex(rng, max_degrees=5, max_rank=4)
-            f = ChainMap.scalar(x, rng.randint(-3, 3))
-            for k in (-1, 0, 1):
-                assert cofibrewise_cellularization(f, k).verdict
-                assert fibrewise_nullification(f, k).verdict
 
 
 class TestTStructure:
