@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .complexes import (ChainComplex, derived_hom, em_complex, quasi_iso_eq,
-                        shift)
+from .complexes import ChainComplex, derived_hom, em_complex, shift
 from .emcell import (AcyclizationCase, CellExact, acyclization,
                      cell_primary_torsion, chain_homotopy_group, chain_model,
                      constraint_check, em_morphism_group, gem_closure_check,

@@ -18,16 +18,14 @@ import sys
 import time
 import traceback
 
-from . import acceptance as acceptance_mod
 from .complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                         ChainMap, ChainMapError, SupportCapError,
                         triangle_check)
-from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, CellShape,
-                     CellZero, EMObject, acyclization,
-                     cell_primary_torsion, cell_shape, constraint_check,
-                     hzp_dichotomy, ring_unit_obstruction,
+from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
+                     acyclization, cell_primary_torsion, cell_shape,
+                     constraint_check, hzp_dichotomy, ring_unit_obstruction,
                      semiexact_counterexample)
-from .grammar import GroupSyntaxError, format_group, parse_group
+from .grammar import GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import IntMatrix, MatrixShapeError, smith_normal_form
 from .sampling import random_complex_family, sample_pairs
@@ -49,6 +47,17 @@ SAMPLE_RANK_CAP = 24
 # closure-suite shifts samples by up to +2 against a moved cut, and cones
 # and single shifts add one.  So every complex stays inside DEGREE_CAP.
 SAMPLE_DEGREE_CAP = DEGREE_CAP - 2
+# Accepted --k of the suites, from the fixed probe complexes each builds
+# around the cut, so that every probe stays inside DEGREE_CAP:
+# tstructure-check's two-degree heart probe reaches k + 2; closure-suite's
+# non-split extension reaches k - 3 and its cofibre probe k + 1;
+# nontriangulated-suite's desuspended and suspended witnesses reach k - 1
+# and k + 1.
+SUITE_K_RANGE = {
+    "tstructure-check": (-DEGREE_CAP, DEGREE_CAP - 2),
+    "closure-suite": (-DEGREE_CAP + 3, DEGREE_CAP - 1),
+    "nontriangulated-suite": (-DEGREE_CAP + 1, DEGREE_CAP - 1),
+}
 
 
 class SchemaError(ValueError):
@@ -197,6 +206,12 @@ def _cmd_triangle_check(args) -> dict:
     return {"report": report.to_json(), "verdict": report.verdict}
 
 
+def _check_k(args):
+    lo, hi = SUITE_K_RANGE[args.command]
+    if not lo <= args.k <= hi:
+        raise SchemaError(f"--k must be between {lo} and {hi}")
+
+
 def _sample_family(args):
     if args.samples < 1:
         raise SchemaError("--samples must be at least 1")
@@ -212,18 +227,21 @@ def _sample_family(args):
 
 
 def _cmd_tstructure(args) -> dict:
+    _check_k(args)
     family = _sample_family(args)
     report = tstructure_check(args.k, sample_pairs(family, args.samples))
     return {"report": report.to_json(), "verdict": report.verdict}
 
 
 def _cmd_closure(args) -> dict:
+    _check_k(args)
     family = _sample_family(args)
     report = closure_suite(family, args.k, seed=args.seed)
     return {"report": report.to_json(), "verdict": report.ok}
 
 
 def _cmd_nontriangulated(args) -> dict:
+    _check_k(args)
     report = nontriangulated_witness_suite(args.k)
     return {"report": report.to_json(), "verdict": report.ok}
 
@@ -306,7 +324,8 @@ def _cmd_semiexact(args) -> dict:
 
 
 def _cmd_acceptance(args) -> dict:
-    results = acceptance_mod.run_all(seed=args.seed)
+    from . import acceptance
+    results = acceptance.run_all(seed=args.seed)
     return {
         "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                      for r in results],
@@ -332,6 +351,15 @@ _HANDLERS = {
     "semiexact-demo": _cmd_semiexact,
     "acceptance": _cmd_acceptance,
 }
+
+
+def __getattr__(name):
+    # The acceptance suite is imported on first use, which queries never
+    # make; ``acceptance_mod`` names it as an attribute of this module.
+    if name == "acceptance_mod":
+        from . import acceptance
+        return acceptance
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

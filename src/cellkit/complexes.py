@@ -196,16 +196,16 @@ class ChainComplex:
         d_{n+1}.
         """
         out: dict[int, FgAbGroup] = {}
+        boundaries = self._boundary_map      # a missing boundary is zero
         for n in self.degrees():
-            down = self.boundary(n)
-            up = self.boundary(n + 1)
-            r_down = (smith_normal_form(down).rank
-                      if down.rows and down.cols else 0)
-            if up.rows and up.cols:
+            down = boundaries.get(n)
+            up = boundaries.get(n + 1)
+            r_down = 0 if down is None else smith_normal_form(down).rank
+            if up is None:
+                r_up, torsion = 0, ()
+            else:
                 f_up = smith_normal_form(up)
                 r_up, torsion = f_up.rank, f_up.nonzero_diagonal
-            else:
-                r_up, torsion = 0, ()
             free = self.rank(n) - r_down - r_up
             g = FgAbGroup.of_orders(list(torsion) + [0] * free)
             if not g.is_zero:

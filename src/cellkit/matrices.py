@@ -8,10 +8,15 @@ only the invariant factors, and transform entries grow far faster than
 the diagonal.  The change-of-basis matrices and their inverses are built
 on first use, by the code that needs a basis: kernel bases, linear
 solves, cycles rewritten in kernel coordinates, and ``cellkit snf``.
+
+Equal matrices share one Smith normal form while any of them is alive, so
+a value that is rebuilt (the same cone, shift or cover made again) is
+reduced once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -190,7 +195,11 @@ class IntMatrix:
 
     @cached_property
     def _snf(self) -> "SmithNormalForm":
-        return SmithNormalForm(self)
+        key = (self.rows, self.cols, self.entries)
+        f = _FORMS.get(key)
+        if f is None:
+            f = _FORMS[key] = SmithNormalForm(self)
+        return f
 
 
 def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -200,10 +209,11 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     r = mats[0].rows
     if any(m.rows != r for m in mats):
         raise MatrixShapeError("hstack with differing row counts")
-    rows = [[x for m in mats for x in m.row(i)] for i in range(r)]
-    if not rows:
-        return IntMatrix.zero(0, sum(m.cols for m in mats))
-    return IntMatrix.from_rows(rows)
+    ents: list[int] = []
+    for i in range(r):
+        for m in mats:
+            ents.extend(m.row(i))
+    return IntMatrix(r, sum(m.cols for m in mats), tuple(ents))
 
 
 def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -295,6 +305,12 @@ class SmithNormalForm:
     @property
     def rank(self) -> int:
         return len(self.nonzero_diagonal)
+
+
+# The Smith normal forms of live matrices, keyed by matrix value.  A form
+# is held by the matrices that read it, and leaves the table with the last
+# of them.
+_FORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _eye_rows(n: int) -> list[list[int]]:
@@ -425,7 +441,7 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
-    """Smith normal form of ``m`` (cached on the matrix).
+    """Smith normal form of ``m``, shared by every live matrix equal to it.
 
     >>> f = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> f.diagonal

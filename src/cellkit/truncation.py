@@ -41,25 +41,24 @@ def is_null(x: ChainComplex, k: int) -> bool:
     return all(n < k for n in x.homology.degrees)
 
 
-def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, dict[int, IntMatrix]]:
-    """The cover plus the components of its inclusion into x."""
+def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None]:
+    """The cover, and the kernel of d_k that becomes its degree k when the
+    cut falls inside the support (None when the cover is x or zero)."""
     if x.is_zero or k <= x.lo:
-        return x, {n: IntMatrix.identity(r) for n, r in x.ranks}
+        return x, None
     if k > x.hi:
-        return ChainComplex.zero_complex(), {}
+        return ChainComplex.zero_complex(), None
     kernel, coords = smith_normal_form(x.boundary(k)).kernel()
     kappa = kernel.cols                                # kernel is rank(k) x kappa
     ranks = {n: x.rank(n) for n in range(k + 1, x.hi + 1)}
     ranks[k] = kappa
-    boundaries = {n: x.boundary(n) for n in range(k + 2, x.hi + 1)}
-    up = x.boundary(k + 1)
-    if kappa and up.cols:
-        boundaries[k + 1] = coords @ up
-    cover = ChainComplex.build(ranks, boundaries)
-    inclusion = {n: IntMatrix.identity(x.rank(n)) for n in range(k + 1, x.hi + 1)}
-    if kappa:
-        inclusion[k] = kernel
-    return cover, inclusion
+    boundaries = {}
+    for n, d in x.boundaries:
+        if n >= k + 2:
+            boundaries[n] = d
+        elif n == k + 1 and kappa:
+            boundaries[n] = coords @ d
+    return ChainComplex.build(ranks, boundaries), kernel
 
 
 def connective_cover(x: ChainComplex, k: int) -> ChainComplex:
@@ -74,7 +73,9 @@ def connective_cover(x: ChainComplex, k: int) -> ChainComplex:
 
 def cover_inclusion(x: ChainComplex, k: int) -> ChainMap:
     """The canonical chain-level map connective_cover(x, k) -> x."""
-    cover, comps = _cover_data(x, k)
+    cover, kernel = _cover_data(x, k)
+    comps = {n: kernel if n == k and kernel is not None
+             else IntMatrix.identity(r) for n, r in cover.ranks}
     return ChainMap.build(cover, x, comps)
 
 

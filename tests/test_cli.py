@@ -294,6 +294,13 @@ BAD_INPUTS = [
     # DEGREE_CAP.
     (["tstructure-check", "--k", "0", "--max-degree", "63"], None),
     (["closure-suite", "--k", "0", "--max-degree", "63"], None),
+    # ... and cuts whose probe complexes would leave DEGREE_CAP.
+    (["tstructure-check", "--k", "-65", "--samples", "1"], None),
+    (["tstructure-check", "--k", "63", "--samples", "1"], None),
+    (["closure-suite", "--k", "-62", "--samples", "1"], None),
+    (["closure-suite", "--k", "64", "--samples", "1"], None),
+    (["nontriangulated-suite", "--k", "-64"], None),
+    (["nontriangulated-suite", "--k", "64"], None),
     (["snf", "--input", os.path.join("no", "such", "payload.json")], None),
     # Only JSON integers are integers: no floats, booleans or strings.
     (["snf"], _snf_payload(1, 2, [2.7, True])),
@@ -339,6 +346,27 @@ def test_sampler_caps_are_accepted(capsys):
         assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
 
 
+def test_suite_k_range(capsys):
+    # The ranges each suite accepted before --k was checked, written as
+    # offsets from DEGREE_CAP.
+    cap = cli_mod.DEGREE_CAP
+    assert cli_mod.SUITE_K_RANGE == {
+        "tstructure-check": (-cap, cap - 2),
+        "closure-suite": (-cap + 3, cap - 1),
+        "nontriangulated-suite": (-cap + 1, cap - 1),
+    }
+    for suite, (lo, hi) in cli_mod.SUITE_K_RANGE.items():
+        sampled = [] if suite == "nontriangulated-suite" else [
+            "--samples", "1", "--max-rank", "1", "--max-degree", "1"]
+        for k in (lo, hi):
+            code = main([suite, "--k", str(k)] + sampled)
+            assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
+        for k in (lo - 1, hi + 1):
+            assert main([suite, "--k", str(k)] + sampled) == 2
+            assert capsys.readouterr().err == (
+                f"error: --k must be between {lo} and {hi}\n")
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
 
     def broken_handler(args):
@@ -379,3 +407,12 @@ def test_import_loads_no_sympy():
                          text=True, env=_cellkit_env(), timeout=120,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_query_does_not_import_acceptance():
+    probe = ("import sys, cellkit.cli; cellkit.cli.main(['hom', '--a', 'Z/4', "
+             "'--b', 'Z/6']); print('cellkit.acceptance' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True).stdout
+    assert out.strip().splitlines()[-1] == "False"

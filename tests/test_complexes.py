@@ -74,6 +74,22 @@ class TestHomology:
                                {1: IntMatrix.from_rows([[1, 0, 0]])})
         assert x.homology == GradedGroup.of({1: FgAbGroup.free(2)})
 
+    def test_builds_no_zero_matrix(self, monkeypatch):
+        # Degrees 1 and 2 have no boundary, and degree 4 has no chains.
+        x = ChainComplex.build({0: 1, 1: 2, 2: 1, 3: 1, 5: 2},
+                               {3: IntMatrix.from_rows([[3]])})
+        built = []
+        real = IntMatrix.zero.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(IntMatrix, "zero", classmethod(counting))
+        assert x.homology == GradedGroup.of({
+            0: Z, 1: FgAbGroup.free(2), 2: cyc(3), 5: FgAbGroup.free(2)})
+        assert built == []
+
 
 class TestShift:
     def test_identity_and_inverse(self):

@@ -1,10 +1,15 @@
+import gc
+import weakref
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellkit import matrices as matrices_mod
 from cellkit.complexes import ChainComplex, homology_presentation
-from cellkit.matrices import (IntMatrix, MatrixShapeError, block, hstack,
-                              kernel_basis, smith_normal_form, solve, vstack)
+from cellkit.matrices import (IntMatrix, MatrixShapeError, SmithNormalForm,
+                              block, hstack, kernel_basis, smith_normal_form,
+                              solve, vstack)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -43,9 +48,21 @@ def cold(m):
     return IntMatrix(m.rows, m.cols, m.entries)
 
 
+@contextmanager
+def fresh_forms():
+    """An empty table of shared Smith normal forms while the block runs."""
+    saved = matrices_mod._FORMS
+    matrices_mod._FORMS = weakref.WeakValueDictionary()
+    try:
+        yield matrices_mod._FORMS
+    finally:
+        matrices_mod._FORMS = saved
+
+
 @pytest.fixture
 def reductions(monkeypatch):
-    """(matrix, track) for every Smith reduction run while the test runs."""
+    """(matrix, track) for every Smith reduction run while the test runs,
+    which starts from an empty table of shared forms."""
     calls = []
     real = matrices_mod._reduce
 
@@ -54,6 +71,7 @@ def reductions(monkeypatch):
         return real(m, track)
 
     monkeypatch.setattr(matrices_mod, "_reduce", counting)
+    monkeypatch.setattr(matrices_mod, "_FORMS", weakref.WeakValueDictionary())
     return calls
 
 
@@ -105,6 +123,15 @@ class TestIntMatrix:
         assert a == mat([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
         assert hstack([]) == IntMatrix.zero(0, 0)
         assert vstack([IntMatrix.zero(0, 2)]).cols == 2
+
+    def test_hstack(self):
+        a, b = mat([[1, 2], [3, 4]]), mat([[5], [6]])
+        assert hstack([a, b]) == mat([[1, 2, 5], [3, 4, 6]])
+        assert hstack([a]) == a
+        assert hstack([IntMatrix.zero(0, 2), IntMatrix.zero(0, 3)]) == \
+            IntMatrix.zero(0, 5)
+        with pytest.raises(MatrixShapeError):
+            hstack([a, mat([[1]])])
 
 
 class TestSmithNormalForm:
@@ -169,8 +196,9 @@ class TestSmithNormalForm:
     @settings(max_examples=200, deadline=None)
     @given(snf_inputs)
     def test_transform_free_diagonal_matches_full_reduction(self, m):
-        diag = smith_normal_form(cold(m)).diagonal
-        f = smith_normal_form(m)
+        with fresh_forms():  # no equal form left over with its s read
+            diag = smith_normal_form(cold(m)).diagonal
+            f = smith_normal_form(m)
         assert f.s == IntMatrix.diagonal(diag, m.rows, m.cols)
         assert f.diagonal == diag
         assert f.u @ m @ f.v == f.s
@@ -200,3 +228,49 @@ class TestSmithNormalForm:
         for m in reduced:  # a later rank is read off the same reduction
             smith_normal_form(m).rank
         assert len(reductions) == len(reduced)
+
+
+class TestSharedForms:
+    def test_equal_matrices_share_one_form(self, reductions):
+        a = mat([[2, 4], [6, 8]])
+        b = cold(a)
+        assert a is not b
+        assert smith_normal_form(a) is smith_normal_form(b)
+        assert smith_normal_form(a).diagonal == (2, 4)
+        f = smith_normal_form(cold(a))
+        assert f.u @ a @ f.v == f.s and smith_normal_form(b).rank == 2
+        assert [track for _, track in reductions] == [False, True]
+
+    def test_unequal_matrices_do_not_share(self, reductions):
+        a, b = mat([[2, 4], [6, 8]]), mat([[2, 4, 6, 8]])
+        assert a.entries == b.entries
+        assert smith_normal_form(a) is not smith_normal_form(b)
+        assert smith_normal_form(a).diagonal == (2, 4)
+        assert smith_normal_form(b).diagonal == (2,)
+
+    def test_form_leaves_table_with_last_matrix(self):
+        with fresh_forms() as table:
+            a = mat([[3, 0], [0, 6]])
+            b = cold(a)
+            key = (2, 2, a.entries)
+            assert smith_normal_form(a) is smith_normal_form(b)
+            assert key in table
+            del a
+            gc.collect()
+            assert key in table  # b still holds the form
+            del b
+            gc.collect()
+            assert key not in table and len(table) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(snf_inputs)
+    def test_shared_form_matches_cold_reduction(self, m):
+        with fresh_forms():
+            first, second = cold(m), cold(m)
+            diagonal = smith_normal_form(first).diagonal
+            shared = smith_normal_form(second)
+            assert shared is smith_normal_form(first)
+            direct = SmithNormalForm(cold(m))
+            assert diagonal == shared.diagonal == direct.diagonal
+            for name in ("s", "u", "v", "u_inv", "v_inv"):
+                assert getattr(shared, name) == getattr(direct, name)

@@ -6,6 +6,7 @@ from cellkit.complexes import (ChainComplex, GradedGroup,
                                cone_les_checks, coproduct, em_complex,
                                quasi_iso_eq, shift)
 from cellkit.groups import FgAbGroup, Z
+from cellkit.matrices import IntMatrix, kernel_basis
 from cellkit.sampling import random_complex, random_complex_family, sample_pairs
 from cellkit.truncation import (PreconditionError, cell_null_triangle,
                                 closure_suite, connective_cover,
@@ -46,6 +47,41 @@ class TestCover:
             for k in (-1, 0, 1):
                 inc = cover_inclusion(x, k)
                 assert all(c.ok for c in cone_les_checks(inc))
+
+    def test_builds_no_identity_matrix(self, monkeypatch):
+        x = random_complex(random.Random(8), max_degrees=6, max_rank=5)
+        built = []
+        real = IntMatrix.identity.__func__
+
+        def counting(cls, n):
+            built.append(n)
+            return real(cls, n)
+
+        monkeypatch.setattr(IntMatrix, "identity", classmethod(counting))
+        for k in range(x.lo - 1, x.hi + 2):
+            connective_cover(x, k)
+        assert built == []
+
+    def test_inclusion_components(self):
+        # Identities on the degrees above the cut, the kernel of the
+        # outgoing boundary at the cut, and the identity of x below its
+        # support.
+        rng = random.Random(5)
+        for _ in range(10):
+            x = random_complex(rng, max_degrees=6, max_rank=5)
+            for k in range(x.lo - 1, x.hi + 2):
+                inc = cover_inclusion(x, k)
+                assert inc.target == x
+                assert inc.source == connective_cover(x, k)
+                want = {}
+                for n, r in x.ranks:
+                    if n > k or k <= x.lo:
+                        want[n] = IntMatrix.identity(r)
+                    elif n == k:
+                        kernel = kernel_basis(x.boundary(k))
+                        if kernel.cols:
+                            want[n] = kernel
+                assert dict(inc.components) == want
 
     def test_idempotent(self):
         rng = random.Random(4)
