@@ -27,7 +27,8 @@ from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
                      semiexact_counterexample)
 from .grammar import GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
-from .matrices import IntMatrix, MatrixShapeError, smith_normal_form
+from .matrices import (IntMatrix, MatrixShapeError, smith_normal_form,
+                       strict_int)
 from .sampling import random_complex_family, sample_pairs
 from .symbolic import PrimeSet, UnknownRuleError
 from .truncation import (closure_suite, connective_cover,
@@ -120,7 +121,8 @@ def _group_from_text(text: str) -> FgAbGroup:
 
 def _parse_primes(args) -> PrimeSet:
     try:
-        listed = [int(p) for p in args.primes.split(",")] if args.primes else []
+        listed = ([strict_int(p.strip()) for p in args.primes.split(",")]
+                  if args.primes else [])
         return (PrimeSet.complement_of(listed) if args.cofinite
                 else PrimeSet.of(listed))
     except ValueError as exc:
@@ -136,7 +138,8 @@ def _parse_wedge(text: str) -> EMObject:
             continue
         shift_str, _, group_str = chunk.partition(":")
         try:
-            pairs.append((int(shift_str.strip()), parse_group(group_str.strip())))
+            pairs.append((strict_int(shift_str.strip()),
+                          parse_group(group_str.strip())))
         except ValueError as exc:
             raise SchemaError(f"bad wedge summand {chunk!r}: {exc}") from None
     return EMObject.of(pairs)
@@ -376,16 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text, *, payload=False, k=False, suite=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=strict_int, default=0,
                        help="seed for randomized suites (echoed in the report)")
         if payload:
             p.add_argument("--input", help="JSON payload file (default: stdin)")
         if k:
-            p.add_argument("--k", type=int, required=True, help="cut degree")
+            p.add_argument("--k", type=strict_int, required=True, help="cut degree")
         if suite:
-            p.add_argument("--samples", type=int, default=40)
-            p.add_argument("--max-degree", type=int, default=6)
-            p.add_argument("--max-rank", type=int, default=5)
+            p.add_argument("--samples", type=strict_int, default=40)
+            p.add_argument("--max-degree", type=strict_int, default=6)
+            p.add_argument("--max-rank", type=strict_int, default=5)
         return p
 
     add("snf", "Smith normal form of an integer matrix", payload=True)
@@ -409,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("em-cellularize", "symbolic cellularization of a single piece")
     p.add_argument("--mode", choices=("shape", "primary", "dichotomy"),
                    default="shape")
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=strict_int, default=0)
     p.add_argument("--group")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--r", type=int)
+    p.add_argument("--m", type=strict_int)
+    p.add_argument("--k", type=strict_int)
+    p.add_argument("--p", type=strict_int)
+    p.add_argument("--r", type=strict_int)
     p.add_argument("--cellular", action="store_true", default=False)
     p = add("acyclization", "cellularization from a nullification outcome")
     p.add_argument("--target", required=True,
@@ -424,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", default="", help="comma-separated primes")
     p.add_argument("--cofinite", action="store_true",
                    help="interpret --primes as the complement")
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--p", type=strict_int)
+    p.add_argument("--k", type=strict_int)
     p = add("constraint-check", "evaluate the two-slot shape constraints")
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'shift:GROUP; shift:GROUP' (use --wedge=... when "
                         "the first shift is negative)")
     p = add("semiexact-demo", "the extension-closure counterexample")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=strict_int, default=2)
     add("acceptance", "run the full acceptance suite")
     return parser
 

@@ -15,12 +15,13 @@ check long exact sequences with no shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (IntMatrix, block, hstack, json_int, kernel_basis,
-                       smith_normal_form, solve, vstack)
+from .matrices import (IntMatrix, cached_property, hstack, json_int,
+                       kernel_basis, smith_normal_form, solve, strict_int,
+                       vstack)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
@@ -193,9 +194,10 @@ class ChainComplex:
         In a Smith basis for the incoming boundary the cycle group splits
         off the image, so H_n is free of rank
         rank(n) - rank(d_n) - rank(d_{n+1}) plus the torsion cokernel of
-        d_{n+1}.
+        d_{n+1}.  The Smith diagonal is already a divisibility chain, so
+        its entries above 1 are the invariant factors as they stand.
         """
-        out: dict[int, FgAbGroup] = {}
+        out = []
         boundaries = self._boundary_map      # a missing boundary is zero
         for n in self.degrees():
             down = boundaries.get(n)
@@ -205,12 +207,12 @@ class ChainComplex:
                 r_up, torsion = 0, ()
             else:
                 f_up = smith_normal_form(up)
-                r_up, torsion = f_up.rank, f_up.nonzero_diagonal
-            free = self.rank(n) - r_down - r_up
-            g = FgAbGroup.of_orders(list(torsion) + [0] * free)
+                r_up = f_up.rank
+                torsion = tuple(d for d in f_up.nonzero_diagonal if d > 1)
+            g = FgAbGroup(self.rank(n) - r_down - r_up, torsion)
             if not g.is_zero:
-                out[n] = g
-        return GradedGroup.of(out)
+                out.append((n, g))
+        return GradedGroup(tuple(out))
 
     def to_json(self) -> dict:
         lo, hi = (self.lo, self.hi) if not self.is_zero else (0, -1)
@@ -223,8 +225,9 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ChainComplex":
-        ranks = {int(n): json_int(r) for n, r in _json_table(obj, "ranks").items()}
-        boundaries = {int(n): IntMatrix.from_json(d)
+        ranks = {strict_int(n): json_int(r)
+                 for n, r in _json_table(obj, "ranks").items()}
+        boundaries = {strict_int(n): IntMatrix.from_json(d)
                       for n, d in _json_table(obj, "boundaries").items()}
         return cls.build(ranks, boundaries)
 
@@ -319,22 +322,43 @@ class ChainMap:
         return cls.build(
             ChainComplex.from_json(obj["source"]),
             ChainComplex.from_json(obj["target"]),
-            {int(n): IntMatrix.from_json(f)
+            {strict_int(n): IntMatrix.from_json(f)
              for n, f in _json_table(obj, "components").items()})
+
+
+def _known_homology(x: ChainComplex) -> GradedGroup | None:
+    """The homology of x if it has been computed already, else None."""
+    return x.__dict__.get("homology")
+
+
+def _place(entries: list, width: int, row: int, col: int, m: IntMatrix,
+           sign: int = 1) -> None:
+    """Write sign * m into the row-major ``entries`` of a matrix ``width``
+    columns wide, with the top left corner of m at (row, col)."""
+    e, c = m.entries, m.cols
+    for i in range(m.rows):
+        start = (row + i) * width + col
+        line = e[i * c:(i + 1) * c]
+        entries[start:start + c] = line if sign == 1 else [-v for v in line]
 
 
 def shift(x: ChainComplex, k: int) -> ChainComplex:
     """Suspension: degree n of the result is degree n-k of x.
 
     Boundaries pick up the sign (-1)^k, so shifting is involutive on
-    presentations: shift(shift(x, k), -k) == x.
+    presentations: shift(shift(x, k), -k) == x.  Homology already computed
+    on x is carried over, shifted.
     """
     if k == 0 or x.is_zero:
         return x
     sign = -1 if k % 2 else 1
     ranks = {n + k: r for n, r in x.ranks}
     boundaries = {n + k: (d if sign == 1 else -d) for n, d in x.boundaries}
-    return ChainComplex.build(ranks, boundaries)
+    out = ChainComplex.build(ranks, boundaries)
+    h = _known_homology(x)
+    if h is not None:
+        out.__dict__["homology"] = h.shifted(k)
+    return out
 
 
 def shift_map(f: ChainMap, k: int) -> ChainMap:
@@ -354,16 +378,19 @@ def cone(f: ChainMap) -> ChainComplex:
     sx, y = shift(f.source, 1), f.target
     degrees = {n for n, _ in sx.ranks} | {n for n, _ in y.ranks}
     ranks = {n: sx.rank(n) + y.rank(n) for n in degrees}
+    d_sx, d_y, comps = sx._boundary_map, y._boundary_map, f._component_map
     boundaries = {}
-    for n in degrees | {n + 1 for n in degrees}:
-        rows_x, rows_y = sx.rank(n - 1), y.rank(n - 1)
-        cols_x, cols_y = sx.rank(n), y.rank(n)
-        if (rows_x + rows_y) == 0 or (cols_x + cols_y) == 0:
-            continue
-        boundaries[n] = block([
-            [sx.boundary(n), IntMatrix.zero(rows_x, cols_y)],
-            [-f.component(n - 1), y.boundary(n)],
-        ])
+    # Only degrees with a nonzero block get a matrix; the rest are zero.
+    for n in set(d_sx) | set(d_y) | {n + 1 for n in comps}:
+        rows_x, cols_x = sx.rank(n - 1), sx.rank(n)
+        rows, cols = rows_x + y.rank(n - 1), cols_x + y.rank(n)
+        entries = [0] * (rows * cols)
+        for row, col, m, sign in ((0, 0, d_sx.get(n), 1),
+                                  (rows_x, 0, comps.get(n - 1), -1),
+                                  (rows_x, cols_x, d_y.get(n), 1)):
+            if m is not None:
+                _place(entries, cols, row, col, m, sign)
+        boundaries[n] = IntMatrix(rows, cols, tuple(entries))
     return ChainComplex.build(ranks, boundaries)
 
 
@@ -387,33 +414,35 @@ def fiber(f: ChainMap) -> ChainComplex:
 
 
 def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
-    """Degreewise direct sum."""
+    """Degreewise direct sum.  The sum of the summands' homology is carried
+    over when every summand's homology has been computed already."""
     xs = [x for x in xs if not x.is_zero]
     if not xs:
         return ChainComplex.zero_complex()
     if len(xs) == 1:
         return xs[0]
-    degrees = sorted({n for x in xs for n, _ in x.ranks})
-    ranks = {n: sum(x.rank(n) for x in xs) for n in degrees}
+    ranks: dict[int, int] = {}
+    for x in xs:
+        for n, r in x.ranks:
+            ranks[n] = ranks.get(n, 0) + r
     boundaries = {}
-    for n in degrees + [degrees[-1] + 1]:
-        rows = sum(x.rank(n - 1) for x in xs)
-        cols = sum(x.rank(n) for x in xs)
-        if rows == 0 or cols == 0:
-            continue
-        grid = []
-        for i, xi in enumerate(xs):
-            if xi.rank(n - 1) == 0:
-                continue
-            row = []
-            for j, xj in enumerate(xs):
-                if xj.rank(n) == 0:
-                    continue
-                row.append(xi.boundary(n) if i == j
-                           else IntMatrix.zero(xi.rank(n - 1), xj.rank(n)))
-            grid.append(row)
-        boundaries[n] = block(grid)
-    return ChainComplex.build(ranks, boundaries)
+    # Block diagonal: only degrees where some summand has a boundary.
+    for n in {n for x in xs for n, _ in x.boundaries}:
+        rows, cols = ranks[n - 1], ranks[n]
+        entries = [0] * (rows * cols)
+        row = col = 0
+        for x in xs:
+            d = x._boundary_map.get(n)
+            if d is not None:
+                _place(entries, cols, row, col, d)
+            row += x.rank(n - 1)
+            col += x.rank(n)
+        boundaries[n] = IntMatrix(rows, cols, tuple(entries))
+    out = ChainComplex.build(ranks, boundaries)
+    hs = [_known_homology(x) for x in xs]
+    if all(h is not None for h in hs):
+        out.__dict__["homology"] = hs[0].direct_sum(*hs[1:])
+    return out
 
 
 def em_complex(g: FgAbGroup, n: int) -> ChainComplex:

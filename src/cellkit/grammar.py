@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .groups import FgAbGroup
+from .matrices import strict_int
 from .symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer, PruferSum,
                        Q, QpHat, SymbolicGroup, ZLocal, ZpHat)
 
@@ -33,10 +34,12 @@ class GroupSyntaxError(ValueError):
         self.position = position
 
 
-_PRUFER_RE = re.compile(r"Z/(\d+)\^inf$")
-_CYCLIC_RE = re.compile(r"Z/(\d+)$")
-_ZHAT_RE = re.compile(r"Zhat_(\d+)$")
-_QHAT_RE = re.compile(r"Qhat_(\d+)$")
+# Orders and primes are ASCII digits, read by ``strict_int``; ``\d``
+# would also match non-ASCII digits.
+_PRUFER_RE = re.compile(r"Z/([0-9]+)\^inf$")
+_CYCLIC_RE = re.compile(r"Z/([0-9]+)$")
+_ZHAT_RE = re.compile(r"Zhat_([0-9]+)$")
+_QHAT_RE = re.compile(r"Qhat_([0-9]+)$")
 _SET_RE = re.compile(r"(Z|Psum|Pzhat|PzhatmodZ)_\(([^)]*)\)$")
 
 
@@ -47,7 +50,7 @@ def _parse_primeset(body: str, pos: int) -> PrimeSet:
         body = body[1:]
     items = [s.strip() for s in body.split(",")] if body.strip() else []
     try:
-        primes = frozenset(int(s) for s in items)
+        primes = frozenset(strict_int(s) for s in items)
         return PrimeSet(cofinite, primes)
     except ValueError as exc:
         raise GroupSyntaxError(f"bad prime set: {exc}", pos) from None
@@ -63,14 +66,14 @@ def _parse_token(token: str, pos: int):
     m = _PRUFER_RE.match(token)
     if m:
         try:
-            return Prufer(int(m.group(1)))
+            return Prufer(strict_int(m.group(1)))
         except ValueError as exc:
             raise GroupSyntaxError(str(exc), pos) from None
     m = _CYCLIC_RE.match(token)
     if m:
         try:
-            n = int(m.group(1))
-        except ValueError as exc:  # more digits than int() accepts
+            n = strict_int(m.group(1))
+        except ValueError as exc:  # a leading zero, or too many digits
             raise GroupSyntaxError(str(exc), pos) from None
         if n == 0:
             raise GroupSyntaxError("Z/0 is not allowed; write Z", pos)
@@ -78,13 +81,13 @@ def _parse_token(token: str, pos: int):
     m = _ZHAT_RE.match(token)
     if m:
         try:
-            return ZpHat(int(m.group(1)))
+            return ZpHat(strict_int(m.group(1)))
         except ValueError as exc:
             raise GroupSyntaxError(str(exc), pos) from None
     m = _QHAT_RE.match(token)
     if m:
         try:
-            return QpHat(int(m.group(1)))
+            return QpHat(strict_int(m.group(1)))
         except ValueError as exc:
             raise GroupSyntaxError(str(exc), pos) from None
     m = _SET_RE.match(token)

@@ -16,14 +16,39 @@ reduced once.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 
 class MatrixShapeError(ValueError):
     """Inconsistent matrix dimensions."""
+
+
+class cached_property:
+    """``functools.cached_property`` without its lock.
+
+    The first read on an instance stores the value in the instance's
+    ``__dict__``, where later reads find it before this (non-data)
+    descriptor.  Up to Python 3.11 the stdlib version takes a lock on
+    every first read; these values are pure functions of frozen data, so
+    two threads that race only compute the same value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.attrname = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def json_int(x) -> int:
@@ -32,6 +57,29 @@ def json_int(x) -> int:
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def strict_int(text: str) -> int:
+    """The integer written in ``text`` as ASCII digits with an optional
+    minus sign and no leading zero.
+
+    Unlike ``int()``, it refuses underscores, a plus sign, surrounding
+    spaces, leading zeros and non-ASCII digits, so every integer has one
+    spelling:
+
+    >>> strict_int("-12")
+    -12
+    >>> strict_int("1_0")
+    Traceback (most recent call last):
+    ...
+    ValueError: not an integer: '1_0'
+    """
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -228,11 +276,6 @@ def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(total, c, ents)
 
 
-def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
-    """Assemble a block matrix from a grid of compatible blocks."""
-    return vstack([hstack(row) for row in grid])
-
-
 @dataclass(frozen=True)
 class SmithNormalForm:
     """Certified decomposition ``s == u @ m @ v`` with unimodular u, v.
@@ -298,11 +341,11 @@ class SmithNormalForm:
             a = _reduce(self.matrix, track=False)[0]
         return tuple(a[i][i] for i in range(min(self.matrix.rows, self.matrix.cols)))
 
-    @property
+    @cached_property
     def nonzero_diagonal(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.nonzero_diagonal)
 

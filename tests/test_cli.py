@@ -315,6 +315,24 @@ BAD_INPUTS = [
     (["homology"], _complex_payload({
         "ranks": {"0": 1, "1": 1},
         "boundaries": {"1": {"rows": 1, "cols": 1, "data": [2.0]}}})),
+    # Integers written as text have one spelling each: ASCII digits, an
+    # optional minus, no leading zero.  int() would read "00" as 0 (and
+    # drop a rank), "1_0" as 10, "1_3" as 13 and Arabic-Indic 4 as 4.
+    (["homology"], _complex_payload({"ranks": {"0": 1, "00": 2}})),
+    (["homology"], _complex_payload({"ranks": {"1_0": 1}})),
+    (["homology"], _complex_payload({
+        "ranks": {"0": 1, "1": 1},
+        "boundaries": {"+1": {"rows": 1, "cols": 1, "data": [2]}}})),
+    (["triangle-check"], json.dumps({
+        "map": {"source": {"ranks": {"0": 1}}, "target": {"ranks": {"0": 1}},
+                "components": {" 0": {"rows": 1, "cols": 1, "data": [2]}}},
+        "candidate": {"ranks": {"0": 1}}})),
+    (["acyclization", "--target", "HZ", "--outcome", "HZ_P",
+      "--primes", "1_3"], None),
+    (["ring-obstruction", "--wedge=0:Psum_(2_3)"], None),
+    (["ring-obstruction", "--wedge=0_0:Z"], None),
+    (["hom", "--a", "Z/\u0664", "--b", "Z"], None),
+    (["hom", "--a", "Z/04", "--b", "Z"], None),
 ]
 
 
@@ -328,6 +346,19 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"],
+    ["cover", "--k", "+1"],
+    ["semiexact-demo", "--p", "\u0663"],
+    ["tstructure-check", "--k", "0", "--samples", " 1"],
+])
+def test_bad_integer_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid strict_int value" in capsys.readouterr().err
 
 
 def test_sampler_caps_are_accepted(capsys):

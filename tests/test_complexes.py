@@ -238,6 +238,154 @@ class TestCoproduct:
         assert total.homology == summed
 
 
+def _assemble(rows, cols, pieces):
+    """A dense rows x cols matrix: zero but for its (top, left, block) pieces."""
+    grid = [[0] * cols for _ in range(rows)]
+    for top, left, m in pieces:
+        for i, line in enumerate(m.to_rows()):
+            grid[top + i][left:left + len(line)] = line
+    return IntMatrix(rows, cols, tuple(v for line in grid for v in line))
+
+
+def _dense_cone(f):
+    """cone(f) with every block, zero ones included, written out in full."""
+    x, y = f.source, f.target
+    degrees = {n + 1 for n, _ in x.ranks} | {n for n, _ in y.ranks}
+    ranks = {n: x.rank(n - 1) + y.rank(n) for n in degrees}
+    boundaries = {}
+    for n in degrees:
+        top = x.rank(n - 2)
+        boundaries[n] = _assemble(top + y.rank(n - 1), ranks[n], [
+            (0, 0, -x.boundary(n - 1)),
+            (top, 0, -f.component(n - 1)),
+            (top, x.rank(n - 1), y.boundary(n))])
+    return ChainComplex.build(ranks, boundaries)
+
+
+def _dense_coproduct(xs):
+    degrees = {n for x in xs for n, _ in x.ranks}
+    ranks = {n: sum(x.rank(n) for x in xs) for n in degrees}
+    boundaries = {}
+    for n in degrees:
+        pieces, top, left = [], 0, 0
+        for x in xs:
+            pieces.append((top, left, x.boundary(n)))
+            top, left = top + x.rank(n - 1), left + x.rank(n)
+        boundaries[n] = _assemble(top, left, pieces)
+    return ChainComplex.build(ranks, boundaries)
+
+
+# Random complexes with empty degrees, and zero complexes at max_rank 0.
+complexes = st.builds(
+    lambda seed, degrees, rank: random_complex(
+        random.Random(seed), max_degrees=degrees, max_rank=rank),
+    st.integers(0, 2**32), st.integers(1, 5), st.integers(0, 4))
+
+
+def _chain_map(x, y, kind, m):
+    if kind == "scalar":      # m = 0 gives a map with no nonzero component
+        return ChainMap.scalar(x, m)
+    if kind == "zero":
+        return ChainMap.zero_map(x, y)
+    if kind == "section":
+        return section_with_projection(x, m)[1]
+    _, inject, project = cone_maps(ChainMap.scalar(x, m))
+    return inject if kind == "inject" else project
+
+
+class TestAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(complexes, complexes,
+           st.sampled_from(["scalar", "zero", "section", "inject", "project"]),
+           st.integers(-3, 3))
+    def test_cone_matches_dense_reference(self, x, y, kind, m):
+        f = _chain_map(x, y, kind, m)
+        assert cone(f) == _dense_cone(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(complexes, max_size=4))
+    def test_coproduct_matches_dense_reference(self, xs):
+        assert coproduct(xs) == _dense_coproduct(xs)
+
+    def test_cone_builds_no_zero_matrix(self, monkeypatch):
+        x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
+        maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)),
+                section_with_projection(x, x.lo + 1)[1]]
+        built = []
+        real = IntMatrix.zero.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(IntMatrix, "zero", classmethod(counting))
+        for f in maps:
+            assert not cone(f).is_zero
+        assert built == []
+
+
+class TestCarriedHomology:
+    @settings(max_examples=80, deadline=None)
+    @given(complexes, st.integers(-3, 3))
+    def test_shift_carries_the_homology_of_a_fresh_build(self, x, k):
+        x.homology
+        s = shift(x, k)
+        assert "homology" in s.__dict__
+        fresh = ChainComplex.build(dict(s.ranks), dict(s.boundaries))
+        assert "homology" not in fresh.__dict__
+        assert s.homology == fresh.homology
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(complexes, min_size=1, max_size=4))
+    def test_coproduct_carries_the_homology_of_a_fresh_build(self, xs):
+        for x in xs:
+            x.homology
+        total = coproduct(xs)
+        fresh = ChainComplex.build(dict(total.ranks), dict(total.boundaries))
+        assert total.is_zero or "homology" in total.__dict__
+        assert total.homology == fresh.homology
+
+    def test_nothing_is_carried_from_unread_homology(self):
+        x = two_term(6)
+        assert "homology" not in shift(x, 1).__dict__
+        assert "homology" not in coproduct([x, x]).__dict__
+
+    def test_known_homology_needs_no_reduction(self, reductions):
+        x = ChainComplex.build({0: 2, 1: 3, 2: 1}, {
+            1: IntMatrix.from_rows([[2, 4, 6], [4, 8, 12]]),
+            2: IntMatrix.from_rows([[2], [-1], [0]])})
+        h = x.homology
+        assert reductions
+        reductions.clear()
+        for k in (-3, -1, 1, 2):
+            assert shift(x, k).homology == h.shifted(k)
+        assert coproduct([x, shift(x, 1)]).homology == h.direct_sum(
+            h.shifted(1))
+        assert reductions == []
+
+    def test_em_complex_homology_is_computed(self, reductions):
+        g = FgAbGroup.of_orders([0, 2, 6])
+        x = em_complex(g, 1)
+        assert "homology" not in x.__dict__
+        assert x.homology == GradedGroup.of({1: g})
+        assert reductions
+
+    def test_homology_is_computed_once_per_instance(self, monkeypatch):
+        prop = ChainComplex.__dict__["homology"]
+        calls = []
+        real = prop.func
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(prop, "func", counting)
+        x, y = two_term(4), two_term(4)
+        assert x.homology is x.homology
+        assert y.homology == x.homology
+        assert calls == [x, y] and calls[0] is x and calls[1] is y
+
+
 class TestDerivedHom:
     def test_single_piece_identities(self):
         b, c = FgAbGroup.of_orders([4]), FgAbGroup.of_orders([0, 6])

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cellkit import matrices as matrices_mod
 from cellkit.complexes import ChainComplex, homology_presentation
 from cellkit.matrices import (IntMatrix, MatrixShapeError, SmithNormalForm,
-                              block, hstack, kernel_basis, smith_normal_form,
-                              solve, vstack)
+                              hstack, kernel_basis, smith_normal_form, solve,
+                              vstack)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -59,22 +59,6 @@ def fresh_forms():
         matrices_mod._FORMS = saved
 
 
-@pytest.fixture
-def reductions(monkeypatch):
-    """(matrix, track) for every Smith reduction run while the test runs,
-    which starts from an empty table of shared forms."""
-    calls = []
-    real = matrices_mod._reduce
-
-    def counting(m, track):
-        calls.append((m, track))
-        return real(m, track)
-
-    monkeypatch.setattr(matrices_mod, "_reduce", counting)
-    monkeypatch.setattr(matrices_mod, "_FORMS", weakref.WeakValueDictionary())
-    return calls
-
-
 def fresh_complex():
     # d1 has rank 1, so degree 1 has both a kernel and an image.
     return ChainComplex.build({0: 2, 1: 3, 2: 1}, {
@@ -118,9 +102,6 @@ class TestIntMatrix:
         assert IntMatrix.from_json(a.to_json()) == a
 
     def test_block_assembly(self):
-        a = block([[IntMatrix.identity(2), IntMatrix.zero(2, 1)],
-                   [IntMatrix.zero(1, 2), mat([[5]])]])
-        assert a == mat([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
         assert hstack([]) == IntMatrix.zero(0, 0)
         assert vstack([IntMatrix.zero(0, 2)]).cols == 2
 
