@@ -13,8 +13,7 @@ from .complexes import (ChainComplex, ChainMap, GradedGroup, TriangleReport,
                         cone, cone_maps, coproduct, derived_hom, em_complex,
                         fiber, quasi_iso_eq, shift, triangle_check)
 from .emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
-                     ConstraintSet, EMObject, acyclization, acyclization_HZ,
-                     acyclization_HZpinf, acyclization_HZpk,
+                     ConstraintSet, EMObject, acyclization,
                      cell_primary_torsion, cell_shape, constraint_check,
                      em_morphism_group, gem_closure_check, hzp_dichotomy,
                      ring_unit_obstruction, semiexact_counterexample)
@@ -35,8 +34,7 @@ __all__ = [
     "AcyclizationCase", "CellExact", "CellShape", "CellZero", "ChainComplex",
     "ChainMap", "ConstraintSet", "EMObject", "FgAbGroup", "GradedGroup",
     "IntMatrix", "PrimeSet", "SymbolicGroup", "TriangleReport",
-    "TruncationResult", "UNKNOWN", "acyclization", "acyclization_HZ",
-    "acyclization_HZpinf", "acyclization_HZpk", "brute_force_hom_count",
+    "TruncationResult", "UNKNOWN", "acyclization", "brute_force_hom_count",
     "cell_null_triangle", "cell_primary_torsion", "cell_shape",
     "closure_suite", "cokernel", "cone", "cone_maps", "connective_cover",
     "constraint_check", "coproduct", "derived_hom", "em_complex",

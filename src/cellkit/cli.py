@@ -356,17 +356,16 @@ _HANDLERS = {
 }
 
 
-def __getattr__(name):
-    # The acceptance suite is imported on first use, which queries never
-    # make; ``acceptance_mod`` names it as an attribute of this module.
-    if name == "acceptance_mod":
-        from . import acceptance
-        return acceptance
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error: ...`` line, like
+    every other bad input; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cellkit",
         description="Exact cellularization/nullification calculus on integer "
                     "chain complexes and wedges of single-homotopy-group objects.",

@@ -518,9 +518,6 @@ class TriangleReport:
     def verdict(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[DegreeCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
     def to_json(self) -> dict:
         return {
             "method": self.method,

@@ -78,20 +78,8 @@ class EMObject:
                 return g
         return SymbolicGroup.zero()
 
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.summands)
-
-    def shifted(self, k: int) -> "EMObject":
-        return EMObject(tuple((s + k, g) for s, g in self.summands))
-
     def to_json(self) -> list:
         return [{"shift": s, "group": g.to_json()} for s, g in self.summands]
-
-    @classmethod
-    def from_json(cls, obj) -> "EMObject":
-        return cls.of([(int(e["shift"]), SymbolicGroup.from_json(e["group"]))
-                       for e in obj])
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -153,20 +141,6 @@ class ConstraintSet:
     b_forced_zero: bool = False
     c_candidates: tuple[FgAbGroup, ...] | None = None
 
-    def check(self, b: FgAbGroup, c: FgAbGroup) -> bool:
-        if self.b_forced_zero and not b.is_zero:
-            return False
-        if self.c_candidates is not None and c not in self.c_candidates:
-            return False
-        if self.target.is_fg:
-            return constraint_check(b, c, self.target.fg)
-        # Non-f.g. target: evaluate through the rule tables where possible.
-        vals = (hom_rule(b, b) + ext_rule_or_raise(b, c), ext_rule_or_raise(b, self.target),
-                hom_rule(c, c), hom_rule_or_raise(c, self.target),
-                hom_rule(b, c), hom_rule_or_raise(b, self.target))
-        lhs1, rhs1, lhs2, rhs2, lhs3, rhs3 = vals
-        return lhs1 == rhs1 and lhs2 == rhs2 and lhs3 == rhs3
-
     def to_json(self) -> dict:
         out = {
             "target": self.target.to_json(),
@@ -180,20 +154,6 @@ class ConstraintSet:
         if self.c_candidates is not None:
             out["c_candidates"] = [g.to_json() for g in self.c_candidates]
         return out
-
-
-def hom_rule_or_raise(a, b) -> SymbolicGroup:
-    val = hom_rule(a, b)
-    if is_unknown(val):
-        raise UnknownRuleError(f"Hom({as_symbolic(a)}, {as_symbolic(b)}) is outside the rule table")
-    return val
-
-
-def ext_rule_or_raise(a, b) -> SymbolicGroup:
-    val = ext_rule(a, b)
-    if is_unknown(val):
-        raise UnknownRuleError(f"Ext({as_symbolic(a)}, {as_symbolic(b)}) is outside the rule table")
-    return val
 
 
 @dataclass(frozen=True)
@@ -297,7 +257,7 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
 
 @dataclass(frozen=True)
 class AcyclizationCase:
-    """A classified nullification outcome, consumed by the tables below.
+    """A classified nullification outcome, consumed by :func:`acyclization`.
 
     target "HZ":     outcome in {"zero", "HZ", "HZ_P", "ProdZpHat"}
     target "HZpk":   outcome in {"zero", "HZpk"}, parameters p, k
@@ -338,52 +298,29 @@ class AcyclizationCase:
             raise InadmissibleCaseError(f"{self.p} is not prime")
 
 
-def acyclization_HZ(case: AcyclizationCase) -> EMObject:
-    """Cellularization of the integer piece, per nullification outcome.
+def acyclization(case: AcyclizationCase) -> EMObject:
+    """Cellularization of the target piece, per nullification outcome.
 
-    A vanished localization leaves the whole object; the identity
-    localization leaves nothing; localized integers leave the desuspended
-    sum of Pruefer groups at the complementary primes; the p-adic product
-    leaves the desuspended product-modulo-Z piece.
+    A vanished localization leaves the whole piece; the identity
+    localization leaves nothing.  For the integer piece, localized
+    integers leave the desuspended sum of Pruefer groups at the
+    complementary primes, and the p-adic product leaves the desuspended
+    product-modulo-Z piece.  For the Pruefer piece, SigmaZpHat leaves the
+    p-adic rationals.
     """
-    if case.target != "HZ":
-        raise InadmissibleCaseError(f"expected target HZ, got {case.target}")
-    if case.outcome == "zero":
-        return EMObject.of([(0, Z)])
-    if case.outcome == "HZ":
+    if case.outcome == case.target:
         return EMObject.zero()
+    if case.outcome == "zero":
+        if case.target == "HZ":
+            return EMObject.of([(0, Z)])
+        if case.target == "HZpk":
+            return EMObject.of([(0, FgAbGroup.cyclic(case.p ** case.k))])
+        return EMObject.of([(0, Prufer(case.p))])
     if case.outcome == "HZ_P":
         return EMObject.of([(-1, PruferSum(case.primes.complement()))])
-    return EMObject.of([(-1, ProdZpHatModZ(case.primes))])
-
-
-def acyclization_HZpk(case: AcyclizationCase) -> EMObject:
-    """Mod p^k pieces: all or nothing."""
-    if case.target != "HZpk":
-        raise InadmissibleCaseError(f"expected target HZpk, got {case.target}")
-    if case.outcome == "zero":
-        return EMObject.of([(0, FgAbGroup.cyclic(case.p ** case.k))])
-    return EMObject.zero()
-
-
-def acyclization_HZpinf(case: AcyclizationCase) -> EMObject:
-    """Pruefer pieces: all, nothing, or the p-adic rationals."""
-    if case.target != "HZpinf":
-        raise InadmissibleCaseError(f"expected target HZpinf, got {case.target}")
-    if case.outcome == "zero":
-        return EMObject.of([(0, Prufer(case.p))])
-    if case.outcome == "HZpinf":
-        return EMObject.zero()
+    if case.outcome == "ProdZpHat":
+        return EMObject.of([(-1, ProdZpHatModZ(case.primes))])
     return EMObject.of([(0, QpHat(case.p))])
-
-
-def acyclization(case: AcyclizationCase) -> EMObject:
-    """Dispatch on the case target."""
-    if case.target == "HZ":
-        return acyclization_HZ(case)
-    if case.target == "HZpk":
-        return acyclization_HZpk(case)
-    return acyclization_HZpinf(case)
 
 
 def ring_unit_obstruction(x: EMObject) -> bool:

@@ -24,8 +24,9 @@ import re
 
 from .groups import FgAbGroup
 from .matrices import strict_int
-from .symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer, PruferSum,
-                       Q, QpHat, SymbolicGroup, ZLocal, ZpHat)
+from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
+                       PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
+                       ZpHat)
 
 
 class GroupSyntaxError(ValueError):
@@ -34,26 +35,53 @@ class GroupSyntaxError(ValueError):
         self.position = position
 
 
-# Orders and primes are ASCII digits, read by ``strict_int``; ``\d``
-# would also match non-ASCII digits.
-_PRUFER_RE = re.compile(r"Z/([0-9]+)\^inf$")
-_CYCLIC_RE = re.compile(r"Z/([0-9]+)$")
-_ZHAT_RE = re.compile(r"Zhat_([0-9]+)$")
-_QHAT_RE = re.compile(r"Qhat_([0-9]+)$")
-_SET_RE = re.compile(r"(Z|Psum|Pzhat|PzhatmodZ)_\(([^)]*)\)$")
-
-
-def _parse_primeset(body: str, pos: int) -> PrimeSet:
+def _parse_primeset(body: str) -> PrimeSet:
     body = body.strip()
     cofinite = body.startswith("!")
     if cofinite:
         body = body[1:]
     items = [s.strip() for s in body.split(",")] if body.strip() else []
     try:
-        primes = frozenset(strict_int(s) for s in items)
-        return PrimeSet(cofinite, primes)
+        return PrimeSet(cofinite, frozenset(strict_int(s) for s in items))
     except ValueError as exc:
-        raise GroupSyntaxError(f"bad prime set: {exc}", pos) from None
+        raise ValueError(f"bad prime set: {exc}") from None
+
+
+def _cyclic(n: int) -> FgAbGroup:
+    if n == 0:
+        raise ValueError("Z/0 is not allowed; write Z")
+    return FgAbGroup.cyclic(n)
+
+
+# How each atom is written; "{}" stands for its prime or its prime set.
+_SPELLINGS = {
+    Q: "Q",
+    Prufer: "Z/{}^inf",
+    ZpHat: "Zhat_{}",
+    QpHat: "Qhat_{}",
+    ZLocal: "Z_({})",
+    PruferSum: "Psum_({})",
+    ProdZpHat: "Pzhat_({})",
+    ProdZpHatModZ: "PzhatmodZ_({})",
+}
+
+
+def _token(spelling: str, build, read):
+    """(pattern, constructor, parameter reader) of one spelling.
+
+    Orders and primes are ASCII digits, read by ``strict_int``; ``\\d``
+    would also match non-ASCII digits.
+    """
+    param = "([^)]*)" if read is _parse_primeset else "([0-9]+)"
+    pattern = re.compile(re.escape(spelling).replace(r"\{\}", param) + "$")
+    return pattern, build, read
+
+
+# Every summand but 0 and Z.
+_TOKENS = [_token("Z/{}", _cyclic, strict_int)] + [
+    _token(spelling, cls,
+           _parse_primeset if issubclass(cls, SetAtom) else strict_int)
+    for cls, spelling in _SPELLINGS.items()]
 
 
 def _parse_token(token: str, pos: int):
@@ -61,49 +89,13 @@ def _parse_token(token: str, pos: int):
         return SymbolicGroup.zero()
     if token == "Z":
         return FgAbGroup.free(1)
-    if token == "Q":
-        return Q()
-    m = _PRUFER_RE.match(token)
-    if m:
-        try:
-            return Prufer(strict_int(m.group(1)))
-        except ValueError as exc:
-            raise GroupSyntaxError(str(exc), pos) from None
-    m = _CYCLIC_RE.match(token)
-    if m:
-        try:
-            n = strict_int(m.group(1))
-        except ValueError as exc:  # a leading zero, or too many digits
-            raise GroupSyntaxError(str(exc), pos) from None
-        if n == 0:
-            raise GroupSyntaxError("Z/0 is not allowed; write Z", pos)
-        return FgAbGroup.cyclic(n)
-    m = _ZHAT_RE.match(token)
-    if m:
-        try:
-            return ZpHat(strict_int(m.group(1)))
-        except ValueError as exc:
-            raise GroupSyntaxError(str(exc), pos) from None
-    m = _QHAT_RE.match(token)
-    if m:
-        try:
-            return QpHat(strict_int(m.group(1)))
-        except ValueError as exc:
-            raise GroupSyntaxError(str(exc), pos) from None
-    m = _SET_RE.match(token)
-    if m:
-        head = m.group(1)
-        primes = _parse_primeset(m.group(2), pos)
-        try:
-            if head == "Z":
-                return ZLocal(primes)
-            if head == "Psum":
-                return PruferSum(primes)
-            if head == "Pzhat":
-                return ProdZpHat(primes)
-            return ProdZpHatModZ(primes)
-        except ValueError as exc:
-            raise GroupSyntaxError(str(exc), pos) from None
+    for pattern, build, read in _TOKENS:
+        m = pattern.match(token)
+        if m:
+            try:
+                return build(*map(read, m.groups()))
+            except ValueError as exc:  # a bad order, prime or prime set
+                raise GroupSyntaxError(str(exc), pos) from None
     raise GroupSyntaxError(f"unrecognized summand {token!r}", pos)
 
 
@@ -127,29 +119,11 @@ def parse_group(text: str) -> SymbolicGroup:
     return SymbolicGroup.of(*parts)
 
 
-def _format_atom(atom) -> str:
-    if isinstance(atom, Q):
-        return "Q"
-    if isinstance(atom, Prufer):
-        return f"Z/{atom.p}^inf"
-    if isinstance(atom, ZpHat):
-        return f"Zhat_{atom.p}"
-    if isinstance(atom, QpHat):
-        return f"Qhat_{atom.p}"
-    if isinstance(atom, ZLocal):
-        return f"Z_({atom.primes})"
-    if isinstance(atom, PruferSum):
-        return f"Psum_({atom.primes})"
-    if isinstance(atom, ProdZpHat):
-        return f"Pzhat_({atom.primes})"
-    if isinstance(atom, ProdZpHatModZ):
-        return f"PzhatmodZ_({atom.primes})"
-    raise TypeError(f"unknown atom {atom!r}")
-
-
 def format_group(g: SymbolicGroup) -> str:
     """Render a symbolic group in the grammar accepted by parse_group."""
     parts = ["Z"] * g.fg.rank
     parts += [f"Z/{d}" for d in g.fg.invariant_factors]
-    parts += [_format_atom(a) for a in g.atoms]
+    parts += [_SPELLINGS[type(a)].format(
+        a.p if isinstance(a, PrimeAtom) else getattr(a, "primes", ""))
+        for a in g.atoms]
     return " + ".join(parts) if parts else "0"

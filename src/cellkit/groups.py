@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .matrices import IntMatrix, smith_normal_form
 
@@ -119,22 +119,11 @@ class FgAbGroup:
             return None
         return prod(self.invariant_factors)
 
-    @property
-    def exponent(self) -> int | None:
-        """Smallest n > 0 with nG = 0, or None when no such n exists."""
-        if self.rank:
-            return None
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def is_annihilated_by(self, m: int) -> bool:
         return self.rank == 0 and all(m % d == 0 for d in self.invariant_factors)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.invariant_factors)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "FgAbGroup":
-        return cls(int(obj["rank"]), tuple(int(d) for d in obj["torsion"]))
 
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.invariant_factors]

@@ -495,12 +495,6 @@ def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
     return m._snf
 
 
-def rank(m: IntMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return smith_normal_form(m).rank
-
-
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Matrix whose columns are a basis of ker(m) inside Z^cols.
 

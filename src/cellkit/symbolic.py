@@ -80,10 +80,6 @@ class PrimeSet:
     def complement_of(cls, primes: Iterable[int]) -> "PrimeSet":
         return cls(True, frozenset(primes))
 
-    @classmethod
-    def all_primes(cls) -> "PrimeSet":
-        return cls(True, frozenset())
-
     def complement(self) -> "PrimeSet":
         return PrimeSet(not self.cofinite, self.primes)
 
@@ -120,17 +116,12 @@ class PrimeSet:
         return {"mode": "cofinite" if self.cofinite else "finite",
                 "list": list(self.listed)}
 
-    @classmethod
-    def from_json(cls, obj) -> "PrimeSet":
-        if obj["mode"] not in ("finite", "cofinite"):
-            raise ValueError(f"bad prime set mode {obj['mode']!r}")
-        return cls(obj["mode"] == "cofinite", frozenset(int(p) for p in obj["list"]))
-
     def __str__(self) -> str:
         body = ",".join(str(p) for p in self.listed)
         return ("!" + body) if self.cofinite else body
 
 
+@dataclass(frozen=True)
 class Atom:
     """Base class for the non-finitely-generated building blocks."""
 
@@ -144,105 +135,80 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Q(Atom):
-    name: ClassVar[str] = "Q"
+class PrimeAtom(Atom):
+    """An atom indexed by one prime."""
+
+    p: int
+
+    def __post_init__(self):
+        _check_prime(self.p)
+
+    def params_json(self):
+        return {"p": self.p}
+
+    def sort_key(self):
+        return (self.name, self.p)
 
 
 @dataclass(frozen=True)
-class ZLocal(Atom):
+class SetAtom(Atom):
+    """An atom indexed by a prime set."""
+
+    primes: PrimeSet
+
+    def params_json(self):
+        return {"primes": self.primes.to_json()}
+
+    def sort_key(self):
+        return (self.name, self.primes.sort_key())
+
+
+# The atoms below add no fields, so they are not decorated: the dataclass
+# methods of their base serve them, and repr and equality use the class.
+class Q(Atom):
+    name = "Q"
+
+
+class ZLocal(SetAtom):
     """Integers localized at the prime set (primes outside it inverted)."""
 
-    primes: PrimeSet
-    name: ClassVar[str] = "Z_P"
-
-    def params_json(self):
-        return {"primes": self.primes.to_json()}
-
-    def sort_key(self):
-        return (self.name, self.primes.sort_key())
+    name = "Z_P"
 
 
-@dataclass(frozen=True)
-class Prufer(Atom):
+class Prufer(PrimeAtom):
     """Z/p^oo, the union of all Z/p^k."""
 
-    p: int
-    name: ClassVar[str] = "Prufer"
-
-    def __post_init__(self):
-        _check_prime(self.p)
-
-    def params_json(self):
-        return {"p": self.p}
-
-    def sort_key(self):
-        return (self.name, self.p)
+    name = "Prufer"
 
 
-@dataclass(frozen=True)
-class PruferSum(Atom):
+class PruferSum(SetAtom):
     """Direct sum of Z/p^oo over the primes in the set."""
 
-    primes: PrimeSet
-    name: ClassVar[str] = "PruferSum"
-
-    def params_json(self):
-        return {"primes": self.primes.to_json()}
-
-    def sort_key(self):
-        return (self.name, self.primes.sort_key())
+    name = "PruferSum"
 
 
-@dataclass(frozen=True)
-class ZpHat(Atom):
+class ZpHat(PrimeAtom):
     """The p-adic integers."""
 
-    p: int
-    name: ClassVar[str] = "ZpHat"
-
-    def __post_init__(self):
-        _check_prime(self.p)
-
-    def params_json(self):
-        return {"p": self.p}
-
-    def sort_key(self):
-        return (self.name, self.p)
+    name = "ZpHat"
 
 
-@dataclass(frozen=True)
-class QpHat(Atom):
+class QpHat(PrimeAtom):
     """The p-adic rationals (field of fractions of the p-adic integers)."""
 
-    p: int
-    name: ClassVar[str] = "QpHat"
-
-    def __post_init__(self):
-        _check_prime(self.p)
-
-    def params_json(self):
-        return {"p": self.p}
-
-    def sort_key(self):
-        return (self.name, self.p)
+    name = "QpHat"
 
 
-@dataclass(frozen=True)
-class ProdZpHat(Atom):
+class ProdZpHat(SetAtom):
     """Product of the p-adic integers over the primes in the set."""
 
-    primes: PrimeSet
-    name: ClassVar[str] = "ProdZpHat"
-
-    def params_json(self):
-        return {"primes": self.primes.to_json()}
-
-    def sort_key(self):
-        return (self.name, self.primes.sort_key())
+    name = "ProdZpHat"
 
 
+# Decorated so that its __init__ runs the __post_init__ below: a dataclass
+# __init__ calls only a __post_init__ its class had when it was decorated.
 @dataclass(frozen=True)
-class ProdZpHatModZ(Atom):
+class ProdZpHatModZ(SetAtom):
     """(Prod_{p in P} ZpHat)/Z, the product modulo its diagonal integers.
 
     This atom only ever appears as an output of the acyclization tables;
@@ -250,24 +216,12 @@ class ProdZpHatModZ(Atom):
     about it propagate UNKNOWN.
     """
 
-    primes: PrimeSet
-    name: ClassVar[str] = "ProdZpHatModZ"
+    name = "ProdZpHatModZ"
 
     def __post_init__(self):
         if self.primes.is_empty:
             raise ValueError("product over the empty prime set has no quotient by Z")
 
-    def params_json(self):
-        return {"primes": self.primes.to_json()}
-
-    def sort_key(self):
-        return (self.name, self.primes.sort_key())
-
-
-_ATOM_TYPES: dict[str, type] = {
-    cls.name: cls
-    for cls in (Q, ZLocal, Prufer, PruferSum, ZpHat, QpHat, ProdZpHat, ProdZpHatModZ)
-}
 
 # Atoms that are divisible groups.  ZpHat is not: ZpHat/p.ZpHat = Z/p != 0.
 _DIVISIBLE_ATOMS = (Q, Prufer, PruferSum, QpHat)
@@ -341,9 +295,6 @@ class SymbolicGroup:
     def is_fg(self) -> bool:
         return not self.atoms
 
-    def __add__(self, other: "SymbolicGroup") -> "SymbolicGroup":
-        return SymbolicGroup.of(self, other)
-
     def to_json(self):
         """Single summands serialize bare; sums as {"sum": [...]}."""
         parts = []
@@ -354,21 +305,6 @@ class SymbolicGroup:
         if len(parts) == 1:
             return parts[0]
         return {"sum": parts}
-
-    @classmethod
-    def from_json(cls, obj) -> "SymbolicGroup":
-        if isinstance(obj, dict) and "sum" in obj:
-            return cls.of(*(cls.from_json(p) for p in obj["sum"]))
-        if isinstance(obj, dict) and "atom" in obj:
-            atom_cls = _ATOM_TYPES.get(obj["atom"])
-            if atom_cls is None:
-                raise ValueError(f"unknown atom {obj['atom']!r}")
-            if "p" in obj:
-                return cls.of(atom_cls(int(obj["p"])))
-            if "primes" in obj:
-                return cls.of(atom_cls(PrimeSet.from_json(obj["primes"])))
-            return cls.of(atom_cls())
-        return cls.of(FgAbGroup.from_json(obj))
 
     def __str__(self) -> str:
         from .grammar import format_group  # local import to avoid a cycle

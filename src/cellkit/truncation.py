@@ -141,14 +141,6 @@ class TruncationResult:
     section: ChainComplex
     triangle: TriangleReport
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "cover_homology": self.cover.homology.to_json(),
-            "section_homology": self.section.homology.to_json(),
-            "triangle": self.triangle.to_json(),
-        }
-
 
 def cell_null_triangle(x: ChainComplex, k: int) -> TruncationResult:
     """The triangle cover -> x -> section -> shift(cover, 1), verified.

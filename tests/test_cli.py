@@ -10,7 +10,7 @@ import cellkit
 from cellkit import cli as cli_mod
 from cellkit.cli import main
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
-from cellkit.groups import PSI_12, FgAbGroup
+from cellkit.groups import PSI_12, FgAbGroup, Z
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup, ZLocal,
                               ZpHat)
@@ -83,6 +83,37 @@ class TestGrammar:
     @given(symbolic_groups)
     def test_round_trip(self, g):
         assert parse_group(format_group(g)) == g
+
+    @pytest.mark.parametrize("atom, text", [
+        (Q(), "Q"),
+        (Prufer(5), "Z/5^inf"),
+        (ZpHat(7), "Zhat_7"),
+        (QpHat(3), "Qhat_3"),
+        (ZLocal(PrimeSet.of([2, 3])), "Z_(2,3)"),
+        (PruferSum(PrimeSet.complement_of([2])), "Psum_(!2)"),
+        (ProdZpHat(PrimeSet.complement_of([2, 5])), "Pzhat_(!2,5)"),
+        (ProdZpHatModZ(PrimeSet.of([3])), "PzhatmodZ_(3)"),
+    ])
+    def test_atom_spelling(self, atom, text):
+        g = SymbolicGroup.of(Z, FgAbGroup.cyclic(6), atom)
+        assert format_group(g) == f"Z + Z/6 + {text}"
+        assert parse_group(f"Z/6 + {text} + Z") == g
+
+    @pytest.mark.parametrize("text, message", [
+        ("Zhat_4", "4 is not prime (at position 0)"),
+        ("Z/04^inf", "not an integer: '04' (at position 0)"),
+        ("Qhat_\u0663", "unrecognized summand 'Qhat_\u0663' (at position 0)"),
+        ("Z_(4)", "bad prime set: 4 is not prime (at position 0)"),
+        ("Z + Z_(2,x)", "bad prime set: not an integer: 'x' (at position 4)"),
+        ("PzhatmodZ_()", "product over the empty prime set has no quotient "
+                         "by Z (at position 0)"),
+        ("Psum_(2", "unrecognized summand 'Psum_(2' (at position 0)"),
+        ("Z + Z/0", "Z/0 is not allowed; write Z (at position 4)"),
+    ])
+    def test_malformed_atom_message(self, text, message):
+        with pytest.raises(GroupSyntaxError) as err:
+            parse_group(text)
+        assert str(err.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +276,7 @@ class TestAcceptanceGate:
         def fake_run_all(seed=0):
             return [acc.CriterionResult("stub", False, "forced failure")]
 
-        monkeypatch.setattr(cli_mod.acceptance_mod, "run_all", fake_run_all)
+        monkeypatch.setattr(acc, "run_all", fake_run_all)
         code, out = run_cli(capsys, "acceptance")
         assert code == 1
         assert json.loads(out)["verdict"] is False
@@ -359,6 +390,20 @@ def test_bad_integer_option_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "invalid strict_int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"], "--seed"),
+    (["cover"], "--k"),
+    (["bogus"], "'bogus'"),
+])
+def test_bad_command_line_is_one_error_line(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and named in lines[0]
 
 
 def test_sampler_caps_are_accepted(capsys):

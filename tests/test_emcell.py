@@ -5,9 +5,8 @@ import pytest
 
 from cellkit.complexes import em_complex
 from cellkit.emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
-                            ConstraintSet, EMObject, InadmissibleCaseError,
-                            acyclization, acyclization_HZ, acyclization_HZpinf,
-                            acyclization_HZpk, cell_primary_torsion, cell_shape,
+                            EMObject, InadmissibleCaseError, acyclization,
+                            cell_primary_torsion, cell_shape,
                             chain_homotopy_group, chain_model, constraint_check,
                             em_morphism_group, gem_closure_check, hzp_dichotomy,
                             ring_unit_obstruction, semiexact_counterexample,
@@ -25,16 +24,11 @@ def cyc(n):
 class TestEMObject:
     def test_merge_and_sort(self):
         x = EMObject.of([(1, cyc(3)), (0, cyc(2)), (1, cyc(5))])
-        assert x.shifts == (0, 1)
+        assert [s for s, _ in x.summands] == [0, 1]
         assert x.group_at(1) == SymbolicGroup.of(cyc(15))
 
     def test_zero_groups_dropped(self):
         assert EMObject.of([(0, FgAbGroup.zero())]).is_zero
-
-    def test_json_round_trip(self):
-        x = EMObject.of([(-1, SymbolicGroup.of(PruferSum(PrimeSet.complement_of([2])))),
-                         (0, cyc(4))])
-        assert EMObject.from_json(x.to_json()) == x
 
 
 class TestMorphismGroups:
@@ -79,19 +73,6 @@ class TestCellShape:
 
     def test_zero(self):
         assert isinstance(cell_shape(0, FgAbGroup.zero()), CellZero)
-
-    def test_constraint_set_check(self):
-        cs = ConstraintSet(SymbolicGroup.of(cyc(8)))
-        assert cs.check(FgAbGroup.zero(), cyc(4))
-        forced = ConstraintSet(SymbolicGroup.of(cyc(8)), b_forced_zero=True)
-        assert not forced.check(cyc(2), cyc(4))
-
-    def test_constraint_set_symbolic_target(self):
-        cs = cell_shape(3, SymbolicGroup.of(Q())).constraints
-        assert cs.check(FgAbGroup.zero(), FgAbGroup.zero())
-        # a free slot cannot absorb the rationals: Hom(Z, Q) != Hom(Z, Z)
-        assert not cs.check(FgAbGroup.zero(), Z)
-
 
 class TestConstraintCheck:
     def test_examples(self):
@@ -147,43 +128,43 @@ class TestDichotomy:
         assert cs.c_candidates == (cyc(2), cyc(4), cyc(8))
         # every candidate passes the constraints against G = Z/8
         for c in cs.c_candidates:
-            assert cs.check(FgAbGroup.zero(), c)
+            assert constraint_check(FgAbGroup.zero(), c, cs.target.fg)
 
 
 class TestAcyclization:
     def test_hz_cases(self):
-        assert acyclization_HZ(AcyclizationCase("HZ", "zero")) == \
+        assert acyclization(AcyclizationCase("HZ", "zero")) == \
             EMObject.of([(0, Z)])
-        assert acyclization_HZ(AcyclizationCase("HZ", "HZ")).is_zero
-        got = acyclization_HZ(AcyclizationCase("HZ", "HZ_P",
-                                               primes=PrimeSet.of([2, 3])))
+        assert acyclization(AcyclizationCase("HZ", "HZ")).is_zero
+        got = acyclization(AcyclizationCase("HZ", "HZ_P",
+                                            primes=PrimeSet.of([2, 3])))
         want = EMObject.of([(-1, SymbolicGroup.of(
             PruferSum(PrimeSet.complement_of([2, 3]))))])
         assert got == want
-        got = acyclization_HZ(AcyclizationCase("HZ", "ProdZpHat",
-                                               primes=PrimeSet.of([2])))
+        got = acyclization(AcyclizationCase("HZ", "ProdZpHat",
+                                            primes=PrimeSet.of([2])))
         assert got == EMObject.of([(-1, SymbolicGroup.of(
             ProdZpHatModZ(PrimeSet.of([2]))))])
 
     def test_hz_cofinite_localization(self):
         # localizing away from finitely many primes leaves a finite sum
-        got = acyclization_HZ(AcyclizationCase(
+        got = acyclization(AcyclizationCase(
             "HZ", "HZ_P", primes=PrimeSet.complement_of([2, 3])))
         assert got == EMObject.of([(-1, SymbolicGroup.of(Prufer(2), Prufer(3)))])
 
     def test_hzpk_cases(self):
-        assert acyclization_HZpk(AcyclizationCase("HZpk", "zero", p=2, k=3)) \
+        assert acyclization(AcyclizationCase("HZpk", "zero", p=2, k=3)) \
             == EMObject.of([(0, cyc(8))])
-        assert acyclization_HZpk(AcyclizationCase("HZpk", "HZpk", p=2, k=3)).is_zero
-        assert acyclization_HZpk(AcyclizationCase("HZpk", "zero", p=5, k=1)) \
+        assert acyclization(AcyclizationCase("HZpk", "HZpk", p=2, k=3)).is_zero
+        assert acyclization(AcyclizationCase("HZpk", "zero", p=5, k=1)) \
             == EMObject.of([(0, cyc(5))])
 
     def test_hzpinf_cases(self):
-        assert acyclization_HZpinf(AcyclizationCase("HZpinf", "zero", p=3)) \
+        assert acyclization(AcyclizationCase("HZpinf", "zero", p=3)) \
             == EMObject.of([(0, SymbolicGroup.of(Prufer(3)))])
-        assert acyclization_HZpinf(
+        assert acyclization(
             AcyclizationCase("HZpinf", "HZpinf", p=3)).is_zero
-        assert acyclization_HZpinf(
+        assert acyclization(
             AcyclizationCase("HZpinf", "SigmaZpHat", p=3)) == \
             EMObject.of([(0, SymbolicGroup.of(QpHat(3)))])
 
@@ -196,8 +177,6 @@ class TestAcyclization:
             AcyclizationCase("HZpk", "zero", p=2)  # missing k
         with pytest.raises(InadmissibleCaseError):
             AcyclizationCase("HZ", "ProdZpHat", primes=PrimeSet.of([]))
-        with pytest.raises(InadmissibleCaseError):
-            acyclization_HZ(AcyclizationCase("HZpk", "zero", p=2, k=1))
 
     def test_involution_consistency(self):
         pairs = [
@@ -230,13 +209,13 @@ class TestAcyclization:
 class TestRingObstruction:
     def test_localized_output_has_no_unit(self):
         for primes in ([2], [2, 3], [5, 7, 11], []):
-            obj = acyclization_HZ(AcyclizationCase("HZ", "HZ_P",
-                                                   primes=PrimeSet.of(primes)))
+            obj = acyclization(AcyclizationCase("HZ", "HZ_P",
+                                                primes=PrimeSet.of(primes)))
             assert ring_unit_obstruction(obj)
 
     def test_product_output_has_no_unit(self):
-        obj = acyclization_HZ(AcyclizationCase("HZ", "ProdZpHat",
-                                               primes=PrimeSet.of([2, 5])))
+        obj = acyclization(AcyclizationCase("HZ", "ProdZpHat",
+                                            primes=PrimeSet.of([2, 5])))
         assert ring_unit_obstruction(obj)
 
     def test_negatives(self):
