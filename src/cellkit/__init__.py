@@ -23,10 +23,10 @@ from .groups import (FgAbGroup, brute_force_hom_count, cokernel, ext_fg,
 from .matrices import IntMatrix, kernel_basis, smith_normal_form, solve
 from .symbolic import (UNKNOWN, PrimeSet, SymbolicGroup, ext_rule, hom_rule,
                        is_divisible, is_unknown)
-from .truncation import (TruncationResult, cell_null_triangle, closure_suite,
-                         connective_cover, nontriangulated_witness_suite,
-                         nullification_fiber, postnikov,
-                         suspension_noncommute_witness, tstructure_check)
+from .truncation import (cell_null_triangle, closure_suite, connective_cover,
+                         nontriangulated_witness_suite, nullification_fiber,
+                         postnikov, suspension_noncommute_witness,
+                         tstructure_check)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "AcyclizationCase", "CellExact", "CellShape", "CellZero", "ChainComplex",
     "ChainMap", "ConstraintSet", "EMObject", "FgAbGroup", "GradedGroup",
     "IntMatrix", "PrimeSet", "SymbolicGroup", "TriangleReport",
-    "TruncationResult", "UNKNOWN", "acyclization", "brute_force_hom_count",
+    "UNKNOWN", "acyclization", "brute_force_hom_count",
     "cell_null_triangle", "cell_primary_torsion", "cell_shape",
     "closure_suite", "cokernel", "cone", "cone_maps", "connective_cover",
     "constraint_check", "coproduct", "derived_hom", "em_complex",

@@ -89,27 +89,13 @@ def _load_payload(args) -> dict:
     return obj
 
 
-def _payload_matrix(payload: dict) -> IntMatrix:
-    obj = payload.get("matrix", payload)
+def _from_payload(cls, payload: dict, key: str, what: str | None = None):
+    """``cls.from_json`` of ``payload[key]``, or of the whole payload when
+    it has no such key; a malformed object is a bad ``what`` payload."""
     try:
-        return IntMatrix.from_json(obj)
+        return cls.from_json(payload.get(key, payload))
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad matrix payload: {exc}") from None
-
-
-def _payload_complex(payload: dict) -> ChainComplex:
-    obj = payload.get("complex", payload)
-    try:
-        return ChainComplex.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad complex payload: {exc}") from None
-
-
-def _payload_chain_map(obj: dict) -> ChainMap:
-    try:
-        return ChainMap.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad chain map payload: {exc}") from None
+        raise SchemaError(f"bad {what or key} payload: {exc}") from None
 
 
 def _group_from_text(text: str) -> FgAbGroup:
@@ -150,7 +136,7 @@ def _parse_wedge(text: str) -> EMObject:
 
 
 def _cmd_snf(args) -> dict:
-    m = _payload_matrix(_load_payload(args))
+    m = _from_payload(IntMatrix, _load_payload(args), "matrix")
     f = smith_normal_form(m)
     if f.u @ m @ f.v != f.s or abs(f.u.det()) != 1 or abs(f.v.det()) != 1:
         raise InternalInvariantError("Smith decomposition failed to certify")
@@ -159,18 +145,12 @@ def _cmd_snf(args) -> dict:
 
 
 def _cmd_homology(args) -> dict:
-    x = _payload_complex(_load_payload(args))
+    x = _from_payload(ChainComplex, _load_payload(args), "complex")
     return {"homology": x.homology.to_json()}
 
 
-def _groups_from_args(args, payload_keys) -> list[FgAbGroup]:
-    out = []
-    for flag in payload_keys:
-        text = getattr(args, flag)
-        if text is None:
-            raise SchemaError(f"missing --{flag}")
-        out.append(_group_from_text(text))
-    return out
+def _groups_from_args(args, flags) -> list[FgAbGroup]:
+    return [_group_from_text(getattr(args, flag)) for flag in flags]
 
 
 def _cmd_hom(args) -> dict:
@@ -188,13 +168,13 @@ def _cmd_ext(args) -> dict:
 
 
 def _cmd_cover(args) -> dict:
-    x = _payload_complex(_load_payload(args))
+    x = _from_payload(ChainComplex, _load_payload(args), "complex")
     c = connective_cover(x, args.k)
     return {"k": args.k, "result": c.to_json(), "homology": c.homology.to_json()}
 
 
 def _cmd_postnikov(args) -> dict:
-    x = _payload_complex(_load_payload(args))
+    x = _from_payload(ChainComplex, _load_payload(args), "complex")
     p = postnikov(x, args.k)
     return {"k": args.k, "result": p.to_json(), "homology": p.homology.to_json()}
 
@@ -203,16 +183,10 @@ def _cmd_triangle_check(args) -> dict:
     payload = _load_payload(args)
     if "map" not in payload or "candidate" not in payload:
         raise SchemaError("payload needs 'map' and 'candidate'")
-    f = _payload_chain_map(payload["map"])
-    z = _payload_complex({"complex": payload["candidate"]})
+    f = _from_payload(ChainMap, payload, "map", "chain map")
+    z = _from_payload(ChainComplex, payload, "candidate", "complex")
     report = triangle_check(f, z)
     return {"report": report.to_json(), "verdict": report.verdict}
-
-
-def _check_k(args):
-    lo, hi = SUITE_K_RANGE[args.command]
-    if not lo <= args.k <= hi:
-        raise SchemaError(f"--k must be between {lo} and {hi}")
 
 
 def _sample_family(args):
@@ -230,29 +204,20 @@ def _sample_family(args):
 
 
 def _cmd_tstructure(args) -> dict:
-    _check_k(args)
     family = _sample_family(args)
     report = tstructure_check(args.k, sample_pairs(family, args.samples))
     return {"report": report.to_json(), "verdict": report.verdict}
 
 
 def _cmd_closure(args) -> dict:
-    _check_k(args)
     family = _sample_family(args)
     report = closure_suite(family, args.k, seed=args.seed)
     return {"report": report.to_json(), "verdict": report.ok}
 
 
 def _cmd_nontriangulated(args) -> dict:
-    _check_k(args)
     report = nontriangulated_witness_suite(args.k)
     return {"report": report.to_json(), "verdict": report.ok}
-
-
-def _cell_result_json(result) -> dict:
-    body = result.to_json()
-    body["convention"] = CONVENTION_NOTE
-    return body
 
 
 def _cmd_em_cellularize(args) -> dict:
@@ -275,7 +240,8 @@ def _cmd_em_cellularize(args) -> dict:
             result = hzp_dichotomy(args.cellular, args.r, args.p)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-    return {"mode": args.mode, "result": _cell_result_json(result)}
+    return {"mode": args.mode,
+            "result": {**result.to_json(), "convention": CONVENTION_NOTE}}
 
 
 _TARGET_ALIASES = {"HZ": "HZ", "HZ/p^k": "HZpk", "HZpk": "HZpk",
@@ -290,11 +256,10 @@ def _cmd_acyclization(args) -> dict:
     if args.outcome in ("HZ_P", "ProdZpHat"):
         primes = _parse_primes(args)
     try:
-        case = AcyclizationCase(target, args.outcome, primes=primes,
-                                p=args.p, k=args.k)
+        obj = acyclization(AcyclizationCase(target, args.outcome,
+                                            primes=primes, p=args.p, k=args.k))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
-    obj = acyclization(case)
     return {"target": target, "outcome": args.outcome,
             "result": obj.to_json(), "convention": CONVENTION_NOTE}
 
@@ -336,26 +301,6 @@ def _cmd_acceptance(args) -> dict:
     }
 
 
-_HANDLERS = {
-    "snf": _cmd_snf,
-    "homology": _cmd_homology,
-    "hom": _cmd_hom,
-    "ext": _cmd_ext,
-    "cover": _cmd_cover,
-    "postnikov": _cmd_postnikov,
-    "triangle-check": _cmd_triangle_check,
-    "tstructure-check": _cmd_tstructure,
-    "closure-suite": _cmd_closure,
-    "nontriangulated-suite": _cmd_nontriangulated,
-    "em-cellularize": _cmd_em_cellularize,
-    "acyclization": _cmd_acyclization,
-    "constraint-check": _cmd_constraint_check,
-    "ring-obstruction": _cmd_ring_obstruction,
-    "semiexact-demo": _cmd_semiexact,
-    "acceptance": _cmd_acceptance,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one ``error: ...`` line, like
     every other bad input; subcommand parsers inherit the class."""
@@ -375,8 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
                "PzhatmodZ_(...).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, payload=False, k=False, suite=False):
+    def add(name, help_text, handler, *, payload=False, k=False,
+            suite=False, gated=False):
+        """A subcommand, with its handler, whether a false verdict exits 1
+        and the accepted range of its --k (None: any)."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, gated=gated,
+                       k_range=SUITE_K_RANGE.get(name))
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=strict_int, default=0,
                        help="seed for randomized suites (echoed in the report)")
@@ -390,25 +340,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-rank", type=strict_int, default=5)
         return p
 
-    add("snf", "Smith normal form of an integer matrix", payload=True)
-    add("homology", "graded homology of a bounded complex", payload=True)
-    p = add("hom", "Hom of finitely generated abelian groups")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p = add("ext", "Ext of finitely generated abelian groups")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add("cover", "connective cover at a cut degree", payload=True, k=True)
-    add("postnikov", "section below a cut degree", payload=True, k=True)
-    add("triangle-check", "compare a candidate cofibre against the cone",
+    add("snf", "Smith normal form of an integer matrix", _cmd_snf,
         payload=True)
+    add("homology", "graded homology of a bounded complex", _cmd_homology,
+        payload=True)
+    p = add("hom", "Hom of finitely generated abelian groups", _cmd_hom)
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p = add("ext", "Ext of finitely generated abelian groups", _cmd_ext)
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    add("cover", "connective cover at a cut degree", _cmd_cover,
+        payload=True, k=True)
+    add("postnikov", "section below a cut degree", _cmd_postnikov,
+        payload=True, k=True)
+    add("triangle-check", "compare a candidate cofibre against the cone",
+        _cmd_triangle_check, payload=True)
     add("tstructure-check", "check the three t-structure axioms on samples",
-        k=True, suite=True)
+        _cmd_tstructure, k=True, suite=True, gated=True)
     add("closure-suite", "closure properties of the cover/section classes",
-        k=True, suite=True)
+        _cmd_closure, k=True, suite=True, gated=True)
     add("nontriangulated-suite",
-        "witnesses that covering does not commute with suspension", k=True)
-    p = add("em-cellularize", "symbolic cellularization of a single piece")
+        "witnesses that covering does not commute with suspension",
+        _cmd_nontriangulated, k=True, gated=True)
+    p = add("em-cellularize", "symbolic cellularization of a single piece",
+            _cmd_em_cellularize)
     p.add_argument("--mode", choices=("shape", "primary", "dichotomy"),
                    default="shape")
     p.add_argument("--n", type=strict_int, default=0)
@@ -418,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=strict_int)
     p.add_argument("--r", type=strict_int)
     p.add_argument("--cellular", action="store_true", default=False)
-    p = add("acyclization", "cellularization from a nullification outcome")
+    p = add("acyclization", "cellularization from a nullification outcome",
+            _cmd_acyclization)
     p.add_argument("--target", required=True,
                    help="HZ, HZ/p^k or HZ/p^inf")
     p.add_argument("--outcome", required=True,
@@ -428,17 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpret --primes as the complement")
     p.add_argument("--p", type=strict_int)
     p.add_argument("--k", type=strict_int)
-    p = add("constraint-check", "evaluate the two-slot shape constraints")
+    p = add("constraint-check", "evaluate the two-slot shape constraints",
+            _cmd_constraint_check)
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--g", required=True)
-    p = add("ring-obstruction", "unit obstruction of a wedge")
+    p = add("ring-obstruction", "unit obstruction of a wedge",
+            _cmd_ring_obstruction)
     p.add_argument("--wedge",
                    help="'shift:GROUP; shift:GROUP' (use --wedge=... when "
                         "the first shift is negative)")
-    p = add("semiexact-demo", "the extension-closure counterexample")
+    p = add("semiexact-demo", "the extension-closure counterexample",
+            _cmd_semiexact)
     p.add_argument("--p", type=strict_int, default=2)
-    add("acceptance", "run the full acceptance suite")
+    add("acceptance", "run the full acceptance suite", _cmd_acceptance,
+        gated=True)
     return parser
 
 
@@ -458,12 +419,19 @@ def _render_text(report: dict, elapsed_ms: float) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        body = handler(args)
+        if args.k_range is not None:
+            lo, hi = args.k_range
+            if not lo <= args.k <= hi:
+                raise SchemaError(f"--k must be between {lo} and {hi}")
+        body = args.handler(args)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        report = {"schema": SCHEMA, "subcommand": args.command,
+                  "seed": args.seed, **body}
+        text = (json.dumps(report, sort_keys=True, indent=2)
+                if args.format == "json" else _render_text(report, elapsed_ms))
     except (SchemaError, GroupSyntaxError, ChainComplexError, ChainMapError,
             SupportCapError, MatrixShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -473,13 +441,6 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = {"schema": SCHEMA, "subcommand": args.command, "seed": args.seed}
-    report.update(body)
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = _render_text(report, elapsed_ms)
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -488,11 +449,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # Suites and the acceptance gate signal failure through the exit code;
     # query commands report their (possibly negative) answer with exit 0.
-    gated = ("acceptance", "tstructure-check", "closure-suite",
-             "nontriangulated-suite")
-    if args.command in gated and not body["verdict"]:
-        return 1
-    return 0
+    return 1 if args.gated and not body["verdict"] else 0
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
                        ext_rule, hom_rule, is_divisible, is_unknown)
 
 CONVENTION_NOTE = "convention: derived-category values"
+# Most decimal digits of a group order p^e in a result.  CPython writes
+# no longer integer as text (its int-to-str limit), so a larger order
+# could be computed but never reported.
+ORDER_DIGIT_CAP = 4300
+_ORDER_BOUND = 10 ** ORDER_DIGIT_CAP
 
 
 class InadmissibleCaseError(ValueError):
@@ -220,6 +225,18 @@ def constraint_check(b: FgAbGroup, c: FgAbGroup, g: FgAbGroup) -> bool:
     return first and second and third
 
 
+def _prime_power(p: int, e: int, name: str) -> int:
+    """p^e for a prime p and the exponent parameter ``name``; ValueError
+    when it has more than ORDER_DIGIT_CAP digits."""
+    # 2^e passes the bound only for e < 4 * ORDER_DIGIT_CAP, so a larger
+    # exponent is refused before any power is computed.
+    q = p ** e if e < 4 * ORDER_DIGIT_CAP else _ORDER_BOUND
+    if q >= _ORDER_BOUND:
+        raise ValueError(f"{name} = {e} is too large: {p}^{e} has more "
+                         f"than {ORDER_DIGIT_CAP} digits")
+    return q
+
+
 def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
     """Cellularization of the p-power piece (m, Z/p^n) at the generator
     (m, Z/p^k): a single piece with the smaller exponent.
@@ -231,7 +248,8 @@ def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
         raise ValueError("exponents must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return EMObject.of([(m, FgAbGroup.cyclic(p ** min(k, n)))])
+    e, name = (k, "k") if k <= n else (n, "n")
+    return EMObject.of([(m, FgAbGroup.cyclic(_prime_power(p, e, name)))])
 
 
 def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
@@ -249,9 +267,10 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
         return CellZero()
     if r == 1:
         return CellExact(EMObject.of([(0, FgAbGroup.cyclic(p))]))
+    top = _prime_power(p, r, "r")
     candidates = tuple(FgAbGroup.cyclic(p ** j) for j in range(1, r + 1))
     return CellShape(0, ConstraintSet(
-        as_symbolic(FgAbGroup.cyclic(p ** r)),
+        as_symbolic(FgAbGroup.cyclic(top)),
         b_forced_zero=True, c_candidates=candidates))
 
 
@@ -314,7 +333,8 @@ def acyclization(case: AcyclizationCase) -> EMObject:
         if case.target == "HZ":
             return EMObject.of([(0, Z)])
         if case.target == "HZpk":
-            return EMObject.of([(0, FgAbGroup.cyclic(case.p ** case.k))])
+            return EMObject.of(
+                [(0, FgAbGroup.cyclic(_prime_power(case.p, case.k, "k")))])
         return EMObject.of([(0, Prufer(case.p))])
     if case.outcome == "HZ_P":
         return EMObject.of([(-1, PruferSum(case.primes.complement()))])

@@ -290,8 +290,8 @@ class SmithNormalForm:
     alone, which builds no transform.  The first read of ``s``, ``u``,
     ``v``, ``u_inv`` or ``v_inv`` runs the tracked reduction once and
     freezes all five; a later ``diagonal`` is read off that ``s``.  A
-    caller that needs a basis therefore reads a transform before the
-    diagonal, or the matrix is reduced twice.
+    reader of a basis therefore reads a transform before the diagonal, or
+    the matrix is reduced twice; ``kernel`` and ``image`` do so.
     """
 
     matrix: IntMatrix
@@ -332,6 +332,18 @@ class SmithNormalForm:
         v, v_inv = self.v, self.v_inv
         r, n = self.rank, self.matrix.cols
         return v.take(None, range(r, n)), v_inv.take(range(r, n), None)
+
+    def image(self) -> tuple[IntMatrix, IntMatrix]:
+        """(basis, proj): the columns of ``basis`` are a basis of im(m), the
+        first rank columns of u_inv scaled by the invariant factors, and
+        ``proj`` is the matching rows of v_inv, so that m == basis @ proj.
+        """
+        # Transforms before the rank, so one reduction serves both.
+        u_inv, v_inv = self.u_inv, self.v_inv
+        r, d = self.rank, self.diagonal
+        scaled = tuple(u_inv.entry(i, j) * d[j]
+                       for i in range(self.matrix.rows) for j in range(r))
+        return IntMatrix(self.matrix.rows, r, scaled), v_inv.take(range(r), None)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:

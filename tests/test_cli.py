@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cellkit
 from cellkit import cli as cli_mod
 from cellkit.cli import main
+from cellkit.emcell import ORDER_DIGIT_CAP
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
 from cellkit.groups import PSI_12, FgAbGroup, Z
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
@@ -364,6 +365,13 @@ BAD_INPUTS = [
     (["ring-obstruction", "--wedge=0_0:Z"], None),
     (["hom", "--a", "Z/\u0664", "--b", "Z"], None),
     (["hom", "--a", "Z/04", "--b", "Z"], None),
+    # Group orders p^e too long to be written as text.
+    (["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "2",
+      "--k", "20000"], None),
+    (["em-cellularize", "--mode", "primary", "--m", "0", "--k", "20000",
+      "--n", "20000", "--p", "2"], None),
+    (["em-cellularize", "--mode", "dichotomy", "--cellular", "--r", "15000",
+      "--p", "2"], None),
 ]
 
 
@@ -377,6 +385,24 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# 2^14284 has ORDER_DIGIT_CAP = 4300 digits and 2^14285 one more.
+@pytest.mark.parametrize("argv, code, err", [
+    (["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "2",
+      "--k", "14284"], 0, ""),
+    (["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "2",
+      "--k", "14285"], 2,
+     "error: k = 14285 is too large: 2^14285 has more than 4300 digits\n"),
+    (["em-cellularize", "--mode", "primary", "--m", "0", "--k", "20000",
+      "--n", "14284", "--p", "2"], 0, ""),
+])
+def test_order_digit_cap(capsys, argv, code, err):
+    assert ORDER_DIGIT_CAP == len(str(2 ** 14284)) == 4300
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (str(2 ** 14284) in captured.out) == (code == 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,7 +474,7 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def broken_handler(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "hom", broken_handler)
+    monkeypatch.setattr(cli_mod, "_cmd_hom", broken_handler)
     code = main(["hom", "--a", "Z", "--b", "Z"])
     err = capsys.readouterr().err
     assert code == 3

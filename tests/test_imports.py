@@ -1,8 +1,10 @@
 """Every name a cellkit module imports is read somewhere in that module,
-and every module-level function is called from somewhere."""
+and every module-level function and method is called from somewhere."""
 
 import ast
 import os
+import pydoc
+from collections import Counter
 
 import pytest
 
@@ -50,48 +52,91 @@ def test_no_unused_imports(module):
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 READERS = sorted(os.path.join(PERFBENCH_DIR, f)
                  for f in os.listdir(PERFBENCH_DIR) if f.endswith(".py"))
-# Reached only by tests until it is wired into a check (ROADMAP item 3).
-UNCALLED_ALLOWED = ["complexes.cone_les_checks"]
+# Reached only by tests until they are wired into a check (ROADMAP item 3).
+UNCALLED_ALLOWED = ["complexes.ChainMap.compose", "complexes.cone_les_checks"]
+
+
+def _base_names(base: ast.expr, classes: dict) -> set[str]:
+    """The attribute names of a base class: its methods and those of its
+    own bases when ``classes`` (name -> ClassDef) defines it, else those
+    of the object its dotted name locates, if any."""
+    node = classes.get(ast.unparse(base))
+    if node is not None:
+        names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        for b in node.bases:
+            names |= _base_names(b, classes)
+        return names
+    return set(dir(pydoc.locate(ast.unparse(base))))
 
 
 def unreferenced_functions(modules: dict[str, str],
                            readers: list[str]) -> list[str]:
-    """The module-level functions of ``modules`` (name -> source) that no
-    code references, other than their own definition.  Hooks such as a
-    module ``__getattr__``, which Python itself calls, are not counted.
+    """The module-level functions and the methods of ``modules`` (name ->
+    source) that no code references, other than their own definition.
+    Hooks that Python or a base class calls are not counted: dunders, a
+    module ``__getattr__``, and overrides of a base-class method.
 
     A function is referenced by its bare name in its own module, and from
     another module or from ``readers`` (sources) by ``from ...m import f``
-    or by ``m.f``.
+    or by ``m.f``.  A method is referenced by ``.name`` on anything.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
+    reader_trees = [ast.parse(source) for source in readers]
     used = set()
     for name, tree in trees.items():
         for top in tree.body:
             own = top.name if isinstance(top, ast.FunctionDef) else None
             used.update((name, node.id) for node in ast.walk(top)
                         if isinstance(node, ast.Name) and node.id != own)
-    for tree in [*trees.values(), *map(ast.parse, readers)]:
+    attrs = Counter()
+    for tree in [*trees.values(), *reader_trees]:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 module = node.module.rpartition(".")[2]
                 used.update((module, alias.name) for alias in node.names)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Name)):
-                used.add((node.value.id, node.attr))
-    return sorted(f"{name}.{node.name}" for name, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, ast.FunctionDef)
-                  and not node.name.startswith("__")
-                  and (name, node.name) not in used)
+            elif isinstance(node, ast.Attribute):
+                attrs[node.attr] += 1
+                if isinstance(node.value, ast.Name):
+                    used.add((node.value.id, node.attr))
+    classes = {node.name: node for tree in trees.values()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                if (not node.name.startswith("__")
+                        and (name, node.name) not in used):
+                    out.append(f"{name}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                inherited = set()
+                for base in node.bases:
+                    inherited |= _base_names(base, classes)
+                for f in node.body:
+                    if (isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("__")
+                            and f.name not in inherited
+                            and attrs[f.name] == sum(
+                                isinstance(a, ast.Attribute)
+                                and a.attr == f.name for a in ast.walk(f))):
+                        out.append(f"{name}.{node.name}.{f.name}")
+    return sorted(out)
 
 
 def test_scan_finds_an_unreferenced_function():
     modules = {"a": "def f(): return f()\ndef g(): pass\ndef h(): pass\n"
-                    "def k(): pass\nk()\n",
+                    "def k(): pass\nk()\n"
+                    "class C(ValueError):\n"
+                    "    def m(self): return self.m()\n"
+                    "    def n(self): pass\n"
+                    "    def with_traceback(self): pass\n"
+                    "    def __str__(self): pass\n"
+                    "class D(C):\n"
+                    "    def n(self): pass\n"
+                    "    def o(self): pass\n",
                "b": "from .a import g\nimport a\na.h\ndef rank(): pass\n"
-                    "def __getattr__(name): pass\n"}
-    assert unreferenced_functions(modules, ["x.rank\n"]) == ["a.f", "b.rank"]
+                    "def __getattr__(name): pass\nx = y.o\n"}
+    assert unreferenced_functions(modules, ["x.rank\n"]) == [
+        "a.C.m", "a.C.n", "a.f", "b.rank"]
 
 
 def test_every_function_has_a_caller():

@@ -169,6 +169,18 @@ class TestSmithNormalForm:
         y = solve(m, probe)
         assert y is not None and m.apply(y) == probe
 
+    @settings(max_examples=100, deadline=None)
+    @given(snf_inputs)
+    def test_image_basis_spans_the_image(self, m):
+        f = smith_normal_form(m)
+        basis, proj = f.image()
+        r = f.rank
+        assert (basis.rows, basis.cols, proj.rows, proj.cols) == (
+            m.rows, r, r, m.cols)
+        # im(m) lies in the span of basis, and basis in im(m).
+        assert basis @ proj == m
+        assert m @ f.v.take(None, range(r)) == basis
+
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), (1,)) is None
         assert solve(mat([[2, 0], [0, 0]]), (2, 1)) is None

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cellkit import truncation
+from cellkit.acceptance import criterion_truncation_triangle
 from cellkit.complexes import (ChainComplex, GradedGroup,
                                cone_les_checks, coproduct, em_complex,
                                quasi_iso_eq, shift)
@@ -136,22 +138,42 @@ class TestDecompositionTriangle:
     def test_mixed_example(self):
         x = mixed_sample()
         result = cell_null_triangle(x, 0)
-        assert result.triangle.verdict
-        assert quasi_iso_eq(result.cover, em_complex(Z, 0))
-        assert quasi_iso_eq(result.section, shift(em_complex(cyc(3), 0), -1))
+        assert result.verdict
+        assert quasi_iso_eq(result.x, em_complex(Z, 0))
+        assert quasi_iso_eq(result.z, shift(em_complex(cyc(3), 0), -1))
 
     def test_acyclic_input(self):
         result = cell_null_triangle(ChainComplex.zero_complex(), 0)
-        assert result.triangle.verdict
-        assert result.cover.homology.is_zero
-        assert result.section.homology.is_zero
+        assert result.verdict
+        assert result.x.homology.is_zero
+        assert result.z.homology.is_zero
 
     def test_one_sided(self):
         x = em_complex(cyc(4), 2)
         result = cell_null_triangle(x, 3)
-        assert result.triangle.verdict
-        assert result.cover.homology.is_zero
-        assert quasi_iso_eq(result.section, x)
+        assert result.verdict
+        assert result.x.homology.is_zero
+        assert quasi_iso_eq(result.z, x)
+
+    @pytest.mark.parametrize("name, mutant", [
+        ("postnikov", lambda right: lambda y, k: right(y, k + 1)),
+        ("connective_cover", lambda right: lambda y, k: y),
+    ], ids=["section-cut-one-high", "cover-is-input"])
+    def test_wrong_truncation_fails_every_triangle_check(self, monkeypatch,
+                                                         name, mutant):
+        # cell_null_triangle alone decides the triangle, so a broken cover
+        # or section must fail it and both of the checks built on it.  The
+        # input has H_0 != 0 and homology below the cut 0.
+        x = mixed_sample()
+
+        def verdicts():
+            return (cell_null_triangle(x, 0).verdict,
+                    criterion_truncation_triangle(0, [x]).passed,
+                    tstructure_check(0, [(x, x)]).axiom_decomposition)
+
+        assert verdicts() == (True, True, True)
+        monkeypatch.setattr(truncation, name, mutant(getattr(truncation, name)))
+        assert verdicts() == (False, False, False)
 
 
 class TestNullificationFiber:
