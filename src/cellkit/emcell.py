@@ -267,11 +267,21 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
         return CellZero()
     if r == 1:
         return CellExact(EMObject.of([(0, FgAbGroup.cyclic(p))]))
-    top = _prime_power(p, r, "r")
-    candidates = tuple(FgAbGroup.cyclic(p ** j) for j in range(1, r + 1))
+    # The report lists every candidate order, so their digits together
+    # are held to ORDER_DIGIT_CAP; the loop stops at the first excess.
+    candidates = []
+    q, digits = 1, 0
+    for _ in range(r):
+        q *= p
+        digits += len(str(q))
+        if digits > ORDER_DIGIT_CAP:
+            raise ValueError(
+                f"r = {r} is too large: the candidate orders {p}^1 .. {p}^{r}"
+                f" have more than {ORDER_DIGIT_CAP} digits in all")
+        candidates.append(FgAbGroup.cyclic(q))
     return CellShape(0, ConstraintSet(
-        as_symbolic(FgAbGroup.cyclic(top)),
-        b_forced_zero=True, c_candidates=candidates))
+        as_symbolic(FgAbGroup.cyclic(q)),
+        b_forced_zero=True, c_candidates=tuple(candidates)))
 
 
 @dataclass(frozen=True)

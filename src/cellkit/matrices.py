@@ -173,16 +173,17 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
+        # The nonzero (column, value) pairs of each row of the right
+        # factor, listed once; zeros on either side add nothing.
+        bnz = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y]
+               for t in range(k)]
         out = [0] * (n * m)
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
             base = i * m
-            for t in range(k):
-                x = arow[t]
+            for t, x in enumerate(a[i * k:(i + 1) * k]):
                 if x:
-                    brow = b[t * m:(t + 1) * m]
-                    for j in range(m):
-                        out[base + j] += x * brow[j]
+                    for j, y in bnz[t]:
+                        out[base + j] += x * y
         return IntMatrix(n, m, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -388,6 +389,14 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
 
     # Row operation A <- E A keeps u <- E u and uinv <- uinv E^{-1};
     # column operation A <- A F keeps v <- v F and vinv <- F^{-1} vinv.
+    #
+    # Invariant at step t (the loop variable below, which the helpers read
+    # when they are called): rows above t are zero in columns >= t, and
+    # rows t and below are zero left of t.  Every operation acts on rows
+    # and columns >= t, so row additions start at column t, and column
+    # operations touch only rows t and below.  Skipping those known zeros,
+    # and the zero multipliers of the uinv and v updates, leaves every
+    # entry of a, u, v, uinv and vinv as it was.
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -398,14 +407,16 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
 
     def add_row(i, j, q):  # row_i += q * row_j
         ai, aj = a[i], a[j]
-        for t in range(nc):
-            ai[t] += q * aj[t]
+        for c in range(t, nc):
+            ai[c] += q * aj[c]
         if track:
             ui, uj = u[i], u[j]
-            for t in range(nr):
-                ui[t] += q * uj[t]
+            for c in range(nr):
+                ui[c] += q * uj[c]
             for row in uinv:
-                row[j] -= q * row[i]
+                x = row[i]
+                if x:
+                    row[j] -= q * x
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -415,7 +426,8 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
                 row[i] = -row[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for r in range(t, nr):
+            row = a[r]
             row[i], row[j] = row[j], row[i]
         if track:
             for row in v:
@@ -423,14 +435,19 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
             vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(j, i, q):  # col_j += q * col_i
-        for row in a:
-            row[j] += q * row[i]
+        for r in range(t, nr):
+            row = a[r]
+            x = row[i]
+            if x:
+                row[j] += q * x
         if track:
             for row in v:
-                row[j] += q * row[i]
+                x = row[i]
+                if x:
+                    row[j] += q * x
             ri, rj = vinv[i], vinv[j]
-            for t in range(nc):
-                ri[t] -= q * rj[t]
+            for c in range(nc):
+                ri[c] -= q * rj[c]
 
     t = 0
     limit = min(nr, nc)
@@ -476,6 +493,8 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
             if dirty:
                 continue
             p = a[t][t]
+            if p == 1:  # divides the rest of the submatrix
+                break
             bad_row = None
             for i in range(t + 1, nr):
                 arow = a[i]

@@ -372,6 +372,12 @@ BAD_INPUTS = [
       "--n", "20000", "--p", "2"], None),
     (["em-cellularize", "--mode", "dichotomy", "--cellular", "--r", "15000",
       "--p", "2"], None),
+    # Candidate lists whose orders have more than ORDER_DIGIT_CAP digits
+    # in all: the first refused r for p = 2 and p = 3.
+    (["em-cellularize", "--mode", "dichotomy", "--cellular", "--r", "167",
+      "--p", "2"], None),
+    (["em-cellularize", "--mode", "dichotomy", "--cellular", "--r", "133",
+      "--p", "3"], None),
 ]
 
 
@@ -403,6 +409,32 @@ def test_order_digit_cap(capsys, argv, code, err):
     captured = capsys.readouterr()
     assert captured.err == err
     assert (str(2 ** 14284) in captured.out) == (code == 0)
+
+
+# The orders 2^1 .. 2^166 have 4,256 digits in all and 3^1 .. 3^132 have
+# 4,254; one more exponent passes ORDER_DIGIT_CAP = 4300 in both.
+@pytest.mark.parametrize("p, last", [(2, 166), (3, 132)])
+def test_dichotomy_candidate_digit_cap(capsys, p, last):
+    argv = ["em-cellularize", "--mode", "dichotomy", "--cellular",
+            "--p", str(p), "--r"]
+    assert sum(len(str(p ** j)) for j in range(1, last + 1)) <= \
+        ORDER_DIGIT_CAP < sum(len(str(p ** j)) for j in range(1, last + 2))
+    assert main(argv + [str(last)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    candidates = report["result"]["constraints"]["c_candidates"]
+    assert [c["torsion"] for c in candidates] == [
+        [p ** j] for j in range(1, last + 1)]
+    assert main(argv + [str(last + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: r = {last + 1} is too large: the candidate orders "
+        f"{p}^1 .. {p}^{last + 1} have more than 4300 digits in all\n")
+
+
+def test_dead_dichotomy_accepts_any_r(capsys):
+    argv = ["em-cellularize", "--mode", "dichotomy", "--r", str(10 ** 30),
+            "--p", "2"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == "zero"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,7 @@
 import gc
+import hashlib
+import random
+import signal
 import weakref
 from contextlib import contextmanager
 
@@ -8,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cellkit import matrices as matrices_mod
 from cellkit.complexes import ChainComplex, homology_presentation
 from cellkit.matrices import (IntMatrix, MatrixShapeError, SmithNormalForm,
-                              hstack, kernel_basis, smith_normal_form, solve,
-                              vstack)
+                              _reduce, hstack, kernel_basis, smith_normal_form,
+                              solve, vstack)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -41,6 +44,88 @@ snf_inputs = st.one_of(
         lambda ab: ab[0] @ ab[1]),
     shapes.map(lambda s: IntMatrix.zero(*s)),
 )
+
+
+def triple_loop(a, b):
+    """The product a @ b, one dot product per entry, zeros included."""
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+# Entry kinds of the golden corpus below: dense small entries, sparse
+# units, and entries of at least 2^100 in absolute value.
+ENTRY_KINDS = (
+    st.integers(-9, 9),
+    st.sampled_from((0,) * 6 + (1, -1)),
+    st.sampled_from((0, 1, -1)).flatmap(
+        lambda s: st.integers(2**100, 2**110).map(lambda x: s * x)),
+)
+
+
+def factor(rows, cols):
+    """A rows x cols matrix of one entry kind, or a product through at
+    most three columns."""
+    low_rank = st.integers(0, 3).flatmap(lambda j: st.tuples(
+        dense(rows, j, ENTRY_KINDS[0]), dense(j, cols, ENTRY_KINDS[0])))
+    return st.one_of(*(dense(rows, cols, e) for e in ENTRY_KINDS),
+                     low_rank.map(lambda ab: triple_loop(*ab)))
+
+
+def golden_corpus():
+    """520 seeded matrices up to 10x10: 200 dense with entries in [-9, 9],
+    150 sparse (mostly 0, else +-1 or 2), 100 products through at most
+    three columns, ten each of 0 x n and n x 0, and 50 with entries of at
+    least 2^100 in absolute value."""
+    rng = random.Random(9)
+
+    def rand(r, c, draw):
+        return IntMatrix(r, c, tuple(draw() for _ in range(r * c)))
+
+    def size():
+        return rng.randint(1, 10), rng.randint(1, 10)
+
+    out = []
+    for _ in range(200):
+        out.append(rand(*size(), lambda: rng.randint(-9, 9)))
+    for _ in range(150):
+        out.append(rand(*size(),
+                        lambda: rng.choice((0,) * 12 + (1, -1, 1, -1, 2))))
+    for _ in range(100):
+        (r, c), k = size(), rng.randint(0, 3)
+        out.append(triple_loop(rand(r, k, lambda: rng.randint(-9, 9)),
+                               rand(k, c, lambda: rng.randint(-9, 9))))
+    for n in range(10):
+        out.append(IntMatrix.zero(0, n))
+        out.append(IntMatrix.zero(n, 0))
+    for _ in range(50):
+        out.append(rand(*size(), lambda: rng.choice((1, -1))
+                        * rng.randint(2**100, 2**110)))
+    return out
+
+
+# sha256 of repr(_reduce(m, track)) over the golden corpus, the
+# transform-free pass then the tracked pass of each matrix, as the plain
+# elimination that visits every entry computes it.  Skipping known zeros
+# must leave all five row lists bit-identical.
+GOLDEN_REDUCE_DIGEST = (
+    "d8688407e505a1b831f527304c3d80772b324f9b2f16531a9e011347ace158bd")
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block is still
+    running after ``seconds``: a broken elimination can loop forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cold(m):
@@ -83,6 +168,14 @@ class TestIntMatrix:
         a = mat([[1, 2], [3, 4]])
         b = mat([[0, 1], [1, 0]])
         assert a @ b == mat([[2, 1], [4, 3]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(0, 10), st.integers(0, 10),
+                     st.integers(0, 10)).flatmap(
+        lambda s: st.tuples(factor(s[0], s[1]), factor(s[1], s[2]))))
+    def test_matmul_matches_triple_loop(self, ab):
+        a, b = ab
+        assert a @ b == triple_loop(a, b)
 
     def test_take_keeps_shape(self):
         a = mat([[1, 2, 3], [4, 5, 6]])
@@ -180,6 +273,16 @@ class TestSmithNormalForm:
         # im(m) lies in the span of basis, and basis in im(m).
         assert basis @ proj == m
         assert m @ f.v.take(None, range(r)) == basis
+
+    def test_reduction_matches_golden_digest(self):
+        corpus = golden_corpus()
+        assert len(corpus) == 520
+        h = hashlib.sha256()
+        with time_limit(60):
+            for m in corpus:
+                for track in (False, True):
+                    h.update(repr(_reduce(m, track)).encode())
+        assert h.hexdigest() == GOLDEN_REDUCE_DIGEST
 
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), (1,)) is None
