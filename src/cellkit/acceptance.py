@@ -37,10 +37,9 @@ class CriterionResult:
     detail: str
 
 
-def _family(seed: int, count: int = FAMILY_SIZE) -> list[ChainComplex]:
+def _family(seed: int) -> list[ChainComplex]:
     rng = random.Random(seed)
-    return random_complex_family(rng, count, max_degrees=8, max_rank=6,
-                                 entry_bound=9)
+    return random_complex_family(rng, FAMILY_SIZE, max_degrees=8, max_rank=6)
 
 
 def criterion_em_morphism_identities(seed: int = 0) -> CriterionResult:

@@ -138,7 +138,9 @@ def _parse_wedge(text: str) -> EMObject:
 def _cmd_snf(args) -> dict:
     m = _from_payload(IntMatrix, _load_payload(args), "matrix")
     f = smith_normal_form(m)
-    if f.u @ m @ f.v != f.s or abs(f.u.det()) != 1 or abs(f.v.det()) != 1:
+    # An integer matrix with an integer inverse is unimodular.
+    if (f.u @ m @ f.v != f.s or f.u @ f.u_inv != IntMatrix.identity(m.rows)
+            or f.v @ f.v_inv != IntMatrix.identity(m.cols)):
         raise InternalInvariantError("Smith decomposition failed to certify")
     return {"s": f.s.to_json(), "u": f.u.to_json(), "v": f.v.to_json(),
             "diagonal": list(f.diagonal)}

@@ -194,8 +194,7 @@ class ChainComplex:
         In a Smith basis for the incoming boundary the cycle group splits
         off the image, so H_n is free of rank
         rank(n) - rank(d_n) - rank(d_{n+1}) plus the torsion cokernel of
-        d_{n+1}.  The Smith diagonal is already a divisibility chain, so
-        its entries above 1 are the invariant factors as they stand.
+        d_{n+1}, read off its Smith diagonal.
         """
         out = []
         boundaries = self._boundary_map      # a missing boundary is zero
@@ -204,12 +203,11 @@ class ChainComplex:
             up = boundaries.get(n + 1)
             r_down = 0 if down is None else smith_normal_form(down).rank
             if up is None:
-                r_up, torsion = 0, ()
+                r_up, chain = 0, ()
             else:
                 f_up = smith_normal_form(up)
-                r_up = f_up.rank
-                torsion = tuple(d for d in f_up.nonzero_diagonal if d > 1)
-            g = FgAbGroup(self.rank(n) - r_down - r_up, torsion)
+                r_up, chain = f_up.rank, f_up.nonzero_diagonal
+            g = FgAbGroup.of_chain(self.rank(n) - r_down - r_up, chain)
             if not g.is_zero:
                 out.append((n, g))
         return GradedGroup(tuple(out))
@@ -561,11 +559,9 @@ class HomologyPresentation:
     boundary image in that basis.
     """
 
-    degree: int
     cycles: IntMatrix
     coords: IntMatrix
     relations: IntMatrix
-    group: FgAbGroup
 
 
 @lru_cache(maxsize=8192)
@@ -578,8 +574,7 @@ def homology_presentation(x: ChainComplex, n: int) -> HomologyPresentation:
     else:
         cycles = IntMatrix.identity(r)
         coords = IntMatrix.identity(r)
-    relations = coords @ up if (up.rows and up.cols) else IntMatrix.zero(cycles.cols, up.cols)
-    return HomologyPresentation(n, cycles, coords, relations, cokernel(relations))
+    return HomologyPresentation(cycles, coords, coords @ up)
 
 
 def induced_map(f: ChainMap, n: int) -> tuple[HomologyPresentation,
@@ -591,12 +586,8 @@ def induced_map(f: ChainMap, n: int) -> tuple[HomologyPresentation,
     return px, py, m
 
 
-def _lattice_contains(gens: IntMatrix, vec: Sequence[int]) -> bool:
-    return solve(gens, vec) is not None
-
-
 def _lattice_subset(a: IntMatrix, b: IntMatrix) -> bool:
-    return all(_lattice_contains(b, a.column(j)) for j in range(a.cols))
+    return all(solve(b, a.column(j)) is not None for j in range(a.cols))
 
 
 def _kernel_gens(m: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
@@ -605,19 +596,15 @@ def _kernel_gens(m: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
     return solutions.take(range(m.cols), None)
 
 
-def presented_map_is_iso(m: IntMatrix, source_relations: IntMatrix,
-                         target_relations: IntMatrix) -> bool:
-    surj = _lattice_subset(IntMatrix.identity(m.rows),
-                           hstack([m, target_relations]))
-    if not surj:
-        return False
-    preimage = _kernel_gens(m, target_relations)
-    return _lattice_subset(preimage, source_relations)
-
-
 def map_on_homology_is_iso(f: ChainMap, n: int) -> bool:
+    """Is H_n(f), the map m of :func:`induced_map`, an isomorphism?"""
     px, py, m = induced_map(f, n)
-    return presented_map_is_iso(m, px.relations, py.relations)
+    stacked = hstack([m, py.relations])
+    # The kernel before the cokernel, so one tracked reduction serves both.
+    preimage = kernel_basis(stacked).take(range(m.cols), None)
+    if not cokernel(stacked).is_zero:  # not onto
+        return False
+    return _lattice_subset(preimage, px.relations)  # one to one
 
 
 def _exact_at(alpha: IntMatrix, beta: IntMatrix,

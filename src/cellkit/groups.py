@@ -22,27 +22,23 @@ class SizeBoundExceededError(ValueError):
 def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a multiset of cyclic orders into a divisibility chain.
 
-    Works by repeated gcd/lcm surgery on non-dividing pairs, which never
-    needs an integer factorization:
+    Works by one sweep of gcd/lcm surgery on pairs, which never needs an
+    integer factorization:
 
     >>> _invariant_chain([6, 4])
     (2, 12)
     >>> _invariant_chain([2, 3])
     (6,)
     """
-    fs = sorted(x for x in torsion if x > 1)
-    while True:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                a, b = fs[i], fs[j]
-                if a > 1 and b % a:
-                    g = gcd(a, b)
-                    fs[i], fs[j] = g, (a // g) * b
-                    changed = True
-        if not changed:
-            break
-        fs = sorted(x for x in fs if x > 1)
+    fs = [x for x in torsion if x > 1]
+    # After step i, fs[i] divides every later entry: the gcd or lcm of two
+    # multiples of fs[i] is again a multiple of fs[i].
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            if b % a:
+                g = gcd(a, b)
+                fs[i], fs[j] = g, (a // g) * b
     return tuple(x for x in fs if x > 1)
 
 
@@ -82,6 +78,11 @@ class FgAbGroup:
     def cyclic(cls, n: int) -> "FgAbGroup":
         """Z/n, with Z/0 = Z and Z/1 = 0."""
         return cls.of_orders([n])
+
+    @classmethod
+    def of_chain(cls, rank: int, chain: Iterable[int]) -> "FgAbGroup":
+        """Z^rank plus Z/d for each d > 1 of a divisibility chain."""
+        return cls(rank, tuple(d for d in chain if d > 1))
 
     @classmethod
     def of_orders(cls, orders: Iterable[int]) -> "FgAbGroup":
@@ -183,11 +184,13 @@ def cokernel(m: IntMatrix) -> FgAbGroup:
     if m.cols == 0 or m.is_zero:
         return FgAbGroup.free(m.rows)
     f = smith_normal_form(m)
-    orders = list(f.nonzero_diagonal) + [0] * (m.rows - f.rank)
-    return FgAbGroup.of_orders(orders)
+    return FgAbGroup.of_chain(m.rows - f.rank, f.nonzero_diagonal)
 
 
-def brute_force_hom_count(a: FgAbGroup, b: FgAbGroup, bound: int = 10**6) -> int:
+BRUTE_FORCE_BOUND = 10**6  # the largest |A| * |B| enumerated below
+
+
+def brute_force_hom_count(a: FgAbGroup, b: FgAbGroup) -> int:
     """|Hom(a, b)| for finite groups, by exhaustive enumeration.
 
     The relation matrix of ``a`` in invariant-factor form is diagonal, so a
@@ -201,9 +204,9 @@ def brute_force_hom_count(a: FgAbGroup, b: FgAbGroup, bound: int = 10**6) -> int
     """
     if not (a.is_finite and b.is_finite):
         raise SizeBoundExceededError("both groups must be finite")
-    if a.order * b.order > bound:
+    if a.order * b.order > BRUTE_FORCE_BOUND:
         raise SizeBoundExceededError(
-            f"|A| * |B| = {a.order * b.order} exceeds bound {bound}")
+            f"|A| * |B| = {a.order * b.order} exceeds bound {BRUTE_FORCE_BOUND}")
     factors = b.invariant_factors
     elements = list(itertools.product(*(range(e) for e in factors)))
     count = 1

@@ -197,38 +197,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        >>> IntMatrix.from_rows([[2, 4], [6, 8]]).det()
-        -8
-        """
-        if not self.is_square:
-            raise MatrixShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "data": list(self.entries)}
 

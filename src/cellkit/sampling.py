@@ -21,8 +21,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntMa
         rng.randint(-bound, bound) for _ in range(rows * cols)))
 
 
-def random_complex(rng: random.Random, max_degrees: int = 8, max_rank: int = 6,
-                   entry_bound: int = 9, lo_range: tuple[int, int] = (-4, 1)
+def random_complex(rng: random.Random, max_degrees: int = 8, max_rank: int = 6
                    ) -> ChainComplex:
     """A random bounded complex with exact boundaries.
 
@@ -31,7 +30,7 @@ def random_complex(rng: random.Random, max_degrees: int = 8, max_rank: int = 6,
     exceed them, which is forced by the chain condition.
     """
     span = rng.randint(1, max_degrees)
-    lo = rng.randint(*lo_range)
+    lo = rng.randint(-4, 1)
     degrees = list(range(lo, lo + span))
     ranks = {n: rng.randint(0, max_rank) for n in degrees}
     boundaries: dict[int, IntMatrix] = {}
@@ -41,7 +40,7 @@ def random_complex(rng: random.Random, max_degrees: int = 8, max_rank: int = 6,
         if rows == 0 or cols == 0:
             d = IntMatrix.zero(rows, cols)
         elif n == lo + 1:
-            d = random_matrix(rng, rows, cols, entry_bound)
+            d = random_matrix(rng, rows, cols, 9)
         else:
             allowed = kernel_basis(prev)
             mix = random_matrix(rng, allowed.cols, cols, 2)

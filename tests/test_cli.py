@@ -12,6 +12,7 @@ from cellkit.cli import main
 from cellkit.emcell import ORDER_DIGIT_CAP
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
 from cellkit.groups import PSI_12, FgAbGroup, Z
+from cellkit.matrices import SmithNormalForm
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup, ZLocal,
                               ZpHat)
@@ -511,6 +512,21 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error: boom") and "Traceback" in err
+
+
+@pytest.mark.parametrize("part, index", [("u", 1), ("u_inv", 3), ("v_inv", 4)])
+def test_snf_certificate_can_fail(capsys, monkeypatch, part, index):
+    import io
+    # The negated matrix is still unimodular, but it is not the inverse
+    # (nor, for u, the transform) that the reduction built.
+    monkeypatch.setattr(SmithNormalForm, part,
+                        property(lambda f: -f._certified[index]))
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(_snf_payload(2, 3, [2, 4, 6, 8, 10, 3])))
+    assert main(["snf"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "internal error: Smith decomposition failed to certify\n")
 
 
 def _cellkit_env():

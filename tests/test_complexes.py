@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from cellkit.complexes import (ChainComplex, ChainComplexError, ChainMap,
                                ChainMapError, GradedGroup, SupportCapError,
                                cone, cone_les_checks, cone_maps, coproduct,
-                               derived_hom, em_complex, fiber,
+                               derived_hom, em_complex, fiber, induced_map,
                                map_on_homology_is_iso, quasi_iso_eq, shift,
                                shift_map, triangle_check)
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
-from cellkit.matrices import IntMatrix
+from cellkit.matrices import IntMatrix, hstack, kernel_basis, solve
 from cellkit.sampling import random_complex, random_matrix
-from cellkit.truncation import section_with_projection
+from cellkit.truncation import cover_inclusion, section_with_projection
 
 
 def cyc(n):
@@ -289,6 +289,8 @@ def _chain_map(x, y, kind, m):
         return ChainMap.zero_map(x, y)
     if kind == "section":
         return section_with_projection(x, m)[1]
+    if kind == "cover":
+        return cover_inclusion(x, m)
     _, inject, project = cone_maps(ChainMap.scalar(x, m))
     return inject if kind == "inject" else project
 
@@ -430,6 +432,22 @@ class TestTriangleCheck:
         assert [c.degree for c in rep.checks if not c.ok] == [0]
 
 
+def _iso_by_lattices(f, n):
+    """H_n(f) is an isomorphism, decided by lattice membership alone: onto
+    when every unit vector lies in the span of [m | R_y], one to one when
+    every x with m x in the span of R_y lies in the span of R_x."""
+    px, py, m = induced_map(f, n)
+
+    def inside(a, b):
+        return all(solve(b, a.column(j)) is not None for j in range(a.cols))
+
+    stacked = hstack([m, py.relations])
+    if not inside(IntMatrix.identity(m.rows), stacked):
+        return False
+    return inside(kernel_basis(stacked).take(range(m.cols), None),
+                  px.relations)
+
+
 def _random_chain_map(rng, x):
     """A nontrivial self-map or structure map for LES testing."""
     kind = rng.randrange(3)
@@ -456,6 +474,17 @@ class TestLongExactSequence:
         assert map_on_homology_is_iso(ChainMap.identity(x), 0)
         assert not map_on_homology_is_iso(ChainMap.scalar(x, 2), 0)
         assert map_on_homology_is_iso(ChainMap.scalar(x, 3), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(complexes, complexes,
+           st.sampled_from(["scalar", "zero", "section", "cover", "inject",
+                            "project"]),
+           st.integers(-3, 3))
+    def test_iso_matches_lattice_definition(self, x, y, kind, m):
+        f = _chain_map(x, y, kind, m)
+        support = [n for c in (f.source, f.target) for n in c.degrees()]
+        for n in range(min(support, default=0) - 1, max(support, default=0) + 2):
+            assert map_on_homology_is_iso(f, n) == _iso_by_lattices(f, n), n
 
     def test_shift_map_consistency(self):
         x = two_term(6)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,45 @@ small_finite_groups = st.lists(st.integers(2, 12), max_size=3).map(
     FgAbGroup.of_orders).filter(lambda g: (g.order or 10**9) <= 100)
 small_groups = st.tuples(st.integers(0, 2), st.lists(st.integers(2, 12), max_size=3)).map(
     lambda t: FgAbGroup.direct_sum(FgAbGroup.free(t[0]), FgAbGroup.of_orders(t[1])))
+
+
+def invariant_factors_by_factoring(orders):
+    """The invariant factors of the finite cyclic orders above 1, from their
+    prime factorizations: for each prime, the k-th largest of its powers
+    goes into the k-th largest factor."""
+    powers = {}
+    for n in orders:
+        d = 2
+        while n > 1:
+            if d * d > n:
+                d = n
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e:
+                powers.setdefault(d, []).append(d ** e)
+            d += 1
+    depth = max((len(ps) for ps in powers.values()), default=0)
+    factors = [1] * depth
+    for ps in powers.values():
+        for k, q in enumerate(sorted(ps, reverse=True)):
+            factors[k] *= q
+    return tuple(reversed(factors))
+
+
+# Unsorted orders: 0s and 1s, small integers, repeated small primes and
+# their products, and prime powers up to 2^30.
+cyclic_orders = st.one_of(
+    st.sampled_from((0, 1)),
+    st.integers(2, 10**4),
+    st.sampled_from((2, 3, 5, 7)),
+    st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=6).map(
+        math.prod),
+    st.sampled_from((3, 5, 7, 11, 13)).flatmap(
+        lambda p: st.integers(1, 8).map(lambda e: p ** e)),
+    st.integers(1, 30).map(lambda e: 2 ** e),
+)
 
 
 class TestCanonicalForm:
@@ -45,9 +86,15 @@ class TestCanonicalForm:
         fs = g.invariant_factors
         assert all(b % a == 0 for a, b in zip(fs, fs[1:]))
         finite = [o for o in orders if o >= 2]
-        import math
         assert (g.order if g.rank == 0 else None) == (
             math.prod(finite) if g.rank == 0 else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(cyclic_orders, max_size=8))
+    def test_of_orders_matches_trial_division(self, orders):
+        g = FgAbGroup.of_orders(orders)
+        assert g.rank == orders.count(0)
+        assert g.invariant_factors == invariant_factors_by_factoring(orders)
 
 
 class TestHomExt:

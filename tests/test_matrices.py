@@ -184,12 +184,6 @@ class TestIntMatrix:
         sub = a.take(None, [2, 0])
         assert sub == mat([[3, 1], [6, 4]])
 
-    def test_det_examples(self):
-        assert mat([[2, 4], [6, 8]]).det() == -8
-        assert IntMatrix.identity(3).det() == 1
-        assert mat([[0, 1], [1, 0]]).det() == -1
-        assert IntMatrix.zero(2, 2).det() == 0
-
     def test_json_round_trip(self):
         a = mat([[1, -2], [0, 7]])
         assert IntMatrix.from_json(a.to_json()) == a
@@ -237,8 +231,6 @@ class TestSmithNormalForm:
     def test_certified_decomposition(self, m):
         f = smith_normal_form(m)
         assert f.u @ m @ f.v == f.s
-        assert f.u.det() in (1, -1)
-        assert f.v.det() in (1, -1)
         assert f.u @ f.u_inv == IntMatrix.identity(m.rows)
         assert f.v @ f.v_inv == IntMatrix.identity(m.cols)
         diag = f.diagonal
@@ -309,18 +301,22 @@ class TestSmithNormalForm:
         assert str(h) == "H0=Z + Z/2, H1=Z"
         assert reductions and not any(track for _, track in reductions)
 
-    @pytest.mark.parametrize("use", [
-        lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])),
-        lambda: solve(mat([[1, 2, 3], [2, 4, 6]]), (1, 2)),
-        lambda: section_with_projection(fresh_complex(), 1),
-        lambda: connective_cover(fresh_complex(), 1),
-        lambda: homology_presentation.__wrapped__(fresh_complex(), 1),
+    @pytest.mark.parametrize("use, only", [
+        (lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])), None),
+        (lambda: solve(mat([[1, 2, 3], [2, 4, 6]]), (1, 2)), None),
+        (lambda: section_with_projection(fresh_complex(), 1), None),
+        (lambda: connective_cover(fresh_complex(), 1), None),
+        # The cycles of d_1 alone: the relations are never reduced.
+        (lambda: homology_presentation.__wrapped__(fresh_complex(), 1),
+         [(fresh_complex().boundary(1), True)]),
     ], ids=["kernel_basis", "solve", "section_with_projection",
             "connective_cover", "homology_presentation"])
-    def test_basis_users_reduce_each_matrix_once(self, reductions, use):
+    def test_basis_users_reduce_each_matrix_once(self, reductions, use, only):
         use()
         reduced = [m for m, _ in reductions]
         assert reduced and len(reduced) == len({id(m) for m in reduced})
+        if only is not None:
+            assert reductions == only
         for m in reduced:  # a later rank is read off the same reduction
             smith_normal_form(m).rank
         assert len(reductions) == len(reduced)
