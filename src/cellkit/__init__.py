@@ -10,8 +10,8 @@ Two executable models of the same functor pair:
 """
 
 from .complexes import (ChainComplex, ChainMap, GradedGroup, TriangleReport,
-                        cone, cone_maps, coproduct, derived_hom, em_complex,
-                        fiber, quasi_iso_eq, shift, triangle_check)
+                        cone, coproduct, derived_hom, em_complex, fiber,
+                        quasi_iso_eq, shift, triangle_check)
 from .emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
                      ConstraintSet, EMObject, acyclization,
                      cell_primary_torsion, cell_shape, constraint_check,
@@ -36,7 +36,7 @@ __all__ = [
     "IntMatrix", "PrimeSet", "SymbolicGroup", "TriangleReport",
     "UNKNOWN", "acyclization", "brute_force_hom_count",
     "cell_null_triangle", "cell_primary_torsion", "cell_shape",
-    "closure_suite", "cokernel", "cone", "cone_maps", "connective_cover",
+    "closure_suite", "cokernel", "cone", "connective_cover",
     "constraint_check", "coproduct", "derived_hom", "em_complex",
     "em_morphism_group", "ext_fg", "ext_rule", "fiber", "format_group",
     "gem_closure_check", "hom_fg", "hom_rule", "hzp_dichotomy", "is_divisible",

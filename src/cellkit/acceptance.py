@@ -74,7 +74,7 @@ def criterion_truncation_triangle(seed: int, family: Sequence[ChainComplex]
     checked = 0
     for x in family:
         for k in CUTS:
-            if not cell_null_triangle(x, k).verdict:
+            if not cell_null_triangle(x, k):
                 return CriterionResult("truncation-triangle", False,
                                        f"triangle failed at k={k} on {x}")
             checked += 1

@@ -21,10 +21,10 @@ import traceback
 from .complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                         ChainMap, ChainMapError, SupportCapError,
                         triangle_check)
-from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
-                     acyclization, cell_primary_torsion, cell_shape,
-                     constraint_check, hzp_dichotomy, ring_unit_obstruction,
-                     semiexact_counterexample)
+from .emcell import (CONVENTION_NOTE, ORDER_DIGIT_CAP, AcyclizationCase,
+                     CellExact, EMObject, acyclization, cell_primary_torsion,
+                     cell_shape, constraint_check, hzp_dichotomy,
+                     ring_unit_obstruction, semiexact_counterexample)
 from .grammar import GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import (IntMatrix, MatrixShapeError, smith_normal_form,
@@ -80,8 +80,9 @@ def _load_payload(args) -> dict:
         raise SchemaError(f"cannot read payload: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"payload is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer too long to read, or nesting too deep.
+        raise SchemaError(f"cannot read the JSON payload: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("payload must be a JSON object")
     if obj.get("schema", SCHEMA) != SCHEMA:
@@ -142,6 +143,12 @@ def _cmd_snf(args) -> dict:
     if (f.u @ m @ f.v != f.s or f.u @ f.u_inv != IntMatrix.identity(m.rows)
             or f.v @ f.v_inv != IntMatrix.identity(m.cols)):
         raise InternalInvariantError("Smith decomposition failed to certify")
+    # CPython writes no integer of more than ORDER_DIGIT_CAP digits as text.
+    bound = 10 ** ORDER_DIGIT_CAP
+    for name, t in (("s", f.s), ("u", f.u), ("v", f.v)):
+        if any(abs(e) >= bound for e in t.entries):
+            raise SchemaError(f"answer too long: {name} has an entry of more "
+                              f"than {ORDER_DIGIT_CAP} digits")
     return {"s": f.s.to_json(), "u": f.u.to_json(), "v": f.v.to_json(),
             "diagonal": list(f.diagonal)}
 

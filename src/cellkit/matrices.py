@@ -233,18 +233,6 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(r, sum(m.cols for m in mats), tuple(ents))
 
 
-def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return IntMatrix.zero(0, 0)
-    c = mats[0].cols
-    if any(m.cols != c for m in mats):
-        raise MatrixShapeError("vstack with differing column counts")
-    total = sum(m.rows for m in mats)
-    ents = tuple(x for m in mats for x in m.entries)
-    return IntMatrix(total, c, ents)
-
-
 @dataclass(frozen=True)
 class SmithNormalForm:
     """Certified decomposition ``s == u @ m @ v`` with unimodular u, v.

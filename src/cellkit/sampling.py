@@ -26,8 +26,8 @@ def random_complex(rng: random.Random, max_degrees: int = 8, max_rank: int = 6
     """A random bounded complex with exact boundaries.
 
     The free parameters (the lowest boundary and the coefficients mixing
-    each kernel basis) stay within small bounds; composed boundaries can
-    exceed them, which is forced by the chain condition.
+    each kernel basis) stay within small bounds; the boundaries built from
+    them can exceed those bounds, which is forced by the chain condition.
     """
     span = rng.randint(1, max_degrees)
     lo = rng.randint(-4, 1)

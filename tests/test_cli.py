@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,77 @@ from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               ZpHat)
 
 PRIMES = (2, 3, 5, 7)
+
+
+# Full stdout of the triangle-check payload of TestDispatch and of
+# ``tstructure-check --k 0 --samples 40 --seed 7``.
+TRIANGLE_CHECK_STDOUT = """\
+{
+  "report": {
+    "candidate_homology": {
+      "0": {
+        "rank": 0,
+        "torsion": [
+          2
+        ]
+      }
+    },
+    "checks": [
+      {
+        "degree": 0,
+        "note": "H0: cone=Z/2 candidate=Z/2",
+        "ok": true
+      }
+    ],
+    "cone_homology": {
+      "0": {
+        "rank": 0,
+        "torsion": [
+          2
+        ]
+      }
+    },
+    "method": "cone-comparison",
+    "verdict": true
+  },
+  "schema": "cellkit/1",
+  "seed": 0,
+  "subcommand": "triangle-check",
+  "verdict": true
+}
+"""
+TSTRUCTURE_STDOUT = """\
+{
+  "report": {
+    "axioms": {
+      "decomposition": true,
+      "hom_vanishing": true,
+      "shift_nesting": true
+    },
+    "heart": [
+      {
+        "in_heart": true,
+        "object": "single-degree object"
+      },
+      {
+        "in_heart": false,
+        "object": "two-degree object"
+      },
+      {
+        "in_heart": true,
+        "object": "heart detection"
+      }
+    ],
+    "k": 0,
+    "samples": 40,
+    "verdict": true
+  },
+  "schema": "cellkit/1",
+  "seed": 7,
+  "subcommand": "tstructure-check",
+  "verdict": true
+}
+"""
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -183,7 +255,7 @@ class TestDispatch:
         code, out = run_cli(capsys, "triangle-check", stdin=payload,
                             monkeypatch=monkeypatch)
         assert code == 0
-        assert json.loads(out)["verdict"] is True
+        assert out == TRIANGLE_CHECK_STDOUT
 
     def test_em_cellularize_modes(self, capsys):
         code, out = run_cli(capsys, "em-cellularize", "--mode", "primary",
@@ -251,6 +323,12 @@ class TestDeterminism:
                           "--samples", "12", "--seed", "5")
         assert out1 == out2
 
+    def test_tstructure_report_bytes(self, capsys):
+        code, out = run_cli(capsys, "tstructure-check", "--k", "0",
+                            "--samples", "40", "--seed", "7")
+        assert code == 0
+        assert out == TSTRUCTURE_STDOUT
+
     def test_seed_echoed(self, capsys):
         _, out = run_cli(capsys, "tstructure-check", "--k", "1",
                          "--samples", "6", "--seed", "42")
@@ -265,6 +343,15 @@ class TestDeterminism:
 
 
 class TestAcceptanceGate:
+    def test_report_bytes_match_benchmark_reference(self, capsys):
+        refs = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "refs", "acceptance.json")
+        with open(refs, encoding="utf-8") as fh:
+            want = json.load(fh)["0"]
+        code, out = run_cli(capsys, "acceptance", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
     def test_exit_zero_and_one_line_per_criterion(self, capsys):
         code, out = run_cli(capsys, "acceptance", "--format", "text")
         assert code == 0
@@ -392,6 +479,34 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Payloads and answers past CPython's limits: an entry of 5,000 digits,
+# 100,000 nested arrays, and the Smith form of [[N, 3], [5, N]] with a
+# 4,000-digit N, whose diagonal has more than ORDER_DIGIT_CAP digits.
+_N = int("7" * 4000)
+OVERSIZED = [
+    ("snf", _snf_payload(1, 1, []).replace("[]", "[" + "1" * 5000 + "]"),
+     "cannot read the JSON payload"),
+    ("homology",
+     _complex_payload([]).replace("[]", "[" * 100_000 + "]" * 100_000),
+     "cannot read the JSON payload"),
+    ("snf", _snf_payload(2, 2, [_N, 3, 5, _N]),
+     "answer too long: s has an entry of more than 4300 digits"),
+]
+
+
+@pytest.mark.parametrize("command, stdin, message", OVERSIZED, ids=[
+    "snf-5000-digit-entry", "homology-100000-nested-arrays",
+    "snf-answer-past-digit-cap"])
+def test_oversized_payload_exits_2(capsys, monkeypatch, command, stdin,
+                                   message):
+    import io
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main([command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 # 2^14284 has ORDER_DIGIT_CAP = 4300 digits and 2^14285 one more.

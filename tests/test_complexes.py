@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from cellkit.complexes import (ChainComplex, ChainComplexError, ChainMap,
                                ChainMapError, GradedGroup, SupportCapError,
-                               cone, cone_les_checks, cone_maps, coproduct,
-                               derived_hom, em_complex, fiber, induced_map,
-                               map_on_homology_is_iso, quasi_iso_eq, shift,
-                               shift_map, triangle_check)
+                               cone, coproduct, derived_hom, em_complex,
+                               fiber, induced_map, map_on_homology_is_iso,
+                               quasi_iso_eq, shift, shift_map, triangle_check)
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
 from cellkit.matrices import IntMatrix, hstack, kernel_basis, solve
 from cellkit.sampling import random_complex, random_matrix
@@ -156,15 +155,13 @@ class TestChainMaps:
             rejected += not built
         assert accepted and rejected
 
-    def test_compose(self):
-        x = two_term(2)
-        f = ChainMap.scalar(x, 3)
-        assert f.compose(f).component(0) == IntMatrix.from_rows([[9]])
-
     def test_json_round_trip(self):
         x = two_term(2)
-        f = ChainMap.scalar(x, 3)
-        assert ChainMap.from_json(f.to_json()) == f
+        payload = {
+            "source": x.to_json(), "target": x.to_json(),
+            "components": {"0": {"rows": 1, "cols": 1, "data": [3]},
+                           "1": {"rows": 1, "cols": 1, "data": [3]}}}
+        assert ChainMap.from_json(payload) == ChainMap.scalar(x, 3)
 
 
 class TestCone:
@@ -191,16 +188,6 @@ class TestCone:
         assert quasi_iso_eq(f, shift(x, -1))
         fp = fiber(ChainMap.scalar(emz, 3))
         assert quasi_iso_eq(fp, shift(em_complex(cyc(3), 0), -1))
-
-    def test_structure_maps_are_chain_maps(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            x = random_complex(rng, max_degrees=5, max_rank=4)
-            f = ChainMap.scalar(x, rng.randint(-4, 4))
-            c, inject, project = cone_maps(f)
-            assert c == cone(f)
-            assert inject.source == f.target and inject.target == c
-            assert project.source == c and project.target == shift(x, 1)
 
     def test_cone_builds_no_chain_map(self, monkeypatch):
         x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
@@ -291,8 +278,16 @@ def _chain_map(x, y, kind, m):
         return section_with_projection(x, m)[1]
     if kind == "cover":
         return cover_inclusion(x, m)
-    _, inject, project = cone_maps(ChainMap.scalar(x, m))
-    return inject if kind == "inject" else project
+    # The structure maps Y -> C -> shift(X, 1) of the cone C of m on x.
+    c, sx = cone(ChainMap.scalar(x, m)), shift(x, 1)
+    if kind == "inject":
+        return ChainMap.build(x, c, {
+            n: _assemble(r, x.rank(n), [(sx.rank(n), 0,
+                                         IntMatrix.identity(x.rank(n)))])
+            for n, r in c.ranks})
+    return ChainMap.build(c, sx, {
+        n: _assemble(sx.rank(n), r, [(0, 0, IntMatrix.identity(sx.rank(n)))])
+        for n, r in c.ranks})
 
 
 class TestAssembly:
@@ -448,27 +443,7 @@ def _iso_by_lattices(f, n):
                   px.relations)
 
 
-def _random_chain_map(rng, x):
-    """A nontrivial self-map or structure map for LES testing."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return ChainMap.scalar(x, rng.randint(-3, 3))
-    if kind == 1:
-        c, inject, project = cone_maps(ChainMap.scalar(x, rng.randint(-2, 2)))
-        return inject
-    c, inject, project = cone_maps(ChainMap.scalar(x, rng.randint(-2, 2)))
-    return project
-
-
 class TestLongExactSequence:
-    def test_cone_les_random(self):
-        rng = random.Random(21)
-        for i in range(40):
-            x = random_complex(rng, max_degrees=5, max_rank=4)
-            f = _random_chain_map(rng, x)
-            bad = [c.note for c in cone_les_checks(f) if not c.ok]
-            assert not bad, (i, bad)
-
     def test_iso_detection(self):
         x = em_complex(FgAbGroup.of_orders([2, 4]), 0)
         assert map_on_homology_is_iso(ChainMap.identity(x), 0)

@@ -52,8 +52,6 @@ def test_no_unused_imports(module):
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 READERS = sorted(os.path.join(PERFBENCH_DIR, f)
                  for f in os.listdir(PERFBENCH_DIR) if f.endswith(".py"))
-# Reached only by tests until they are wired into a check (ROADMAP item 3).
-UNCALLED_ALLOWED = ["complexes.ChainMap.compose", "complexes.cone_les_checks"]
 
 
 def _base_names(base: ast.expr, classes: dict) -> set[str]:
@@ -142,4 +140,4 @@ def test_scan_finds_an_unreferenced_function():
 def test_every_function_has_a_caller():
     modules = {m[:-3]: _read(os.path.join(PACKAGE_DIR, m)) for m in MODULES}
     readers = [_read(path) for path in READERS]
-    assert unreferenced_functions(modules, readers) == UNCALLED_ALLOWED
+    assert unreferenced_functions(modules, readers) == []

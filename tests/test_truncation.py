@@ -4,9 +4,9 @@ import pytest
 
 from cellkit import truncation
 from cellkit.acceptance import criterion_truncation_triangle
-from cellkit.complexes import (ChainComplex, GradedGroup,
-                               cone_les_checks, coproduct, em_complex,
-                               quasi_iso_eq, shift)
+from cellkit.complexes import (ChainComplex, GradedGroup, coproduct,
+                               em_complex, map_on_homology_is_iso,
+                               quasi_iso_eq, shift, triangle_check)
 from cellkit.groups import FgAbGroup, Z
 from cellkit.matrices import IntMatrix, kernel_basis
 from cellkit.sampling import random_complex, random_complex_family, sample_pairs
@@ -42,13 +42,17 @@ class TestCover:
     def test_above_support_acyclic(self):
         assert connective_cover(em_complex(cyc(3), 0), 1).homology.is_zero
 
-    def test_inclusion_is_chain_map_with_exact_les(self):
+    def test_inclusion_is_iso_above_the_cut(self):
         rng = random.Random(2)
         for _ in range(15):
             x = random_complex(rng, max_degrees=6, max_rank=5)
             for k in (-1, 0, 1):
                 inc = cover_inclusion(x, k)
-                assert all(c.ok for c in cone_les_checks(inc))
+                for n in x.degrees():
+                    if n >= k:
+                        assert map_on_homology_is_iso(inc, n), (k, n)
+                # The section closes the triangle on the inclusion.
+                assert triangle_check(inc, postnikov(x, k)).verdict
 
     def test_builds_no_identity_matrix(self, monkeypatch):
         x = random_complex(random.Random(8), max_degrees=6, max_rank=5)
@@ -122,7 +126,9 @@ class TestSection:
             for k in (-1, 0, 1):
                 section, proj = section_with_projection(x, k)
                 assert quasi_iso_eq(section, postnikov(x, k))
-                assert all(c.ok for c in cone_les_checks(proj))
+                for n in x.degrees():
+                    if n < k:
+                        assert map_on_homology_is_iso(proj, n), (k, n)
 
     def test_partition_of_homology(self):
         rng = random.Random(10)
@@ -137,23 +143,21 @@ class TestSection:
 class TestDecompositionTriangle:
     def test_mixed_example(self):
         x = mixed_sample()
-        result = cell_null_triangle(x, 0)
-        assert result.verdict
-        assert quasi_iso_eq(result.x, em_complex(Z, 0))
-        assert quasi_iso_eq(result.z, shift(em_complex(cyc(3), 0), -1))
+        assert cell_null_triangle(x, 0)
+        assert quasi_iso_eq(connective_cover(x, 0), em_complex(Z, 0))
+        assert quasi_iso_eq(postnikov(x, 0), shift(em_complex(cyc(3), 0), -1))
 
     def test_acyclic_input(self):
-        result = cell_null_triangle(ChainComplex.zero_complex(), 0)
-        assert result.verdict
-        assert result.x.homology.is_zero
-        assert result.z.homology.is_zero
+        x = ChainComplex.zero_complex()
+        assert cell_null_triangle(x, 0)
+        assert connective_cover(x, 0).homology.is_zero
+        assert postnikov(x, 0).homology.is_zero
 
     def test_one_sided(self):
         x = em_complex(cyc(4), 2)
-        result = cell_null_triangle(x, 3)
-        assert result.verdict
-        assert result.x.homology.is_zero
-        assert quasi_iso_eq(result.z, x)
+        assert cell_null_triangle(x, 3)
+        assert connective_cover(x, 3).homology.is_zero
+        assert quasi_iso_eq(postnikov(x, 3), x)
 
     @pytest.mark.parametrize("name, mutant", [
         ("postnikov", lambda right: lambda y, k: right(y, k + 1)),
@@ -167,7 +171,7 @@ class TestDecompositionTriangle:
         x = mixed_sample()
 
         def verdicts():
-            return (cell_null_triangle(x, 0).verdict,
+            return (cell_null_triangle(x, 0),
                     criterion_truncation_triangle(0, [x]).passed,
                     tstructure_check(0, [(x, x)]).axiom_decomposition)
 
