@@ -5,8 +5,9 @@ keys; given the same payload and seed the bytes are identical) or as
 plain text.  Elapsed time is shown only in text mode so that the JSON
 reports stay byte-reproducible.
 
-Exit codes: 0 success, 1 acceptance or suite failure, 2 malformed input,
-3 internal error (a failed certificate or any unexpected exception).
+Exit codes: 0 success, 1 acceptance or suite failure, 2 bad input (an
+``InputError``, including an answer too long to print), 3 internal error
+(a failed certificate or any other exception).
 """
 
 from __future__ import annotations
@@ -18,19 +19,17 @@ import sys
 import time
 import traceback
 
-from .complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
-                        ChainMap, ChainMapError, SupportCapError,
-                        triangle_check)
-from .emcell import (CONVENTION_NOTE, ORDER_DIGIT_CAP, AcyclizationCase,
-                     CellExact, EMObject, acyclization, cell_primary_torsion,
-                     cell_shape, constraint_check, hzp_dichotomy,
-                     ring_unit_obstruction, semiexact_counterexample)
-from .grammar import GroupSyntaxError, parse_group
+from .complexes import DEGREE_CAP, ChainComplex, ChainMap, triangle_check
+from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
+                     acyclization, cell_primary_torsion, cell_shape,
+                     constraint_check, hzp_dichotomy, ring_unit_obstruction,
+                     semiexact_counterexample)
+from .grammar import parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
-from .matrices import (IntMatrix, MatrixShapeError, smith_normal_form,
-                       strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
+                       smith_normal_form, strict_int)
 from .sampling import random_complex_family, sample_pairs
-from .symbolic import PrimeSet, UnknownRuleError
+from .symbolic import PrimeSet, SymbolicGroup
 from .truncation import (closure_suite, connective_cover,
                          nontriangulated_witness_suite, postnikov,
                          tstructure_check)
@@ -61,10 +60,6 @@ SUITE_K_RANGE = {
 }
 
 
-class SchemaError(ValueError):
-    """Payload does not match the subcommand's schema."""
-
-
 class InternalInvariantError(RuntimeError):
     """A certified identity failed to verify; this is a bug."""
 
@@ -77,16 +72,16 @@ def _load_payload(args) -> dict:
         else:
             text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read payload: {exc}") from None
+        raise InputError(f"cannot read payload: {exc}") from None
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # Malformed JSON, an integer too long to read, or nesting too deep.
-        raise SchemaError(f"cannot read the JSON payload: {exc}") from None
+        raise InputError(f"cannot read the JSON payload: {exc}") from None
     if not isinstance(obj, dict):
-        raise SchemaError("payload must be a JSON object")
+        raise InputError("payload must be a JSON object")
     if obj.get("schema", SCHEMA) != SCHEMA:
-        raise SchemaError(f"unsupported schema {obj['schema']!r}; want {SCHEMA!r}")
+        raise InputError(f"unsupported schema {obj['schema']!r}; want {SCHEMA!r}")
     return obj
 
 
@@ -95,25 +90,26 @@ def _from_payload(cls, payload: dict, key: str, what: str | None = None):
     it has no such key; a malformed object is a bad ``what`` payload."""
     try:
         return cls.from_json(payload.get(key, payload))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {what or key} payload: {exc}") from None
+    except (KeyError, TypeError, InputError) as exc:
+        raise InputError(f"bad {what or key} payload: {exc}") from None
 
 
-def _group_from_text(text: str) -> FgAbGroup:
-    g = parse_group(text)
+def _printable(g: SymbolicGroup, option: str) -> SymbolicGroup:
+    """``g``, read from ``option``, unless a canonical invariant factor has
+    more digits than a report can print.  The factors of its Hom, Ext and
+    pi_0 divide these, so those answers print too."""
+    if any(d >= ORDER_BOUND for d in g.fg.invariant_factors):
+        raise InputError(f"{option} has an invariant factor of more than "
+                         f"{ORDER_DIGIT_CAP} digits")
+    return g
+
+
+def _fg_group(args, flag: str) -> FgAbGroup:
+    text = getattr(args, flag)
+    g = _printable(parse_group(text), f"--{flag}")
     if not g.is_fg:
-        raise SchemaError(f"{text!r} must denote a finitely generated group")
+        raise InputError(f"{text!r} must denote a finitely generated group")
     return g.fg
-
-
-def _parse_primes(args) -> PrimeSet:
-    try:
-        listed = ([strict_int(p.strip()) for p in args.primes.split(",")]
-                  if args.primes else [])
-        return (PrimeSet.complement_of(listed) if args.cofinite
-                else PrimeSet.of(listed))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
 
 
 def _parse_wedge(text: str) -> EMObject:
@@ -127,9 +123,12 @@ def _parse_wedge(text: str) -> EMObject:
         try:
             pairs.append((strict_int(shift_str.strip()),
                           parse_group(group_str.strip())))
-        except ValueError as exc:
-            raise SchemaError(f"bad wedge summand {chunk!r}: {exc}") from None
-    return EMObject.of(pairs)
+        except InputError as exc:
+            raise InputError(f"bad wedge summand {chunk!r}: {exc}") from None
+    obj = EMObject.of(pairs)
+    for _, g in obj.summands:
+        _printable(g, "--wedge")
+    return obj
 
 
 # --------------------------------------------------------------------------
@@ -143,12 +142,6 @@ def _cmd_snf(args) -> dict:
     if (f.u @ m @ f.v != f.s or f.u @ f.u_inv != IntMatrix.identity(m.rows)
             or f.v @ f.v_inv != IntMatrix.identity(m.cols)):
         raise InternalInvariantError("Smith decomposition failed to certify")
-    # CPython writes no integer of more than ORDER_DIGIT_CAP digits as text.
-    bound = 10 ** ORDER_DIGIT_CAP
-    for name, t in (("s", f.s), ("u", f.u), ("v", f.v)):
-        if any(abs(e) >= bound for e in t.entries):
-            raise SchemaError(f"answer too long: {name} has an entry of more "
-                              f"than {ORDER_DIGIT_CAP} digits")
     return {"s": f.s.to_json(), "u": f.u.to_json(), "v": f.v.to_json(),
             "diagonal": list(f.diagonal)}
 
@@ -158,40 +151,23 @@ def _cmd_homology(args) -> dict:
     return {"homology": x.homology.to_json()}
 
 
-def _groups_from_args(args, flags) -> list[FgAbGroup]:
-    return [_group_from_text(getattr(args, flag)) for flag in flags]
-
-
-def _cmd_hom(args) -> dict:
-    a, b = _groups_from_args(args, ("a", "b"))
-    value = hom_fg(a, b)
+def _cmd_hom_ext(args) -> dict:
+    a, b = (_fg_group(args, flag) for flag in "ab")
+    value = args.op(a, b)
     return {"a": a.to_json(), "b": b.to_json(), "result": value.to_json(),
             "text": str(value)}
 
 
-def _cmd_ext(args) -> dict:
-    a, b = _groups_from_args(args, ("a", "b"))
-    value = ext_fg(a, b)
-    return {"a": a.to_json(), "b": b.to_json(), "result": value.to_json(),
-            "text": str(value)}
-
-
-def _cmd_cover(args) -> dict:
+def _cmd_truncate(args) -> dict:
     x = _from_payload(ChainComplex, _load_payload(args), "complex")
-    c = connective_cover(x, args.k)
+    c = args.op(x, args.k)
     return {"k": args.k, "result": c.to_json(), "homology": c.homology.to_json()}
-
-
-def _cmd_postnikov(args) -> dict:
-    x = _from_payload(ChainComplex, _load_payload(args), "complex")
-    p = postnikov(x, args.k)
-    return {"k": args.k, "result": p.to_json(), "homology": p.homology.to_json()}
 
 
 def _cmd_triangle_check(args) -> dict:
     payload = _load_payload(args)
     if "map" not in payload or "candidate" not in payload:
-        raise SchemaError("payload needs 'map' and 'candidate'")
+        raise InputError("payload needs 'map' and 'candidate'")
     f = _from_payload(ChainMap, payload, "map", "chain map")
     z = _from_payload(ChainComplex, payload, "candidate", "complex")
     report = triangle_check(f, z)
@@ -200,12 +176,12 @@ def _cmd_triangle_check(args) -> dict:
 
 def _sample_family(args):
     if args.samples < 1:
-        raise SchemaError("--samples must be at least 1")
+        raise InputError("--samples must be at least 1")
     if not 1 <= args.max_degree <= SAMPLE_DEGREE_CAP:
-        raise SchemaError(
+        raise InputError(
             f"--max-degree must be between 1 and {SAMPLE_DEGREE_CAP}")
     if not 0 <= args.max_rank <= SAMPLE_RANK_CAP:
-        raise SchemaError(
+        raise InputError(
             f"--max-rank must be between 0 and {SAMPLE_RANK_CAP}")
     rng = random.Random(args.seed)
     return random_complex_family(rng, args.samples, max_degrees=args.max_degree,
@@ -232,23 +208,18 @@ def _cmd_nontriangulated(args) -> dict:
 def _cmd_em_cellularize(args) -> dict:
     if args.mode == "shape":
         if args.group is None:
-            raise SchemaError("shape mode needs --group")
-        result = cell_shape(args.n, parse_group(args.group))
+            raise InputError("shape mode needs --group")
+        g = _printable(parse_group(args.group), "--group")
+        result = cell_shape(args.n, g)
     elif args.mode == "primary":
         for flag in ("m", "k", "n", "p"):
             if getattr(args, flag) is None:
-                raise SchemaError("primary mode needs --m --k --n --p")
-        try:
-            result = CellExact(cell_primary_torsion(args.m, args.k, args.n, args.p))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+                raise InputError("primary mode needs --m --k --n --p")
+        result = CellExact(cell_primary_torsion(args.m, args.k, args.n, args.p))
     else:  # dichotomy
         if args.r is None or args.p is None:
-            raise SchemaError("dichotomy mode needs --r and --p")
-        try:
-            result = hzp_dichotomy(args.cellular, args.r, args.p)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+            raise InputError("dichotomy mode needs --r and --p")
+        result = hzp_dichotomy(args.cellular, args.r, args.p)
     return {"mode": args.mode,
             "result": {**result.to_json(), "convention": CONVENTION_NOTE}}
 
@@ -260,42 +231,34 @@ _TARGET_ALIASES = {"HZ": "HZ", "HZ/p^k": "HZpk", "HZpk": "HZpk",
 def _cmd_acyclization(args) -> dict:
     target = _TARGET_ALIASES.get(args.target)
     if target is None:
-        raise SchemaError(f"unknown target {args.target!r}")
+        raise InputError(f"unknown target {args.target!r}")
     primes = None
     if args.outcome in ("HZ_P", "ProdZpHat"):
-        primes = _parse_primes(args)
-    try:
-        obj = acyclization(AcyclizationCase(target, args.outcome,
-                                            primes=primes, p=args.p, k=args.k))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+        listed = args.primes.split(",") if args.primes else []
+        primes = PrimeSet(args.cofinite,
+                          frozenset(strict_int(p.strip()) for p in listed))
+    obj = acyclization(AcyclizationCase(target, args.outcome, primes=primes,
+                                        p=args.p, k=args.k))
     return {"target": target, "outcome": args.outcome,
             "result": obj.to_json(), "convention": CONVENTION_NOTE}
 
 
 def _cmd_constraint_check(args) -> dict:
-    b, c, g = _groups_from_args(args, ("b", "c", "g"))
+    b, c, g = (_fg_group(args, flag) for flag in "bcg")
     return {"b": b.to_json(), "c": c.to_json(), "g": g.to_json(),
             "verdict": constraint_check(b, c, g)}
 
 
 def _cmd_ring_obstruction(args) -> dict:
     if args.wedge is None:
-        raise SchemaError("ring-obstruction needs --wedge 'shift:GROUP;...'")
+        raise InputError("ring-obstruction needs --wedge 'shift:GROUP;...'")
     obj = _parse_wedge(args.wedge)
-    try:
-        verdict = ring_unit_obstruction(obj)
-    except UnknownRuleError as exc:
-        raise SchemaError(str(exc)) from None
-    return {"object": obj.to_json(), "verdict": verdict,
+    return {"object": obj.to_json(), "verdict": ring_unit_obstruction(obj),
             "convention": CONVENTION_NOTE}
 
 
 def _cmd_semiexact(args) -> dict:
-    try:
-        report = semiexact_counterexample(args.p)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    report = semiexact_counterexample(args.p)
     return {"report": report.to_json(), "verdict": report.verdict,
             "convention": CONVENTION_NOTE}
 
@@ -330,11 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, handler, *, payload=False, k=False,
-            suite=False, gated=False):
-        """A subcommand, with its handler, whether a false verdict exits 1
-        and the accepted range of its --k (None: any)."""
+            suite=False, gated=False, op=None):
+        """A subcommand, with its handler, the library function that a
+        shared handler calls, whether a false verdict exits 1 and the
+        accepted range of its --k (None: any)."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, gated=gated,
+        p.set_defaults(handler=handler, op=op, gated=gated,
                        k_range=SUITE_K_RANGE.get(name))
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=strict_int, default=0,
@@ -353,16 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
         payload=True)
     add("homology", "graded homology of a bounded complex", _cmd_homology,
         payload=True)
-    p = add("hom", "Hom of finitely generated abelian groups", _cmd_hom)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p = add("ext", "Ext of finitely generated abelian groups", _cmd_ext)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add("cover", "connective cover at a cut degree", _cmd_cover,
-        payload=True, k=True)
-    add("postnikov", "section below a cut degree", _cmd_postnikov,
-        payload=True, k=True)
+    for name, what, op in (("hom", "Hom", hom_fg), ("ext", "Ext", ext_fg)):
+        p = add(name, f"{what} of finitely generated abelian groups",
+                _cmd_hom_ext, op=op)
+        for flag in "ab":
+            p.add_argument(f"--{flag}", required=True)
+    add("cover", "connective cover at a cut degree", _cmd_truncate,
+        payload=True, k=True, op=connective_cover)
+    add("postnikov", "section below a cut degree", _cmd_truncate,
+        payload=True, k=True, op=postnikov)
     add("triangle-check", "compare a candidate cofibre against the cone",
         _cmd_triangle_check, payload=True)
     add("tstructure-check", "check the three t-structure axioms on samples",
@@ -378,10 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shape")
     p.add_argument("--n", type=strict_int, default=0)
     p.add_argument("--group")
-    p.add_argument("--m", type=strict_int)
-    p.add_argument("--k", type=strict_int)
-    p.add_argument("--p", type=strict_int)
-    p.add_argument("--r", type=strict_int)
+    for flag in "mkpr":
+        p.add_argument(f"--{flag}", type=strict_int)
     p.add_argument("--cellular", action="store_true", default=False)
     p = add("acyclization", "cellularization from a nullification outcome",
             _cmd_acyclization)
@@ -396,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=strict_int)
     p = add("constraint-check", "evaluate the two-slot shape constraints",
             _cmd_constraint_check)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--g", required=True)
+    for flag in "bcg":
+        p.add_argument(f"--{flag}", required=True)
     p = add("ring-obstruction", "unit obstruction of a wedge",
             _cmd_ring_obstruction)
     p.add_argument("--wedge",
@@ -427,22 +387,37 @@ def _render_text(report: dict, elapsed_ms: float) -> str:
     return "\n".join(lines)
 
 
+def _too_long(value) -> bool:
+    """Does the report value hold an integer of more than ORDER_DIGIT_CAP
+    digits, which CPython does not write as text?"""
+    if isinstance(value, int):
+        return abs(value) >= ORDER_BOUND
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_too_long, value))
+
+
 def main(argv=None) -> int:
+    # Built on each call, so that the parser reads this module's current
+    # bindings of the library functions it dispatches to.
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.k_range is not None:
             lo, hi = args.k_range
             if not lo <= args.k <= hi:
-                raise SchemaError(f"--k must be between {lo} and {hi}")
+                raise InputError(f"--k must be between {lo} and {hi}")
         body = args.handler(args)
+        for name, value in body.items():
+            if _too_long(value):
+                raise InputError(f"answer too long: {name} has an entry of "
+                                 f"more than {ORDER_DIGIT_CAP} digits")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         report = {"schema": SCHEMA, "subcommand": args.command,
                   "seed": args.seed, **body}
         text = (json.dumps(report, sort_keys=True, indent=2)
                 if args.format == "json" else _render_text(report, elapsed_ms))
-    except (SchemaError, GroupSyntaxError, ChainComplexError, ChainMapError,
-            SupportCapError, MatrixShapeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -19,22 +19,23 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (IntMatrix, cached_property, hstack, json_int,
-                       kernel_basis, smith_normal_form, solve, strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
+                       cached_property, hstack, json_int, kernel_basis,
+                       smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
 
 
-class SupportCapError(ValueError):
+class SupportCapError(InputError):
     """Degree or rank outside the supported desk-scale window."""
 
 
-class ChainComplexError(ValueError):
+class ChainComplexError(InputError):
     """Boundary maps fail the chain complex conditions."""
 
 
-class ChainMapError(ValueError):
+class ChainMapError(InputError):
     """Components fail the chain map condition."""
 
 
@@ -500,6 +501,11 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> TriangleReport:
     """
     hc = cone(f).homology
     hz = z_candidate.homology
+    # The notes below write every invariant factor as text.
+    if any(d >= ORDER_BOUND for h in (hc, hz) for _, g in h.groups
+           for d in g.invariant_factors):
+        raise InputError(f"answer too long: an invariant factor has more "
+                         f"than {ORDER_DIGIT_CAP} digits")
     degrees = sorted(set(hc.degrees) | set(hz.degrees))
     checks = tuple(
         DegreeCheck(n, hc.at(n) == hz.at(n),

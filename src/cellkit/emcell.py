@@ -23,22 +23,18 @@ from typing import Sequence, Union
 
 from .complexes import (ChainComplex, ChainMap, TriangleReport, coproduct,
                         derived_hom, em_complex, triangle_check)
-from .groups import FgAbGroup, Z, ext_fg, hom_fg, is_prime
-from .matrices import IntMatrix
+from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
+                       strict_int)
 from .symbolic import Q as QAtom
 from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
                        QpHat, SymbolicGroup, UnknownRuleError, as_symbolic,
                        ext_rule, hom_rule, is_divisible, is_unknown)
 
 CONVENTION_NOTE = "convention: derived-category values"
-# Most decimal digits of a group order p^e in a result.  CPython writes
-# no longer integer as text (its int-to-str limit), so a larger order
-# could be computed but never reported.
-ORDER_DIGIT_CAP = 4300
-_ORDER_BOUND = 10 ** ORDER_DIGIT_CAP
 
 
-class InadmissibleCaseError(ValueError):
+class InadmissibleCaseError(InputError):
     """An acyclization outcome code outside the admissible list."""
 
 
@@ -226,13 +222,13 @@ def constraint_check(b: FgAbGroup, c: FgAbGroup, g: FgAbGroup) -> bool:
 
 
 def _prime_power(p: int, e: int, name: str) -> int:
-    """p^e for a prime p and the exponent parameter ``name``; ValueError
+    """p^e for a prime p and the exponent parameter ``name``; InputError
     when it has more than ORDER_DIGIT_CAP digits."""
     # 2^e passes the bound only for e < 4 * ORDER_DIGIT_CAP, so a larger
     # exponent is refused before any power is computed.
-    q = p ** e if e < 4 * ORDER_DIGIT_CAP else _ORDER_BOUND
-    if q >= _ORDER_BOUND:
-        raise ValueError(f"{name} = {e} is too large: {p}^{e} has more "
+    q = p ** e if e < 4 * ORDER_DIGIT_CAP else ORDER_BOUND
+    if q >= ORDER_BOUND:
+        raise InputError(f"{name} = {e} is too large: {p}^{e} has more "
                          f"than {ORDER_DIGIT_CAP} digits")
     return q
 
@@ -245,9 +241,8 @@ def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
     [0: Z/5]
     """
     if k < 1 or n < 1:
-        raise ValueError("exponents must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError("exponents must be positive")
+    check_prime(p)
     e, name = (k, "k") if k <= n else (n, "n")
     return EMObject.of([(m, FgAbGroup.cyclic(_prime_power(p, e, name)))])
 
@@ -260,9 +255,8 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
     has no lower slot and the surviving group is one of Z/p^j, j <= r.
     """
     if r < 1:
-        raise ValueError("r must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError("r must be positive")
+    check_prime(p)
     if not cellular_flag:
         return CellZero()
     if r == 1:
@@ -275,7 +269,7 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
         q *= p
         digits += len(str(q))
         if digits > ORDER_DIGIT_CAP:
-            raise ValueError(
+            raise InputError(
                 f"r = {r} is too large: the candidate orders {p}^1 .. {p}^{r}"
                 f" have more than {ORDER_DIGIT_CAP} digits in all")
         candidates.append(FgAbGroup.cyclic(q))
@@ -323,8 +317,8 @@ class AcyclizationCase:
             raise InadmissibleCaseError("HZpk cases need k >= 1")
         if self.target == "HZpinf" and self.p is None:
             raise InadmissibleCaseError("HZpinf cases need p")
-        if self.target != "HZ" and not is_prime(self.p):
-            raise InadmissibleCaseError(f"{self.p} is not prime")
+        if self.target != "HZ":
+            check_prime(self.p)
 
 
 def acyclization(case: AcyclizationCase) -> EMObject:
@@ -378,11 +372,13 @@ def _group_is_module_over(g: SymbolicGroup, ring: str) -> bool:
         # Q-modules are the rational vector spaces in the atom zoo.
         return g.fg.is_zero and all(isinstance(a, (QAtom, QpHat)) for a in g.atoms)
     if ring.startswith("Z/"):
-        m = int(ring[2:])
+        m = strict_int(ring[2:])
+        if m < 1:
+            raise InputError(f"ring {ring!r} needs m >= 1")
         # Annihilated by m: finite with all invariant factors dividing m;
         # no atom in the zoo is annihilated by an integer.
         return not g.atoms and g.fg.is_annihilated_by(m)
-    raise ValueError("ring must be 'Z', 'Q', or 'Z/m'")
+    raise InputError("ring must be 'Z', 'Q', or 'Z/m'")
 
 
 def gem_closure_check(result: CellResult, ring: str = "Z") -> bool:

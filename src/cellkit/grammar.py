@@ -23,13 +23,13 @@ from __future__ import annotations
 import re
 
 from .groups import FgAbGroup
-from .matrices import strict_int
+from .matrices import InputError, strict_int
 from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                        PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
                        ZpHat)
 
 
-class GroupSyntaxError(ValueError):
+class GroupSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -43,13 +43,13 @@ def _parse_primeset(body: str) -> PrimeSet:
     items = [s.strip() for s in body.split(",")] if body.strip() else []
     try:
         return PrimeSet(cofinite, frozenset(strict_int(s) for s in items))
-    except ValueError as exc:
-        raise ValueError(f"bad prime set: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"bad prime set: {exc}") from None
 
 
 def _cyclic(n: int) -> FgAbGroup:
     if n == 0:
-        raise ValueError("Z/0 is not allowed; write Z")
+        raise InputError("Z/0 is not allowed; write Z")
     return FgAbGroup.cyclic(n)
 
 
@@ -94,7 +94,7 @@ def _parse_token(token: str, pos: int):
         if m:
             try:
                 return build(*map(read, m.groups()))
-            except ValueError as exc:  # a bad order, prime or prime set
+            except InputError as exc:  # a bad order, prime or prime set
                 raise GroupSyntaxError(str(exc), pos) from None
     raise GroupSyntaxError(f"unrecognized summand {token!r}", pos)
 

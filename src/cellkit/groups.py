@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable
 
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import InputError, IntMatrix, smith_normal_form
 
 
-class SizeBoundExceededError(ValueError):
+class SizeBoundExceededError(InputError):
     """Brute-force enumeration would be too large."""
 
 
@@ -259,13 +259,13 @@ PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test for n < PSI_12; larger n raise ValueError.
+    """Exact primality test for n < PSI_12; larger n raise InputError.
 
     >>> [n for n in range(-3, 20) if is_prime(n)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
     if n >= PSI_12:
-        raise ValueError(f"{n} is beyond the exact primality bound {PSI_12}")
+        raise InputError(f"{n} is beyond the exact primality bound {PSI_12}")
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -286,3 +286,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(p: int) -> int:
+    """``p`` itself when it is prime; InputError otherwise."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return p

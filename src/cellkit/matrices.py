@@ -22,7 +22,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-class MatrixShapeError(ValueError):
+# CPython writes no integer of more than ORDER_DIGIT_CAP decimal digits as
+# text (its int-to-str limit), so a longer answer could be computed but
+# never reported.
+ORDER_DIGIT_CAP = 4300
+ORDER_BOUND = 10 ** ORDER_DIGIT_CAP
+
+
+class InputError(ValueError):
+    """The caller's data is bad.  Every cellkit error of this kind derives
+    from it, and it is the one error that ``cellkit`` reports with exit
+    code 2."""
+
+
+class MatrixShapeError(InputError):
     """Inconsistent matrix dimensions."""
 
 
@@ -75,11 +88,14 @@ def strict_int(text: str) -> int:
     >>> strict_int("1_0")
     Traceback (most recent call last):
     ...
-    ValueError: not an integer: '1_0'
+    cellkit.matrices.InputError: not an integer: '1_0'
     """
     if not _INT_TEXT.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+        raise InputError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than CPython reads
+        raise InputError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Union
 
-from .groups import (FgAbGroup, ZERO_GROUP, ext_fg, hom_fg, is_prime,
+from .groups import (FgAbGroup, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
+from .matrices import InputError
 
 
 class UnknownValue:
@@ -43,15 +44,8 @@ def is_unknown(x) -> bool:
     return x is UNKNOWN
 
 
-class UnknownRuleError(ValueError):
+class UnknownRuleError(InputError):
     """A computation needed a Hom/Ext value outside the rule table."""
-
-
-def _check_prime(p: int) -> int:
-    p = int(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class PrimeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "primes",
-                           frozenset(_check_prime(p) for p in self.primes))
+                           frozenset(check_prime(p) for p in self.primes))
 
     @classmethod
     def of(cls, primes: Iterable[int]) -> "PrimeSet":
@@ -141,7 +135,7 @@ class PrimeAtom(Atom):
     p: int
 
     def __post_init__(self):
-        _check_prime(self.p)
+        check_prime(self.p)
 
     def params_json(self):
         return {"p": self.p}
@@ -220,7 +214,7 @@ class ProdZpHatModZ(SetAtom):
 
     def __post_init__(self):
         if self.primes.is_empty:
-            raise ValueError("product over the empty prime set has no quotient by Z")
+            raise InputError("product over the empty prime set has no quotient by Z")
 
 
 # Atoms that are divisible groups.  ZpHat is not: ZpHat/p.ZpHat = Z/p != 0.

@@ -24,10 +24,10 @@ from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
                         map_on_homology_is_iso, quasi_iso_eq, shift,
                         shift_map)
 from .groups import FgAbGroup
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import InputError, IntMatrix, smith_normal_form
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError):
     """A stated precondition of an operation does not hold."""
 
 

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 import cellkit
 from cellkit import cli as cli_mod
 from cellkit.cli import main
-from cellkit.emcell import ORDER_DIGIT_CAP
+from cellkit.complexes import ChainComplexError, ChainMapError, SupportCapError
+from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
 from cellkit.grammar import GroupSyntaxError, format_group, parse_group
-from cellkit.groups import PSI_12, FgAbGroup, Z
-from cellkit.matrices import SmithNormalForm
+from cellkit.groups import PSI_12, FgAbGroup, SizeBoundExceededError, Z
+from cellkit.matrices import InputError, MatrixShapeError, SmithNormalForm
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
-                              PruferSum, Q, QpHat, SymbolicGroup, ZLocal,
-                              ZpHat)
+                              PruferSum, Q, QpHat, SymbolicGroup,
+                              UnknownRuleError, ZLocal, ZpHat)
+from cellkit.truncation import PreconditionError
 
 PRIMES = (2, 3, 5, 7)
 
@@ -478,32 +480,65 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Payloads and answers past CPython's limits: an entry of 5,000 digits,
 # 100,000 nested arrays, and the Smith form of [[N, 3], [5, N]] with a
 # 4,000-digit N, whose diagonal has more than ORDER_DIGIT_CAP digits.
+# N1 and N2 are coprime 4,000-digit integers, so the complex with
+# d_1 = diag(N1, N2) has the 8,000-digit torsion N1 * N2 in degree 0, and
+# so does the group Z/N1 + Z/N2 as its one invariant factor.
 _N = int("7" * 4000)
+_N1, _N2 = 10 ** 3999 + 1, 10 ** 3999 + 3
+_DIAG = {"lo": 0, "hi": 1, "ranks": {"0": 2, "1": 2},
+         "boundaries": {"1": {"rows": 2, "cols": 2,
+                              "data": [_N1, 0, 0, _N2]}}}
+_ID2 = {"ranks": {"0": 2}}
+_LONG_GROUP = f"Z/{_N1}+Z/{_N2}"
 OVERSIZED = [
-    ("snf", _snf_payload(1, 1, []).replace("[]", "[" + "1" * 5000 + "]"),
+    ("snf-5000-digit-entry", ["snf"],
+     _snf_payload(1, 1, []).replace("[]", "[" + "1" * 5000 + "]"),
      "cannot read the JSON payload"),
-    ("homology",
+    ("homology-100000-nested-arrays", ["homology"],
      _complex_payload([]).replace("[]", "[" * 100_000 + "]" * 100_000),
      "cannot read the JSON payload"),
-    ("snf", _snf_payload(2, 2, [_N, 3, 5, _N]),
+    ("snf-answer-past-digit-cap", ["snf"], _snf_payload(2, 2, [_N, 3, 5, _N]),
      "answer too long: s has an entry of more than 4300 digits"),
+    ("homology-long-torsion", ["homology"], _complex_payload(_DIAG),
+     "answer too long: homology has an entry of more than 4300 digits"),
+    ("cover-long-torsion", ["cover", "--k", "0"], _complex_payload(_DIAG),
+     "answer too long: homology has an entry of more than 4300 digits"),
+    ("postnikov-long-torsion", ["postnikov", "--k", "1"],
+     _complex_payload(_DIAG),
+     "answer too long: result has an entry of more than 4300 digits"),
+    ("triangle-check-long-torsion", ["triangle-check"], json.dumps({
+        "map": {"source": _ID2, "target": _ID2,
+                "components": {"0": {"rows": 2, "cols": 2,
+                                     "data": [1, 0, 0, 1]}}},
+        "candidate": _DIAG}),
+     "answer too long: an invariant factor has more than 4300 digits"),
+    ("hom-long-factor", ["hom", "--a", "Z", "--b", _LONG_GROUP], None,
+     "--b has an invariant factor of more than 4300 digits"),
+    ("ext-long-factor", ["ext", "--a", _LONG_GROUP, "--b", "Z"], None,
+     "--a has an invariant factor of more than 4300 digits"),
+    ("constraint-check-long-factor",
+     ["constraint-check", "--b", "0", "--c", _LONG_GROUP, "--g", "Z"], None,
+     "--c has an invariant factor of more than 4300 digits"),
+    ("ring-obstruction-long-factor",
+     ["ring-obstruction", f"--wedge=0:{_LONG_GROUP}"], None,
+     "--wedge has an invariant factor of more than 4300 digits"),
 ]
 
 
-@pytest.mark.parametrize("command, stdin, message", OVERSIZED, ids=[
-    "snf-5000-digit-entry", "homology-100000-nested-arrays",
-    "snf-answer-past-digit-cap"])
-def test_oversized_payload_exits_2(capsys, monkeypatch, command, stdin,
+@pytest.mark.parametrize("argv, stdin, message",
+                         [row[1:] for row in OVERSIZED],
+                         ids=[row[0] for row in OVERSIZED])
+def test_oversized_payload_exits_2(capsys, monkeypatch, argv, stdin,
                                    message):
     import io
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    assert main([command]) == 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -622,11 +657,33 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def broken_handler(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli_mod, "_cmd_hom", broken_handler)
+    monkeypatch.setattr(cli_mod, "_cmd_hom_ext", broken_handler)
     code = main(["hom", "--a", "Z", "--b", "Z"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error: boom") and "Traceback" in err
+
+
+def test_library_value_error_exits_3(capsys, monkeypatch):
+    # Only an InputError is bad input; any other ValueError is a bug.
+
+    def broken(m, k, n, p):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli_mod, "cell_primary_torsion", broken)
+    code = main(["em-cellularize", "--mode", "primary", "--m", "0", "--k", "1",
+                 "--n", "2", "--p", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: bug") and "Traceback" in err
+
+
+@pytest.mark.parametrize("cls", [
+    MatrixShapeError, SupportCapError, ChainComplexError, ChainMapError,
+    GroupSyntaxError, InadmissibleCaseError, UnknownRuleError,
+    SizeBoundExceededError, PreconditionError])
+def test_bad_input_errors_are_input_errors(cls):
+    assert issubclass(cls, InputError)
 
 
 @pytest.mark.parametrize("part, index", [("u", 1), ("u_inv", 3), ("v_inv", 4)])

@@ -12,6 +12,7 @@ from cellkit.emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
                             ring_unit_obstruction, semiexact_counterexample,
                             sphere_homotopy)
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
+from cellkit.matrices import InputError
 from cellkit.sampling import random_finite_group
 from cellkit.symbolic import (PrimeSet, ProdZpHatModZ, Prufer, PruferSum, Q,
                               QpHat, SymbolicGroup, ZpHat, is_unknown)
@@ -240,6 +241,14 @@ class TestGemClosure:
         assert gem_closure_check(CellExact(qobj), "Q")
         zobj = EMObject.of([(0, Z)])
         assert not gem_closure_check(CellExact(zobj), "Q")
+
+    # int() would read the first five as 0, 4, 12, -4 and 4; with Z/0,
+    # Z/4 was a module and Z/2^inf not, although Z accepts both.
+    @pytest.mark.parametrize("ring", ["Z/0", "Z/ 4", "Z/1_2", "Z/-4", "Z/4 ",
+                                      "Z/", "R"])
+    def test_bad_ring_is_input_error(self, ring):
+        with pytest.raises(InputError):
+            gem_closure_check(CellExact(EMObject.of([(0, cyc(4))])), ring)
 
 
 class TestSemiexactCounterexample:
