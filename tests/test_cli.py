@@ -331,6 +331,19 @@ class TestDeterminism:
         assert code == 0
         assert out == TSTRUCTURE_STDOUT
 
+    # sha256 prefixes of the full stdout of the suite reports that
+    # TRIANGLE_CHECK_STDOUT and TSTRUCTURE_STDOUT do not cover.
+    @pytest.mark.parametrize("argv, want", [
+        (["closure-suite", "--k", "0", "--samples", "40", "--seed", "3"],
+         "ba272e903eb2fe09"),
+        (["nontriangulated-suite", "--k", "0"], "18891dda959d19f8"),
+        (["semiexact-demo", "--p", "2"], "4bf151ce7a2ceee7"),
+    ], ids=["closure-suite", "nontriangulated-suite", "semiexact-demo"])
+    def test_suite_report_bytes(self, capsys, argv, want):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
     def test_seed_echoed(self, capsys):
         _, out = run_cli(capsys, "tstructure-check", "--k", "1",
                          "--samples", "6", "--seed", "42")
