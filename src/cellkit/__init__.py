@@ -9,8 +9,8 @@ Two executable models of the same functor pair:
   Pruefer pieces are reproduced and cross-checked against the chain model.
 """
 
-from .complexes import (ChainComplex, ChainMap, GradedGroup, TriangleReport,
-                        cone, coproduct, derived_hom, em_complex, fiber,
+from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
+                        coproduct, derived_hom, em_complex, fiber,
                         quasi_iso_eq, shift, triangle_check)
 from .emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
                      ConstraintSet, EMObject, acyclization,
@@ -33,10 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AcyclizationCase", "CellExact", "CellShape", "CellZero", "ChainComplex",
     "ChainMap", "ConstraintSet", "EMObject", "FgAbGroup", "GradedGroup",
-    "IntMatrix", "PrimeSet", "SymbolicGroup", "TriangleReport",
-    "UNKNOWN", "acyclization", "brute_force_hom_count",
-    "cell_null_triangle", "cell_primary_torsion", "cell_shape",
-    "closure_suite", "cokernel", "cone", "connective_cover",
+    "IntMatrix", "PrimeSet", "SymbolicGroup", "UNKNOWN", "acyclization",
+    "brute_force_hom_count", "cell_null_triangle", "cell_primary_torsion",
+    "cell_shape", "closure_suite", "cokernel", "cone", "connective_cover",
     "constraint_check", "coproduct", "derived_hom", "em_complex",
     "em_morphism_group", "ext_fg", "ext_rule", "fiber", "format_group",
     "gem_closure_check", "hom_fg", "hom_rule", "hzp_dichotomy", "is_divisible",

@@ -104,10 +104,10 @@ def criterion_tstructure(seed: int, family: Sequence[ChainComplex]
     pairs = sample_pairs(family, 100)
     for k in CUTS:
         report = tstructure_check(k, pairs)
-        if not report.verdict:
+        if not report["verdict"]:
             return CriterionResult("tstructure-axioms", False, f"failed at k={k}")
-        heart_flags = dict(report.heart)
-        if not heart_flags.get("heart detection", False):
+        if not any(h["object"] == "heart detection" and h["in_heart"]
+                   for h in report["heart"]):
             return CriterionResult("tstructure-axioms", False,
                                    f"heart detection failed at k={k}")
     return CriterionResult("tstructure-axioms", True,
@@ -129,7 +129,7 @@ def criterion_noncommutation(seed: int, family: Sequence[ChainComplex]
             witnesses += 1
     for k in CUTS:
         suite = nontriangulated_witness_suite(k)
-        if len(suite.checks) != 4 or not suite.ok:
+        if len(suite["checks"]) != 4 or not suite["ok"]:
             return CriterionResult("noncommutation-witnesses", False,
                                    f"negative suite incomplete at k={k}")
     return CriterionResult("noncommutation-witnesses", True,
@@ -142,16 +142,17 @@ def criterion_closure(seed: int, family: Sequence[ChainComplex]
     """Closure suite clean on the full family; the wrong-closure probe is
     flagged as failing."""
     report = closure_suite(family, 0, seed=seed)
-    if not report.ok:
-        names = [c.name for c in report.counterexamples()]
+    if not report["ok"]:
+        names = [c["check"] for c in report["checks"]
+                 if c["verdict"] != c["expected"]]
         return CriterionResult("closure-suite", False, f"counterexamples: {names}")
-    probe = [c for c in report.checks
-             if c.name == "section-class-closed-under-cofibres"]
-    if not probe or probe[0].verdict or probe[0].expected:
+    probe = [c for c in report["checks"]
+             if c["check"] == "section-class-closed-under-cofibres"]
+    if not probe or probe[0]["verdict"] or probe[0]["expected"]:
         return CriterionResult("closure-suite", False, "probe not flagged")
     for k in (-2, -1, 1, 2):
         small = closure_suite(family[:60], k, seed=seed)
-        if not small.ok:
+        if not small["ok"]:
             return CriterionResult("closure-suite", False, f"failed at k={k}")
     return CriterionResult("closure-suite", True,
                            f"{len(family)} samples clean at k=0; probe flagged; "

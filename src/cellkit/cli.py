@@ -171,7 +171,7 @@ def _cmd_triangle_check(args) -> dict:
     f = _from_payload(ChainMap, payload, "map", "chain map")
     z = _from_payload(ChainComplex, payload, "candidate", "complex")
     report = triangle_check(f, z)
-    return {"report": report.to_json(), "verdict": report.verdict}
+    return {"report": report, "verdict": report["verdict"]}
 
 
 def _sample_family(args):
@@ -191,18 +191,18 @@ def _sample_family(args):
 def _cmd_tstructure(args) -> dict:
     family = _sample_family(args)
     report = tstructure_check(args.k, sample_pairs(family, args.samples))
-    return {"report": report.to_json(), "verdict": report.verdict}
+    return {"report": report, "verdict": report["verdict"]}
 
 
 def _cmd_closure(args) -> dict:
     family = _sample_family(args)
     report = closure_suite(family, args.k, seed=args.seed)
-    return {"report": report.to_json(), "verdict": report.ok}
+    return {"report": report, "verdict": report["ok"]}
 
 
 def _cmd_nontriangulated(args) -> dict:
     report = nontriangulated_witness_suite(args.k)
-    return {"report": report.to_json(), "verdict": report.ok}
+    return {"report": report, "verdict": report["ok"]}
 
 
 def _cmd_em_cellularize(args) -> dict:
@@ -259,7 +259,7 @@ def _cmd_ring_obstruction(args) -> dict:
 
 def _cmd_semiexact(args) -> dict:
     report = semiexact_counterexample(args.p)
-    return {"report": report.to_json(), "verdict": report.verdict,
+    return {"report": report, "verdict": report["verdict"],
             "convention": CONVENTION_NOTE}
 
 

@@ -461,43 +461,12 @@ def quasi_iso_eq(x: ChainComplex, y: ChainComplex) -> bool:
     return x.homology == y.homology
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    degree: int
-    ok: bool
-    note: str
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "ok": self.ok, "note": self.note}
-
-
-@dataclass(frozen=True)
-class TriangleReport:
-    """Verdict sheet for a candidate cofibre z of a map f: x -> y."""
-
-    cone_homology: GradedGroup
-    candidate_homology: GradedGroup
-    checks: tuple[DegreeCheck, ...]
-
-    @property
-    def verdict(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "method": "cone-comparison",
-            "verdict": self.verdict,
-            "cone_homology": self.cone_homology.to_json(),
-            "candidate_homology": self.candidate_homology.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
-
-def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> TriangleReport:
+def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> dict:
     """Is x -> y -> z_candidate a triangle?  Decided against the cone.
 
     The candidate closes the triangle exactly when it has the homology of
-    cone(f); the report carries both graded homologies degree by degree.
+    cone(f); the JSON report carries both graded homologies degree by
+    degree.
     """
     hc = cone(f).homology
     hz = z_candidate.homology
@@ -507,13 +476,16 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> TriangleReport:
         raise InputError(f"answer too long: an invariant factor has more "
                          f"than {ORDER_DIGIT_CAP} digits")
     degrees = sorted(set(hc.degrees) | set(hz.degrees))
-    checks = tuple(
-        DegreeCheck(n, hc.at(n) == hz.at(n),
-                    f"H{n}: cone={hc.at(n)} candidate={hz.at(n)}")
-        for n in degrees)
+    checks = [{"degree": n, "ok": hc.at(n) == hz.at(n),
+               "note": f"H{n}: cone={hc.at(n)} candidate={hz.at(n)}"}
+              for n in degrees]
     if not degrees:
-        checks = (DegreeCheck(0, True, "both sides acyclic"),)
-    return TriangleReport(hc, hz, checks)
+        checks = [{"degree": 0, "ok": True, "note": "both sides acyclic"}]
+    return {"method": "cone-comparison",
+            "verdict": all(c["ok"] for c in checks),
+            "cone_homology": hc.to_json(),
+            "candidate_homology": hz.to_json(),
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------

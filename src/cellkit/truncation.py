@@ -16,7 +16,6 @@ machine checks over sample families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
@@ -154,35 +153,7 @@ def suspension_noncommute_witness(x: ChainComplex, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# t-structure report
-
-
-@dataclass(frozen=True)
-class TStructureReport:
-    k: int
-    axiom_hom_vanishing: bool
-    axiom_shift_nesting: bool
-    axiom_decomposition: bool
-    heart: tuple[tuple[str, bool], ...]
-    sample_count: int
-
-    @property
-    def verdict(self) -> bool:
-        return (self.axiom_hom_vanishing and self.axiom_shift_nesting
-                and self.axiom_decomposition)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "samples": self.sample_count,
-            "axioms": {
-                "hom_vanishing": self.axiom_hom_vanishing,
-                "shift_nesting": self.axiom_shift_nesting,
-                "decomposition": self.axiom_decomposition,
-            },
-            "heart": [{"object": name, "in_heart": ok} for name, ok in self.heart],
-            "verdict": self.verdict,
-        }
+# t-structure check
 
 
 def in_heart(x: ChainComplex, k: int) -> bool:
@@ -191,8 +162,9 @@ def in_heart(x: ChainComplex, k: int) -> bool:
 
 
 def tstructure_check(k: int, samples: Sequence[tuple[ChainComplex, ChainComplex]]
-                     ) -> TStructureReport:
-    """Check the three t-structure axioms on a family of sample pairs.
+                     ) -> dict:
+    """Check the three t-structure axioms on a family of sample pairs, and
+    return the JSON report.
 
     The lower class is "homology >= k" (covers), the upper class is
     "homology < k" (sections).  For each pair (X, Y):
@@ -213,60 +185,39 @@ def tstructure_check(k: int, samples: Sequence[tuple[ChainComplex, ChainComplex]
                           and is_null(shift(yn, -1), k))
         decomposition &= cell_null_triangle(x, k)
     probe_group = FgAbGroup.of_orders([0, 4])
-    heart = (
-        ("single-degree object", in_heart(em_complex(probe_group, k), k)),
-        ("two-degree object",
-         in_heart(coproduct([em_complex(probe_group, k),
-                             em_complex(probe_group, k + 1)]), k)),
-    )
-    heart_ok = heart[0][1] and not heart[1][1]
-    heart = heart + (("heart detection", heart_ok),)
-    return TStructureReport(k, hom_vanishing, shift_nesting, decomposition,
-                            heart, len(samples))
+    single = in_heart(em_complex(probe_group, k), k)
+    two = in_heart(coproduct([em_complex(probe_group, k),
+                              em_complex(probe_group, k + 1)]), k)
+    heart = (("single-degree object", single), ("two-degree object", two),
+             ("heart detection", single and not two))
+    return {
+        "k": k,
+        "samples": len(samples),
+        "axioms": {"hom_vanishing": hom_vanishing,
+                   "shift_nesting": shift_nesting,
+                   "decomposition": decomposition},
+        "heart": [{"object": name, "in_heart": ok} for name, ok in heart],
+        "verdict": hom_vanishing and shift_nesting and decomposition,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Suites
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    verdict: bool
-    expected: bool = True
-    witnesses: tuple[str, ...] = ()
-
-    @property
-    def as_expected(self) -> bool:
-        return self.verdict == self.expected
-
-    def to_json(self, k: int) -> dict:
-        return {"check": self.name, "k": k, "verdict": self.verdict,
-                "expected": self.expected, "witnesses": list(self.witnesses)}
+def _check(name: str, k: int, verdict: bool, witnesses: Sequence[str],
+           expected: bool = True) -> dict:
+    """The JSON body of one suite check."""
+    return {"check": name, "k": k, "verdict": verdict, "expected": expected,
+            "witnesses": list(witnesses)}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    name: str
-    k: int
-    checks: tuple[CheckResult, ...]
-    seed: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(c.as_expected for c in self.checks)
-
-    def counterexamples(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.as_expected)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "k": self.k,
-            "seed": self.seed,
-            "ok": self.ok,
-            "checks": [c.to_json(self.k) for c in self.checks],
-        }
+def _suite(name: str, k: int, checks: list[dict], seed: int | None = None
+           ) -> dict:
+    """The JSON report of a suite: ok when every check came out as expected."""
+    return {"suite": name, "k": k, "seed": seed,
+            "ok": all(c["verdict"] == c["expected"] for c in checks),
+            "checks": checks}
 
 
 def _canonical_maps(a: ChainComplex, b: ChainComplex) -> list[tuple[str, ChainMap]]:
@@ -279,8 +230,9 @@ def _canonical_maps(a: ChainComplex, b: ChainComplex) -> list[tuple[str, ChainMa
 
 
 def closure_suite(samples: Sequence[ChainComplex], k: int,
-                  seed: int | None = None) -> SuiteReport:
-    """Closure properties of the cover and section classes on samples.
+                  seed: int | None = None) -> dict:
+    """Closure properties of the cover and section classes on samples,
+    as the JSON report of the suite.
 
     Checks, with witnesses for any violation found (none are expected):
 
@@ -300,7 +252,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     samples = list(samples)
     covers = [connective_cover(s, k) for s in samples]
     sections = [postnikov(s, k) for s in samples]
-    checks: list[CheckResult] = []
+    checks = []
 
     # (a) cofibres and coproducts of covers stay covers.
     bad: list[str] = []
@@ -313,8 +265,8 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     for i in range(0, len(covers) - 1, 2):
         if not is_colocal(coproduct(covers[i:i + 2]), k):
             bad.append(f"coproduct of samples {i},{i + 1}")
-    checks.append(CheckResult("cover-class-closed-under-cofibres-and-coproducts",
-                              not bad, True, tuple(bad)))
+    checks.append(_check("cover-class-closed-under-cofibres-and-coproducts",
+                         k, not bad, bad))
 
     # (b) fibres, extensions and finite sums of sections stay sections.
     bad = []
@@ -341,8 +293,8 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     ext = cone(glue)
     if not (is_null(ext, k) and ext.homology.at(k - 2) == FgAbGroup.cyclic(p * p)):
         bad.append("non-split extension probe")
-    checks.append(CheckResult("section-class-closed-under-fibres-extensions-products",
-                              not bad, True, tuple(bad)))
+    checks.append(_check("section-class-closed-under-fibres-extensions-products",
+                         k, not bad, bad))
 
     # (c) mixed truncations are acyclic.
     bad = []
@@ -351,7 +303,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
             bad.append(f"cover of section, sample {i}")
         if not postnikov(connective_cover(s, k), k).homology.is_zero:
             bad.append(f"section of cover, sample {i}")
-    checks.append(CheckResult("mixed-truncations-acyclic", not bad, True, tuple(bad)))
+    checks.append(_check("mixed-truncations-acyclic", k, not bad, bad))
 
     # (d) shifted covers against a moved cut.
     bad = []
@@ -360,8 +312,7 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
             if not quasi_iso_eq(connective_cover(shift(s, j), k),
                                 shift(connective_cover(s, k - j), j)):
                 bad.append(f"sample {i}, shift {j}")
-    checks.append(CheckResult("cover-commutes-with-shifted-cut", not bad, True,
-                              tuple(bad)))
+    checks.append(_check("cover-commutes-with-shifted-cut", k, not bad, bad))
 
     # (e) acyclic cofibre-cover forces an equivalence above the cut.
     bad = []
@@ -375,8 +326,8 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
         for n in degrees:
             if n >= k and not map_on_homology_is_iso(f, n):
                 bad.append(f"sample {i}: not iso on H{n}")
-    checks.append(CheckResult("acyclic-cofibre-cover-gives-equivalence",
-                              not bad, True, tuple(bad)))
+    checks.append(_check("acyclic-cofibre-cover-gives-equivalence",
+                         k, not bad, bad))
 
     # Adversarial probe: cofibres do NOT preserve the section class.
     p = 2
@@ -385,17 +336,16 @@ def closure_suite(samples: Sequence[ChainComplex], k: int,
     probe_map = ChainMap.build(null_source, target,
                                {k: IntMatrix.from_rows([[1]])})
     probe_cone = cone(probe_map)
-    checks.append(CheckResult(
-        "section-class-closed-under-cofibres",
-        is_null(probe_cone, k),
-        expected=False,
-        witnesses=(f"cone has H{k} = {probe_cone.homology.at(k)}",)))
+    checks.append(_check(
+        "section-class-closed-under-cofibres", k, is_null(probe_cone, k),
+        [f"cone has H{k} = {probe_cone.homology.at(k)}"], expected=False))
 
-    return SuiteReport("closure-suite", k, tuple(checks), seed)
+    return _suite("closure-suite", k, checks, seed)
 
 
-def nontriangulated_witness_suite(k: int) -> SuiteReport:
-    """Four witnesses that covering at a cut is not a triangulated functor.
+def nontriangulated_witness_suite(k: int) -> dict:
+    """Four witnesses that covering at a cut is not a triangulated functor,
+    as the JSON report of the suite.
 
     Each check exhibits the expected failure: a colocal object whose
     desuspension is not colocal; an equivalence whose suspension is not;
@@ -405,10 +355,10 @@ def nontriangulated_witness_suite(k: int) -> SuiteReport:
     checks = []
 
     w = em_complex(FgAbGroup.free(1), k)
-    checks.append(CheckResult(
-        "colocal-object-with-non-colocal-desuspension",
+    checks.append(_check(
+        "colocal-object-with-non-colocal-desuspension", k,
         is_colocal(w, k) and not is_colocal(shift(w, -1), k),
-        witnesses=(f"object with H{k} = Z; desuspension has H{k - 1} = Z",)))
+        [f"object with H{k} = Z; desuspension has H{k - 1} = Z"]))
 
     x0 = em_complex(FgAbGroup.cyclic(2), k - 1)
     c = cover_inclusion(x0, k)          # zero complex into x0
@@ -417,15 +367,15 @@ def nontriangulated_witness_suite(k: int) -> SuiteReport:
                     for n in set(x0.homology.degrees) if n >= k)
     equiv_after = all(map_on_homology_is_iso(sc, n)
                       for n in set(shift(x0, 1).homology.degrees) if n >= k)
-    checks.append(CheckResult(
-        "equivalence-with-non-equivalence-suspension",
+    checks.append(_check(
+        "equivalence-with-non-equivalence-suspension", k,
         equiv_now and not equiv_after,
-        witnesses=(f"suspended map misses H{k} = {shift(x0, 1).homology.at(k)}",)))
+        [f"suspended map misses H{k} = {shift(x0, 1).homology.at(k)}"]))
 
-    checks.append(CheckResult(
-        "covers-at-adjacent-cuts-differ",
+    checks.append(_check(
+        "covers-at-adjacent-cuts-differ", k,
         not quasi_iso_eq(connective_cover(w, k), connective_cover(w, k + 1)),
-        witnesses=(f"cut {k} keeps H{k} = Z, cut {k + 1} kills it",)))
+        [f"cut {k} keeps H{k} = Z, cut {k + 1} kills it"]))
 
     # Image of the triangle X --p--> X -> cone under the cover: the four
     # truncated corners cannot sit in an exact sequence because only the
@@ -437,10 +387,9 @@ def nontriangulated_witness_suite(k: int) -> SuiteReport:
     corners = [connective_cover(obj, k) for obj in (x, x, z, shift(x, 1))]
     survivor = corners[3].homology.at(k)
     dead = all(c.homology.is_zero for c in corners[:3])
-    checks.append(CheckResult(
-        "triangle-image-not-exact",
-        dead and not survivor.is_zero,
-        witnesses=(f"image sequence 0 -> 0 -> 0 -> {survivor}: "
-                   f"exactness fails at the last corner",)))
+    checks.append(_check(
+        "triangle-image-not-exact", k, dead and not survivor.is_zero,
+        [f"image sequence 0 -> 0 -> 0 -> {survivor}: "
+         f"exactness fails at the last corner"]))
 
-    return SuiteReport("nontriangulated-suite", k, tuple(checks))
+    return _suite("nontriangulated-suite", k, checks)
