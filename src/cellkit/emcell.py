@@ -365,19 +365,21 @@ def ring_unit_obstruction(x: EMObject) -> bool:
     return pi0.is_zero
 
 
-def _group_is_module_over(g: SymbolicGroup, ring: str) -> bool:
+def _module_test(ring: str):
+    """The test whether a symbolic group is a module over ``ring``."""
     if ring == "Z":
-        return True
+        return lambda g: True
     if ring == "Q":
         # Q-modules are the rational vector spaces in the atom zoo.
-        return g.fg.is_zero and all(isinstance(a, (QAtom, QpHat)) for a in g.atoms)
+        return lambda g: (g.fg.is_zero and
+                          all(isinstance(a, (QAtom, QpHat)) for a in g.atoms))
     if ring.startswith("Z/"):
         m = strict_int(ring[2:])
         if m < 1:
             raise InputError(f"ring {ring!r} needs m >= 1")
         # Annihilated by m: finite with all invariant factors dividing m;
         # no atom in the zoo is annihilated by an integer.
-        return not g.atoms and g.fg.is_annihilated_by(m)
+        return lambda g: not g.atoms and g.fg.is_annihilated_by(m)
     raise InputError("ring must be 'Z', 'Q', or 'Z/m'")
 
 
@@ -385,17 +387,17 @@ def gem_closure_check(result: CellResult, ring: str = "Z") -> bool:
     """Is the result still a wedge of pieces with groups that are modules
     over the declared ring?
 
-    Shapes pass vacuously (their slots are unresolved); exact results are
-    checked summand by summand against the atom table.
+    The ring is read first, whatever the result.  Shapes pass vacuously
+    (their slots are unresolved); exact results are checked summand by
+    summand against the atom table.
 
     >>> gem_closure_check(CellExact(EMObject.of([(0, FgAbGroup.cyclic(5))])), "Z/5")
     True
     """
-    if isinstance(result, CellZero):
+    is_module = _module_test(ring)
+    if isinstance(result, (CellZero, CellShape)):
         return True
-    if isinstance(result, CellShape):
-        return True
-    return all(_group_is_module_over(g, ring) for _, g in result.obj.summands)
+    return all(is_module(g) for _, g in result.obj.summands)
 
 
 def semiexact_counterexample(p: int = 2) -> dict:

@@ -247,8 +247,12 @@ class TestGemClosure:
     @pytest.mark.parametrize("ring", ["Z/0", "Z/ 4", "Z/1_2", "Z/-4", "Z/4 ",
                                       "Z/", "R"])
     def test_bad_ring_is_input_error(self, ring):
-        with pytest.raises(InputError):
-            gem_closure_check(CellExact(EMObject.of([(0, cyc(4))])), ring)
+        # The ring is read whatever the result: zero and shape results
+        # have no summand to test it on.
+        for result in (CellExact(EMObject.of([(0, cyc(4))])), CellZero(),
+                       cell_shape(0, cyc(8))):
+            with pytest.raises(InputError):
+                gem_closure_check(result, ring)
 
 
 class TestSemiexactCounterexample:
