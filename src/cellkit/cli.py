@@ -24,7 +24,7 @@ from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
                      acyclization, cell_primary_torsion, cell_shape,
                      constraint_check, hzp_dichotomy, ring_unit_obstruction,
                      semiexact_counterexample)
-from .grammar import parse_group
+from .grammar import SUMMAND_CAP, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
                        smith_normal_form, strict_int)
@@ -114,11 +114,15 @@ def _fg_group(args, flag: str) -> FgAbGroup:
 
 def _parse_wedge(text: str) -> EMObject:
     """Wedge syntax: 'shift:GROUP; shift:GROUP', e.g. '-1:Psum_(!2,3)'."""
+    chunks = [c.strip() for c in text.split(";") if c.strip()]
+    # Merging the summands at equal shifts is quadratic too, so the cap
+    # holds for the wedge as a whole.
+    count = sum(c.count("+") + 1 for c in chunks)
+    if count > SUMMAND_CAP:
+        raise InputError(f"a wedge may have at most {SUMMAND_CAP} summands "
+                         f"in all, not {count}")
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in chunks:
         shift_str, _, group_str = chunk.partition(":")
         try:
             pairs.append((strict_int(shift_str.strip()),

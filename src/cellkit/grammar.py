@@ -28,6 +28,13 @@ from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                        PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
                        ZpHat)
 
+# Most summands that one group text may have.  Canonical form is quadratic
+# in the number of cyclic orders, and Hom and Ext multiply the counts, so
+# without a cap a short text can keep `hom` busy for minutes.  At the cap,
+# `hom`, `ext` and `constraint-check` finish in well under a second even
+# when every order has thousands of digits.
+SUMMAND_CAP = 12
+
 
 class GroupSyntaxError(InputError):
     def __init__(self, message: str, position: int):
@@ -107,9 +114,13 @@ def parse_group(text: str) -> SymbolicGroup:
     >>> parse_group("Z/3^inf") == SymbolicGroup.of(Prufer(3))
     True
     """
+    chunks = text.split("+")
+    if len(chunks) > SUMMAND_CAP:
+        raise InputError(f"a group may have at most {SUMMAND_CAP} summands, "
+                         f"not {len(chunks)}")
     parts = []
     pos = 0
-    for chunk in text.split("+"):
+    for chunk in chunks:
         token = chunk.strip()
         token_pos = pos + (len(chunk) - len(chunk.lstrip()))
         if not token:

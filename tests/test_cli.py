@@ -12,7 +12,8 @@ from cellkit import cli as cli_mod
 from cellkit.cli import main
 from cellkit.complexes import ChainComplexError, ChainMapError, SupportCapError
 from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
-from cellkit.grammar import GroupSyntaxError, format_group, parse_group
+from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
+                             parse_group)
 from cellkit.groups import PSI_12, FgAbGroup, SizeBoundExceededError, Z
 from cellkit.matrices import InputError, MatrixShapeError, SmithNormalForm
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
@@ -394,6 +395,9 @@ def _complex_payload(complex_obj):
     return json.dumps({"complex": complex_obj})
 
 
+# One summand more than a group text may have.
+_OVER_CAP = "+".join(["Z/2"] * (SUMMAND_CAP + 1))
+
 BAD_INPUTS = [
     # A composite (or unverifiable) p where the tables need a prime.
     (["em-cellularize", "--mode", "primary", "--m", "0", "--k", "1",
@@ -481,6 +485,13 @@ BAD_INPUTS = [
       "--p", "2"], None),
     (["em-cellularize", "--mode", "dichotomy", "--cellular", "--r", "133",
       "--p", "3"], None),
+    # Group texts with more than SUMMAND_CAP summands, in one group or
+    # across the summands of a wedge.
+    (["hom", "--a", _OVER_CAP, "--b", "Z/2"], None),
+    (["constraint-check", "--b", "Z/2", "--c", "Z/2", "--g", _OVER_CAP],
+     None),
+    (["ring-obstruction", "--wedge=" + ";".join(
+        f"{s % 3}:Z/2" for s in range(SUMMAND_CAP + 1))], None),
 ]
 
 
@@ -592,6 +603,23 @@ def test_dichotomy_candidate_digit_cap(capsys, p, last):
     assert capsys.readouterr().err == (
         f"error: r = {last + 1} is too large: the candidate orders "
         f"{p}^1 .. {p}^{last + 1} have more than 4300 digits in all\n")
+
+
+# Every order of the largest accepted groups has about 4,200 digits, and
+# the chains are as long as the cap allows.
+@pytest.mark.parametrize("command, flags", [("hom", "ab"), ("ext", "ab"),
+                                            ("constraint-check", "bcg")])
+def test_group_summand_cap(capsys, command, flags):
+    def argv(n):
+        g = "+".join(f"Z/{2 ** (14000 - i)}" for i in range(n))
+        return [command] + [a for f in flags for a in (f"--{f}", g)]
+
+    assert main(argv(SUMMAND_CAP)) == 0
+    capsys.readouterr()
+    assert main(argv(SUMMAND_CAP + 1)) == 2
+    assert capsys.readouterr().err == (
+        f"error: a group may have at most {SUMMAND_CAP} summands, "
+        f"not {SUMMAND_CAP + 1}\n")
 
 
 def test_dead_dichotomy_accepts_any_r(capsys):
