@@ -9,9 +9,14 @@ the diagonal.  The change-of-basis matrices and their inverses are built
 on first use, by the code that needs a basis: kernel bases, linear
 solves, cycles rewritten in kernel coordinates, and ``cellkit snf``.
 
-Equal matrices share one Smith normal form while any of them is alive, so
-a value that is rebuilt (the same cone, shift or cover made again) is
-reduced once.
+Equal matrices share one Smith normal form, found through a table of weak
+references, so a value that is rebuilt (the same cone, shift or cover
+made again) is reduced once while its form lives.  A form and the matrix
+it was made from refer to each other, so the form outlives the last
+matrix that uses it until the cyclic garbage collector frees the pair:
+whether a rebuilt value is reduced again depends on collection timing.
+The cache of ``complexes.homology_presentation`` also keeps up to 8,192
+complexes alive across operations, with their matrices and forms.
 """
 
 from __future__ import annotations
@@ -335,9 +340,10 @@ class SmithNormalForm:
         return len(self.nonzero_diagonal)
 
 
-# The Smith normal forms of live matrices, keyed by matrix value.  A form
-# is held by the matrices that read it, and leaves the table with the last
-# of them.
+# Smith normal forms keyed by matrix value.  The table holds them weakly,
+# but a form and the matrix it was made from refer to each other, so a form
+# leaves the table when the cyclic collector frees that pair, not when the
+# last matrix that reads it goes.
 _FORMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
