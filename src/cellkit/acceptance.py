@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import ChainComplex, derived_hom, em_complex, shift
@@ -20,6 +19,7 @@ from .emcell import (AcyclizationCase, CellExact, acyclization,
                      ring_unit_obstruction)
 from .groups import (FgAbGroup, Z, ZERO_GROUP, brute_force_hom_count, ext_fg,
                      hom_fg)
+from .matrices import Frozen
 from .sampling import random_complex_family, random_finite_group, sample_pairs
 from .symbolic import PrimeSet
 from .truncation import (cell_null_triangle, closure_suite,
@@ -30,11 +30,16 @@ FAMILY_SIZE = 500
 CUTS = (-2, -1, 0, 1, 2)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Frozen):
+    __slots__ = ("name", "passed", "detail")
     name: str
     passed: bool
     detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _family(seed: int) -> list[ChainComplex]:

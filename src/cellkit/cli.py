@@ -24,10 +24,10 @@ from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
                      acyclization, cell_primary_torsion, cell_shape,
                      constraint_check, hzp_dichotomy, ring_unit_obstruction,
                      semiexact_counterexample)
-from .grammar import SUMMAND_CAP, parse_group
+from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
-                       smith_normal_form, strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
+                       IntMatrix, quoted, smith_normal_form, strict_int)
 from .sampling import random_complex_family, sample_pairs
 from .symbolic import PrimeSet, SymbolicGroup
 from .truncation import (closure_suite, connective_cover,
@@ -104,11 +104,28 @@ def _printable(g: SymbolicGroup, option: str) -> SymbolicGroup:
     return g
 
 
+def _named(option: str, text: str, exc: InputError) -> InputError:
+    """``exc``, a syntax error in ``text``, the value of ``option``.  An
+    error quotes at most QUOTE_CAP characters of a text, so the error about
+    a longer text names the option too."""
+    return InputError(f"{option}: {exc}") if len(text) > QUOTE_CAP else exc
+
+
+def _group(text: str, option: str) -> SymbolicGroup:
+    """The printable group that ``text``, the value of ``option``, denotes."""
+    try:
+        g = parse_group(text)
+    except GroupSyntaxError as exc:
+        raise _named(option, text, exc) from None
+    return _printable(g, option)
+
+
 def _fg_group(args, flag: str) -> FgAbGroup:
     text = getattr(args, flag)
-    g = _printable(parse_group(text), f"--{flag}")
+    g = _group(text, f"--{flag}")
     if not g.is_fg:
-        raise InputError(f"{text!r} must denote a finitely generated group")
+        raise InputError(
+            f"{quoted(text)} must denote a finitely generated group")
     return g.fg
 
 
@@ -128,7 +145,8 @@ def _parse_wedge(text: str) -> EMObject:
             pairs.append((strict_int(shift_str.strip()),
                           parse_group(group_str.strip())))
         except InputError as exc:
-            raise InputError(f"bad wedge summand {chunk!r}: {exc}") from None
+            raise _named("--wedge", text, InputError(
+                f"bad wedge summand {quoted(chunk)}: {exc}")) from None
     obj = EMObject.of(pairs)
     for _, g in obj.summands:
         _printable(g, "--wedge")
@@ -213,7 +231,7 @@ def _cmd_em_cellularize(args) -> dict:
     if args.mode == "shape":
         if args.group is None:
             raise InputError("shape mode needs --group")
-        g = _printable(parse_group(args.group), "--group")
+        g = _group(args.group, "--group")
         result = cell_shape(args.n, g)
     elif args.mode == "primary":
         for flag in ("m", "k", "n", "p"):
@@ -235,7 +253,7 @@ _TARGET_ALIASES = {"HZ": "HZ", "HZ/p^k": "HZpk", "HZpk": "HZpk",
 def _cmd_acyclization(args) -> dict:
     target = _TARGET_ALIASES.get(args.target)
     if target is None:
-        raise InputError(f"unknown target {args.target!r}")
+        raise InputError(f"unknown target {quoted(args.target)}")
     primes = None
     if args.outcome in ("HZ_P", "ProdZpHat"):
         listed = args.primes.split(",") if args.primes else []

@@ -14,14 +14,13 @@ decide whether a map is an isomorphism on homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
-                       cached_property, hstack, json_int, kernel_basis,
-                       smith_normal_form, solve, strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
+                       IntMatrix, cached_property, hstack, json_int,
+                       kernel_basis, smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
@@ -39,11 +38,14 @@ class ChainMapError(InputError):
     """Components fail the chain map condition."""
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Frozen):
     """Finitely many degrees carrying f.g. abelian groups; rest are zero."""
 
-    groups: tuple[tuple[int, FgAbGroup], ...] = ()
+    __slots__ = ("groups",)
+    groups: tuple[tuple[int, FgAbGroup], ...]
+
+    def __init__(self, groups: tuple[tuple[int, FgAbGroup], ...] = ()):
+        object.__setattr__(self, "groups", groups)
 
     @classmethod
     def of(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":
@@ -94,8 +96,7 @@ def _json_table(obj, key: str) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
     Construct through :meth:`build`, which normalizes the presentation
@@ -103,8 +104,14 @@ class ChainComplex:
     with d o d != 0.
     """
 
-    ranks: tuple[tuple[int, int], ...] = ()
-    boundaries: tuple[tuple[int, IntMatrix], ...] = ()
+    __slots__ = ("ranks", "boundaries", "__dict__")
+    ranks: tuple[tuple[int, int], ...]
+    boundaries: tuple[tuple[int, IntMatrix], ...]
+
+    def __init__(self, ranks: tuple[tuple[int, int], ...] = (),
+                 boundaries: tuple[tuple[int, IntMatrix], ...] = ()):
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "boundaries", boundaries)
 
     @classmethod
     def build(cls, ranks: Mapping[int, int],
@@ -236,13 +243,19 @@ class ChainComplex:
                 ", ".join(f"{n}:Z^{r}" for n, r in self.ranks) + ")")
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Frozen):
     """A degreewise integer map commuting with the boundaries."""
 
+    __slots__ = ("source", "target", "components", "__dict__")
     source: ChainComplex
     target: ChainComplex
-    components: tuple[tuple[int, IntMatrix], ...] = ()
+    components: tuple[tuple[int, IntMatrix], ...]
+
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 components: tuple[tuple[int, IntMatrix], ...] = ()):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def build(cls, source: ChainComplex, target: ChainComplex,
@@ -492,8 +505,7 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> dict:
 # Homology presentations and induced maps
 
 
-@dataclass(frozen=True)
-class HomologyPresentation:
+class HomologyPresentation(Frozen):
     """H_n as coker(relations) on a chosen basis of the cycle subgroup.
 
     ``cycles`` embeds the basis into the chain group, ``coords`` is a left
@@ -501,9 +513,16 @@ class HomologyPresentation:
     boundary image in that basis.
     """
 
+    __slots__ = ("cycles", "coords", "relations")
     cycles: IntMatrix
     coords: IntMatrix
     relations: IntMatrix
+
+    def __init__(self, cycles: IntMatrix, coords: IntMatrix,
+                 relations: IntMatrix):
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "relations", relations)
 
 
 @lru_cache(maxsize=8192)

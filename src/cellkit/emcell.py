@@ -18,14 +18,13 @@ reports carry a "convention" note saying so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
                         em_complex, triangle_check)
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, InputError, IntMatrix,
-                       strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
+                       IntMatrix, quoted, strict_int)
 from .symbolic import Q as QAtom
 from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
                        QpHat, SymbolicGroup, UnknownRuleError, as_symbolic,
@@ -38,8 +37,7 @@ class InadmissibleCaseError(InputError):
     """An acyclization outcome code outside the admissible list."""
 
 
-@dataclass(frozen=True)
-class EMObject:
+class EMObject(Frozen):
     """A finite wedge of shifted single-homotopy-group pieces.
 
     Summands at equal shifts merge; zero groups are dropped; the summand
@@ -50,7 +48,11 @@ class EMObject:
     [0: Z/6]
     """
 
-    summands: tuple[tuple[int, SymbolicGroup], ...] = ()
+    __slots__ = ("summands",)
+    summands: tuple[tuple[int, SymbolicGroup], ...]
+
+    def __init__(self, summands: tuple[tuple[int, SymbolicGroup], ...] = ()):
+        object.__setattr__(self, "summands", summands)
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[int, Union[SymbolicGroup, FgAbGroup]]]
@@ -123,8 +125,7 @@ def sphere_homotopy(i: int, x: EMObject):
     return SymbolicGroup.of(*parts)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Frozen):
     """The unresolved constraints on the two homotopy groups of a shape.
 
     For target group G, candidate groups B (one degree down) and C (same
@@ -138,9 +139,16 @@ class ConstraintSet:
     candidate list for C narrows the solutions further.
     """
 
+    __slots__ = ("target", "b_forced_zero", "c_candidates")
     target: SymbolicGroup
-    b_forced_zero: bool = False
-    c_candidates: tuple[FgAbGroup, ...] | None = None
+    b_forced_zero: bool
+    c_candidates: tuple[FgAbGroup, ...] | None
+
+    def __init__(self, target: SymbolicGroup, b_forced_zero: bool = False,
+                 c_candidates: tuple[FgAbGroup, ...] | None = None):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "b_forced_zero", b_forced_zero)
+        object.__setattr__(self, "c_candidates", c_candidates)
 
     def to_json(self) -> dict:
         out = {
@@ -157,30 +165,38 @@ class ConstraintSet:
         return out
 
 
-@dataclass(frozen=True)
-class CellZero:
+class CellZero(Frozen):
     """The cellularization is the zero object."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": "zero"}
 
 
-@dataclass(frozen=True)
-class CellExact:
+class CellExact(Frozen):
     """The cellularization is a concrete wedge."""
 
+    __slots__ = ("obj",)
     obj: EMObject
+
+    def __init__(self, obj: EMObject):
+        object.__setattr__(self, "obj", obj)
 
     def to_json(self) -> dict:
         return {"kind": "exact", "object": self.obj.to_json()}
 
 
-@dataclass(frozen=True)
-class CellShape:
+class CellShape(Frozen):
     """Only the shape is known: two slots with a constraint system."""
 
+    __slots__ = ("n", "constraints")
     n: int
     constraints: ConstraintSet
+
+    def __init__(self, n: int, constraints: ConstraintSet):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "constraints", constraints)
 
     def to_json(self) -> dict:
         return {"kind": "shape", "degrees": [self.n - 1, self.n],
@@ -278,8 +294,7 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
         b_forced_zero=True, c_candidates=tuple(candidates)))
 
 
-@dataclass(frozen=True)
-class AcyclizationCase:
+class AcyclizationCase(Frozen):
     """A classified nullification outcome, consumed by :func:`acyclization`.
 
     target "HZ":     outcome in {"zero", "HZ", "HZ_P", "ProdZpHat"}
@@ -287,11 +302,12 @@ class AcyclizationCase:
     target "HZpinf": outcome in {"zero", "HZpinf", "SigmaZpHat"}, parameter p
     """
 
+    __slots__ = ("target", "outcome", "primes", "p", "k")
     target: str
     outcome: str
-    primes: PrimeSet | None = None
-    p: int | None = None
-    k: int | None = None
+    primes: PrimeSet | None
+    p: int | None
+    k: int | None
 
     _ADMISSIBLE = {
         "HZ": ("zero", "HZ", "HZ_P", "ProdZpHat"),
@@ -299,26 +315,33 @@ class AcyclizationCase:
         "HZpinf": ("zero", "HZpinf", "SigmaZpHat"),
     }
 
-    def __post_init__(self):
-        allowed = self._ADMISSIBLE.get(self.target)
+    def __init__(self, target: str, outcome: str,
+                 primes: PrimeSet | None = None, p: int | None = None,
+                 k: int | None = None):
+        allowed = self._ADMISSIBLE.get(target)
         if allowed is None:
-            raise InadmissibleCaseError(f"unknown target {self.target!r}")
-        if self.outcome not in allowed:
+            raise InadmissibleCaseError(f"unknown target {quoted(target)}")
+        if outcome not in allowed:
             raise InadmissibleCaseError(
-                f"outcome {self.outcome!r} not admissible for {self.target}; "
+                f"outcome {quoted(outcome)} not admissible for {target}; "
                 f"expected one of {allowed}")
-        if self.outcome in ("HZ_P", "ProdZpHat") and self.primes is None:
-            raise InadmissibleCaseError(f"outcome {self.outcome} needs a prime set")
-        if self.outcome == "ProdZpHat" and self.primes.is_empty:
+        if outcome in ("HZ_P", "ProdZpHat") and primes is None:
+            raise InadmissibleCaseError(f"outcome {outcome} needs a prime set")
+        if outcome == "ProdZpHat" and primes.is_empty:
             raise InadmissibleCaseError("product outcome needs a nonempty prime set")
-        if self.target == "HZpk" and (self.p is None or self.k is None):
+        if target == "HZpk" and (p is None or k is None):
             raise InadmissibleCaseError("HZpk cases need p and k")
-        if self.target == "HZpk" and self.k < 1:
+        if target == "HZpk" and k < 1:
             raise InadmissibleCaseError("HZpk cases need k >= 1")
-        if self.target == "HZpinf" and self.p is None:
+        if target == "HZpinf" and p is None:
             raise InadmissibleCaseError("HZpinf cases need p")
-        if self.target != "HZ":
-            check_prime(self.p)
+        if target != "HZ":
+            check_prime(p)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
 
 def acyclization(case: AcyclizationCase) -> EMObject:
@@ -376,7 +399,7 @@ def _module_test(ring: str):
     if ring.startswith("Z/"):
         m = strict_int(ring[2:])
         if m < 1:
-            raise InputError(f"ring {ring!r} needs m >= 1")
+            raise InputError(f"ring {quoted(ring)} needs m >= 1")
         # Annihilated by m: finite with all invariant factors dividing m;
         # no atom in the zoo is annihilated by an integer.
         return lambda g: not g.atoms and g.fg.is_annihilated_by(m)

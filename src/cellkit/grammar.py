@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .groups import FgAbGroup
-from .matrices import InputError, strict_int
+from .matrices import InputError, quoted, strict_int
 from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                        PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
                        ZpHat)
@@ -103,7 +103,7 @@ def _parse_token(token: str, pos: int):
                 return build(*map(read, m.groups()))
             except InputError as exc:  # a bad order, prime or prime set
                 raise GroupSyntaxError(str(exc), pos) from None
-    raise GroupSyntaxError(f"unrecognized summand {token!r}", pos)
+    raise GroupSyntaxError(f"unrecognized summand {quoted(token)}", pos)
 
 
 def parse_group(text: str) -> SymbolicGroup:

@@ -8,11 +8,10 @@ of groups; all the Hom/Ext computations below return canonical values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable
 
-from .matrices import InputError, IntMatrix, smith_normal_form
+from .matrices import Frozen, InputError, IntMatrix, smith_normal_form
 
 
 class SizeBoundExceededError(InputError):
@@ -42,8 +41,7 @@ def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     return tuple(x for x in fs if x > 1)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Frozen):
     """A finitely generated abelian group in canonical form.
 
     >>> FgAbGroup.of_orders([6, 4, 0])
@@ -52,18 +50,21 @@ class FgAbGroup:
     Z/6
     """
 
-    rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("rank", "invariant_factors")
+    rank: int
+    invariant_factors: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int = 0,
+                 invariant_factors: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        fs = tuple(int(d) for d in self.invariant_factors)
+        fs = tuple(int(d) for d in invariant_factors)
         if any(d < 2 for d in fs):
             raise ValueError(f"invariant factors must be >= 2, got {fs}")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "invariant_factors", fs)
 
     @classmethod

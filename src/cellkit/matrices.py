@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 
@@ -69,6 +69,60 @@ class cached_property:
         return value
 
 
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``__slots__``, after those of its base,
+    and its ``__init__`` sets them with ``object.__setattr__``; a class
+    with cached properties also lists ``"__dict__"``.  Instances compare
+    equal only within one class, by their field tuples, hash as that
+    tuple, and show as ``Qualname(field=value, ...)``.  Assigning or
+    deleting an attribute raises AttributeError.
+
+    Plain classes cost little to define, which matters because every
+    ``cellkit`` query is a fresh process, and slots make the instances
+    small and quick to build.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    # The field tuple of an instance, as ``self._values(self)``.
+    _values = staticmethod(lambda self: ())
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = fields = cls._fields + tuple(
+            f for f in cls.__dict__.get("__slots__", ())
+            if not f.startswith("__"))
+        if len(fields) > 1:
+            cls._values = staticmethod(attrgetter(*fields))
+        elif fields:  # attrgetter of one name returns the bare value
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def json_int(x) -> int:
     """``x`` itself if it is a JSON integer; floats, booleans and strings
     raise TypeError instead of being coerced."""
@@ -78,6 +132,24 @@ def json_int(x) -> int:
 
 
 _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+
+# Most characters of a text that an error message quotes.  A longer text is
+# cut there and its length given, so that every error stays a short line.
+QUOTE_CAP = 40
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, or the repr of its first QUOTE_CAP characters and
+    its length when it is longer.
+
+    >>> print(quoted("Z/4"))
+    'Z/4'
+    >>> print(quoted("x" * 100))
+    'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (100 characters)
+    """
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
 
 
 def strict_int(text: str) -> int:
@@ -96,15 +168,15 @@ def strict_int(text: str) -> int:
     cellkit.matrices.InputError: not an integer: '1_0'
     """
     if not _INT_TEXT.fullmatch(text):
-        raise InputError(f"not an integer: {text!r}")
-    try:
-        return int(text)
-    except ValueError as exc:  # more digits than CPython reads
-        raise InputError(str(exc)) from None
+        raise InputError(f"not an integer: {quoted(text)}")
+    digits = len(text) - text.startswith("-")
+    if digits > ORDER_DIGIT_CAP:  # more than CPython reads
+        raise InputError(f"an integer may have at most {ORDER_DIGIT_CAP} "
+                         f"digits, not {digits}")
+    return int(text)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, entries stored row-major.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -112,10 +184,19 @@ class IntMatrix:
     6
     """
 
+    __slots__ = ("rows", "cols", "entries", "__dict__")
     rows: int
     cols: int
-    entries: tuple[int, ...] = ()
+    entries: tuple[int, ...]
 
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...] = ()):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    # Kept apart from __init__ because perfbench/tracer.py counts the
+    # matrices built by wrapping this method.
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise MatrixShapeError(f"negative shape {self.rows}x{self.cols}")
@@ -254,8 +335,7 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(r, sum(m.cols for m in mats), tuple(ents))
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(Frozen):
     """Certified decomposition ``s == u @ m @ v`` with unimodular u, v.
 
     ``s`` is diagonal with nonnegative entries satisfying the divisibility
@@ -272,7 +352,12 @@ class SmithNormalForm:
     the matrix is reduced twice; ``kernel`` and ``image`` do so.
     """
 
+    # __weakref__: the table _FORMS below holds forms weakly.
+    __slots__ = ("matrix", "__dict__", "__weakref__")
     matrix: IntMatrix
+
+    def __init__(self, matrix: IntMatrix):
+        object.__setattr__(self, "matrix", matrix)
 
     @cached_property
     def _certified(self) -> tuple[IntMatrix, ...]:

@@ -15,12 +15,11 @@ sample of them against finite approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Union
+from typing import Iterable, Union
 
 from .groups import (FgAbGroup, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
-from .matrices import InputError
+from .matrices import Frozen, InputError
 
 
 class UnknownValue:
@@ -48,8 +47,7 @@ class UnknownRuleError(InputError):
     """A computation needed a Hom/Ext value outside the rule table."""
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Frozen):
     """A finite or cofinite set of primes, with an explicit complement.
 
     >>> s = PrimeSet.of([3, 2])
@@ -59,12 +57,14 @@ class PrimeSet:
     True
     """
 
+    __slots__ = ("cofinite", "primes")
     cofinite: bool
     primes: frozenset[int]
 
-    def __post_init__(self):
+    def __init__(self, cofinite: bool, primes: frozenset[int]):
+        object.__setattr__(self, "cofinite", cofinite)
         object.__setattr__(self, "primes",
-                           frozenset(check_prime(p) for p in self.primes))
+                           frozenset(check_prime(p) for p in primes))
 
     @classmethod
     def of(cls, primes: Iterable[int]) -> "PrimeSet":
@@ -115,11 +115,11 @@ class PrimeSet:
         return ("!" + body) if self.cofinite else body
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """Base class for the non-finitely-generated building blocks."""
 
-    name: ClassVar[str] = "?"
+    __slots__ = ()
+    name = "?"
 
     def params_json(self) -> dict:
         return {}
@@ -128,14 +128,15 @@ class Atom:
         return (self.name,)
 
 
-@dataclass(frozen=True)
 class PrimeAtom(Atom):
     """An atom indexed by one prime."""
 
+    __slots__ = ("p",)
     p: int
 
-    def __post_init__(self):
-        check_prime(self.p)
+    def __init__(self, p: int):
+        check_prime(p)
+        object.__setattr__(self, "p", p)
 
     def params_json(self):
         return {"p": self.p}
@@ -144,11 +145,14 @@ class PrimeAtom(Atom):
         return (self.name, self.p)
 
 
-@dataclass(frozen=True)
 class SetAtom(Atom):
     """An atom indexed by a prime set."""
 
+    __slots__ = ("primes",)
     primes: PrimeSet
+
+    def __init__(self, primes: PrimeSet):
+        object.__setattr__(self, "primes", primes)
 
     def params_json(self):
         return {"primes": self.primes.to_json()}
@@ -157,51 +161,53 @@ class SetAtom(Atom):
         return (self.name, self.primes.sort_key())
 
 
-# The atoms below add no fields, so they are not decorated: the dataclass
-# methods of their base serve them, and repr and equality use the class.
 class Q(Atom):
+    __slots__ = ()
     name = "Q"
 
 
 class ZLocal(SetAtom):
     """Integers localized at the prime set (primes outside it inverted)."""
 
+    __slots__ = ()
     name = "Z_P"
 
 
 class Prufer(PrimeAtom):
     """Z/p^oo, the union of all Z/p^k."""
 
+    __slots__ = ()
     name = "Prufer"
 
 
 class PruferSum(SetAtom):
     """Direct sum of Z/p^oo over the primes in the set."""
 
+    __slots__ = ()
     name = "PruferSum"
 
 
 class ZpHat(PrimeAtom):
     """The p-adic integers."""
 
+    __slots__ = ()
     name = "ZpHat"
 
 
 class QpHat(PrimeAtom):
     """The p-adic rationals (field of fractions of the p-adic integers)."""
 
+    __slots__ = ()
     name = "QpHat"
 
 
 class ProdZpHat(SetAtom):
     """Product of the p-adic integers over the primes in the set."""
 
+    __slots__ = ()
     name = "ProdZpHat"
 
 
-# Decorated so that its __init__ runs the __post_init__ below: a dataclass
-# __init__ calls only a __post_init__ its class had when it was decorated.
-@dataclass(frozen=True)
 class ProdZpHatModZ(SetAtom):
     """(Prod_{p in P} ZpHat)/Z, the product modulo its diagonal integers.
 
@@ -210,11 +216,13 @@ class ProdZpHatModZ(SetAtom):
     about it propagate UNKNOWN.
     """
 
+    __slots__ = ()
     name = "ProdZpHatModZ"
 
-    def __post_init__(self):
-        if self.primes.is_empty:
+    def __init__(self, primes: PrimeSet):
+        if primes.is_empty:
             raise InputError("product over the empty prime set has no quotient by Z")
+        super().__init__(primes)
 
 
 # Atoms that are divisible groups.  ZpHat is not: ZpHat/p.ZpHat = Z/p != 0.
@@ -239,8 +247,7 @@ def _normalize_atom(atom: Atom) -> tuple[list[int], list[Atom]]:
     return [], [atom]
 
 
-@dataclass(frozen=True)
-class SymbolicGroup:
+class SymbolicGroup(Frozen):
     """A finite direct sum of one f.g. part and atoms, in canonical order.
 
     >>> g = SymbolicGroup.of(FgAbGroup.cyclic(4), Prufer(3), Q())
@@ -250,8 +257,14 @@ class SymbolicGroup:
     True
     """
 
-    fg: FgAbGroup = ZERO_GROUP
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = ("fg", "atoms")
+    fg: FgAbGroup
+    atoms: tuple[Atom, ...]
+
+    def __init__(self, fg: FgAbGroup = ZERO_GROUP,
+                 atoms: tuple[Atom, ...] = ()):
+        object.__setattr__(self, "fg", fg)
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def zero(cls) -> "SymbolicGroup":

@@ -552,6 +552,16 @@ OVERSIZED = [
     ("ring-obstruction-long-factor",
      ["ring-obstruction", f"--wedge=0:{_LONG_GROUP}"], None,
      "--wedge has an invariant factor of more than 4300 digits"),
+    # Texts too long to quote: the error quotes their first QUOTE_CAP
+    # characters and names the option.
+    ("ring-obstruction-5000-digit-order",
+     ["ring-obstruction", "--wedge=0:Z/" + "9" * 5000], None,
+     "--wedge: bad wedge summand '0:Z/" + "9" * 36 + "'... (5004 "
+     "characters): an integer may have at most 4300 digits, not 5000 "
+     "(at position 0)\n"),
+    ("hom-20000-character-summand", ["hom", "--a", "X" * 20000, "--b", "Z"],
+     None, "--a: unrecognized summand '" + "X" * 40 + "'... (20000 "
+     "characters) (at position 0)\n"),
 ]
 
 
@@ -566,6 +576,7 @@ def test_oversized_payload_exits_2(capsys, monkeypatch, argv, stdin,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert len(err.encode()) < 300
 
 
 # 2^14284 has ORDER_DIGIT_CAP = 4300 digits and 2^14285 one more.
@@ -769,6 +780,19 @@ def test_import_loads_no_sympy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=_cellkit_env(), timeout=120,
                          check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # Every query is a fresh process.  dataclasses loads inspect (and with
+    # it ast, dis and tokenize), which took about 10 ms of each start, and
+    # decorating the value classes about 14 ms more.  -S keeps site hooks
+    # from loading either module.
+    probe = ("import sys, cellkit.cli; print(sorted(m for m in "
+             "('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, env=_cellkit_env(),
+                         timeout=120, check=True).stdout
     assert out.strip() == "[]"
 
 

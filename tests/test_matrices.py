@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cellkit import matrices as matrices_mod
 from cellkit.complexes import ChainComplex, homology_presentation
-from cellkit.matrices import (IntMatrix, MatrixShapeError, SmithNormalForm,
-                              _reduce, hstack, kernel_basis, smith_normal_form,
-                              solve)
+from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
+                              IntMatrix, MatrixShapeError, SmithNormalForm,
+                              _reduce, hstack, kernel_basis, quoted,
+                              smith_normal_form, solve, strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -365,3 +366,22 @@ class TestSharedForms:
             assert diagonal == shared.diagonal == direct.diagonal
             for name in ("s", "u", "v", "u_inv", "v_inv"):
                 assert getattr(shared, name) == getattr(direct, name)
+
+
+def test_quoted_cuts_long_text():
+    assert quoted("x" * QUOTE_CAP) == repr("x" * QUOTE_CAP)
+    assert quoted("x" * (QUOTE_CAP + 1)) == (
+        repr("x" * QUOTE_CAP) + f"... ({QUOTE_CAP + 1} characters)")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_strict_int_digit_cap(sign):
+    assert strict_int(sign + "9" * ORDER_DIGIT_CAP) == int(
+        sign + "9" * ORDER_DIGIT_CAP)
+    with pytest.raises(InputError) as err:
+        strict_int(sign + "9" * (ORDER_DIGIT_CAP + 1))
+    assert str(err.value) == (f"an integer may have at most {ORDER_DIGIT_CAP}"
+                              f" digits, not {ORDER_DIGIT_CAP + 1}")
+    with pytest.raises(InputError) as err:
+        strict_int("x" * 5000)
+    assert str(err.value) == f"not an integer: {quoted('x' * 5000)}"
