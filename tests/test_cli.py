@@ -640,6 +640,79 @@ def test_dead_dichotomy_accepts_any_r(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["kind"] == "zero"
 
 
+def _symbolic_corpus():
+    """Command lines of em-cellularize, acyclization and ring-obstruction:
+    every mode and target alias, with their input errors."""
+    groups = ["0", "Z", "Z/8", "Z+Z/4", "Q", "Z/2^inf", "Zhat_3", "Qhat_5",
+              "Z_(2,3)", "Z_(!2)", "Psum_(!2,3)", "Pzhat_(2)",
+              "PzhatmodZ_(3,5)", "Z/frog"]
+    em = ["em-cellularize", "--mode"]
+    rows = [["em-cellularize"], em + ["shape"]]
+    rows += [em + ["shape", "--n", n, "--group", g]
+             for n in ("0", "-3") for g in groups]
+    primary = {"m": "0", "k": "1", "n": "2", "p": "5"}
+    for mknp in ((0, 1, 2, 5), (0, 3, 2, 7), (-2, 4, 4, 2), (3, 2, 5, 3),
+                 (0, 0, 1, 2), (0, 1, 0, 2), (0, 1, 2, 4), (0, 1, 2, 1),
+                 (0, 20000, 14285, 2)):
+        rows.append(em + ["primary"] + [a for f, x in zip("mknp", mknp)
+                                        for a in (f"--{f}", str(x))])
+    for missing in "mknp":
+        rows.append(em + ["primary"] + [a for f, x in primary.items()
+                                        if f != missing
+                                        for a in (f"--{f}", x)])
+    for cellular in ([], ["--cellular"]):
+        for r, p in (("1", "2"), ("2", "2"), ("3", "3"), ("1", "7"),
+                     ("0", "2"), ("2", "4"), ("2", "1"), ("166", "2"),
+                     ("167", "2")):
+            rows.append(em + ["dichotomy", "--r", r, "--p", p] + cellular)
+        rows.append(em + ["dichotomy", "--p", "2"] + cellular)
+        rows.append(em + ["dichotomy", "--r", "2"] + cellular)
+    acy = ["acyclization", "--target"]
+    for target in ("HZ", "HZ/p^k", "HZpk", "HZ/p^inf", "HZpinf", "HX"):
+        for outcome in ("zero", "HZ", "HZ_P", "ProdZpHat", "HZpk", "HZpinf",
+                        "SigmaZpHat"):
+            rows.append(acy + [target, "--outcome", outcome, "--primes",
+                               "2,3", "--p", "3", "--k", "2"])
+    rows += [acy + extra for extra in (
+        ["HZ", "--outcome", "HZ_P", "--primes", "2,3", "--cofinite"],
+        ["HZ", "--outcome", "HZ_P"],
+        ["HZ", "--outcome", "HZ_P", "--cofinite"],
+        ["HZ", "--outcome", "ProdZpHat"],
+        ["HZ", "--outcome", "ProdZpHat", "--primes", "2", "--cofinite"],
+        ["HZ", "--outcome", "HZ_P", "--primes", "2,x"],
+        ["HZ", "--outcome", "HZ_P", "--primes", "4"],
+        ["HZ", "--outcome", "zero", "--p", "4"],
+        ["HZ", "--outcome", "HZ", "--primes", "4"],
+        ["HX", "--outcome", "HZ_P", "--primes", "4"],
+        ["HX", "--outcome", "bogus"],
+        ["HZ", "--outcome", "bogus"],
+        ["HZpk", "--outcome", "HZ_P", "--primes", "4", "--p", "2", "--k", "1"],
+        ["HZ/p^k", "--outcome", "zero", "--p", "2"],
+        ["HZ/p^k", "--outcome", "zero", "--k", "2"],
+        ["HZ/p^k", "--outcome", "zero", "--p", "4", "--k", "2"],
+        ["HZ/p^k", "--outcome", "zero", "--p", "2", "--k", "0"],
+        ["HZ/p^k", "--outcome", "zero", "--p", "2", "--k", "14285"],
+        ["HZ/p^inf", "--outcome", "zero"],
+        ["HZ/p^inf", "--outcome", "SigmaZpHat", "--p", "4"],
+    )]
+    rows.append(["ring-obstruction"])
+    rows += [["ring-obstruction", f"--wedge={w}"] for w in (
+        "0:Z", "0:Z/8", "-1:Psum_(!2,3)", "0:Z; 1:Z/2", "-1:PzhatmodZ_(2,5)",
+        "0:Q", "0:Z/2^inf", "2:Z; 2:Z/3", "", "0:0", "0:Zhat_2; -1:Qhat_3",
+        "0:Z_(2); 1:Z/2^inf", "0:Z/frog", "x:Z", "0:Z/4; 0:Z/6")]
+    return rows
+
+
+def test_symbolic_command_bytes(capsys):
+    # One sha256 over argv, exit code, stdout and stderr of every row.
+    digest = hashlib.sha256()
+    for argv in _symbolic_corpus():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest()[:16] == "b7e149cf54717fbb"
+
+
 @pytest.mark.parametrize("argv", [
     ["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"],
     ["cover", "--k", "+1"],
