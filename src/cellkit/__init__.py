@@ -12,11 +12,10 @@ Two executable models of the same functor pair:
 from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
                         coproduct, derived_hom, em_complex, fiber,
                         quasi_iso_eq, shift, triangle_check)
-from .emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
-                     ConstraintSet, EMObject, acyclization,
-                     cell_primary_torsion, cell_shape, constraint_check,
-                     em_morphism_group, gem_closure_check, hzp_dichotomy,
-                     ring_unit_obstruction, semiexact_counterexample)
+from .emcell import (EMObject, acyclization, cell_primary_torsion,
+                     cell_shape, constraint_check, em_morphism_group,
+                     gem_closure_check, hzp_dichotomy, ring_unit_obstruction,
+                     semiexact_counterexample)
 from .grammar import format_group, parse_group
 from .groups import (FgAbGroup, brute_force_hom_count, cokernel, ext_fg,
                      hom_fg)
@@ -31,8 +30,7 @@ from .truncation import (cell_null_triangle, closure_suite, connective_cover,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcyclizationCase", "CellExact", "CellShape", "CellZero", "ChainComplex",
-    "ChainMap", "ConstraintSet", "EMObject", "FgAbGroup", "GradedGroup",
+    "ChainComplex", "ChainMap", "EMObject", "FgAbGroup", "GradedGroup",
     "IntMatrix", "PrimeSet", "SymbolicGroup", "UNKNOWN", "acyclization",
     "brute_force_hom_count", "cell_null_triangle", "cell_primary_torsion",
     "cell_shape", "closure_suite", "cokernel", "cone", "connective_cover",

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .complexes import ChainComplex, derived_hom, em_complex, shift
-from .emcell import (AcyclizationCase, CellExact, acyclization,
-                     cell_primary_torsion, chain_homotopy_group, chain_model,
-                     constraint_check, em_morphism_group, gem_closure_check,
+from .emcell import (EMObject, acyclization, cell_primary_torsion,
+                     chain_homotopy_group, chain_model, constraint_check,
+                     em_morphism_group, gem_closure_check,
                      ring_unit_obstruction)
 from .groups import (FgAbGroup, Z, ZERO_GROUP, brute_force_hom_count, ext_fg,
                      hom_fg)
@@ -164,26 +164,27 @@ def criterion_closure(seed: int, family: Sequence[ChainComplex]
                            f"spot checks at other cuts clean")
 
 
-# Expected JSON for the acyclization tables, in canonical compact form.
-# Derived by hand from the case analysis: a trivial localization leaves
-# the object, the identity localization leaves zero, localized integers
-# leave the desuspended Pruefer sum at the complementary primes, p-adic
-# products leave the desuspended product-mod-Z piece, and the suspended
-# p-adic outcome for a Pruefer piece leaves the p-adic rationals.
+# Arguments of acyclization and the JSON expected of its answer, in
+# canonical compact form.  Derived by hand from the case analysis: a
+# trivial localization leaves the object, the identity localization leaves
+# zero, localized integers leave the desuspended Pruefer sum at the
+# complementary primes, p-adic products leave the desuspended
+# product-mod-Z piece, and the suspended p-adic outcome for a Pruefer
+# piece leaves the p-adic rationals.
 ACYCLIZATION_GOLDEN: list[tuple[dict, str]] = [
     ({"target": "HZ", "outcome": "zero"},
      '[{"group":{"rank":1,"torsion":[]},"shift":0}]'),
     ({"target": "HZ", "outcome": "HZ"}, '[]'),
-    ({"target": "HZ", "outcome": "HZ_P", "primes": [2, 3], "cofinite": False},
+    ({"target": "HZ", "outcome": "HZ_P", "primes": PrimeSet.of([2, 3])},
      '[{"group":{"atom":"PruferSum","primes":{"list":[2,3],"mode":"cofinite"}},"shift":-1}]'),
-    ({"target": "HZ", "outcome": "HZ_P", "primes": [], "cofinite": False},
+    ({"target": "HZ", "outcome": "HZ_P", "primes": PrimeSet.of([])},
      '[{"group":{"atom":"PruferSum","primes":{"list":[],"mode":"cofinite"}},"shift":-1}]'),
-    ({"target": "HZ", "outcome": "HZ_P", "primes": [2, 3], "cofinite": True},
+    ({"target": "HZ", "outcome": "HZ_P", "primes": PrimeSet.complement_of([2, 3])},
      '[{"group":{"sum":[{"atom":"Prufer","p":2},{"atom":"Prufer","p":3}]},"shift":-1}]'),
-    ({"target": "HZ", "outcome": "HZ_P", "primes": [], "cofinite": True}, '[]'),
-    ({"target": "HZ", "outcome": "ProdZpHat", "primes": [2], "cofinite": False},
+    ({"target": "HZ", "outcome": "HZ_P", "primes": PrimeSet.complement_of([])}, '[]'),
+    ({"target": "HZ", "outcome": "ProdZpHat", "primes": PrimeSet.of([2])},
      '[{"group":{"atom":"ProdZpHatModZ","primes":{"list":[2],"mode":"finite"}},"shift":-1}]'),
-    ({"target": "HZ", "outcome": "ProdZpHat", "primes": [2, 5], "cofinite": False},
+    ({"target": "HZ", "outcome": "ProdZpHat", "primes": PrimeSet.of([2, 5])},
      '[{"group":{"atom":"ProdZpHatModZ","primes":{"list":[2,5],"mode":"finite"}},"shift":-1}]'),
     ({"target": "HZpk", "outcome": "zero", "p": 2, "k": 3},
      '[{"group":{"rank":0,"torsion":[8]},"shift":0}]'),
@@ -204,15 +205,6 @@ PRIMARY_TABLE = [(m, k, n, p)
                  for p in (2, 3, 5)]
 
 
-def _case_from_args(args: dict) -> AcyclizationCase:
-    primes = None
-    if "primes" in args:
-        primes = (PrimeSet.complement_of(args["primes"]) if args.get("cofinite")
-                  else PrimeSet.of(args["primes"]))
-    return AcyclizationCase(args["target"], args["outcome"], primes=primes,
-                            p=args.get("p"), k=args.get("k"))
-
-
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -230,11 +222,11 @@ def criterion_classification_tables(seed: int = 0) -> CriterionResult:
         if not constraint_check(ZERO_GROUP, expected, FgAbGroup.cyclic(p ** n)):
             return CriterionResult("classification-tables", False,
                                    f"constraints fail at {(m, k, n, p)}")
-        if not gem_closure_check(CellExact(obj), f"Z/{p ** n}"):
+        if not gem_closure_check(obj, f"Z/{p ** n}"):
             return CriterionResult("classification-tables", False,
                                    f"module closure fails at {(m, k, n, p)}")
     for case_args, want in ACYCLIZATION_GOLDEN:
-        got = _canonical(acyclization(_case_from_args(case_args)).to_json())
+        got = _canonical(acyclization(**case_args).to_json())
         if got != want:
             return CriterionResult(
                 "classification-tables", False,
@@ -242,14 +234,14 @@ def criterion_classification_tables(seed: int = 0) -> CriterionResult:
     # Involution consistency: zero outcome keeps the object, identity
     # outcome kills it, across all three targets.
     alive = [
-        acyclization(AcyclizationCase("HZ", "zero")),
-        acyclization(AcyclizationCase("HZpk", "zero", p=3, k=2)),
-        acyclization(AcyclizationCase("HZpinf", "zero", p=2)),
+        acyclization("HZ", "zero"),
+        acyclization("HZpk", "zero", p=3, k=2),
+        acyclization("HZpinf", "zero", p=2),
     ]
     dead = [
-        acyclization(AcyclizationCase("HZ", "HZ")),
-        acyclization(AcyclizationCase("HZpk", "HZpk", p=3, k=2)),
-        acyclization(AcyclizationCase("HZpinf", "HZpinf", p=2)),
+        acyclization("HZ", "HZ"),
+        acyclization("HZpk", "HZpk", p=3, k=2),
+        acyclization("HZpinf", "HZpinf", p=2),
     ]
     if any(x.is_zero for x in alive) or not all(x.is_zero for x in dead):
         return CriterionResult("classification-tables", False,
@@ -266,12 +258,10 @@ def criterion_ring_obstruction(seed: int = 0) -> CriterionResult:
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for i in range(10):
         chosen = rng.sample(pool, rng.randint(0, 3))
-        case = AcyclizationCase("HZ", "HZ_P", primes=PrimeSet.of(chosen))
-        obj = acyclization(case)
+        obj = acyclization("HZ", "HZ_P", PrimeSet.of(chosen))
         if not ring_unit_obstruction(obj):
             return CriterionResult("ring-obstruction", False,
                                    f"no obstruction for P={chosen}")
-    from .emcell import EMObject
     negatives = [
         EMObject.of([(0, Z)]),
         EMObject.of([(0, FgAbGroup.cyclic(8))]),

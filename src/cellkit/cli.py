@@ -20,9 +20,9 @@ import time
 import traceback
 
 from .complexes import DEGREE_CAP, ChainComplex, ChainMap, triangle_check
-from .emcell import (CONVENTION_NOTE, AcyclizationCase, CellExact, EMObject,
-                     acyclization, cell_primary_torsion, cell_shape,
-                     constraint_check, hzp_dichotomy, ring_unit_obstruction,
+from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
+                     cell_primary_torsion, cell_shape, constraint_check,
+                     exact_answer, hzp_dichotomy, ring_unit_obstruction,
                      semiexact_counterexample)
 from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
@@ -237,13 +237,14 @@ def _cmd_em_cellularize(args) -> dict:
         for flag in ("m", "k", "n", "p"):
             if getattr(args, flag) is None:
                 raise InputError("primary mode needs --m --k --n --p")
-        result = CellExact(cell_primary_torsion(args.m, args.k, args.n, args.p))
+        result = exact_answer(
+            cell_primary_torsion(args.m, args.k, args.n, args.p))
     else:  # dichotomy
         if args.r is None or args.p is None:
             raise InputError("dichotomy mode needs --r and --p")
         result = hzp_dichotomy(args.cellular, args.r, args.p)
     return {"mode": args.mode,
-            "result": {**result.to_json(), "convention": CONVENTION_NOTE}}
+            "result": {**result, "convention": CONVENTION_NOTE}}
 
 
 _TARGET_ALIASES = {"HZ": "HZ", "HZ/p^k": "HZpk", "HZpk": "HZpk",
@@ -252,15 +253,15 @@ _TARGET_ALIASES = {"HZ": "HZ", "HZ/p^k": "HZpk", "HZpk": "HZpk",
 
 def _cmd_acyclization(args) -> dict:
     target = _TARGET_ALIASES.get(args.target)
-    if target is None:
-        raise InputError(f"unknown target {quoted(args.target)}")
     primes = None
-    if args.outcome in ("HZ_P", "ProdZpHat"):
+    # --primes is read for a known target only, so that acyclization
+    # reports an unknown target before a bad prime.
+    if target and args.outcome in ("HZ_P", "ProdZpHat"):
         listed = args.primes.split(",") if args.primes else []
         primes = PrimeSet(args.cofinite,
                           frozenset(strict_int(p.strip()) for p in listed))
-    obj = acyclization(AcyclizationCase(target, args.outcome, primes=primes,
-                                        p=args.p, k=args.k))
+    obj = acyclization(target or args.target, args.outcome, primes, args.p,
+                       args.k)
     return {"target": target, "outcome": args.outcome,
             "result": obj.to_json(), "convention": CONVENTION_NOTE}
 

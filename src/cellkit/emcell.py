@@ -18,7 +18,7 @@ reports carry a "convention" note saying so.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
                         em_complex, triangle_check)
@@ -55,7 +55,7 @@ class EMObject(Frozen):
         object.__setattr__(self, "summands", summands)
 
     @classmethod
-    def of(cls, pairs: Sequence[tuple[int, Union[SymbolicGroup, FgAbGroup]]]
+    def of(cls, pairs: Sequence[tuple[int, SymbolicGroup | FgAbGroup]]
            ) -> "EMObject":
         by_shift: dict[int, list[SymbolicGroup]] = {}
         for s, g in pairs:
@@ -90,8 +90,8 @@ class EMObject(Frozen):
         return "[" + ", ".join(f"{s}: {g}" for s, g in self.summands) + "]"
 
 
-def em_morphism_group(i: int, b: Union[SymbolicGroup, FgAbGroup],
-                      n: int, g: Union[SymbolicGroup, FgAbGroup]):
+def em_morphism_group(i: int, b: SymbolicGroup | FgAbGroup,
+                      n: int, g: SymbolicGroup | FgAbGroup):
     """Morphism group from the piece (i, b) into the piece (n, g).
 
     Zero unless i = n (a Hom group) or i = n - 1 (an Ext group); values
@@ -125,8 +125,10 @@ def sphere_homotopy(i: int, x: EMObject):
     return SymbolicGroup.of(*parts)
 
 
-class ConstraintSet(Frozen):
-    """The unresolved constraints on the two homotopy groups of a shape.
+def _shape_answer(n: int, target: SymbolicGroup, b_forced_zero: bool,
+                  c_candidates: Sequence[FgAbGroup] | None = None) -> dict:
+    """The answer that only the shape is known: two slots, in degrees n-1
+    and n, with unresolved constraints.
 
     For target group G, candidate groups B (one degree down) and C (same
     degree) must satisfy:
@@ -138,75 +140,26 @@ class ConstraintSet(Frozen):
     ``b_forced_zero`` records that divisibility of G kills B; an optional
     candidate list for C narrows the solutions further.
     """
-
-    __slots__ = ("target", "b_forced_zero", "c_candidates")
-    target: SymbolicGroup
-    b_forced_zero: bool
-    c_candidates: tuple[FgAbGroup, ...] | None
-
-    def __init__(self, target: SymbolicGroup, b_forced_zero: bool = False,
-                 c_candidates: tuple[FgAbGroup, ...] | None = None):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "b_forced_zero", b_forced_zero)
-        object.__setattr__(self, "c_candidates", c_candidates)
-
-    def to_json(self) -> dict:
-        out = {
-            "target": self.target.to_json(),
-            "identities": [
-                "Hom(B,B) + Ext(B,C) = Ext(B,G)",
-                "Hom(C,C) = Hom(C,G)",
-                "Hom(B,C) = Hom(B,G)",
-            ],
-            "b_forced_zero": self.b_forced_zero,
-        }
-        if self.c_candidates is not None:
-            out["c_candidates"] = [g.to_json() for g in self.c_candidates]
-        return out
+    constraints = {
+        "target": target.to_json(),
+        "identities": [
+            "Hom(B,B) + Ext(B,C) = Ext(B,G)",
+            "Hom(C,C) = Hom(C,G)",
+            "Hom(B,C) = Hom(B,G)",
+        ],
+        "b_forced_zero": b_forced_zero,
+    }
+    if c_candidates is not None:
+        constraints["c_candidates"] = [g.to_json() for g in c_candidates]
+    return {"kind": "shape", "degrees": [n - 1, n], "constraints": constraints}
 
 
-class CellZero(Frozen):
-    """The cellularization is the zero object."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"kind": "zero"}
+def exact_answer(obj: EMObject) -> dict:
+    """The answer that the cellularization is the wedge ``obj``."""
+    return {"kind": "exact", "object": obj.to_json()}
 
 
-class CellExact(Frozen):
-    """The cellularization is a concrete wedge."""
-
-    __slots__ = ("obj",)
-    obj: EMObject
-
-    def __init__(self, obj: EMObject):
-        object.__setattr__(self, "obj", obj)
-
-    def to_json(self) -> dict:
-        return {"kind": "exact", "object": self.obj.to_json()}
-
-
-class CellShape(Frozen):
-    """Only the shape is known: two slots with a constraint system."""
-
-    __slots__ = ("n", "constraints")
-    n: int
-    constraints: ConstraintSet
-
-    def __init__(self, n: int, constraints: ConstraintSet):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "constraints", constraints)
-
-    def to_json(self) -> dict:
-        return {"kind": "shape", "degrees": [self.n - 1, self.n],
-                "constraints": self.constraints.to_json()}
-
-
-CellResult = Union[CellZero, CellExact, CellShape]
-
-
-def cell_shape(n: int, g: Union[SymbolicGroup, FgAbGroup]) -> CellResult:
+def cell_shape(n: int, g: SymbolicGroup | FgAbGroup) -> dict:
     """Shape of the cellularization of the single piece (n, g).
 
     At most two homotopy groups can survive, in degrees n and n-1, tied by
@@ -214,13 +167,13 @@ def cell_shape(n: int, g: Union[SymbolicGroup, FgAbGroup]) -> CellResult:
     vanish and the result is a single slot in degree n.
 
     >>> r = cell_shape(0, FgAbGroup.cyclic(8))
-    >>> (r.n, r.constraints.b_forced_zero)
-    (0, False)
+    >>> (r["kind"], r["degrees"], r["constraints"]["b_forced_zero"])
+    ('shape', [-1, 0], False)
     """
     g = as_symbolic(g)
     if g.is_zero:
-        return CellZero()
-    return CellShape(n, ConstraintSet(g, b_forced_zero=is_divisible(g)))
+        return {"kind": "zero"}
+    return _shape_answer(n, g, is_divisible(g))
 
 
 def constraint_check(b: FgAbGroup, c: FgAbGroup, g: FgAbGroup) -> bool:
@@ -263,7 +216,7 @@ def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
     return EMObject.of([(m, FgAbGroup.cyclic(_prime_power(p, e, name)))])
 
 
-def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
+def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> dict:
     """Propagate the mod-p dichotomy through the p-power tower.
 
     If the mod-p piece dies (flag False), every Z/p^r piece dies with it.
@@ -274,9 +227,9 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
         raise InputError("r must be positive")
     check_prime(p)
     if not cellular_flag:
-        return CellZero()
+        return {"kind": "zero"}
     if r == 1:
-        return CellExact(EMObject.of([(0, FgAbGroup.cyclic(p))]))
+        return exact_answer(EMObject.of([(0, FgAbGroup.cyclic(p))]))
     # The report lists every candidate order, so their digits together
     # are held to ORDER_DIGIT_CAP; the loop stops at the first excess.
     candidates = []
@@ -289,85 +242,64 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> CellResult:
                 f"r = {r} is too large: the candidate orders {p}^1 .. {p}^{r}"
                 f" have more than {ORDER_DIGIT_CAP} digits in all")
         candidates.append(FgAbGroup.cyclic(q))
-    return CellShape(0, ConstraintSet(
-        as_symbolic(FgAbGroup.cyclic(q)),
-        b_forced_zero=True, c_candidates=tuple(candidates)))
+    return _shape_answer(0, as_symbolic(FgAbGroup.cyclic(q)), True, candidates)
 
 
-class AcyclizationCase(Frozen):
-    """A classified nullification outcome, consumed by :func:`acyclization`.
-
-    target "HZ":     outcome in {"zero", "HZ", "HZ_P", "ProdZpHat"}
-    target "HZpk":   outcome in {"zero", "HZpk"}, parameters p, k
-    target "HZpinf": outcome in {"zero", "HZpinf", "SigmaZpHat"}, parameter p
-    """
-
-    __slots__ = ("target", "outcome", "primes", "p", "k")
-    target: str
-    outcome: str
-    primes: PrimeSet | None
-    p: int | None
-    k: int | None
-
-    _ADMISSIBLE = {
-        "HZ": ("zero", "HZ", "HZ_P", "ProdZpHat"),
-        "HZpk": ("zero", "HZpk"),
-        "HZpinf": ("zero", "HZpinf", "SigmaZpHat"),
-    }
-
-    def __init__(self, target: str, outcome: str,
-                 primes: PrimeSet | None = None, p: int | None = None,
-                 k: int | None = None):
-        allowed = self._ADMISSIBLE.get(target)
-        if allowed is None:
-            raise InadmissibleCaseError(f"unknown target {quoted(target)}")
-        if outcome not in allowed:
-            raise InadmissibleCaseError(
-                f"outcome {quoted(outcome)} not admissible for {target}; "
-                f"expected one of {allowed}")
-        if outcome in ("HZ_P", "ProdZpHat") and primes is None:
-            raise InadmissibleCaseError(f"outcome {outcome} needs a prime set")
-        if outcome == "ProdZpHat" and primes.is_empty:
-            raise InadmissibleCaseError("product outcome needs a nonempty prime set")
-        if target == "HZpk" and (p is None or k is None):
-            raise InadmissibleCaseError("HZpk cases need p and k")
-        if target == "HZpk" and k < 1:
-            raise InadmissibleCaseError("HZpk cases need k >= 1")
-        if target == "HZpinf" and p is None:
-            raise InadmissibleCaseError("HZpinf cases need p")
-        if target != "HZ":
-            check_prime(p)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
+_ADMISSIBLE = {
+    "HZ": ("zero", "HZ", "HZ_P", "ProdZpHat"),
+    "HZpk": ("zero", "HZpk"),
+    "HZpinf": ("zero", "HZpinf", "SigmaZpHat"),
+}
 
 
-def acyclization(case: AcyclizationCase) -> EMObject:
+def acyclization(target: str, outcome: str, primes: PrimeSet | None = None,
+                 p: int | None = None, k: int | None = None) -> EMObject:
     """Cellularization of the target piece, per nullification outcome.
 
-    A vanished localization leaves the whole piece; the identity
-    localization leaves nothing.  For the integer piece, localized
-    integers leave the desuspended sum of Pruefer groups at the
-    complementary primes, and the p-adic product leaves the desuspended
-    product-modulo-Z piece.  For the Pruefer piece, SigmaZpHat leaves the
-    p-adic rationals.
+    target "HZ":     outcome in {"zero", "HZ", "HZ_P", "ProdZpHat"}, the
+                     last two with a prime set
+    target "HZpk":   outcome in {"zero", "HZpk"}, parameters p, k
+    target "HZpinf": outcome in {"zero", "HZpinf", "SigmaZpHat"}, parameter p
+
+    Any other case is an InadmissibleCaseError.  A vanished localization
+    leaves the whole piece; the identity localization leaves nothing.  For
+    the integer piece, localized integers leave the desuspended sum of
+    Pruefer groups at the complementary primes, and the p-adic product
+    leaves the desuspended product-modulo-Z piece.  For the Pruefer piece,
+    SigmaZpHat leaves the p-adic rationals.
     """
-    if case.outcome == case.target:
+    allowed = _ADMISSIBLE.get(target)
+    if allowed is None:
+        raise InadmissibleCaseError(f"unknown target {quoted(target)}")
+    if outcome not in allowed:
+        raise InadmissibleCaseError(
+            f"outcome {quoted(outcome)} not admissible for {target}; "
+            f"expected one of {allowed}")
+    if outcome in ("HZ_P", "ProdZpHat") and primes is None:
+        raise InadmissibleCaseError(f"outcome {outcome} needs a prime set")
+    if outcome == "ProdZpHat" and primes.is_empty:
+        raise InadmissibleCaseError("product outcome needs a nonempty prime set")
+    if target == "HZpk" and (p is None or k is None):
+        raise InadmissibleCaseError("HZpk cases need p and k")
+    if target == "HZpk" and k < 1:
+        raise InadmissibleCaseError("HZpk cases need k >= 1")
+    if target == "HZpinf" and p is None:
+        raise InadmissibleCaseError("HZpinf cases need p")
+    if target != "HZ":
+        check_prime(p)
+    if outcome == target:
         return EMObject.zero()
-    if case.outcome == "zero":
-        if case.target == "HZ":
+    if outcome == "zero":
+        if target == "HZ":
             return EMObject.of([(0, Z)])
-        if case.target == "HZpk":
-            return EMObject.of(
-                [(0, FgAbGroup.cyclic(_prime_power(case.p, case.k, "k")))])
-        return EMObject.of([(0, Prufer(case.p))])
-    if case.outcome == "HZ_P":
-        return EMObject.of([(-1, PruferSum(case.primes.complement()))])
-    if case.outcome == "ProdZpHat":
-        return EMObject.of([(-1, ProdZpHatModZ(case.primes))])
-    return EMObject.of([(0, QpHat(case.p))])
+        if target == "HZpk":
+            return EMObject.of([(0, FgAbGroup.cyclic(_prime_power(p, k, "k")))])
+        return EMObject.of([(0, Prufer(p))])
+    if outcome == "HZ_P":
+        return EMObject.of([(-1, PruferSum(primes.complement()))])
+    if outcome == "ProdZpHat":
+        return EMObject.of([(-1, ProdZpHatModZ(primes))])
+    return EMObject.of([(0, QpHat(p))])
 
 
 def ring_unit_obstruction(x: EMObject) -> bool:
@@ -388,39 +320,32 @@ def ring_unit_obstruction(x: EMObject) -> bool:
     return pi0.is_zero
 
 
-def _module_test(ring: str):
-    """The test whether a symbolic group is a module over ``ring``."""
+def gem_closure_check(obj: EMObject, ring: str = "Z") -> bool:
+    """Is the wedge made of pieces with groups that are modules over the
+    declared ring, ``"Z"``, ``"Q"`` or ``"Z/m"``?
+
+    The ring is read first, even for the zero wedge; the summands are then
+    checked one by one against the atom table.
+
+    >>> gem_closure_check(EMObject.of([(0, FgAbGroup.cyclic(5))]), "Z/5")
+    True
+    """
+    groups = [g for _, g in obj.summands]
     if ring == "Z":
-        return lambda g: True
+        return True
     if ring == "Q":
         # Q-modules are the rational vector spaces in the atom zoo.
-        return lambda g: (g.fg.is_zero and
-                          all(isinstance(a, (QAtom, QpHat)) for a in g.atoms))
+        return all(g.fg.is_zero and
+                   all(isinstance(a, (QAtom, QpHat)) for a in g.atoms)
+                   for g in groups)
     if ring.startswith("Z/"):
         m = strict_int(ring[2:])
         if m < 1:
             raise InputError(f"ring {quoted(ring)} needs m >= 1")
         # Annihilated by m: finite with all invariant factors dividing m;
         # no atom in the zoo is annihilated by an integer.
-        return lambda g: not g.atoms and g.fg.is_annihilated_by(m)
+        return all(not g.atoms and g.fg.is_annihilated_by(m) for g in groups)
     raise InputError("ring must be 'Z', 'Q', or 'Z/m'")
-
-
-def gem_closure_check(result: CellResult, ring: str = "Z") -> bool:
-    """Is the result still a wedge of pieces with groups that are modules
-    over the declared ring?
-
-    The ring is read first, whatever the result.  Shapes pass vacuously
-    (their slots are unresolved); exact results are checked summand by
-    summand against the atom table.
-
-    >>> gem_closure_check(CellExact(EMObject.of([(0, FgAbGroup.cyclic(5))])), "Z/5")
-    True
-    """
-    is_module = _module_test(ring)
-    if isinstance(result, (CellZero, CellShape)):
-        return True
-    return all(is_module(g) for _, g in result.obj.summands)
 
 
 def semiexact_counterexample(p: int = 2) -> dict:

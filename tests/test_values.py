@@ -14,8 +14,7 @@ import pytest
 from cellkit.acceptance import CriterionResult
 from cellkit.complexes import (ChainComplex, ChainMap, GradedGroup,
                                HomologyPresentation)
-from cellkit.emcell import (AcyclizationCase, CellExact, CellShape, CellZero,
-                            ConstraintSet, EMObject)
+from cellkit.emcell import EMObject
 from cellkit.groups import FgAbGroup
 from cellkit.matrices import IntMatrix, SmithNormalForm
 from cellkit.symbolic import (Atom, PrimeAtom, PrimeSet, ProdZpHatModZ,
@@ -31,9 +30,6 @@ _G = SymbolicGroup.of(FgAbGroup.cyclic(4), Prufer(3))
 _G_REPR = ("SymbolicGroup(fg=FgAbGroup(rank=0, invariant_factors=(4,)), "
            "atoms=(Prufer(p=3),))")
 _EM = EMObject(((0, _G),))
-_CONSTRAINTS = ConstraintSet(_G, True)
-_CONSTRAINTS_REPR = (f"ConstraintSet(target={_G_REPR}, b_forced_zero=True, "
-                     "c_candidates=None)")
 
 # (instance, its (parameter, default) list, its repr, an unequal instance
 # of the same class).  The fields are the parameters, in order.
@@ -81,24 +77,6 @@ VALUES = [
     (_G, [("fg", FgAbGroup()), ("atoms", ())], _G_REPR, SymbolicGroup()),
     (_EM, [("summands", ())], f"EMObject(summands=((0, {_G_REPR}),))",
      EMObject()),
-    (_CONSTRAINTS,
-     [("target", _EMPTY), ("b_forced_zero", False),
-      ("c_candidates", None)],
-     _CONSTRAINTS_REPR, ConstraintSet(_G)),
-    (CellZero(), [], "CellZero()", None),
-    (CellExact(_EM), [("obj", _EMPTY)],
-     f"CellExact(obj=EMObject(summands=((0, {_G_REPR}),)))",
-     CellExact(EMObject())),
-    (CellShape(0, _CONSTRAINTS),
-     [("n", _EMPTY), ("constraints", _EMPTY)],
-     f"CellShape(n=0, constraints={_CONSTRAINTS_REPR})",
-     CellShape(1, _CONSTRAINTS)),
-    (AcyclizationCase("HZpk", "HZpk", None, 2, 1),
-     [("target", _EMPTY), ("outcome", _EMPTY), ("primes", None),
-      ("p", None), ("k", None)],
-     "AcyclizationCase(target='HZpk', outcome='HZpk', primes=None, p=2, "
-     "k=1)",
-     AcyclizationCase("HZpk", "HZpk", None, 2, 2)),
     (CriterionResult("name", True, "detail"),
      [("name", _EMPTY), ("passed", _EMPTY), ("detail", _EMPTY)],
      "CriterionResult(name='name', passed=True, detail='detail')",
