@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from .complexes import DEGREE_CAP, ChainComplex, ChainMap, triangle_check
 from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
@@ -446,6 +445,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         # Anything else is a bug; exit 1 stays reserved for a failed suite.
         print(f"internal error: {exc}", file=sys.stderr)
+        import traceback
         traceback.print_exc()
         return 3
     try:

@@ -8,8 +8,8 @@ of groups; all the Hom/Ext computations below return canonical values.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import gcd, prod
-from typing import Iterable
 
 from .matrices import Frozen, InputError, IntMatrix, smith_normal_form
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections.abc import Sequence
 from operator import attrgetter
-from typing import Sequence
 
 
 # CPython writes no integer of more than ORDER_DIGIT_CAP decimal digits as

@@ -9,7 +9,7 @@ chain condition holds exactly.  All draws come from a caller-supplied
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .complexes import ChainComplex
 from .groups import FgAbGroup

@@ -15,7 +15,7 @@ sample of them against finite approximations.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .groups import (FgAbGroup, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
@@ -271,7 +271,7 @@ class SymbolicGroup(Frozen):
         return cls(ZERO_GROUP, ())
 
     @classmethod
-    def of(cls, *parts: Union["SymbolicGroup", FgAbGroup, Atom]) -> "SymbolicGroup":
+    def of(cls, *parts: SymbolicGroup | FgAbGroup | Atom) -> "SymbolicGroup":
         orders: list[int] = []
         atoms: list[Atom] = []
         fgs: list[FgAbGroup] = []
@@ -318,13 +318,13 @@ class SymbolicGroup(Frozen):
         return format_group(self)
 
 
-def as_symbolic(g: Union[SymbolicGroup, FgAbGroup, Atom]) -> SymbolicGroup:
+def as_symbolic(g: SymbolicGroup | FgAbGroup | Atom) -> SymbolicGroup:
     if isinstance(g, SymbolicGroup):
         return g
     return SymbolicGroup.of(g)
 
 
-def is_divisible(g: Union[SymbolicGroup, FgAbGroup]) -> bool:
+def is_divisible(g: SymbolicGroup | FgAbGroup) -> bool:
     """True exactly for sums of Q, Pruefer groups, their sums, and QpHat.
 
     >>> is_divisible(SymbolicGroup.of(Q(), Prufer(2)))
@@ -336,7 +336,7 @@ def is_divisible(g: Union[SymbolicGroup, FgAbGroup]) -> bool:
     return g.fg.is_zero and all(isinstance(a, _DIVISIBLE_ATOMS) for a in g.atoms)
 
 
-_Piece = Union[FgAbGroup, Atom]
+_Piece = FgAbGroup | Atom
 
 
 def _pieces(g: SymbolicGroup) -> list[_Piece]:
@@ -450,8 +450,8 @@ def _hom_pair(x: _Piece, y: _Piece):
     return _hom_atom_atom(x, y)
 
 
-def hom_rule(a: Union[SymbolicGroup, FgAbGroup],
-             b: Union[SymbolicGroup, FgAbGroup]):
+def hom_rule(a: SymbolicGroup | FgAbGroup,
+             b: SymbolicGroup | FgAbGroup):
     """Hom(a, b) by the rule table, or UNKNOWN.
 
     On finitely generated inputs this agrees with :func:`~cellkit.groups.hom_fg`
@@ -492,8 +492,8 @@ def _ext_pair(x: _Piece, y: _Piece):
     return UNKNOWN
 
 
-def ext_rule(a: Union[SymbolicGroup, FgAbGroup],
-             b: Union[SymbolicGroup, FgAbGroup]):
+def ext_rule(a: SymbolicGroup | FgAbGroup,
+             b: SymbolicGroup | FgAbGroup):
     """Ext(a, b) by the rule table, or UNKNOWN.
 
     >>> ext_rule(SymbolicGroup.of(FgAbGroup.cyclic(8)), SymbolicGroup.of(Q())).is_zero

@@ -16,7 +16,7 @@ machine checks over sample families.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
                         coproduct, derived_hom, em_complex, fiber,

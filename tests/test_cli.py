@@ -859,10 +859,13 @@ def test_import_loads_no_sympy():
 def test_import_loads_no_dataclasses():
     # Every query is a fresh process.  dataclasses loads inspect (and with
     # it ast, dis and tokenize), which took about 10 ms of each start, and
-    # decorating the value classes about 14 ms more.  -S keeps site hooks
-    # from loading either module.
+    # decorating the value classes about 14 ms more.  typing took about
+    # 4 ms, and traceback, which loads linecache and tokenize, about 3 ms;
+    # only the exit-3 path needs traceback.  -S keeps site hooks from
+    # loading any of them.
     probe = ("import sys, cellkit.cli; print(sorted(m for m in "
-             "('dataclasses', 'inspect') if m in sys.modules))")
+             "('dataclasses', 'inspect', 'typing', 'traceback') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True, env=_cellkit_env(),
                          timeout=120, check=True).stdout
