@@ -297,10 +297,20 @@ def _cmd_acceptance(args) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one ``error: ...`` line, like
-    every other bad input; subcommand parsers inherit the class."""
+    every other bad input; subcommand parsers inherit the class.  A value
+    that argparse rejects is quoted as ``quoted`` quotes it, so that a
+    long one is cut."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def _get_values(self, action, texts):
+        try:
+            return super()._get_values(action, texts)
+        except argparse.ArgumentError as exc:
+            for text in texts:
+                exc.message = exc.message.replace(repr(text), quoted(text))
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:
