@@ -42,11 +42,19 @@ def is_null(x: ChainComplex, k: int) -> bool:
 
 def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None]:
     """The cover, and the kernel of d_k that becomes its degree k when the
-    cut falls inside the support (None when the cover is x or zero)."""
+    cut falls inside the support (None when the cover is x or zero).
+
+    A cut inside the support is computed once per complex object: the
+    answer is kept in ``x.__dict__``, keyed by k, like ``x.homology``.
+    The two outer cases are not kept, so x never refers to itself.
+    """
     if x.is_zero or k <= x.lo:
         return x, None
     if k > x.hi:
         return ChainComplex.zero_complex(), None
+    covers = x.__dict__.setdefault("_covers", {})
+    if k in covers:
+        return covers[k]
     kernel, coords = smith_normal_form(x.boundary(k)).kernel()
     kappa = kernel.cols                                # kernel is rank(k) x kappa
     ranks = {n: x.rank(n) for n in range(k + 1, x.hi + 1)}
@@ -57,7 +65,8 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None
             boundaries[n] = d
         elif n == k + 1 and kappa:
             boundaries[n] = coords @ d
-    return ChainComplex.build(ranks, boundaries), kernel
+    found = covers[k] = ChainComplex.build(ranks, boundaries), kernel
+    return found
 
 
 def connective_cover(x: ChainComplex, k: int) -> ChainComplex:
