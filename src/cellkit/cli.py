@@ -231,7 +231,7 @@ def _cmd_em_cellularize(args) -> dict:
         if args.group is None:
             raise InputError("shape mode needs --group")
         g = _group(args.group, "--group")
-        result = cell_shape(args.n, g)
+        result = cell_shape(args.n or 0, g)
     elif args.mode == "primary":
         for flag in ("m", "k", "n", "p"):
             if getattr(args, flag) is None:
@@ -299,7 +299,8 @@ class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as one ``error: ...`` line, like
     every other bad input; subcommand parsers inherit the class.  A value
     that argparse rejects is quoted as ``quoted`` quotes it, so that a
-    long one is cut."""
+    long one is cut, and an unknown command points to ``--help`` instead
+    of listing every command."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -308,8 +309,13 @@ class _Parser(argparse.ArgumentParser):
         try:
             return super()._get_values(action, texts)
         except argparse.ArgumentError as exc:
-            for text in texts:
-                exc.message = exc.message.replace(repr(text), quoted(text))
+            if action.dest == "command":
+                exc.message = (f"invalid choice: {quoted(texts[0])} "
+                               f"(see {self.prog} --help)")
+            else:
+                for text in texts:
+                    exc.message = exc.message.replace(repr(text),
+                                                      quoted(text))
             raise
 
 
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_em_cellularize)
     p.add_argument("--mode", choices=("shape", "primary", "dichotomy"),
                    default="shape")
-    p.add_argument("--n", type=strict_int, default=0)
+    p.add_argument("--n", type=strict_int)
     p.add_argument("--group")
     for flag in "mkpr":
         p.add_argument(f"--{flag}", type=strict_int)

@@ -572,6 +572,12 @@ OVERSIZED = [
      ["em-cellularize", "--mode", "X" * 5000], None,
      "argument --mode: invalid choice: '" + "X" * 40 + "'... (5000 "
      "characters) (choose from "),
+    # An unknown command points to --help instead of listing all 16.
+    ("bogus-command", ["bogus"], None,
+     "argument command: invalid choice: 'bogus' (see cellkit --help)\n"),
+    ("5000-character-command", ["Y" * 5000], None,
+     "argument command: invalid choice: '" + "Y" * 40 + "'... (5000 "
+     "characters) (see cellkit --help)\n"),
 ]
 
 
@@ -719,12 +725,13 @@ def _symbolic_corpus():
 
 def test_symbolic_command_bytes(capsys):
     # One sha256 over argv, exit code, stdout and stderr of every row.
+    # Primary mode without --n reports the missing flag.
     digest = hashlib.sha256()
     for argv in _symbolic_corpus():
         code = main(argv)
         out, err = capsys.readouterr()
         digest.update(json.dumps([argv, code, out, err]).encode())
-    assert digest.hexdigest()[:16] == "b7e149cf54717fbb"
+    assert digest.hexdigest()[:16] == "037a61ff02951a4e"
 
 
 @pytest.mark.parametrize("argv", [
