@@ -359,12 +359,13 @@ class TestDeterminism:
 
 
 class TestAcceptanceGate:
-    def test_report_bytes_match_benchmark_reference(self, capsys):
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_report_bytes_match_benchmark_reference(self, capsys, seed):
         refs = os.path.join(os.path.dirname(__file__), os.pardir,
                             "perfbench", "refs", "acceptance.json")
         with open(refs, encoding="utf-8") as fh:
-            want = json.load(fh)["0"]
-        code, out = run_cli(capsys, "acceptance", "--seed", "0")
+            want = json.load(fh)[seed]
+        code, out = run_cli(capsys, "acceptance", "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
 

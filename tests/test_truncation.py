@@ -8,7 +8,7 @@ from cellkit.complexes import (ChainComplex, GradedGroup, coproduct,
                                em_complex, map_on_homology_is_iso,
                                quasi_iso_eq, shift, triangle_check)
 from cellkit.groups import FgAbGroup, Z
-from cellkit.matrices import IntMatrix, kernel_basis
+from cellkit.matrices import IntMatrix, SmithNormalForm, kernel_basis
 from cellkit.sampling import random_complex, random_complex_family, sample_pairs
 from cellkit.truncation import (PreconditionError, cell_null_triangle,
                                 closure_suite, connective_cover,
@@ -96,6 +96,54 @@ class TestCover:
             for k in (-2, 0, 2):
                 once = connective_cover(x, k)
                 assert quasi_iso_eq(connective_cover(once, k), once)
+
+
+class TestCoverMemo:
+    """A cover inside the support is computed once per complex object."""
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count kernel takes and ChainComplex.build calls from now on."""
+        calls = {"kernel": 0, "build": 0}
+        kernel = SmithNormalForm.kernel
+        build = ChainComplex.build.__func__
+
+        def counting_kernel(self):
+            calls["kernel"] += 1
+            return kernel(self)
+
+        def counting_build(cls, *args, **kwargs):
+            calls["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SmithNormalForm, "kernel", counting_kernel)
+        monkeypatch.setattr(ChainComplex, "build", classmethod(counting_build))
+        return calls
+
+    def test_second_cover_and_inclusion_do_no_new_work(self, monkeypatch):
+        x = mixed_sample()                  # support -1..0, cut inside
+        first = connective_cover(x, 0)
+        calls = self.count_work(monkeypatch)
+        assert connective_cover(x, 0) is first
+        assert cover_inclusion(x, 0).source is first
+        assert calls == {"kernel": 0, "build": 0}
+
+    def test_equal_copy_is_covered_afresh(self, monkeypatch):
+        x = mixed_sample()
+        first = connective_cover(x, 0)
+        y = ChainComplex.from_json(x.to_json())
+        assert y == x and y is not x
+        calls = self.count_work(monkeypatch)
+        again = connective_cover(y, 0)
+        assert again == first and again is not first
+        assert calls == {"kernel": 1, "build": 1}
+
+    def test_outer_cuts_store_nothing(self):
+        x = mixed_sample()
+        assert connective_cover(x, x.lo) is x
+        assert connective_cover(x, x.hi + 1).is_zero
+        assert cover_inclusion(x, x.lo - 1).source is x
+        assert "_covers" not in x.__dict__
 
 
 class TestSection:
