@@ -2,12 +2,10 @@
 
 For the sphere-like generator sitting in degree k, the colocal objects are
 the complexes with homology concentrated in degrees >= k and the null
-objects are those with homology in degrees < k.  The cover is computed by
-the kernel-good-truncation, which is exact at the matrix level; the
-section is rebuilt freely from the low homology (legitimate here because
-quasi-isomorphism type is graded homology).  A second, quotient-style
-model of the section carries an honest chain-level projection map and
-powers the fibre computations.
+objects are those with homology in degrees < k.  Both truncations are
+exact at the matrix level: the cover replaces degree k by the kernel of
+d_k, and the section replaces it by the image of d_k, a quotient of x
+with a chain-level projection from x.
 
 The suites turn the closure lemmas, the decomposition triangle, the
 t-structure axioms and the failure of suspension-commutation into
@@ -87,35 +85,33 @@ def cover_inclusion(x: ChainComplex, k: int) -> ChainMap:
     return ChainMap.build(cover, x, comps)
 
 
-def postnikov(x: ChainComplex, k: int) -> ChainComplex:
-    """A free complex with the homology of x in degrees < k, zero elsewhere.
+def _section_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None]:
+    """The section, and the projection of x_k onto the image of d_k that
+    becomes its degree k (None when the section is x or zero)."""
+    if x.is_zero or k > x.hi:
+        return x, None
+    if k <= x.lo:
+        return ChainComplex.zero_complex(), None
+    image, proj = smith_normal_form(x.boundary(k)).image()
+    ranks = {n: x.rank(n) for n in range(x.lo, k)}
+    ranks[k] = image.cols
+    boundaries = {n: x.boundary(n) for n in range(x.lo + 1, k)}
+    boundaries[k] = image
+    return ChainComplex.build(ranks, boundaries), proj
 
-    Rebuilt from homology presentations, one two-term block per degree.
-    """
-    return coproduct([em_complex(g, n) for n, g in x.homology.groups if n < k])
+
+def postnikov(x: ChainComplex, k: int) -> ChainComplex:
+    """Good truncation keeping homology in degrees < k: degrees below k are
+    untouched, and degree k becomes the image of d_k, a free group."""
+    return _section_data(x, k)[0]
 
 
 def section_with_projection(x: ChainComplex, k: int) -> tuple[ChainComplex, ChainMap]:
-    """Quotient model of the k-th section and its chain-level projection.
-
-    Degrees below k are copied; degree k becomes the image of the outgoing
-    boundary (a free group), making the projection an honest chain map
-    that kills homology at and above k and is the identity on it below.
-    """
-    if x.is_zero or k > x.hi:
-        return x, ChainMap.identity(x)
-    if k <= x.lo:
-        zero = ChainComplex.zero_complex()
-        return zero, ChainMap.zero_map(x, zero)
-    image, proj = smith_normal_form(x.boundary(k)).image()
-    ranks = {n: x.rank(n) for n in range(x.lo, k)}
-    boundaries = {n: x.boundary(n) for n in range(x.lo + 1, k)}
-    comps = {n: IntMatrix.identity(x.rank(n)) for n in range(x.lo, k)}
-    if image.cols:
-        ranks[k] = image.cols
-        boundaries[k] = image
-        comps[k] = proj
-    section = ChainComplex.build(ranks, boundaries)
+    """postnikov(x, k) and the chain-level projection onto it from x: the
+    identity below k and onto the image of d_k in degree k."""
+    section, proj = _section_data(x, k)
+    comps = {n: proj if n == k else IntMatrix.identity(r)
+             for n, r in section.ranks}
     return section, ChainMap.build(x, section, comps)
 
 

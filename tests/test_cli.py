@@ -61,6 +61,41 @@ TRIANGLE_CHECK_STDOUT = """\
   "verdict": true
 }
 """
+# Full stdout of the postnikov payload of TestDispatch.
+POSTNIKOV_STDOUT = """\
+{
+  "homology": {
+    "0": {
+      "rank": 1,
+      "torsion": [
+        2
+      ]
+    }
+  },
+  "k": 1,
+  "result": {
+    "boundaries": {
+      "1": {
+        "cols": 1,
+        "data": [
+          2,
+          4
+        ],
+        "rows": 2
+      }
+    },
+    "hi": 1,
+    "lo": 0,
+    "ranks": {
+      "0": 2,
+      "1": 1
+    }
+  },
+  "schema": "cellkit/1",
+  "seed": 0,
+  "subcommand": "postnikov"
+}
+"""
 TSTRUCTURE_STDOUT = """\
 {
   "report": {
@@ -229,6 +264,18 @@ class TestDispatch:
         assert code == 0
         body = json.loads(out)
         assert body["result"]["ranks"] == {}
+
+    def test_postnikov_bytes(self, capsys, monkeypatch):
+        # The section keeps degree 0 and takes the image basis of d_1 in
+        # degree 1, so it differs from a free complex on H_0 = Z + Z/2.
+        payload = _complex_payload({
+            "ranks": {"0": 2, "1": 2, "2": 1},
+            "boundaries": {"1": {"rows": 2, "cols": 2, "data": [2, 0, 4, 0]},
+                           "2": {"rows": 2, "cols": 1, "data": [0, 3]}}})
+        code, out = run_cli(capsys, "postnikov", "--k", "1",
+                            stdin=payload, monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == POSTNIKOV_STDOUT
 
     def test_snf_payload(self, capsys, monkeypatch):
         payload = json.dumps({"matrix": {"rows": 2, "cols": 2,
@@ -553,6 +600,14 @@ OVERSIZED = [
     ("ring-obstruction-long-factor",
      ["ring-obstruction", f"--wedge=0:{_LONG_GROUP}"], None,
      "--wedge has an invariant factor of more than 4300 digits"),
+    # A map into the top degree: the error names the map's source, not the
+    # cone's degree DEGREE_CAP + 1.
+    ("triangle-check-source-at-degree-cap", ["triangle-check"], json.dumps({
+        "map": {"source": {"ranks": {"64": 1}}, "target": {"ranks": {"64": 1}},
+                "components": {"64": {"rows": 1, "cols": 1, "data": [1]}}},
+        "candidate": {"ranks": {}}}),
+     "the map's source reaches degree 64; its cone would leave the cap "
+     "|n| <= 64\n"),
     # Texts too long to quote: the error quotes their first QUOTE_CAP
     # characters and names the option.
     ("ring-obstruction-5000-digit-order",

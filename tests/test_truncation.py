@@ -167,16 +167,32 @@ class TestSection:
                 once = postnikov(x, k)
                 assert quasi_iso_eq(postnikov(once, k), once)
 
-    def test_quotient_model_matches(self):
+    @staticmethod
+    def random_cuts():
         rng = random.Random(8)
         for _ in range(15):
             x = random_complex(rng, max_degrees=6, max_rank=5)
             for k in (-1, 0, 1):
-                section, proj = section_with_projection(x, k)
-                assert quasi_iso_eq(section, postnikov(x, k))
-                for n in x.degrees():
-                    if n < k:
-                        assert map_on_homology_is_iso(proj, n), (k, n)
+                yield x, k
+
+    def test_projection_target_is_the_section(self):
+        for x, k in self.random_cuts():
+            assert section_with_projection(x, k)[0] == postnikov(x, k)
+
+    def test_keeps_boundaries_below_the_cut(self):
+        for x, k in self.random_cuts():
+            section = postnikov(x, k)
+            for n in x.degrees():
+                if n < k:
+                    assert section.rank(n) == x.rank(n), (k, n)
+                    assert section.boundary(n) == x.boundary(n), (k, n)
+
+    def test_projection_is_iso_below_the_cut(self):
+        for x, k in self.random_cuts():
+            _, proj = section_with_projection(x, k)
+            for n in x.degrees():
+                if n < k:
+                    assert map_on_homology_is_iso(proj, n), (k, n)
 
     def test_partition_of_homology(self):
         rng = random.Random(10)
@@ -207,6 +223,12 @@ class TestDecompositionTriangle:
         assert connective_cover(x, 3).homology.is_zero
         assert quasi_iso_eq(postnikov(x, 3), x)
 
+    @staticmethod
+    def verdicts(x):
+        return (cell_null_triangle(x, 0),
+                criterion_truncation_triangle(0, [x]).passed,
+                tstructure_check(0, [(x, x)])["axioms"]["decomposition"])
+
     @pytest.mark.parametrize("name, mutant", [
         ("postnikov", lambda right: lambda y, k: right(y, k + 1)),
         ("connective_cover", lambda right: lambda y, k: y),
@@ -217,15 +239,25 @@ class TestDecompositionTriangle:
         # or section must fail it and both of the checks built on it.  The
         # input has H_0 != 0 and homology below the cut 0.
         x = mixed_sample()
-
-        def verdicts():
-            return (cell_null_triangle(x, 0),
-                    criterion_truncation_triangle(0, [x]).passed,
-                    tstructure_check(0, [(x, x)])["axioms"]["decomposition"])
-
-        assert verdicts() == (True, True, True)
+        assert self.verdicts(x) == (True, True, True)
         monkeypatch.setattr(truncation, name, mutant(getattr(truncation, name)))
-        assert verdicts() == (False, False, False)
+        assert self.verdicts(x) == (False, False, False)
+
+    def test_doubled_image_basis_fails_every_triangle_check(self, monkeypatch):
+        # The section's degree k is the image basis of d_k, so its homology
+        # comes from that basis: doubling it makes H_{-1} of the section
+        # Z/6 instead of Z/3, and the triangle and both of its readers fail.
+        x = mixed_sample()
+        assert self.verdicts(x) == (True, True, True)
+        image = SmithNormalForm.image
+
+        def doubled(form):
+            basis, proj = image(form)
+            return IntMatrix(basis.rows, basis.cols,
+                             tuple(2 * e for e in basis.entries)), proj
+
+        monkeypatch.setattr(SmithNormalForm, "image", doubled)
+        assert self.verdicts(x) == (False, False, False)
 
 
 class TestNullificationFiber:
