@@ -266,8 +266,8 @@ class TestDispatch:
         assert body["result"]["ranks"] == {}
 
     def test_postnikov_bytes(self, capsys, monkeypatch):
-        # The section keeps degree 0 and takes the image basis of d_1 in
-        # degree 1, so it differs from a free complex on H_0 = Z + Z/2.
+        # The section keeps degree 0 of the input and takes the image basis
+        # (2, 4) of d_1 in degree 1.
         payload = _complex_payload({
             "ranks": {"0": 2, "1": 2, "2": 1},
             "boundaries": {"1": {"rows": 2, "cols": 2, "data": [2, 0, 4, 0]},
