@@ -86,6 +86,13 @@ class GradedGroup(Frozen):
         return ", ".join(f"H{n}={g}" for n, g in self.groups)
 
 
+def _check_caps(n: int, r: int) -> None:
+    if abs(n) > DEGREE_CAP:
+        raise SupportCapError(f"degree {n} outside the cap |n| <= {DEGREE_CAP}")
+    if r > RANK_CAP:
+        raise SupportCapError(f"rank {r} exceeds the cap {RANK_CAP}")
+
+
 def _json_table(obj, key: str) -> dict:
     """The JSON object under ``key`` in the JSON object ``obj``, or {}."""
     if not isinstance(obj, dict):
@@ -99,9 +106,11 @@ def _json_table(obj, key: str) -> dict:
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
-    Construct through :meth:`build`, which normalizes the presentation
+    Complexes made from data (payloads, samples, EM complexes, covers and
+    sections) go through :meth:`build`, which normalizes the presentation
     (zero ranks and zero boundary matrices are dropped) and rejects data
-    with d o d != 0.
+    with d o d != 0.  `shift`, `cone` and `coproduct` of checked complexes
+    go through :meth:`_assembled`, which checks only the caps.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
@@ -122,21 +131,14 @@ class ChainComplex(Frozen):
             n, r = int(n), int(r)
             if r < 0:
                 raise ChainComplexError(f"negative rank {r} in degree {n}")
-            if abs(n) > DEGREE_CAP:
-                raise SupportCapError(
-                    f"degree {n} outside the cap |n| <= {DEGREE_CAP}")
-            if r > RANK_CAP:
-                raise SupportCapError(f"rank {r} exceeds the cap {RANK_CAP}")
+            _check_caps(n, r)
             if r:
                 rank_map[n] = r
-
-        def rank_of(n):
-            return rank_map.get(n, 0)
 
         kept = {}
         for n, d in boundaries.items():
             n = int(n)
-            expected = (rank_of(n - 1), rank_of(n))
+            expected = (rank_map.get(n - 1, 0), rank_map.get(n, 0))
             if (d.rows, d.cols) != expected:
                 raise ChainComplexError(
                     f"boundary in degree {n} has shape {d.rows}x{d.cols}, "
@@ -151,6 +153,16 @@ class ChainComplex(Frozen):
 
         return cls(tuple(sorted(rank_map.items())),
                    tuple(sorted(kept.items())))
+
+    @classmethod
+    def _assembled(cls, ranks: dict, boundaries: dict) -> "ChainComplex":
+        """Normalized with d o d = 0 by construction: shift negates each d,
+        the cone's D o D has blocks d_X o d_X, f d_X - d_Y f and d_Y o d_Y,
+        and a sum is block diagonal.  Only the caps are checked."""
+        for n, r in ranks.items():
+            _check_caps(n, r)
+        return cls(tuple(sorted(ranks.items())),
+                   tuple(sorted(boundaries.items())))
 
     @classmethod
     def zero_complex(cls) -> "ChainComplex":
@@ -350,7 +362,7 @@ def shift(x: ChainComplex, k: int) -> ChainComplex:
     sign = -1 if k % 2 else 1
     ranks = {n + k: r for n, r in x.ranks}
     boundaries = {n + k: (d if sign == 1 else -d) for n, d in x.boundaries}
-    out = ChainComplex.build(ranks, boundaries)
+    out = ChainComplex._assembled(ranks, boundaries)
     h = _known_homology(x)
     if h is not None:
         out.__dict__["homology"] = h.shifted(k)
@@ -387,7 +399,7 @@ def cone(f: ChainMap) -> ChainComplex:
             if m is not None:
                 _place(entries, cols, row, col, m, sign)
         boundaries[n] = IntMatrix(rows, cols, tuple(entries))
-    return ChainComplex.build(ranks, boundaries)
+    return ChainComplex._assembled(ranks, boundaries)
 
 
 def fiber(f: ChainMap) -> ChainComplex:
@@ -420,7 +432,7 @@ def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
             row += x.rank(n - 1)
             col += x.rank(n)
         boundaries[n] = IntMatrix(rows, cols, tuple(entries))
-    out = ChainComplex.build(ranks, boundaries)
+    out = ChainComplex._assembled(ranks, boundaries)
     hs = [_known_homology(x) for x in xs]
     if all(h is not None for h in hs):
         out.__dict__["homology"] = hs[0].direct_sum(*hs[1:])

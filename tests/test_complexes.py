@@ -39,6 +39,17 @@ class TestConstruction:
             ChainComplex.build({100: 1})
         with pytest.raises(SupportCapError):
             ChainComplex.build({0: 1000})
+        # shift, cone and coproduct check only the caps, with build's messages.
+        with pytest.raises(SupportCapError,
+                           match=r"^degree 65 outside the cap \|n\| <= 64$"):
+            shift(two_term(2, lo=63), 1)
+        wide = ChainComplex.build({0: 300})
+        with pytest.raises(SupportCapError,
+                           match=r"^rank 600 exceeds the cap 512$"):
+            coproduct([wide, wide])
+        with pytest.raises(SupportCapError,
+                           match=r"^rank 600 exceeds the cap 512$"):
+            cone(ChainMap.zero_map(wide, shift(wide, 1)))
 
     def test_normalization_drops_zeros(self):
         x = ChainComplex.build({0: 1, 1: 0, 5: 0})
@@ -304,6 +315,42 @@ class TestAssembly:
     def test_coproduct_matches_dense_reference(self, xs):
         assert coproduct(xs) == _dense_coproduct(xs)
 
+    @settings(max_examples=80, deadline=None)
+    @given(complexes, complexes,
+           st.sampled_from(["scalar", "zero", "section", "cover", "inject",
+                            "project"]),
+           st.integers(-3, 3), st.integers(-3, 3))
+    def test_outputs_pass_the_checked_build(self, x, y, kind, m, k):
+        # shift, cone, fiber and coproduct skip the shape and d o d checks;
+        # build runs them, and must return the same complex.
+        f = _chain_map(x, y, kind, m)
+        c = cone(f)
+        for out in (shift(f.source, k), shift(f.target, k), c, shift(c, k),
+                    fiber(f), coproduct([f.source, f.target, c])):
+            assert ChainComplex.build(dict(out.ranks),
+                                      dict(out.boundaries)) == out
+
+    def test_assembly_runs_no_product(self, monkeypatch):
+        x = random_complex(random.Random(29), max_degrees=5, max_rank=4)
+        # Adjacent boundaries, so a d o d check would multiply them.
+        assert any(n - 1 in dict(x.boundaries) for n, _ in x.boundaries)
+        maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)),
+                section_with_projection(x, x.lo + 1)[1]]
+        products = []
+        real = IntMatrix.__matmul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        for k in (-2, -1, 1, 2, 3):
+            assert shift(x, k).rank(x.lo + k) == x.rank(x.lo)
+        for f in maps:
+            assert not cone(f).is_zero and not fiber(f).is_zero
+        assert coproduct([x, shift(x, 1), x]).rank(x.lo) == 2 * x.rank(x.lo)
+        assert products == []
+
     def test_cone_builds_no_zero_matrix(self, monkeypatch):
         x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
         maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)),
@@ -330,7 +377,7 @@ class TestCarriedHomology:
         assert "homology" in s.__dict__
         fresh = ChainComplex.build(dict(s.ranks), dict(s.boundaries))
         assert "homology" not in fresh.__dict__
-        assert s.homology == fresh.homology
+        assert fresh == s and s.homology == fresh.homology
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(complexes, min_size=1, max_size=4))
@@ -340,7 +387,7 @@ class TestCarriedHomology:
         total = coproduct(xs)
         fresh = ChainComplex.build(dict(total.ranks), dict(total.boundaries))
         assert total.is_zero or "homology" in total.__dict__
-        assert total.homology == fresh.homology
+        assert fresh == total and total.homology == fresh.homology
 
     def test_nothing_is_carried_from_unread_homology(self):
         x = two_term(6)

@@ -4,8 +4,8 @@ import pytest
 
 from cellkit import truncation
 from cellkit.acceptance import criterion_truncation_triangle
-from cellkit.complexes import (ChainComplex, GradedGroup, coproduct,
-                               em_complex, map_on_homology_is_iso,
+from cellkit.complexes import (ChainComplex, ChainMapError, GradedGroup,
+                               coproduct, em_complex, map_on_homology_is_iso,
                                quasi_iso_eq, shift, triangle_check)
 from cellkit.groups import FgAbGroup, Z
 from cellkit.matrices import IntMatrix, SmithNormalForm, kernel_basis
@@ -67,6 +67,26 @@ class TestCover:
         for k in range(x.lo - 1, x.hi + 2):
             connective_cover(x, k)
         assert built == []
+
+    def test_zero_kernel_basis_fails_the_inclusion_check(self, monkeypatch):
+        # A zero kernel basis leaves the cover intact but zeroes the
+        # inclusion at the cut, where d_1 of the sample is nonzero; only
+        # the chain-map check of cover_inclusion can see it.
+        def sample():
+            return coproduct([mixed_sample(), em_complex(cyc(4), 0)])
+
+        cover_inclusion(sample(), 0)
+        kernel = SmithNormalForm.kernel
+
+        def zeroed(form):
+            basis, coords = kernel(form)
+            return IntMatrix.zero(basis.rows, basis.cols), coords
+
+        monkeypatch.setattr(SmithNormalForm, "kernel", zeroed)
+        assert connective_cover(sample(), 0).homology == GradedGroup.of(
+            {0: FgAbGroup.of_orders([0, 4])})
+        with pytest.raises(ChainMapError, match="not a chain map in degree 1"):
+            cover_inclusion(sample(), 0)
 
     def test_inclusion_components(self):
         # Identities on the degrees above the cut, the kernel of the
@@ -258,6 +278,21 @@ class TestDecompositionTriangle:
 
         monkeypatch.setattr(SmithNormalForm, "image", doubled)
         assert self.verdicts(x) == (False, False, False)
+
+    def test_short_kernel_basis_fails_every_triangle_check(self, monkeypatch):
+        # The cover's degree k is the kernel basis of d_k: without its last
+        # column, the cover of the sample loses H_0 = Z.  Covers are kept
+        # per complex, so the mutant covers a fresh copy.
+        assert self.verdicts(mixed_sample()) == (True, True, True)
+        kernel = SmithNormalForm.kernel
+
+        def short(form):
+            basis, coords = kernel(form)
+            return (basis.take(None, range(basis.cols - 1)),
+                    coords.take(range(coords.rows - 1), None))
+
+        monkeypatch.setattr(SmithNormalForm, "kernel", short)
+        assert self.verdicts(mixed_sample()) == (False, False, False)
 
 
 class TestNullificationFiber:
