@@ -106,11 +106,12 @@ def _json_table(obj, key: str) -> dict:
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
-    Complexes made from data (payloads, samples, EM complexes, covers and
+    Complexes made from data (payloads, samples, EM complexes and
     sections) go through :meth:`build`, which normalizes the presentation
     (zero ranks and zero boundary matrices are dropped) and rejects data
-    with d o d != 0.  `shift`, `cone` and `coproduct` of checked complexes
-    go through :meth:`_assembled`, which checks only the caps.
+    with d o d != 0.  Covers, and `shift`, `cone` and `coproduct` of
+    checked complexes, go through :meth:`_assembled`, which checks only
+    the caps.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
@@ -158,7 +159,8 @@ class ChainComplex(Frozen):
     def _assembled(cls, ranks: dict, boundaries: dict) -> "ChainComplex":
         """Normalized with d o d = 0 by construction: shift negates each d,
         the cone's D o D has blocks d_X o d_X, f d_X - d_Y f and d_Y o d_Y,
-        and a sum is block diagonal.  Only the caps are checked."""
+        a sum is block diagonal, and a cover adds only coords @ d @ d = 0.
+        Only the caps are checked."""
         for n, r in ranks.items():
             _check_caps(n, r)
         return cls(tuple(sorted(ranks.items())),

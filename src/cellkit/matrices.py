@@ -5,9 +5,10 @@ small random matrices overflow 64-bit types, so no fixed-width arithmetic
 appears anywhere.  The Smith normal form gives its diagonal without
 building any change-of-basis matrix: homology, rank and cokernels read
 only the invariant factors, and transform entries grow far faster than
-the diagonal.  The change-of-basis matrices and their inverses are built
-on first use, by the code that needs a basis: kernel bases, linear
-solves, cycles rewritten in kernel coordinates, and ``cellkit snf``.
+the diagonal.  Each change-of-basis matrix and inverse is built on first
+use, and only if it is read: kernel and image bases read u_inv, v and
+v_inv, linear solves u and v, and ``cellkit snf`` all four.  A product
+with an identity factor is the other factor, not a copy.
 
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 import weakref
 from collections.abc import Sequence
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -176,6 +178,12 @@ def strict_int(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=None)
+def _identity_entries(n: int) -> tuple[int, ...]:
+    """The entries of the n x n identity, one shared tuple per n."""
+    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+
+
 class IntMatrix(Frozen):
     """Immutable integer matrix, entries stored row-major.
 
@@ -218,7 +226,13 @@ class IntMatrix(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, _identity_entries(n))
+
+    @cached_property
+    def is_identity(self) -> bool:
+        n, e = self.rows, self.entries
+        return (n == self.cols and e[::n + 1] == (1,) * n
+                and e.count(0) == n * n - n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -274,6 +288,12 @@ class IntMatrix(Frozen):
             raise MatrixShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, m, k = self.rows, other.cols, self.cols
+        # An identity factor gives the other one back: the values are equal
+        # and immutable, so no copy is needed.
+        if n == k and self.is_identity:
+            return other
+        if k == m and other.is_identity:
+            return self
         a, b = self.entries, other.entries
         # The nonzero (column, value) pairs of each row of the right
         # factor, listed once; zeros on either side add nothing.
@@ -335,6 +355,15 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(r, sum(m.cols for m in mats), tuple(ents))
 
 
+# The change-of-basis matrices of a Smith normal form, in the order that
+# _reduce returns them after s.
+TRANSFORMS = ("u", "v", "u_inv", "v_inv")
+_ALL = frozenset(TRANSFORMS)
+# What a basis reader needs: kernel() reads v and v_inv, image() u_inv
+# and v_inv, so one pass serves a cover and a section of the same matrix.
+_BASES = frozenset(("u_inv", "v", "v_inv"))
+
+
 class SmithNormalForm(Frozen):
     """Certified decomposition ``s == u @ m @ v`` with unimodular u, v.
 
@@ -343,13 +372,15 @@ class SmithNormalForm(Frozen):
     diagonal.  ``u_inv`` and ``v_inv`` are the exact inverses, accumulated
     during the reduction.
 
-    The two halves are computed lazily.  ``diagonal`` (and with it
-    ``rank`` and ``nonzero_diagonal``) comes from a reduction of ``m``
-    alone, which builds no transform.  The first read of ``s``, ``u``,
-    ``v``, ``u_inv`` or ``v_inv`` runs the tracked reduction once and
-    freezes all five; a later ``diagonal`` is read off that ``s``.  A
-    reader of a basis therefore reads a transform before the diagonal, or
-    the matrix is reduced twice; ``kernel`` and ``image`` do so.
+    Everything is computed lazily, and only what is read.  ``diagonal``
+    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from a
+    reduction of ``m`` alone, which builds no transform.  Each transform
+    is stored on its own: ``kernel`` and ``image`` track u_inv, v and
+    v_inv, ``solve`` tracks u and v, and a bare read of ``u``, ``v``,
+    ``u_inv`` or ``v_inv`` tracks all four.  A pass tracks only the
+    transforms not yet stored, so a form runs at most two tracked passes,
+    and every transform is the same whichever pass built it.  A tracked
+    pass also stores the diagonal, so a later rank costs nothing.
     """
 
     # __weakref__: the table _FORMS below holds forms weakly.
@@ -359,61 +390,55 @@ class SmithNormalForm(Frozen):
     def __init__(self, matrix: IntMatrix):
         object.__setattr__(self, "matrix", matrix)
 
-    @cached_property
-    def _certified(self) -> tuple[IntMatrix, ...]:
-        nr, nc = self.matrix.rows, self.matrix.cols
-        a, u, v, uinv, vinv = _reduce(self.matrix, track=True)
-        shapes = ((nr, nc), (nr, nr), (nc, nc), (nr, nr), (nc, nc))
-        return tuple(IntMatrix(r, c, tuple(x for row in rows for x in row))
-                     for rows, (r, c) in zip((a, u, v, uinv, vinv), shapes))
+    def transforms(self, names: frozenset) -> dict:
+        """A mapping that holds every transform in ``names``; those not yet
+        stored are built by one tracked pass."""
+        known = self.__dict__
+        missing = names.difference(known)
+        if missing:
+            m = self.matrix
+            a, *found = _reduce(m, missing)
+            known.setdefault("diagonal", tuple(
+                a[i][i] for i in range(min(m.rows, m.cols))))
+            for name, rows in zip(TRANSFORMS, found):
+                if rows is not None:
+                    n = len(rows)
+                    known[name] = IntMatrix(
+                        n, n, tuple(x for row in rows for x in row))
+        return known
+
+    u = cached_property(lambda self: self.transforms(_ALL)["u"])
+    v = cached_property(lambda self: self.transforms(_ALL)["v"])
+    u_inv = cached_property(lambda self: self.transforms(_ALL)["u_inv"])
+    v_inv = cached_property(lambda self: self.transforms(_ALL)["v_inv"])
 
     @property
     def s(self) -> IntMatrix:
-        return self._certified[0]
-
-    @property
-    def u(self) -> IntMatrix:
-        return self._certified[1]
-
-    @property
-    def v(self) -> IntMatrix:
-        return self._certified[2]
-
-    @property
-    def u_inv(self) -> IntMatrix:
-        return self._certified[3]
-
-    @property
-    def v_inv(self) -> IntMatrix:
-        return self._certified[4]
+        return IntMatrix.diagonal(self.diagonal, self.matrix.rows,
+                                  self.matrix.cols)
 
     def kernel(self) -> tuple[IntMatrix, IntMatrix]:
         """(basis, coords): the columns of ``basis`` are a basis of ker(m),
         and ``coords`` is its left inverse, zero on the other columns of v.
         """
-        # Transforms before the rank, so one reduction serves both.
-        v, v_inv = self.v, self.v_inv
+        t = self.transforms(_BASES)
         r, n = self.rank, self.matrix.cols
-        return v.take(None, range(r, n)), v_inv.take(range(r, n), None)
+        return t["v"].take(None, range(r, n)), t["v_inv"].take(range(r, n), None)
 
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(basis, proj): the columns of ``basis`` are a basis of im(m), the
         first rank columns of u_inv scaled by the invariant factors, and
         ``proj`` is the matching rows of v_inv, so that m == basis @ proj.
         """
-        # Transforms before the rank, so one reduction serves both.
-        u_inv, v_inv = self.u_inv, self.v_inv
-        r, d = self.rank, self.diagonal
+        t = self.transforms(_BASES)
+        u_inv, r, d = t["u_inv"], self.rank, self.diagonal
         scaled = tuple(u_inv.entry(i, j) * d[j]
                        for i in range(self.matrix.rows) for j in range(r))
-        return IntMatrix(self.matrix.rows, r, scaled), v_inv.take(range(r), None)
+        return IntMatrix(self.matrix.rows, r, scaled), t["v_inv"].take(range(r), None)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        if "_certified" in self.__dict__:
-            a = self.s.to_rows()
-        else:
-            a = _reduce(self.matrix, track=False)[0]
+        a = _reduce(self.matrix, frozenset())[0]
         return tuple(a[i][i] for i in range(min(self.matrix.rows, self.matrix.cols)))
 
     @cached_property
@@ -436,19 +461,23 @@ def _eye_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
+def _reduce(m: IntMatrix, track: frozenset
+            ) -> tuple[list[list[int]] | None, ...]:
     """Reduce ``m`` to Smith form; returns the rows of s, u, v, u_inv, v_inv.
 
-    With ``track`` false the same pivoting runs on ``m`` alone and the four
-    transforms come back as None, so the diagonal is found without the
-    coefficient growth of u and v.
+    Only the transforms named in ``track`` (a subset of TRANSFORMS) are
+    built; the others come back as None.  The pivoting never reads a
+    transform, and each transform's updates read only that transform, so
+    a tracked one is the same whatever else is tracked, and the empty set
+    finds the diagonal without the coefficient growth of u and v.
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = uinv = v = vinv = None
-    if track:
-        u, uinv = _eye_rows(nr), _eye_rows(nr)
-        v, vinv = _eye_rows(nc), _eye_rows(nc)
+    tu, tv, tui, tvi = (name in track for name in TRANSFORMS)
+    u = _eye_rows(nr) if tu else None
+    v = _eye_rows(nc) if tv else None
+    uinv = _eye_rows(nr) if tui else None
+    vinv = _eye_rows(nc) if tvi else None
 
     # Row operation A <- E A keeps u <- E u and uinv <- uinv E^{-1};
     # column operation A <- A F keeps v <- v F and vinv <- F^{-1} vinv.
@@ -463,8 +492,9 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if track:
+        if tu:
             u[i], u[j] = u[j], u[i]
+        if tui:
             for row in uinv:
                 row[i], row[j] = row[j], row[i]
 
@@ -472,10 +502,11 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
         ai, aj = a[i], a[j]
         for c in range(t, nc):
             ai[c] += q * aj[c]
-        if track:
+        if tu:
             ui, uj = u[i], u[j]
             for c in range(nr):
                 ui[c] += q * uj[c]
+        if tui:
             for row in uinv:
                 x = row[i]
                 if x:
@@ -483,8 +514,9 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if track:
+        if tu:
             u[i] = [-x for x in u[i]]
+        if tui:
             for row in uinv:
                 row[i] = -row[i]
 
@@ -492,9 +524,10 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
         for r in range(t, nr):
             row = a[r]
             row[i], row[j] = row[j], row[i]
-        if track:
+        if tv:
             for row in v:
                 row[i], row[j] = row[j], row[i]
+        if tvi:
             vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(j, i, q):  # col_j += q * col_i
@@ -503,11 +536,12 @@ def _reduce(m: IntMatrix, track: bool) -> tuple[list[list[int]] | None, ...]:
             x = row[i]
             if x:
                 row[j] += q * x
-        if track:
+        if tv:
             for row in v:
                 x = row[i]
                 if x:
                     row[j] += q * x
+        if tvi:
             ri, rj = vinv[i], vinv[j]
             for c in range(nc):
                 ri[c] -= q * rj[c]
@@ -609,7 +643,8 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     if m.cols == 0:
         return () if not any(rhs) else None
     f = smith_normal_form(m)
-    c = f.u.apply(rhs)
+    t = f.transforms(frozenset(("u", "v")))
+    c = t["u"].apply(rhs)
     diag = f.diagonal
     y = [0] * m.cols
     for i in range(m.rows):
@@ -620,4 +655,4 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
             y[i] = c[i] // d
         elif c[i]:
             return None
-    return f.v.apply(y)
+    return t["v"].apply(y)

@@ -54,16 +54,18 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None
     if k in covers:
         return covers[k]
     kernel, coords = smith_normal_form(x.boundary(k)).kernel()
-    kappa = kernel.cols                                # kernel is rank(k) x kappa
-    ranks = {n: x.rank(n) for n in range(k + 1, x.hi + 1)}
-    ranks[k] = kappa
-    boundaries = {}
-    for n, d in x.boundaries:
-        if n >= k + 2:
-            boundaries[n] = d
-        elif n == k + 1 and kappa:
-            boundaries[n] = coords @ d
-    found = covers[k] = ChainComplex.build(ranks, boundaries), kernel
+    # d o d = 0 is inherited from x: the one new composite is coords @
+    # d_{k+1} @ d_{k+2} = 0.  Normalized as build would: coords is a left
+    # inverse on the kernel, which holds im d_{k+1}, so coords @ d_{k+1}
+    # is zero only where x has no d_{k+1}.
+    ranks = {n: r for n, r in x.ranks if n > k}
+    boundaries = {n: d for n, d in x.boundaries if n >= k + 2}
+    if kernel.cols:                                    # kernel is rank(k) x kappa
+        ranks[k] = kernel.cols
+        d = x._boundary_map.get(k + 1)
+        if d is not None:
+            boundaries[k + 1] = coords @ d
+    found = covers[k] = ChainComplex._assembled(ranks, boundaries), kernel
     return found
 
 

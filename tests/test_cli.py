@@ -15,7 +15,8 @@ from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
 from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
                              parse_group)
 from cellkit.groups import PSI_12, FgAbGroup, SizeBoundExceededError, Z
-from cellkit.matrices import InputError, MatrixShapeError, SmithNormalForm
+from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
+                              MatrixShapeError, _reduce, smith_normal_form)
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup,
                               UnknownRuleError, ZLocal, ZpHat)
@@ -891,12 +892,17 @@ def test_bad_input_errors_are_input_errors(cls):
 @pytest.mark.parametrize("part, index", [("u", 1), ("u_inv", 3), ("v_inv", 4)])
 def test_snf_certificate_can_fail(capsys, monkeypatch, part, index):
     import io
-    # The negated matrix is still unimodular, but it is not the inverse
-    # (nor, for u, the transform) that the reduction built.
-    monkeypatch.setattr(SmithNormalForm, part,
-                        property(lambda f: -f._certified[index]))
-    monkeypatch.setattr(sys, "stdin",
-                        io.StringIO(_snf_payload(2, 3, [2, 4, 6, 8, 10, 3])))
+    data = [2, 4, 6, 8, 10, 3]
+    # The payload's matrix finds this form, kept alive here, with one
+    # transform stored before any pass ran: the negation of what the
+    # reduction builds (``index`` is its place in what _reduce returns),
+    # still unimodular, but not the inverse (nor, for u, the transform).
+    # The pass that builds the others keeps it.
+    m = IntMatrix(2, 3, tuple(data))
+    form = smith_normal_form(m)
+    form.__dict__[part] = -IntMatrix.from_rows(
+        _reduce(m, frozenset(TRANSFORMS))[index])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_snf_payload(2, 3, data)))
     assert main(["snf"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(

@@ -4,17 +4,24 @@ import random
 import signal
 import weakref
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellkit import matrices as matrices_mod
-from cellkit.complexes import ChainComplex, homology_presentation
-from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
-                              IntMatrix, MatrixShapeError, SmithNormalForm,
-                              _reduce, hstack, kernel_basis, quoted,
-                              smith_normal_form, solve, strict_int)
+from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
+from cellkit.sampling import random_complex_family
+from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
+                              InputError, IntMatrix, MatrixShapeError,
+                              SmithNormalForm, _reduce, hstack, kernel_basis,
+                              quoted, smith_normal_form, solve, strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
+
+
+ALL = frozenset(TRANSFORMS)
+# The transforms that kernel() and image() track.
+BASES = frozenset(("u_inv", "v", "v_inv"))
 
 
 def mat(rows):
@@ -178,6 +185,58 @@ class TestIntMatrix:
         a, b = ab
         assert a @ b == triple_loop(a, b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(snf_inputs)
+    def test_identity_factor_is_returned(self, m):
+        assert IntMatrix.identity(m.rows) @ m is m
+        right = m @ IntMatrix.identity(m.cols)
+        # When m is an identity itself, either factor is the product.
+        assert right is m or (m.is_identity and right == m)
+
+    def test_identity_is_found_by_value(self):
+        assert IntMatrix.identity(3).is_identity
+        assert IntMatrix.identity(0).is_identity
+        assert IntMatrix.diagonal([1, 1]).is_identity
+        assert not IntMatrix.diagonal([1, 2]).is_identity
+        assert not IntMatrix.zero(2, 2).is_identity
+        assert not mat([[1, 0, 0], [0, 1, 0]]).is_identity
+        assert IntMatrix.identity(4).entries is IntMatrix.identity(4).entries
+
+    def test_non_identity_factor_is_multiplied(self):
+        m = mat([[1, 2, 3], [4, 5, 6]])
+        out = IntMatrix.diagonal([1, 2]) @ m
+        assert out == mat([[1, 2, 3], [8, 10, 12]]) and out is not m
+        square = mat([[1, 0], [0, 1], [0, 0]])   # identity rows, not square
+        assert square @ mat([[7, 8], [9, 10]]) == mat([[7, 8], [9, 10], [0, 0]])
+
+    def test_identity_map_makes_no_product(self, monkeypatch):
+        # The chain-map check of ChainMap.identity compares d with 1 @ d
+        # and d @ 1 in every degree, and each product is its factor.
+        made = []
+        real_matmul = IntMatrix.__matmul__
+        real_post_init = IntMatrix.__post_init__
+        inside = []
+
+        def matmul(a, b):
+            inside.append(True)
+            try:
+                return real_matmul(a, b)
+            finally:
+                inside.pop()
+
+        def post_init(self):
+            if inside:
+                made.append(self)
+            real_post_init(self)
+
+        family = random_complex_family(random.Random(0), 20)
+        monkeypatch.setattr(IntMatrix, "__matmul__", matmul)
+        monkeypatch.setattr(IntMatrix, "__post_init__", post_init)
+        for x in family:
+            f = ChainMap.identity(x)
+            assert f.source is x and len(f.components) == len(x.ranks)
+        assert made == []
+
     def test_take_keeps_shape(self):
         a = mat([[1, 2, 3], [4, 5, 6]])
         sub = a.take(row_idx=[], col_idx=None)
@@ -272,9 +331,82 @@ class TestSmithNormalForm:
         h = hashlib.sha256()
         with time_limit(60):
             for m in corpus:
-                for track in (False, True):
+                for track in (frozenset(), ALL):
                     h.update(repr(_reduce(m, track)).encode())
         assert h.hexdigest() == GOLDEN_REDUCE_DIGEST
+
+    @settings(max_examples=150, deadline=None)
+    @given(snf_inputs, st.permutations(
+        ("kernel", "image", "solve", "diagonal") + TRANSFORMS))
+    def test_tracked_reads_match_the_full_pass(self, m, order):
+        # Whatever is read first, every transform and basis is the one the
+        # pass that tracks all four builds, and no transform is built twice.
+        a, u, v, u_inv, v_inv = (
+            None if rows is None else IntMatrix.from_rows(rows)
+            if rows else IntMatrix.zero(0, 0)
+            for rows in _reduce(m, ALL))
+        if m.rows == 0:
+            u = u_inv = IntMatrix.zero(0, 0)
+            a = IntMatrix.zero(0, m.cols)
+        if m.cols == 0:
+            v = v_inv = IntMatrix.zero(0, 0)
+            a = IntMatrix.zero(m.rows, 0)
+        diag = tuple(a.entry(i, i) for i in range(min(m.rows, m.cols)))
+        r = sum(1 for d in diag if d)
+        probe = m.apply((1,) * m.cols)
+        y = [0] * m.cols
+        for i, c in enumerate(u.apply(probe)):
+            if c:
+                y[i] = c // diag[i]
+        want = {
+            "kernel": (v.take(None, range(r, m.cols)),
+                       v_inv.take(range(r, m.cols), None)),
+            "image": (u_inv.take(None, range(r)) @ IntMatrix.diagonal(
+                diag[:r]), v_inv.take(range(r), None)),
+            "solve": v.apply(y) if m.cols else (),
+            "diagonal": diag,
+            "u": u, "v": v, "u_inv": u_inv, "v_inv": v_inv,
+        }
+        passes = []
+        real = matrices_mod._reduce
+
+        def counting(mm, track):
+            passes.append(track)
+            return real(mm, track)
+
+        x = cold(m)
+        with fresh_forms(), mock.patch.object(matrices_mod, "_reduce",
+                                              counting):
+            f = smith_normal_form(x)
+            read = {
+                "kernel": f.kernel, "image": f.image,
+                "solve": lambda: solve(x, probe),
+                "diagonal": lambda: f.diagonal,
+                **{name: (lambda name=name: getattr(f, name))
+                   for name in TRANSFORMS}}
+            for name in order:
+                assert read[name]() == want[name], name
+        tracked = [t for t in passes if t]
+        assert len(tracked) <= 2
+        assert sum(len(t) for t in tracked) == len(ALL)   # each built once
+
+    @settings(max_examples=50, deadline=None)
+    @given(snf_inputs, st.booleans())
+    def test_kernel_and_image_share_one_pass(self, m, kernel_first):
+        f = SmithNormalForm(cold(m))
+        passes = []
+        real = matrices_mod._reduce
+
+        def counting(mm, track):
+            passes.append(track)
+            return real(mm, track)
+
+        with mock.patch.object(matrices_mod, "_reduce", counting):
+            for read in ((f.kernel, f.image) if kernel_first
+                         else (f.image, f.kernel)):
+                read()
+            f.rank
+        assert passes == [BASES]
 
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), (1,)) is None
@@ -287,19 +419,23 @@ class TestSmithNormalForm:
         with fresh_forms():  # no equal form left over with its s read
             diag = smith_normal_form(cold(m)).diagonal
             f = smith_normal_form(m)
-        assert f.s == IntMatrix.diagonal(diag, m.rows, m.cols)
+        # The tracked pass ends at the very diagonal matrix that s is.
+        assert _reduce(m, ALL)[0] == IntMatrix.diagonal(
+            diag, m.rows, m.cols).to_rows()
         assert f.diagonal == diag
         assert f.u @ m @ f.v == f.s
 
     def test_diagonal_alone_builds_no_transform(self, reductions):
         f = smith_normal_form(mat([[2, 4], [6, 8]]))
         assert (f.diagonal, f.rank, f.nonzero_diagonal) == ((2, 4), 2, (2, 4))
-        assert [track for _, track in reductions] == [False]
+        assert f.s == mat([[2, 0], [0, 4]])
+        assert [track for _, track in reductions] == [frozenset()]
 
     def test_homology_of_fresh_complex_builds_no_transform(self, reductions):
         h = fresh_complex().homology
         assert str(h) == "H0=Z + Z/2, H1=Z"
-        assert reductions and not any(track for _, track in reductions)
+        assert reductions and all(
+            track == frozenset() for _, track in reductions)
 
     @pytest.mark.parametrize("use, only", [
         (lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])), None),
@@ -308,7 +444,7 @@ class TestSmithNormalForm:
         (lambda: connective_cover(fresh_complex(), 1), None),
         # The cycles of d_1 alone: the relations are never reduced.
         (lambda: homology_presentation.__wrapped__(fresh_complex(), 1),
-         [(fresh_complex().boundary(1), True)]),
+         [(fresh_complex().boundary(1), BASES)]),
     ], ids=["kernel_basis", "solve", "section_with_projection",
             "connective_cover", "homology_presentation"])
     def test_basis_users_reduce_each_matrix_once(self, reductions, use, only):
@@ -331,7 +467,8 @@ class TestSharedForms:
         assert smith_normal_form(a).diagonal == (2, 4)
         f = smith_normal_form(cold(a))
         assert f.u @ a @ f.v == f.s and smith_normal_form(b).rank == 2
-        assert [track for _, track in reductions] == [False, True]
+        # A bare read of u tracks all four transforms in one pass.
+        assert [track for _, track in reductions] == [frozenset(), ALL]
 
     def test_unequal_matrices_do_not_share(self, reductions):
         a, b = mat([[2, 4], [6, 8]]), mat([[2, 4, 6, 8]])

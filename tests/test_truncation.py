@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellkit import truncation
 from cellkit.acceptance import criterion_truncation_triangle
@@ -88,6 +89,55 @@ class TestCover:
         with pytest.raises(ChainMapError, match="not a chain map in degree 1"):
             cover_inclusion(sample(), 0)
 
+    # d_1 = (2, 4)^T is one to one, so the cut at 1 has a zero kernel.
+    INJECTIVE = ChainComplex.build({0: 2, 1: 1}, {1: IntMatrix.from_rows([[2], [4]])})
+
+    @staticmethod
+    def assert_inherits_validity(x):
+        for k in range(x.lo - 1, x.hi + 2):
+            c = connective_cover(x, k)
+            assert ChainComplex.build(dict(c.ranks), dict(c.boundaries)) == c, k
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_covers_pass_the_checked_build(self, seed):
+        x = random_complex(random.Random(seed), max_degrees=6, max_rank=5)
+        if not x.is_zero:
+            self.assert_inherits_validity(x)
+
+    def test_zero_kernel_and_zero_top_boundary(self):
+        x = self.INJECTIVE
+        assert connective_cover(x, 1).is_zero           # kappa = 0
+        assert connective_cover(x, 1).to_json()["ranks"] == {}
+        # d_2 = 0 above a nonzero kernel of d_1: no boundary in degree 2.
+        y = coproduct([x, em_complex(Z, 1), em_complex(Z, 2)])
+        assert y.boundary(2).is_zero and y.rank(2) == 1
+        cover = connective_cover(y, 1)
+        assert dict(cover.ranks) == {1: 1, 2: 1} and cover.boundaries == ()
+        for z in (x, y):
+            self.assert_inherits_validity(z)
+
+    def test_doubled_kernel_coords_fail_the_inclusion_check(self, monkeypatch):
+        # Doubled coordinates still make a complex, with d_1 of the cover
+        # doubled; only the chain-map check of cover_inclusion can see it.
+        def sample():                       # support -1..1, d_1 nonzero
+            return coproduct([mixed_sample(), em_complex(cyc(4), 0)])
+
+        top = connective_cover(sample(), 0).boundary(1)
+        kernel = SmithNormalForm.kernel
+
+        def doubled(form):
+            basis, coords = kernel(form)
+            return basis, IntMatrix(coords.rows, coords.cols,
+                                    tuple(2 * e for e in coords.entries))
+
+        monkeypatch.setattr(SmithNormalForm, "kernel", doubled)
+        x = sample()
+        cover = connective_cover(x, 0)
+        assert cover.boundary(1).entries == tuple(2 * e for e in top.entries)
+        with pytest.raises(ChainMapError, match="not a chain map in degree 1"):
+            cover_inclusion(x, 0)
+
     def test_inclusion_components(self):
         # Identities on the degrees above the cut, the kernel of the
         # outgoing boundary at the cut, and the identity of x below its
@@ -123,21 +173,22 @@ class TestCoverMemo:
 
     @staticmethod
     def count_work(monkeypatch):
-        """Count kernel takes and ChainComplex.build calls from now on."""
-        calls = {"kernel": 0, "build": 0}
+        """Count kernel takes and ChainComplex._assembled calls from now on."""
+        calls = {"kernel": 0, "assembled": 0}
         kernel = SmithNormalForm.kernel
-        build = ChainComplex.build.__func__
+        assembled = ChainComplex._assembled.__func__
 
         def counting_kernel(self):
             calls["kernel"] += 1
             return kernel(self)
 
-        def counting_build(cls, *args, **kwargs):
-            calls["build"] += 1
-            return build(cls, *args, **kwargs)
+        def counting_assembled(cls, *args, **kwargs):
+            calls["assembled"] += 1
+            return assembled(cls, *args, **kwargs)
 
         monkeypatch.setattr(SmithNormalForm, "kernel", counting_kernel)
-        monkeypatch.setattr(ChainComplex, "build", classmethod(counting_build))
+        monkeypatch.setattr(ChainComplex, "_assembled",
+                            classmethod(counting_assembled))
         return calls
 
     def test_second_cover_and_inclusion_do_no_new_work(self, monkeypatch):
@@ -146,7 +197,7 @@ class TestCoverMemo:
         calls = self.count_work(monkeypatch)
         assert connective_cover(x, 0) is first
         assert cover_inclusion(x, 0).source is first
-        assert calls == {"kernel": 0, "build": 0}
+        assert calls == {"kernel": 0, "assembled": 0}
 
     def test_equal_copy_is_covered_afresh(self, monkeypatch):
         x = mixed_sample()
@@ -156,7 +207,7 @@ class TestCoverMemo:
         calls = self.count_work(monkeypatch)
         again = connective_cover(y, 0)
         assert again == first and again is not first
-        assert calls == {"kernel": 1, "build": 1}
+        assert calls == {"kernel": 1, "assembled": 1}
 
     def test_outer_cuts_store_nothing(self):
         x = mixed_sample()
