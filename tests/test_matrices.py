@@ -152,6 +152,20 @@ def fresh_forms():
         matrices_mod._FORMS = saved
 
 
+@contextmanager
+def counted_passes():
+    """The track set of every Smith reduction run while the block runs."""
+    passes = []
+    real = matrices_mod._reduce
+
+    def counting(m, track):
+        passes.append(track)
+        return real(m, track)
+
+    with mock.patch.object(matrices_mod, "_reduce", counting):
+        yield passes
+
+
 def fresh_complex():
     # d1 has rank 1, so degree 1 has both a kernel and an image.
     return ChainComplex.build({0: 2, 1: 3, 2: 1}, {
@@ -341,17 +355,11 @@ class TestSmithNormalForm:
     def test_tracked_reads_match_the_full_pass(self, m, order):
         # Whatever is read first, every transform and basis is the one the
         # pass that tracks all four builds, and no transform is built twice.
-        a, u, v, u_inv, v_inv = (
-            None if rows is None else IntMatrix.from_rows(rows)
-            if rows else IntMatrix.zero(0, 0)
-            for rows in _reduce(m, ALL))
-        if m.rows == 0:
-            u = u_inv = IntMatrix.zero(0, 0)
-            a = IntMatrix.zero(0, m.cols)
-        if m.cols == 0:
-            v = v_inv = IntMatrix.zero(0, 0)
-            a = IntMatrix.zero(m.rows, 0)
-        diag = tuple(a.entry(i, i) for i in range(min(m.rows, m.cols)))
+        a, *transforms = _reduce(m, ALL)
+        u, v, u_inv, v_inv = (
+            IntMatrix(len(t), len(t), tuple(x for row in t for x in row))
+            for t in transforms)
+        diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
         r = sum(1 for d in diag if d)
         probe = m.apply((1,) * m.cols)
         y = [0] * m.cols
@@ -367,16 +375,8 @@ class TestSmithNormalForm:
             "diagonal": diag,
             "u": u, "v": v, "u_inv": u_inv, "v_inv": v_inv,
         }
-        passes = []
-        real = matrices_mod._reduce
-
-        def counting(mm, track):
-            passes.append(track)
-            return real(mm, track)
-
         x = cold(m)
-        with fresh_forms(), mock.patch.object(matrices_mod, "_reduce",
-                                              counting):
+        with fresh_forms(), counted_passes() as passes:
             f = smith_normal_form(x)
             read = {
                 "kernel": f.kernel, "image": f.image,
@@ -394,14 +394,7 @@ class TestSmithNormalForm:
     @given(snf_inputs, st.booleans())
     def test_kernel_and_image_share_one_pass(self, m, kernel_first):
         f = SmithNormalForm(cold(m))
-        passes = []
-        real = matrices_mod._reduce
-
-        def counting(mm, track):
-            passes.append(track)
-            return real(mm, track)
-
-        with mock.patch.object(matrices_mod, "_reduce", counting):
+        with counted_passes() as passes:
             for read in ((f.kernel, f.image) if kernel_first
                          else (f.image, f.kernel)):
                 read()

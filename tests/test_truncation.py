@@ -30,6 +30,11 @@ def mixed_sample():
     return coproduct([em_complex(Z, 0), shift(em_complex(cyc(3), 0), -1)])
 
 
+def top_boundary_sample():
+    """Support -1..1 with d_1 nonzero, so the cover at 0 has a d_1."""
+    return coproduct([mixed_sample(), em_complex(cyc(4), 0)])
+
+
 class TestCover:
     def test_kills_low_homology(self):
         x = mixed_sample()
@@ -73,9 +78,7 @@ class TestCover:
         # A zero kernel basis leaves the cover intact but zeroes the
         # inclusion at the cut, where d_1 of the sample is nonzero; only
         # the chain-map check of cover_inclusion can see it.
-        def sample():
-            return coproduct([mixed_sample(), em_complex(cyc(4), 0)])
-
+        sample = top_boundary_sample
         cover_inclusion(sample(), 0)
         kernel = SmithNormalForm.kernel
 
@@ -120,9 +123,7 @@ class TestCover:
     def test_doubled_kernel_coords_fail_the_inclusion_check(self, monkeypatch):
         # Doubled coordinates still make a complex, with d_1 of the cover
         # doubled; only the chain-map check of cover_inclusion can see it.
-        def sample():                       # support -1..1, d_1 nonzero
-            return coproduct([mixed_sample(), em_complex(cyc(4), 0)])
-
+        sample = top_boundary_sample
         top = connective_cover(sample(), 0).boundary(1)
         kernel = SmithNormalForm.kernel
 
