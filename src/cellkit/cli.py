@@ -18,7 +18,8 @@ import os
 import sys
 import time
 
-from .complexes import DEGREE_CAP, ChainComplex, ChainMap, triangle_check
+from .complexes import (DEGREE_CAP, RANK_CAP, ChainComplex, ChainMap,
+                        SupportCapError, triangle_check)
 from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
                      cell_primary_torsion, cell_shape, constraint_check,
                      exact_answer, hzp_dichotomy, ring_unit_obstruction,
@@ -158,6 +159,12 @@ def _parse_wedge(text: str) -> EMObject:
 
 def _cmd_snf(args) -> dict:
     m = _from_payload(IntMatrix, _load_payload(args), "matrix")
+    # The transforms are rows x rows and cols x cols, so even a zero matrix
+    # costs time and memory quadratic in its longer side.
+    if m.rows > RANK_CAP or m.cols > RANK_CAP:
+        raise SupportCapError(
+            f"a matrix may have at most {RANK_CAP} rows and {RANK_CAP} "
+            f"columns, not {m.rows}x{m.cols}")
     f = smith_normal_form(m)
     # An integer matrix with an integer inverse is unimodular.
     if (f.u @ m @ f.v != f.s or f.u @ f.u_inv != IntMatrix.identity(m.rows)

@@ -6,9 +6,10 @@ appears anywhere.  The Smith normal form gives its diagonal without
 building any change-of-basis matrix: homology, rank and cokernels read
 only the invariant factors, and transform entries grow far faster than
 the diagonal.  Each change-of-basis matrix and inverse is built on first
-use, and only if it is read: kernel and image bases read u_inv, v and
-v_inv, linear solves u and v, and ``cellkit snf`` all four.  A product
-with an identity factor is the other factor, not a copy.
+use, and only if it is read: kernel and image bases read v and v_inv,
+linear solves u and v, and ``cellkit snf`` all four, so u_inv is built
+for it alone.  A product with an identity factor is the other factor,
+not a copy.
 
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
@@ -188,8 +189,8 @@ class IntMatrix(Frozen):
     """Immutable integer matrix, entries stored row-major.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    >>> m.entry(1, 0)
-    6
+    >>> m.row(1)
+    (6, 8)
     """
 
     __slots__ = ("rows", "cols", "entries", "__dict__")
@@ -249,11 +250,6 @@ class IntMatrix(Frozen):
         for i, d in enumerate(diag):
             ents[i * c + i] = int(d)
         return cls(r, c, tuple(ents))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -359,9 +355,9 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
 # _reduce returns them after s.
 TRANSFORMS = ("u", "v", "u_inv", "v_inv")
 _ALL = frozenset(TRANSFORMS)
-# What a basis reader needs: kernel() reads v and v_inv, image() u_inv
-# and v_inv, so one pass serves a cover and a section of the same matrix.
-_BASES = frozenset(("u_inv", "v", "v_inv"))
+# What a basis reader needs: kernel() and image() both read v and v_inv,
+# so one pass serves a cover and a section of the same matrix.
+_BASES = frozenset(("v", "v_inv"))
 
 
 class SmithNormalForm(Frozen):
@@ -375,12 +371,13 @@ class SmithNormalForm(Frozen):
     Everything is computed lazily, and only what is read.  ``diagonal``
     (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from a
     reduction of ``m`` alone, which builds no transform.  Each transform
-    is stored on its own: ``kernel`` and ``image`` track u_inv, v and
-    v_inv, ``solve`` tracks u and v, and a bare read of ``u``, ``v``,
-    ``u_inv`` or ``v_inv`` tracks all four.  A pass tracks only the
-    transforms not yet stored, so a form runs at most two tracked passes,
-    and every transform is the same whichever pass built it.  A tracked
-    pass also stores the diagonal, so a later rank costs nothing.
+    is stored on its own: ``kernel`` and ``image`` track v and v_inv,
+    ``solve`` tracks u and v, and a bare read of ``u``, ``v``, ``u_inv``
+    or ``v_inv`` tracks all four.  A pass tracks only the transforms not
+    yet stored, so bases and solves together run at most two tracked
+    passes, a bare read after them one more, and every transform is the
+    same whichever pass built it.  A tracked pass also stores the
+    diagonal, so a later rank costs nothing.
     """
 
     # __weakref__: the table _FORMS below holds forms weakly.
@@ -427,14 +424,14 @@ class SmithNormalForm(Frozen):
 
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(basis, proj): the columns of ``basis`` are a basis of im(m), the
-        first rank columns of u_inv scaled by the invariant factors, and
-        ``proj`` is the matching rows of v_inv, so that m == basis @ proj.
+        images of the first rank columns of v (m v = u_inv s, so these are
+        the columns of u_inv scaled by the invariant factors), and ``proj``
+        is the matching rows of v_inv, so that m == basis @ proj.
         """
         t = self.transforms(_BASES)
-        u_inv, r, d = t["u_inv"], self.rank, self.diagonal
-        scaled = tuple(u_inv.entry(i, j) * d[j]
-                       for i in range(self.matrix.rows) for j in range(r))
-        return IntMatrix(self.matrix.rows, r, scaled), t["v_inv"].take(range(r), None)
+        r = self.rank
+        return (self.matrix @ t["v"].take(None, range(r)),
+                t["v_inv"].take(range(r), None))
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -474,38 +471,40 @@ def _reduce(m: IntMatrix, track: frozenset
     nr, nc = m.rows, m.cols
     a = m.to_rows()
     tu, tv, tui, tvi = (name in track for name in TRANSFORMS)
-    u = _eye_rows(nr) if tu else None
-    v = _eye_rows(nc) if tv else None
+    # The working matrix is [[A, u], [v, .]]: u = I takes columns nc...
+    # of rows 0..nr-1 and v = I rows nr..., so every row operation on A
+    # reaches u and every column operation reaches v.
+    width, height = nc + nr * tu, nr + nc * tv
+    if tu:
+        for row, eye in zip(a, _eye_rows(nr)):
+            row.extend(eye)
+    if tv:
+        a.extend(_eye_rows(nc))
     uinv = _eye_rows(nr) if tui else None
     vinv = _eye_rows(nc) if tvi else None
 
-    # Row operation A <- E A keeps u <- E u and uinv <- uinv E^{-1};
-    # column operation A <- A F keeps v <- v F and vinv <- F^{-1} vinv.
+    # Row operation A <- E A keeps uinv <- uinv E^{-1}; column operation
+    # A <- A F keeps vinv <- F^{-1} vinv.
     #
     # Invariant at step t (the loop variable below, which the helpers read
-    # when they are called): rows above t are zero in columns >= t, and
-    # rows t and below are zero left of t.  Every operation acts on rows
-    # and columns >= t, so row additions start at column t, and column
-    # operations touch only rows t and below.  Skipping those known zeros,
-    # and the zero multipliers of the uinv and v updates, leaves every
-    # entry of a, u, v, uinv and vinv as it was.
+    # when they are called): rows above t are zero in columns >= t of A,
+    # and rows t..nr-1 are zero left of t.  Every operation acts on rows
+    # and columns >= t, so row additions run from column t to the end of
+    # the row, u included, and column operations from row t to the last
+    # row, v included.  Skipping those known zeros, and the zero
+    # multipliers of the column additions and of the uinv updates, leaves
+    # every entry of a, uinv and vinv as it was.
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if tu:
-            u[i], u[j] = u[j], u[i]
         if tui:
             for row in uinv:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):  # row_i += q * row_j
         ai, aj = a[i], a[j]
-        for c in range(t, nc):
+        for c in range(t, width):
             ai[c] += q * aj[c]
-        if tu:
-            ui, uj = u[i], u[j]
-            for c in range(nr):
-                ui[c] += q * uj[c]
         if tui:
             for row in uinv:
                 x = row[i]
@@ -514,33 +513,23 @@ def _reduce(m: IntMatrix, track: frozenset
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if tu:
-            u[i] = [-x for x in u[i]]
         if tui:
             for row in uinv:
                 row[i] = -row[i]
 
     def swap_cols(i, j):
-        for r in range(t, nr):
+        for r in range(t, height):
             row = a[r]
             row[i], row[j] = row[j], row[i]
-        if tv:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
         if tvi:
             vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(j, i, q):  # col_j += q * col_i
-        for r in range(t, nr):
+        for r in range(t, height):
             row = a[r]
             x = row[i]
             if x:
                 row[j] += q * x
-        if tv:
-            for row in v:
-                x = row[i]
-                if x:
-                    row[j] += q * x
         if tvi:
             ri, rj = vinv[i], vinv[j]
             for c in range(nc):
@@ -608,7 +597,9 @@ def _reduce(m: IntMatrix, track: frozenset
             add_row(t, bad_row, 1)
         t += 1
 
-    return a, u, v, uinv, vinv
+    s = [row[:nc] for row in a[:nr]] if tu else a[:nr]
+    u = [row[nc:] for row in a[:nr]] if tu else None
+    return s, u, a[nr:] if tv else None, uinv, vinv
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:

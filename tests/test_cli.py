@@ -578,6 +578,11 @@ OVERSIZED = [
      "cannot read the JSON payload"),
     ("snf-answer-past-digit-cap", ["snf"], _snf_payload(2, 2, [_N, 3, 5, _N]),
      "answer too long: s has an entry of more than 4300 digits"),
+    # A short payload whose transforms would be 513 x 513.
+    ("snf-1x513", ["snf"], _snf_payload(1, 513, [0] * 513),
+     "a matrix may have at most 512 rows and 512 columns, not 1x513\n"),
+    ("snf-513x1", ["snf"], _snf_payload(513, 1, [0] * 513),
+     "a matrix may have at most 512 rows and 512 columns, not 513x1\n"),
     ("homology-long-torsion", ["homology"], _complex_payload(_DIAG),
      "answer too long: homology has an entry of more than 4300 digits"),
     ("cover-long-torsion", ["cover", "--k", "0"], _complex_payload(_DIAG),
@@ -907,6 +912,14 @@ def test_snf_certificate_can_fail(capsys, monkeypatch, part, index):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(
         "internal error: Smith decomposition failed to certify\n")
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 512), (512, 1)])
+def test_snf_at_the_shape_cap(capsys, monkeypatch, rows, cols):
+    code, out = run_cli(capsys, "snf", stdin=_snf_payload(rows, cols, [0] * 512),
+                        monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["diagonal"] == [0]
 
 
 def _cellkit_env():

@@ -21,7 +21,7 @@ from cellkit.truncation import connective_cover, section_with_projection
 
 ALL = frozenset(TRANSFORMS)
 # The transforms that kernel() and image() track.
-BASES = frozenset(("u_inv", "v", "v_inv"))
+BASES = frozenset(("v", "v_inv"))
 
 
 def mat(rows):
@@ -57,7 +57,7 @@ snf_inputs = st.one_of(
 def triple_loop(a, b):
     """The product a @ b, one dot product per entry, zeros included."""
     return IntMatrix(a.rows, b.cols, tuple(
-        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols))
+        sum(a.row(i)[t] * b.row(t)[j] for t in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)))
 
 
@@ -281,7 +281,7 @@ class TestSmithNormalForm:
         # absolute determinant 8 survives the unimodular changes of basis.
         f = smith_normal_form(mat([[2, 4], [6, 8]]))
         assert f.diagonal == (2, 4)
-        assert abs(f.s.entry(0, 0) * f.s.entry(1, 1)) == 8
+        assert abs(f.s.row(0)[0] * f.s.row(1)[1]) == 8
 
     def test_identity(self):
         f = smith_normal_form(IntMatrix.identity(3))
@@ -355,6 +355,7 @@ class TestSmithNormalForm:
     def test_tracked_reads_match_the_full_pass(self, m, order):
         # Whatever is read first, every transform and basis is the one the
         # pass that tracks all four builds, and no transform is built twice.
+        # Bases, then a solve, then a bare u_inv run three passes.
         a, *transforms = _reduce(m, ALL)
         u, v, u_inv, v_inv = (
             IntMatrix(len(t), len(t), tuple(x for row in t for x in row))
@@ -387,7 +388,7 @@ class TestSmithNormalForm:
             for name in order:
                 assert read[name]() == want[name], name
         tracked = [t for t in passes if t]
-        assert len(tracked) <= 2
+        assert len(tracked) <= 3
         assert sum(len(t) for t in tracked) == len(ALL)   # each built once
 
     @settings(max_examples=50, deadline=None)
@@ -400,6 +401,33 @@ class TestSmithNormalForm:
                 read()
             f.rank
         assert passes == [BASES]
+
+    @settings(max_examples=50, deadline=None)
+    @given(snf_inputs)
+    def test_bases_build_no_u_inv(self, m):
+        f = SmithNormalForm(cold(m))
+        f.kernel()
+        f.image()
+        assert "u_inv" not in f.__dict__
+        # A later bare read builds it, as the four-transform pass does.
+        want = _reduce(m, ALL)[3]
+        assert f.u_inv == IntMatrix(m.rows, m.rows,
+                                    tuple(x for row in want for x in row))
+
+    @pytest.mark.parametrize("bare_first", [False, True])
+    def test_library_reads_run_at_most_two_passes(self, bare_first):
+        m = mat([[2, 4, 6], [6, 8, 10], [1, 3, 5]])
+        with fresh_forms(), counted_passes() as passes:
+            f = smith_normal_form(m)
+            if bare_first:
+                f.u_inv
+            f.kernel()
+            f.image()
+            solve(m, (2, 6, 1))
+        # Bases and a solve: v and v_inv, then u.  A bare read first
+        # builds all four, and nothing later runs a pass.
+        assert passes == ([ALL] if bare_first
+                          else [BASES, frozenset(("u",))])
 
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), (1,)) is None
