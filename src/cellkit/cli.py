@@ -27,7 +27,8 @@ from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
 from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
-                       IntMatrix, quoted, smith_normal_form, strict_int)
+                       IntMatrix, InternalInvariantError, quoted,
+                       smith_normal_form, strict_int)
 from .sampling import random_complex_family, sample_pairs
 from .symbolic import PrimeSet, SymbolicGroup
 from .truncation import (closure_suite, connective_cover,
@@ -42,6 +43,11 @@ SCHEMA = "cellkit/1"
 # finished in about 2 s on every seed tried, while single samples at
 # rank 48 took 28 s and at rank 600 more than 2 minutes and 820 MB.
 SAMPLE_RANK_CAP = 24
+# Largest --samples of the sampled suites, the size of the acceptance
+# family.  At the default ranks and degrees 500 samples took under 1 s;
+# at --max-rank 24 --max-degree 62 closure-suite took 164 s and 276 MB,
+# and tstructure-check 81 s.
+SAMPLE_COUNT_CAP = 500
 # Largest --max-degree of the sampled suites.  Samples reach degree
 # --max-degree, and the suites build complexes at most two degrees higher:
 # closure-suite shifts samples by up to +2 against a moved cut, and cones
@@ -58,10 +64,6 @@ SUITE_K_RANGE = {
     "closure-suite": (-DEGREE_CAP + 3, DEGREE_CAP - 1),
     "nontriangulated-suite": (-DEGREE_CAP + 1, DEGREE_CAP - 1),
 }
-
-
-class InternalInvariantError(RuntimeError):
-    """A certified identity failed to verify; this is a bug."""
 
 
 def _load_payload(args) -> dict:
@@ -206,8 +208,9 @@ def _cmd_triangle_check(args) -> dict:
 
 
 def _sample_family(args):
-    if args.samples < 1:
-        raise InputError("--samples must be at least 1")
+    if not 1 <= args.samples <= SAMPLE_COUNT_CAP:
+        raise InputError(
+            f"--samples must be between 1 and {SAMPLE_COUNT_CAP}")
     if not 1 <= args.max_degree <= SAMPLE_DEGREE_CAP:
         raise InputError(
             f"--max-degree must be between 1 and {SAMPLE_DEGREE_CAP}")

@@ -11,34 +11,12 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, prod
 
-from .matrices import Frozen, InputError, IntMatrix, smith_normal_form
+from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
+                       smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
     """Brute-force enumeration would be too large."""
-
-
-def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
-    """Canonicalize a multiset of cyclic orders into a divisibility chain.
-
-    Works by one sweep of gcd/lcm surgery on pairs, which never needs an
-    integer factorization:
-
-    >>> _invariant_chain([6, 4])
-    (2, 12)
-    >>> _invariant_chain([2, 3])
-    (6,)
-    """
-    fs = [x for x in torsion if x > 1]
-    # After step i, fs[i] divides every later entry: the gcd or lcm of two
-    # multiples of fs[i] is again a multiple of fs[i].
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            a, b = fs[i], fs[j]
-            if b % a:
-                g = gcd(a, b)
-                fs[i], fs[j] = g, (a // g) * b
-    return tuple(x for x in fs if x > 1)
 
 
 class FgAbGroup(Frozen):

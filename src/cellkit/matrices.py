@@ -2,14 +2,29 @@
 
 Everything runs on Python's unbounded integers: invariant factors of even
 small random matrices overflow 64-bit types, so no fixed-width arithmetic
-appears anywhere.  The Smith normal form gives its diagonal without
-building any change-of-basis matrix: homology, rank and cokernels read
-only the invariant factors, and transform entries grow far faster than
-the diagonal.  Each change-of-basis matrix and inverse is built on first
-use, and only if it is read: kernel and image bases read v and v_inv,
-linear solves u and v, and ``cellkit snf`` all four, so u_inv is built
-for it alone.  A product with an identity factor is the other factor,
-not a copy.
+appears anywhere.
+
+The invariant factors come from a pass that builds no change-of-basis
+matrix, in three phases (``_reduce`` with an empty track set):
+
+1. unit pivots: while an entry is +-1, clear its column and drop its row
+   and column.  This is a Schur complement with unit pivots, so every
+   entry stays a minor of the input, bounded by Hadamard's bound;
+2. Bareiss elimination with column skipping on what is left gives its
+   rank r and g, the gcd of the r x r minors on the last pivot row.
+   Every entry is again a minor, and d1...dr divides g, so g = 1 ends the
+   pass with every nonzero factor 1;
+3. otherwise elimination modulo N = 2g, with 2 x 2 extended-gcd
+   transforms of determinant 1, keeps every entry below N.  The nonzero
+   factors are the invariant chain of the gcd(e_i, N), less one copy of N
+   for each zero factor.
+
+Homology, rank and cokernels read only the invariant factors.  Kernel,
+image, solve and ``cellkit snf`` read change-of-basis matrices, which a
+tracked elimination builds on first use, and only those that are read:
+kernel and image bases read v and v_inv, linear solves u and v, and
+``cellkit snf`` all four, so u_inv is built for it alone.  A product with
+an identity factor is the other factor, not a copy.
 
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
@@ -25,8 +40,9 @@ from __future__ import annotations
 
 import re
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from math import gcd
 from operator import attrgetter
 
 
@@ -45,6 +61,11 @@ class InputError(ValueError):
 
 class MatrixShapeError(InputError):
     """Inconsistent matrix dimensions."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A certified identity or an internal count failed to verify; this is
+    a bug, and ``cellkit`` exits 3 on it."""
 
 
 class cached_property:
@@ -369,9 +390,12 @@ class SmithNormalForm(Frozen):
     during the reduction.
 
     Everything is computed lazily, and only what is read.  ``diagonal``
-    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from a
-    reduction of ``m`` alone, which builds no transform.  Each transform
-    is stored on its own: ``kernel`` and ``image`` track v and v_inv,
+    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from the
+    transform-free pass of ``_reduce``: unit pivots, a Bareiss rank and
+    minor gcd g, then, only if g > 1, elimination modulo 2g.  Its entries
+    are minors of ``m`` in the first two phases and below 2g in the last,
+    so its cost is bounded by the size of the input.  Each transform is
+    stored on its own: ``kernel`` and ``image`` track v and v_inv,
     ``solve`` tracks u and v, and a bare read of ``u``, ``v``, ``u_inv``
     or ``v_inv`` tracks all four.  A pass tracks only the transforms not
     yet stored, so bases and solves together run at most two tracked
@@ -458,16 +482,206 @@ def _eye_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
+    """Canonicalize a multiset of cyclic orders into a divisibility chain.
+
+    Works by one sweep of gcd/lcm surgery on pairs, which never needs an
+    integer factorization:
+
+    >>> _invariant_chain([6, 4])
+    (2, 12)
+    >>> _invariant_chain([2, 3])
+    (6,)
+    """
+    fs = [x for x in torsion if x > 1]
+    # After step i, fs[i] divides every later entry: the gcd or lcm of two
+    # multiples of fs[i] is again a multiple of fs[i].
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            a, b = fs[i], fs[j]
+            if b % a:
+                g = gcd(a, b)
+                fs[i], fs[j] = g, (a // g) * b
+    return tuple(x for x in fs if x > 1)
+
+
+def _unit_pivots(a: list[list[int]]) -> int:
+    """Eliminate with +-1 pivots while ``a`` has such an entry; returns
+    their number and leaves in ``a`` the rest of the matrix.
+
+    A pivot's row clears its column in the other rows; the column
+    operations would then touch only the pivot's row, so the row and the
+    column are dropped.  Every entry left is a minor of the input.
+    """
+    units = i = 0
+    while i < len(a):
+        row = a[i]
+        p = 1 if 1 in row else -1 if -1 in row else 0
+        if not p:
+            i += 1
+            continue
+        j = row.index(p)
+        del a[i]
+        for k, other in enumerate(a):
+            q = other[j] * p
+            if q:
+                other = a[k] = [x - q * y for x, y in zip(other, row)]
+            del other[j]
+        units += 1
+        i = 0  # the elimination may have made units in earlier rows
+    return units
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """(r, g): the rank of ``a`` and the gcd of its last pivot row under
+    fraction-free elimination, a gcd of r x r minors and so a multiple
+    of d1...dr.  ``a`` (nonzero rows, none of them empty) is not changed.
+    """
+    # Columns of small entries first.  The rank does not depend on the
+    # column order, but the size of the minors on the way does: with huge
+    # entries in some columns, the rank is often reached before any of
+    # them is a pivot.
+    rest = [list(row) for row in zip(*sorted(
+        zip(*a), key=lambda col: max(map(abs, col))))]
+    prev, r, last = 1, 0, ()
+    while rest and rest[0]:
+        i = next((i for i, row in enumerate(rest) if row[0]), None)
+        if i is None:  # no pivot in this column
+            rest = [row[1:] for row in rest]
+            continue
+        last = rest.pop(i)
+        p, tail = last[0], last[1:]
+        below = []
+        for row in rest:
+            # Each entry becomes a minor one size larger, divided exactly
+            # by the previous pivot (Sylvester's identity).
+            x = row[0]
+            row = [(p * y - x * z) // prev for y, z in zip(row[1:], tail)]
+            if any(row):
+                below.append(row)
+        rest, prev = below, p
+        r += 1
+    return r, gcd(*last)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _factors_mod(a: list[list[int]], n: int) -> list[int]:
+    """gcd(e_i, n) for each diagonal entry e_i of ``a`` diagonalized over
+    Z/n, one per row of ``a``.
+
+    Row and column operations are 2 x 2 transforms of determinant 1.  A
+    multiple of the pivot is cleared by plain elimination, which leaves
+    the pivot as it is; any other entry gets the extended-gcd transform,
+    which makes the pivot a proper divisor of itself, so each pivot takes
+    at most log2(n) of those and the loop ends.
+    """
+    rows = [[x % n for x in row] for row in a]
+    out = []
+    while rows := [row for row in rows if any(row)]:
+        prow = rows.pop()
+        p = min(filter(None, prow))
+        j = prow.index(p)
+        while True:
+            for k, row in enumerate(rows):
+                y = row[j]
+                if not y:
+                    continue
+                if y % p == 0:
+                    q = y // p
+                    rows[k] = [(x - q * z) % n for x, z in zip(row, prow)]
+                else:
+                    g, s, t = _xgcd(p, y)
+                    b, c = p // g, y // g
+                    rows[k] = [(b * x - c * z) % n for x, z in zip(row, prow)]
+                    prow = [(s * z + t * x) % n for x, z in zip(row, prow)]
+                    p = g
+            # Column j is clear in the other rows, so an entry of the pivot
+            # row that p divides is cleared by a column operation on that
+            # row alone, and the row can be dropped.
+            c = next((c for c, x in enumerate(prow) if x % p), None)
+            if c is None:
+                break
+            g, s, t = _xgcd(p, prow[c])
+            b, y = p // g, prow[c] // g
+            for row in (*rows, prow):
+                z, x = row[j], row[c]
+                row[j], row[c] = (s * z + t * x) % n, (b * x - y * z) % n
+            p = g
+        out.append(gcd(p, n))
+        for row in rows:
+            del row[j]
+    return out + [n] * (len(a) - len(out))
+
+
+def _invariant_factors(m: IntMatrix) -> list[int]:
+    """The nonzero invariant factors of ``m``, in chain order."""
+    # Rows no longer than columns: the factors of the transpose are the
+    # same, and each phase keeps that shape.
+    c, e = m.cols, m.entries
+    if m.rows > c:
+        a = [list(e[j::c]) for j in range(c)]
+    else:
+        a = [list(e[i:i + c]) for i in range(0, len(e), c or 1)]
+    units = _unit_pivots(a)
+    a = [row for row in a if any(row)]
+    if len(a) < 2:  # one row: its gcd is its only factor
+        return [1] * units + [gcd(*row) for row in a]
+    r, g = _bareiss(a)
+    if g == 1:
+        return [1] * (units + r)
+    # Each nonzero d_i divides g, so gcd(d_i, 2g) = d_i < 2g, and each
+    # zero factor gives 2g itself.
+    n = 2 * g
+    chain = _invariant_chain(_factors_mod(a, n))
+    free = len(a) - r
+    torsion = chain[:len(chain) - free]
+    if (chain[len(torsion):] != (n,) * free or n in torsion
+            or len(torsion) > r):
+        raise InternalInvariantError(
+            f"modular Smith pass found {chain.count(n)} zero factors, "
+            f"not {free}")
+    return [1] * (units + r - len(torsion)) + list(torsion)
+
+
 def _reduce(m: IntMatrix, track: frozenset
             ) -> tuple[list[list[int]] | None, ...]:
     """Reduce ``m`` to Smith form; returns the rows of s, u, v, u_inv, v_inv.
 
     Only the transforms named in ``track`` (a subset of TRANSFORMS) are
-    built; the others come back as None.  The pivoting never reads a
-    transform, and each transform's updates read only that transform, so
-    a tracked one is the same whatever else is tracked, and the empty set
-    finds the diagonal without the coefficient growth of u and v.
+    built; the others come back as None.
+
+    The empty set builds no transform.  It returns s as rows, with the
+    invariant factors that ``_invariant_factors`` finds in three phases:
+    1. elimination with +-1 pivots, which drops each pivot's row and
+       column and leaves every entry a minor of ``m``;
+    2. Bareiss elimination of the rest, whose entries are again minors,
+       for the rank r and g, the gcd of the last pivot row; g = 1 means
+       that every nonzero factor is 1;
+    3. if g > 1, elimination modulo 2g, with entries below 2g and at most
+       log2(2g) extended-gcd steps per pivot.
+    So every entry is bounded by Hadamard's bound for ``m``, and each
+    phase takes a number of integer operations polynomial in the shape.
+
+    Any other set runs the tracked elimination below.  Its pivoting never
+    reads a transform, and each transform's updates read only that
+    transform, so a tracked one is the same whatever else is tracked.
+    Its entries, and those of the transforms, are not bounded by the size
+    of ``m``.
     """
+    if not track:
+        rows = [[0] * m.cols for _ in range(m.rows)]
+        for i, d in enumerate(_invariant_factors(m)):
+            rows[i][i] = d
+        return rows, None, None, None, None
     nr, nc = m.rows, m.cols
     a = m.to_rows()
     tu, tv, tui, tvi = (name in track for name in TRANSFORMS)

@@ -606,6 +606,13 @@ OVERSIZED = [
     ("ring-obstruction-long-factor",
      ["ring-obstruction", f"--wedge=0:{_LONG_GROUP}"], None,
      "--wedge has an invariant factor of more than 4300 digits"),
+    # One sample over SAMPLE_COUNT_CAP: the suites' work grows with it.
+    ("closure-suite-501-samples",
+     ["closure-suite", "--k", "0", "--samples", "501"], None,
+     "--samples must be between 1 and 500\n"),
+    ("tstructure-check-501-samples",
+     ["tstructure-check", "--k", "0", "--samples", "501"], None,
+     "--samples must be between 1 and 500\n"),
     # A map into the top degree: the error names the map's source, not the
     # cone's degree DEGREE_CAP + 1.
     ("triangle-check-source-at-degree-cap", ["triangle-check"], json.dumps({
@@ -837,6 +844,14 @@ def test_sampler_caps_are_accepted(capsys):
                      "--max-rank", str(rank),
                      "--max-degree", str(cli_mod.SAMPLE_DEGREE_CAP)])
         assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
+
+
+@pytest.mark.parametrize("suite", ["tstructure-check", "closure-suite"])
+def test_sample_count_cap_is_accepted(capsys, suite):
+    code = main([suite, "--k", "0", "--samples",
+                 str(cli_mod.SAMPLE_COUNT_CAP), "--max-rank", "1",
+                 "--max-degree", "1"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"]
 
 
 def test_suite_k_range(capsys):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellkit import matrices as matrices_mod
+from cellkit.acceptance import _family
 from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
 from cellkit.sampling import random_complex_family
 from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
-                              InputError, IntMatrix, MatrixShapeError,
+                              InputError, IntMatrix, InternalInvariantError,
+                              MatrixShapeError,
                               SmithNormalForm, _reduce, hstack, kernel_basis,
                               quoted, smith_normal_form, solve, strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
@@ -68,6 +70,37 @@ ENTRY_KINDS = (
     st.sampled_from((0,) * 6 + (1, -1)),
     st.sampled_from((0, 1, -1)).flatmap(
         lambda s: st.integers(2**100, 2**110).map(lambda x: s * x)),
+)
+
+
+def scaled(shape):
+    """k times a random matrix, k in 2..12: no entry is +-1 and the
+    factors have real torsion."""
+    return st.tuples(st.integers(2, 12), dense(*shape, st.integers(-9, 9))).map(
+        lambda km: IntMatrix(km[1].rows, km[1].cols,
+                             tuple(km[0] * x for x in km[1].entries)))
+
+
+# P diag(2, 4, 12) Q through three columns: rank at most 3, so mostly
+# rank-deficient, with every entry even.
+torsion_products = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda s: st.tuples(dense(s[0], 3, st.integers(-3, 3)),
+                        dense(3, s[1], st.integers(-3, 3)))).map(
+    lambda pq: pq[0] @ IntMatrix.diagonal([2, 4, 12]) @ pq[1])
+
+# Inputs for every phase of the transform-free pass, in every shape from
+# 0x0 up, rows > cols included: cores of units alone, entries of 2 to 9
+# (often the g = 1 exit), scaled matrices and torsion products (the
+# modular phase), and entries of at least 2^100, alone or among units.
+invariant_factor_inputs = st.one_of(
+    shapes.flatmap(lambda s: dense(*s, st.sampled_from((0, 0, 1, -1)))),
+    shapes.flatmap(lambda s: dense(*s, st.integers(2, 9).flatmap(
+        lambda x: st.sampled_from((0, x, -x))))),
+    shapes.flatmap(scaled),
+    torsion_products,
+    shapes.flatmap(lambda s: dense(*s, ENTRY_KINDS[2])),
+    shapes.flatmap(lambda s: dense(*s, st.one_of(
+        st.sampled_from((0, 1, -1)), ENTRY_KINDS[2]))),
 )
 
 
@@ -434,10 +467,12 @@ class TestSmithNormalForm:
         assert solve(mat([[2, 0], [0, 0]]), (2, 1)) is None
         assert solve(IntMatrix.zero(1, 0), (5,)) is None
 
-    @settings(max_examples=200, deadline=None)
-    @given(snf_inputs)
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(snf_inputs, invariant_factor_inputs))
     def test_transform_free_diagonal_matches_full_reduction(self, m):
-        with fresh_forms():  # no equal form left over with its s read
+        # No equal form is left over with its s read, and a broken modular
+        # phase fails instead of looping.
+        with fresh_forms(), time_limit(20):
             diag = smith_normal_form(cold(m)).diagonal
             f = smith_normal_form(m)
         # The tracked pass ends at the very diagonal matrix that s is.
@@ -477,6 +512,134 @@ class TestSmithNormalForm:
         for m in reduced:  # a later rank is read off the same reduction
             smith_normal_form(m).rank
         assert len(reductions) == len(reduced)
+
+
+def chain_map_condition(a, b):
+    """The matrix of the conditions d_b f_n = f_(n-1) d_a on a degree-0
+    map f: a -> b, one column per entry of f (by degree, then row-major)
+    and one row per entry of the conditions."""
+    degrees = sorted({n for n, _ in a.ranks} | {n for n, _ in b.ranks})
+    col = {}
+    for n in degrees:
+        for t in range(b.rank(n)):
+            for j in range(a.rank(n)):
+                col[n, t, j] = len(col)
+    rows = []
+    for n in degrees:
+        da, db = a.boundary(n), b.boundary(n)
+        for i in range(b.rank(n - 1)):
+            for j in range(a.rank(n)):
+                row = [0] * len(col)
+                for t in range(b.rank(n)):
+                    row[col[n, t, j]] += db.row(i)[t]
+                for t in range(a.rank(n - 1)):
+                    row[col[n - 1, i, t]] -= da.row(t)[j]
+                rows.append(row)
+    return mat(rows)
+
+
+def bareiss_determinant(m):
+    """det m of a square matrix by fraction-free elimination."""
+    a, sign, prev = m.to_rows(), 1, 1
+    n = len(a)
+    for t in range(n):
+        p = next((i for i in range(t, n) if a[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p], sign = a[p], a[t], -sign
+        for i in range(t + 1, n):
+            a[i] = [(a[t][t] * a[i][j] - a[i][t] * a[t][j]) // prev
+                    for j in range(n)]
+        prev = a[t][t]
+    return sign * prev if n else 1
+
+
+class TestInvariantFactorPass:
+    @pytest.mark.parametrize("rows, diagonal, phases", [
+        # Unit pivots leave nothing.
+        ([[1, 2], [3, 7]], (1, 1), set()),
+        # Unit pivots leave the one row [-2], whose gcd is its factor.
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 1, 2), set()),
+        # No unit entry; Bareiss ends at the minor -1, so g = 1.
+        ([[2, 3], [5, 7]], (1, 1), {"bareiss"}),
+        # g = -2 is d1 d2 and d2 itself: modulo 2 it would read as zero.
+        ([[2, 3], [4, 5]], (1, 2), {"bareiss", "modular"}),
+        ([[2, 4], [6, 8]], (2, 4), {"bareiss", "modular"}),
+        # Rank 1 of 2 rows (one copy of 2g), and a rows > cols shape.
+        ([[2, 4, 6], [4, 8, 12]], (2, 0), {"bareiss", "modular"}),
+        ([[2 ** 100, 0], [0, 3 * 2 ** 100], [2 ** 100, 3 * 2 ** 100]],
+         (2 ** 100, 3 * 2 ** 100), {"bareiss", "modular"}),
+    ])
+    def test_each_phase_on_a_fixed_input(self, rows, diagonal, phases):
+        with mock.patch.object(matrices_mod, "_bareiss",
+                               wraps=matrices_mod._bareiss) as bareiss, \
+                mock.patch.object(matrices_mod, "_factors_mod",
+                                  wraps=matrices_mod._factors_mod) as modular:
+            assert SmithNormalForm(mat(rows)).diagonal == diagonal
+        reached = {name for name, spy in (("bareiss", bareiss),
+                                          ("modular", modular)) if spy.called}
+        assert reached == phases
+        assert _reduce(mat(rows), ALL)[0] == IntMatrix.diagonal(
+            diagonal, len(rows), len(rows[0])).to_rows()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes_reach_no_phase(self, shape):
+        with mock.patch.object(matrices_mod, "_unit_pivots",
+                               wraps=matrices_mod._unit_pivots) as units:
+            assert _reduce(IntMatrix.zero(*shape), frozenset()) == (
+                [[]] * shape[0], None, None, None, None)
+        assert units.call_args.args[0] == []
+
+    def test_miscounted_zero_factors_are_an_internal_error(self):
+        # A modular phase that reports every factor as zero disagrees with
+        # the Bareiss rank.
+        with mock.patch.object(matrices_mod, "_factors_mod",
+                               lambda a, n: [n] * len(a)):
+            with pytest.raises(InternalInvariantError):
+                SmithNormalForm(mat([[2, 4], [6, 8]])).diagonal
+
+    def test_pinned_cliff_matrix(self):
+        # The chain-map condition between the covers at k = 0 of complexes
+        # 496 and 497 of the acceptance family of seed 0.  The full
+        # elimination takes about 1.3 s for this diagonal.
+        family = _family(0)
+        a, b = (connective_cover(x, 0) for x in family[496:498])
+        m = chain_map_condition(a, b)
+        assert (m.rows, m.cols) == (44, 44)
+        assert sum(1 for x in m.entries if x) == 252
+        assert max(abs(x) for x in m.entries).bit_length() == 17
+        f = SmithNormalForm(m)
+        with time_limit(1):
+            diagonal = f.diagonal
+        assert diagonal == (1,) * 28 + (2,) * 4 + (0,) * 12
+
+    def test_huge_columns_in_the_span_of_small_ones(self):
+        # [S H | S] with S 13x3 small and H 3x16 of 100,000-bit entries:
+        # the columns of S H lie in the lattice of S, so the factors are
+        # those of S.  Pivots in the huge columns would make 200,000-bit
+        # minors; columns of small entries go first and reach rank 3.
+        rng = random.Random(3)
+        small = IntMatrix(13, 3, tuple(rng.randint(-9, 9) for _ in range(39)))
+        huge = IntMatrix(3, 16, tuple(rng.randint(-2 ** 100_000, 2 ** 100_000)
+                                      for _ in range(48)))
+        m = hstack([small @ huge, small])
+        f = SmithNormalForm(m)
+        with time_limit(1):
+            diagonal = f.diagonal
+        want = _reduce(small, ALL)[0]
+        assert diagonal == tuple(want[i][i] for i in range(3)) + (0,) * 10
+
+    def test_dense_80x80_homology(self):
+        rng = random.Random(80)
+        d = IntMatrix(80, 80, tuple(rng.randint(-9, 9) for _ in range(6400)))
+        x = ChainComplex.build({0: 80, 1: 80}, {1: d})
+        with time_limit(10):
+            h = x.homology
+        # d is invertible over Q, so H1 = 0 and H0 has order |det d|.
+        det = bareiss_determinant(d)
+        assert det and h.at(1).is_zero
+        assert h.at(0).order == abs(det)
 
 
 class TestSharedForms:
