@@ -45,8 +45,8 @@ SCHEMA = "cellkit/1"
 SAMPLE_RANK_CAP = 24
 # Largest --samples of the sampled suites, the size of the acceptance
 # family.  At the default ranks and degrees 500 samples took under 1 s;
-# at --max-rank 24 --max-degree 62 closure-suite took 164 s and 276 MB,
-# and tstructure-check 81 s.
+# at --max-rank 24 --max-degree 62 closure-suite took 80 s and 274 MB,
+# and tstructure-check 39 s.
 SAMPLE_COUNT_CAP = 500
 # Largest --max-degree of the sampled suites.  Samples reach degree
 # --max-degree, and the suites build complexes at most two degrees higher:

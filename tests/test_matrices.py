@@ -563,11 +563,12 @@ class TestInvariantFactorPass:
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 1, 2), set()),
         # No unit entry; Bareiss ends at the minor -1, so g = 1.
         ([[2, 3], [5, 7]], (1, 1), {"bareiss"}),
-        # g = -2 is d1 d2 and d2 itself: modulo 2 it would read as zero.
+        # g = 2 is d1 d2 and d2 itself: modulo g it would read as zero.
         ([[2, 3], [4, 5]], (1, 2), {"bareiss", "modular"}),
         ([[2, 4], [6, 8]], (2, 4), {"bareiss", "modular"}),
-        # Rank 1 of 2 rows (one copy of 2g), and a rows > cols shape.
+        # Rank 1 of 2 rows: one copy of 2g for the zero factor.
         ([[2, 4, 6], [4, 8, 12]], (2, 0), {"bareiss", "modular"}),
+        # Rows > cols, with entries of 2^100 and more.
         ([[2 ** 100, 0], [0, 3 * 2 ** 100], [2 ** 100, 3 * 2 ** 100]],
          (2 ** 100, 3 * 2 ** 100), {"bareiss", "modular"}),
     ])
