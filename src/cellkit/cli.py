@@ -27,8 +27,8 @@ from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
 from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
-                       IntMatrix, InternalInvariantError, quoted,
-                       smith_normal_form, strict_int)
+                       IntMatrix, InternalInvariantError, is_unimodular,
+                       quoted, smith_normal_form, strict_int)
 from .sampling import random_complex_family, sample_pairs
 from .symbolic import PrimeSet, SymbolicGroup
 from .truncation import (closure_suite, connective_cover,
@@ -168,9 +168,9 @@ def _cmd_snf(args) -> dict:
             f"a matrix may have at most {RANK_CAP} rows and {RANK_CAP} "
             f"columns, not {m.rows}x{m.cols}")
     f = smith_normal_form(m)
-    # An integer matrix with an integer inverse is unimodular.
-    if (f.u @ m @ f.v != f.s or f.u @ f.u_inv != IntMatrix.identity(m.rows)
-            or f.v @ f.v_inv != IntMatrix.identity(m.cols)):
+    # u m v = s with u and v of determinant +-1.
+    if not (f.u @ m @ f.v == f.s and is_unimodular(f.u)
+            and is_unimodular(f.v)):
         raise InternalInvariantError("Smith decomposition failed to certify")
     return {"s": f.s.to_json(), "u": f.u.to_json(), "v": f.v.to_json(),
             "diagonal": list(f.diagonal)}

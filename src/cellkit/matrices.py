@@ -4,8 +4,8 @@ Everything runs on Python's unbounded integers: invariant factors of even
 small random matrices overflow 64-bit types, so no fixed-width arithmetic
 appears anywhere.
 
-The invariant factors come from a pass that builds no change-of-basis
-matrix, in three phases (``_reduce`` with an empty track set):
+The invariant factors come from ``_invariant_factors``, which builds no
+change-of-basis matrix, in three phases:
 
 1. unit pivots: while an entry is +-1, clear its column and drop its row
    and column.  This is a Schur complement with unit pivots, so every
@@ -20,11 +20,12 @@ matrix, in three phases (``_reduce`` with an empty track set):
    for each zero factor.
 
 Homology, rank and cokernels read only the invariant factors.  Kernel,
-image, solve and ``cellkit snf`` read change-of-basis matrices, which a
-tracked elimination builds on first use, and only those that are read:
-kernel and image bases read v and v_inv, linear solves u and v, and
-``cellkit snf`` all four, so u_inv is built for it alone.  A product with
-an identity factor is the other factor, not a copy.
+image, solve and ``cellkit snf`` read change-of-basis matrices, which the
+tracked elimination of ``_reduce`` builds on first use, and only those
+that are read: kernel and image bases read v and v_inv, and a solve or
+``cellkit snf`` u, v and v_inv.  ``cellkit snf`` proves u and v
+unimodular by their determinants (``is_unimodular``), so no inverse of u
+is built.  A product with an identity factor is the other factor.
 
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
@@ -373,8 +374,9 @@ def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
 
 
 # The change-of-basis matrices of a Smith normal form, in the order that
-# _reduce returns them after s.
-TRANSFORMS = ("u", "v", "u_inv", "v_inv")
+# _reduce returns them after s.  A bare read of any of them builds all
+# three, so a solve (u and v) leaves the bases nothing to build.
+TRANSFORMS = ("u", "v", "v_inv")
 _ALL = frozenset(TRANSFORMS)
 # What a basis reader needs: kernel() and image() both read v and v_inv,
 # so one pass serves a cover and a section of the same matrix.
@@ -386,22 +388,22 @@ class SmithNormalForm(Frozen):
 
     ``s`` is diagonal with nonnegative entries satisfying the divisibility
     chain d1 | d2 | ...; the nonzero entries occupy a leading prefix of the
-    diagonal.  ``u_inv`` and ``v_inv`` are the exact inverses, accumulated
-    during the reduction.
+    diagonal.  ``v_inv`` is the exact inverse of v, accumulated during the
+    reduction.
 
     Everything is computed lazily, and only what is read.  ``diagonal``
-    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from the
-    transform-free pass of ``_reduce``: unit pivots, a Bareiss rank and
-    minor gcd g, then, only if g > 1, elimination modulo 2g.  Its entries
-    are minors of ``m`` in the first two phases and below 2g in the last,
-    so its cost is bounded by the size of the input.  Each transform is
-    stored on its own: ``kernel`` and ``image`` track v and v_inv,
-    ``solve`` tracks u and v, and a bare read of ``u``, ``v``, ``u_inv``
-    or ``v_inv`` tracks all four.  A pass tracks only the transforms not
-    yet stored, so bases and solves together run at most two tracked
-    passes, a bare read after them one more, and every transform is the
-    same whichever pass built it.  A tracked pass also stores the
-    diagonal, so a later rank costs nothing.
+    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from
+    ``_invariant_factors``: unit pivots, a Bareiss rank and minor gcd g,
+    then, only if g > 1, elimination modulo 2g.  Its entries are minors of
+    ``m`` in the first two phases and below 2g in the last, so its cost is
+    bounded by the size of the input.  The transforms come from the
+    tracked elimination of ``_reduce``: ``kernel`` and ``image`` track v
+    and v_inv, and a bare read of ``u``, ``v`` or ``v_inv``, as ``solve``
+    makes, tracks all three.  A pass tracks only the transforms not yet
+    stored, so a form runs at most one diagonal pass and two tracked
+    passes (bases, then u for a solve), and every transform is the same
+    whichever pass built it.  A tracked pass also stores the diagonal, so
+    a later rank costs nothing.
     """
 
     # __weakref__: the table _FORMS below holds forms weakly.
@@ -430,8 +432,18 @@ class SmithNormalForm(Frozen):
 
     u = cached_property(lambda self: self.transforms(_ALL)["u"])
     v = cached_property(lambda self: self.transforms(_ALL)["v"])
-    u_inv = cached_property(lambda self: self.transforms(_ALL)["u_inv"])
     v_inv = cached_property(lambda self: self.transforms(_ALL)["v_inv"])
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        """The inverse of u, derived on demand.  Only the benchmark's tracer
+        reads it, for the size of its entries; it goes when the benchmark
+        reads counters kept inside the package (ROADMAP item 4)."""
+        # g_u u g_v = I for a unimodular u, so u^-1 = g_v g_u, multiplied
+        # on plain lists: the tracer counts and times IntMatrix products.
+        _, gu, gv, _ = _reduce(self.u, frozenset(("u", "v")))
+        return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col))
+                                     for col in zip(*gu)] for row in gv])
 
     @property
     def s(self) -> IntMatrix:
@@ -448,8 +460,8 @@ class SmithNormalForm(Frozen):
 
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(basis, proj): the columns of ``basis`` are a basis of im(m), the
-        images of the first rank columns of v (m v = u_inv s, so these are
-        the columns of u_inv scaled by the invariant factors), and ``proj``
+        images of the first rank columns of v (m v = u^-1 s, so these are
+        the columns of u^-1 scaled by the invariant factors), and ``proj``
         is the matching rows of v_inv, so that m == basis @ proj.
         """
         t = self.transforms(_BASES)
@@ -459,8 +471,9 @@ class SmithNormalForm(Frozen):
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        a = _reduce(self.matrix, frozenset())[0]
-        return tuple(a[i][i] for i in range(min(self.matrix.rows, self.matrix.cols)))
+        m = self.matrix
+        factors = _invariant_factors(m)
+        return tuple(factors) + (0,) * (min(m.rows, m.cols) - len(factors))
 
     @cached_property
     def nonzero_diagonal(self) -> tuple[int, ...]:
@@ -654,37 +667,20 @@ def _invariant_factors(m: IntMatrix) -> list[int]:
 
 def _reduce(m: IntMatrix, track: frozenset
             ) -> tuple[list[list[int]] | None, ...]:
-    """Reduce ``m`` to Smith form; returns the rows of s, u, v, u_inv, v_inv.
+    """Reduce ``m`` to Smith form by Euclidean elimination; returns the rows
+    of s, u, v and v_inv.
 
     Only the transforms named in ``track`` (a subset of TRANSFORMS) are
-    built; the others come back as None.
-
-    The empty set builds no transform.  It returns s as rows, with the
-    invariant factors that ``_invariant_factors`` finds in three phases:
-    1. elimination with +-1 pivots, which drops each pivot's row and
-       column and leaves every entry a minor of ``m``;
-    2. Bareiss elimination of the rest, whose entries are again minors,
-       for the rank r and g, the gcd of the last pivot row; g = 1 means
-       that every nonzero factor is 1;
-    3. if g > 1, elimination modulo 2g, with entries below 2g and at most
-       log2(2g) extended-gcd steps per pivot.
-    So every entry is bounded by Hadamard's bound for ``m``, and each
-    phase takes a number of integer operations polynomial in the shape.
-
-    Any other set runs the tracked elimination below.  Its pivoting never
-    reads a transform, and each transform's updates read only that
-    transform, so a tracked one is the same whatever else is tracked.
-    Its entries, and those of the transforms, are not bounded by the size
-    of ``m``.
+    built; the others come back as None.  The pivoting never reads a
+    transform, and each transform's updates read only that transform, so
+    a tracked one is the same whatever else is tracked.  Neither the
+    entries of the working matrix nor those of the transforms are bounded
+    by the size of ``m``: a diagonal alone comes from
+    ``_invariant_factors``.
     """
-    if not track:
-        rows = [[0] * m.cols for _ in range(m.rows)]
-        for i, d in enumerate(_invariant_factors(m)):
-            rows[i][i] = d
-        return rows, None, None, None, None
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    tu, tv, tui, tvi = (name in track for name in TRANSFORMS)
+    tu, tv, tvi = (name in track for name in TRANSFORMS)
     # The working matrix is [[A, u], [v, .]]: u = I takes columns nc...
     # of rows 0..nr-1 and v = I rows nr..., so every row operation on A
     # reaches u and every column operation reaches v.
@@ -694,11 +690,9 @@ def _reduce(m: IntMatrix, track: frozenset
             row.extend(eye)
     if tv:
         a.extend(_eye_rows(nc))
-    uinv = _eye_rows(nr) if tui else None
     vinv = _eye_rows(nc) if tvi else None
 
-    # Row operation A <- E A keeps uinv <- uinv E^{-1}; column operation
-    # A <- A F keeps vinv <- F^{-1} vinv.
+    # A column operation A <- A F keeps vinv <- F^{-1} vinv.
     #
     # Invariant at step t (the loop variable below, which the helpers read
     # when they are called): rows above t are zero in columns >= t of A,
@@ -706,30 +700,13 @@ def _reduce(m: IntMatrix, track: frozenset
     # and columns >= t, so row additions run from column t to the end of
     # the row, u included, and column operations from row t to the last
     # row, v included.  Skipping those known zeros, and the zero
-    # multipliers of the column additions and of the uinv updates, leaves
-    # every entry of a, uinv and vinv as it was.
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if tui:
-            for row in uinv:
-                row[i], row[j] = row[j], row[i]
+    # multipliers of the column additions, leaves every entry of a and
+    # vinv as it was.
 
     def add_row(i, j, q):  # row_i += q * row_j
         ai, aj = a[i], a[j]
         for c in range(t, width):
             ai[c] += q * aj[c]
-        if tui:
-            for row in uinv:
-                x = row[i]
-                if x:
-                    row[j] -= q * x
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if tui:
-            for row in uinv:
-                row[i] = -row[i]
 
     def swap_cols(i, j):
         for r in range(t, height):
@@ -767,11 +744,11 @@ def _reduce(m: IntMatrix, track: frozenset
         if pi < 0:
             break
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
             swap_cols(t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         while True:
             dirty = False
             for i in range(t + 1, nr):
@@ -780,7 +757,7 @@ def _reduce(m: IntMatrix, track: frozenset
                     if q:
                         add_row(i, t, -q)
                     if a[i][t]:  # remainder is a strictly smaller pivot
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, nc):
                 while a[t][j]:
@@ -813,7 +790,23 @@ def _reduce(m: IntMatrix, track: frozenset
 
     s = [row[:nc] for row in a[:nr]] if tu else a[:nr]
     u = [row[nc:] for row in a[:nr]] if tu else None
-    return s, u, a[nr:] if tv else None, uinv, vinv
+    return s, u, a[nr:] if tv else None, vinv
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    """Whether ``m`` is square with determinant +-1 (the 0 x 0 matrix is).
+
+    Unit pivots keep |det|, and fraction-free elimination of the k x k
+    rest ends at (k, |det|), with every entry a minor of ``m``.
+
+    >>> is_unimodular(IntMatrix.from_rows([[2, 3], [3, 5]]))
+    True
+    """
+    if m.rows != m.cols:
+        return False
+    a = m.to_rows()
+    k = m.rows - _unit_pivots(a)
+    return not k or _bareiss([row for row in a if any(row)]) == (k, 1)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
@@ -848,8 +841,7 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     if m.cols == 0:
         return () if not any(rhs) else None
     f = smith_normal_form(m)
-    t = f.transforms(frozenset(("u", "v")))
-    c = t["u"].apply(rhs)
+    c = f.u.apply(rhs)
     diag = f.diagonal
     y = [0] * m.cols
     for i in range(m.rows):
@@ -860,4 +852,4 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
             y[i] = c[i] // d
         elif c[i]:
             return None
-    return t["v"].apply(y)
+    return f.v.apply(y)

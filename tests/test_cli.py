@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cellkit
 from cellkit import cli as cli_mod
+from cellkit import matrices as matrices_mod
 from cellkit.cli import main
 from cellkit.complexes import ChainComplexError, ChainMapError, SupportCapError
 from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
@@ -16,7 +17,8 @@ from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
                              parse_group)
 from cellkit.groups import PSI_12, FgAbGroup, SizeBoundExceededError, Z
 from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
-                              MatrixShapeError, _reduce, smith_normal_form)
+                              MatrixShapeError, _reduce, is_unimodular,
+                              smith_normal_form)
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup,
                               UnknownRuleError, ZLocal, ZpHat)
@@ -909,20 +911,30 @@ def test_bad_input_errors_are_input_errors(cls):
     assert issubclass(cls, InputError)
 
 
-@pytest.mark.parametrize("part, index", [("u", 1), ("u_inv", 3), ("v_inv", 4)])
-def test_snf_certificate_can_fail(capsys, monkeypatch, part, index):
+@pytest.mark.parametrize("data, part, stored", [
+    # The negation of what the reduction builds (its place in what _reduce
+    # returns): still unimodular, but u m v = -s.
+    ([2, 4, 6, 8, 10, 3], "u",
+     lambda m: -IntMatrix.from_rows(_reduce(m, frozenset(TRANSFORMS))[1])),
+    ([2, 4, 6, 8, 10, 3], "v",
+     lambda m: -IntMatrix.from_rows(_reduce(m, frozenset(TRANSFORMS))[2])),
+    # u m v = s holds, as m has a zero second row, but det u = 2: only the
+    # determinant check fails.
+    ([1, 0, 0, 0], "u", lambda m: IntMatrix.from_rows([[1, 0], [0, 2]])),
+], ids=["u-1", "v-2", "det-u"])
+def test_snf_certificate_can_fail(capsys, monkeypatch, data, part, stored):
     import io
-    data = [2, 4, 6, 8, 10, 3]
+    import weakref
     # The payload's matrix finds this form, kept alive here, with one
-    # transform stored before any pass ran: the negation of what the
-    # reduction builds (``index`` is its place in what _reduce returns),
-    # still unimodular, but not the inverse (nor, for u, the transform).
-    # The pass that builds the others keeps it.
-    m = IntMatrix(2, 3, tuple(data))
+    # transform stored before any pass ran.  The pass that builds the
+    # others keeps it.  A fresh table: the form of an earlier case, with
+    # its own stored transform, may still be uncollected.
+    monkeypatch.setattr(matrices_mod, "_FORMS", weakref.WeakValueDictionary())
+    m = IntMatrix(2, len(data) // 2, tuple(data))
     form = smith_normal_form(m)
-    form.__dict__[part] = -IntMatrix.from_rows(
-        _reduce(m, frozenset(TRANSFORMS))[index])
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_snf_payload(2, 3, data)))
+    form.__dict__[part] = stored(m)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(_snf_payload(m.rows, m.cols, data)))
     assert main(["snf"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(
@@ -935,6 +947,89 @@ def test_snf_at_the_shape_cap(capsys, monkeypatch, rows, cols):
                         monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out)["diagonal"] == [0]
+
+
+class _Digits(str):
+    """An integer literal written into a payload as it is: json.dumps
+    refuses integers of more than 4,300 digits."""
+
+
+def _dump(x) -> str:
+    if isinstance(x, _Digits):
+        return x
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}"
+                               for k, v in x.items()) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_dump, x)) + "]"
+    return json.dumps(x)
+
+
+# What a payload may hold where the schema wants an integer.
+_bad_leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    st.none(), st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# Integers of 4,299 to 4,301 digits: CPython reads at most 4,300.
+_near_digit_cap = st.tuples(st.sampled_from(("", "-")),
+                            st.integers(4299, 4301)).map(
+    lambda t: _Digits(t[0] + "7" * t[1]))
+@st.composite
+def _snf_payloads(draw):
+    """A payload of the matrix schema, small and dense, with at most one
+    flaw: an entry, a dimension or the data replaced by an adversarial
+    leaf, a negative or over-cap shape, data of the wrong length, or an
+    entry near the digit cap."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    data = draw(st.lists(st.integers(-9, 9) | st.integers(-2**70, 2**70),
+                         min_size=rows * cols, max_size=rows * cols))
+    flaw = draw(st.sampled_from((None, None, None, "entry", "digits", "rows",
+                                 "cols", "data", "length", "cap")))
+    spot = st.integers(0, max(len(data) - 1, 0))
+    if flaw == "entry" and data:
+        data[draw(spot)] = draw(_bad_leaves)
+    elif flaw == "digits" and data:
+        data[draw(spot)] = draw(_near_digit_cap)
+    elif flaw == "rows":
+        rows = draw(st.integers(-2, -1) | _bad_leaves)
+    elif flaw == "cols":
+        cols = draw(st.integers(-2, -1) | _bad_leaves)
+    elif flaw == "data":
+        data = draw(_bad_leaves)
+    elif flaw == "length":
+        data = data[1:] if data and draw(st.booleans()) else data + [0]
+    elif flaw == "cap":
+        rows, cols = draw(st.sampled_from(((513, 0), (0, 513), (513, 1),
+                                           (1, 513))))
+        data = [0] * (rows * cols + draw(st.integers(0, 1)))
+    return {"matrix": {"rows": rows, "cols": cols, "data": data}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snf_payloads())
+def test_snf_contract(payload):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+    text = _dump(payload)
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["snf"])
+    finally:
+        sys.stdin = saved
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        return
+    m = IntMatrix.from_json(json.loads(text)["matrix"])
+    r = json.loads(out)
+    s, u, v = (IntMatrix.from_json(r[name]) for name in ("s", "u", "v"))
+    assert u @ m @ v == s
+    assert is_unimodular(u) and is_unimodular(v)
 
 
 def _cellkit_env():

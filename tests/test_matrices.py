@@ -16,8 +16,9 @@ from cellkit.sampling import random_complex_family
 from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
                               InputError, IntMatrix, InternalInvariantError,
                               MatrixShapeError,
-                              SmithNormalForm, _reduce, hstack, kernel_basis,
-                              quoted, smith_normal_form, solve, strict_int)
+                              SmithNormalForm, _reduce, hstack, is_unimodular,
+                              kernel_basis, quoted, smith_normal_form, solve,
+                              strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -145,12 +146,12 @@ def golden_corpus():
     return out
 
 
-# sha256 of repr(_reduce(m, track)) over the golden corpus, the
-# transform-free pass then the tracked pass of each matrix, as the plain
-# elimination that visits every entry computes it.  Skipping known zeros
-# must leave all five row lists bit-identical.
+# sha256 over the golden corpus of, for each matrix, repr of its diagonal
+# and then repr of _reduce(m, ALL), the rows of s, u, v and v_inv, as the
+# plain elimination that visits every entry computes them.  Skipping known
+# zeros must leave all four row lists bit-identical.
 GOLDEN_REDUCE_DIGEST = (
-    "d8688407e505a1b831f527304c3d80772b324f9b2f16531a9e011347ace158bd")
+    "5397fd03ac74e1e28bcb1dc7b2302e434757f811f7f9cd18e80a97a3602b9b9c")
 
 
 @contextmanager
@@ -187,15 +188,23 @@ def fresh_forms():
 
 @contextmanager
 def counted_passes():
-    """The track set of every Smith reduction run while the block runs."""
+    """The track set of every Smith reduction run while the block runs; a
+    diagonal pass (``_invariant_factors``) shows as the empty set."""
     passes = []
-    real = matrices_mod._reduce
+    real_reduce = matrices_mod._reduce
+    real_factors = matrices_mod._invariant_factors
 
     def counting(m, track):
         passes.append(track)
-        return real(m, track)
+        return real_reduce(m, track)
 
-    with mock.patch.object(matrices_mod, "_reduce", counting):
+    def counting_factors(m):
+        passes.append(frozenset())
+        return real_factors(m)
+
+    with mock.patch.object(matrices_mod, "_reduce", counting), \
+            mock.patch.object(matrices_mod, "_invariant_factors",
+                              counting_factors):
         yield passes
 
 
@@ -337,7 +346,7 @@ class TestSmithNormalForm:
     def test_certified_decomposition(self, m):
         f = smith_normal_form(m)
         assert f.u @ m @ f.v == f.s
-        assert f.u @ f.u_inv == IntMatrix.identity(m.rows)
+        assert is_unimodular(f.u) and is_unimodular(f.v)
         assert f.v @ f.v_inv == IntMatrix.identity(m.cols)
         diag = f.diagonal
         assert all(d >= 0 for d in diag)
@@ -378,19 +387,20 @@ class TestSmithNormalForm:
         h = hashlib.sha256()
         with time_limit(60):
             for m in corpus:
-                for track in (frozenset(), ALL):
-                    h.update(repr(_reduce(m, track)).encode())
+                h.update(repr(SmithNormalForm(m).diagonal).encode())
+                h.update(repr(_reduce(m, ALL)).encode())
         assert h.hexdigest() == GOLDEN_REDUCE_DIGEST
 
     @settings(max_examples=150, deadline=None)
     @given(snf_inputs, st.permutations(
-        ("kernel", "image", "solve", "diagonal") + TRANSFORMS))
+        ("kernel", "image", "solve", "diagonal", "rank") + TRANSFORMS))
     def test_tracked_reads_match_the_full_pass(self, m, order):
         # Whatever is read first, every transform and basis is the one the
-        # pass that tracks all four builds, and no transform is built twice.
-        # Bases, then a solve, then a bare u_inv run three passes.
+        # pass that tracks all three builds, and no transform is built
+        # twice.  Bases, then a solve or a bare u, run two tracked passes;
+        # a solve or a bare read first runs one.
         a, *transforms = _reduce(m, ALL)
-        u, v, u_inv, v_inv = (
+        u, v, v_inv = (
             IntMatrix(len(t), len(t), tuple(x for row in t for x in row))
             for t in transforms)
         diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
@@ -403,11 +413,11 @@ class TestSmithNormalForm:
         want = {
             "kernel": (v.take(None, range(r, m.cols)),
                        v_inv.take(range(r, m.cols), None)),
-            "image": (u_inv.take(None, range(r)) @ IntMatrix.diagonal(
-                diag[:r]), v_inv.take(range(r), None)),
+            "image": (m @ v.take(None, range(r)), v_inv.take(range(r), None)),
             "solve": v.apply(y) if m.cols else (),
             "diagonal": diag,
-            "u": u, "v": v, "u_inv": u_inv, "v_inv": v_inv,
+            "rank": r,
+            "u": u, "v": v, "v_inv": v_inv,
         }
         x = cold(m)
         with fresh_forms(), counted_passes() as passes:
@@ -415,14 +425,18 @@ class TestSmithNormalForm:
             read = {
                 "kernel": f.kernel, "image": f.image,
                 "solve": lambda: solve(x, probe),
-                "diagonal": lambda: f.diagonal,
+                "diagonal": lambda: f.diagonal, "rank": lambda: f.rank,
                 **{name: (lambda name=name: getattr(f, name))
                    for name in TRANSFORMS}}
             for name in order:
                 assert read[name]() == want[name], name
         tracked = [t for t in passes if t]
-        assert len(tracked) <= 3
+        assert passes.count(frozenset()) <= 1
+        assert len(tracked) <= 2
         assert sum(len(t) for t in tracked) == len(ALL)   # each built once
+        # A solve of a matrix with no columns reads no form.
+        if order[0] in TRANSFORMS or (order[0] == "solve" and m.cols):
+            assert tracked == [ALL]
 
     @settings(max_examples=50, deadline=None)
     @given(snf_inputs, st.booleans())
@@ -437,15 +451,23 @@ class TestSmithNormalForm:
 
     @settings(max_examples=50, deadline=None)
     @given(snf_inputs)
-    def test_bases_build_no_u_inv(self, m):
+    def test_bases_build_no_u(self, m):
         f = SmithNormalForm(cold(m))
         f.kernel()
         f.image()
-        assert "u_inv" not in f.__dict__
-        # A later bare read builds it, as the four-transform pass does.
-        want = _reduce(m, ALL)[3]
-        assert f.u_inv == IntMatrix(m.rows, m.rows,
-                                    tuple(x for row in want for x in row))
+        assert "u" not in f.__dict__
+        # A later bare read builds it, as the three-transform pass does.
+        want = _reduce(m, ALL)[1]
+        assert f.u == IntMatrix(m.rows, m.rows,
+                                tuple(x for row in want for x in row))
+
+    @settings(max_examples=50, deadline=None)
+    @given(snf_inputs)
+    def test_u_inv_is_derived_without_products(self, m):
+        f = SmithNormalForm(cold(m))
+        with mock.patch.object(IntMatrix, "__matmul__", side_effect=AssertionError):
+            u_inv = f.u_inv
+        assert f.u @ u_inv == IntMatrix.identity(m.rows)
 
     @pytest.mark.parametrize("bare_first", [False, True])
     def test_library_reads_run_at_most_two_passes(self, bare_first):
@@ -453,12 +475,12 @@ class TestSmithNormalForm:
         with fresh_forms(), counted_passes() as passes:
             f = smith_normal_form(m)
             if bare_first:
-                f.u_inv
+                f.u
             f.kernel()
             f.image()
             solve(m, (2, 6, 1))
         # Bases and a solve: v and v_inv, then u.  A bare read first
-        # builds all four, and nothing later runs a pass.
+        # builds all three, and nothing later runs a pass.
         assert passes == ([ALL] if bare_first
                           else [BASES, frozenset(("u",))])
 
@@ -588,8 +610,7 @@ class TestInvariantFactorPass:
     def test_empty_shapes_reach_no_phase(self, shape):
         with mock.patch.object(matrices_mod, "_unit_pivots",
                                wraps=matrices_mod._unit_pivots) as units:
-            assert _reduce(IntMatrix.zero(*shape), frozenset()) == (
-                [[]] * shape[0], None, None, None, None)
+            assert SmithNormalForm(IntMatrix.zero(*shape)).diagonal == ()
         assert units.call_args.args[0] == []
 
     def test_miscounted_zero_factors_are_an_internal_error(self):
@@ -652,7 +673,7 @@ class TestSharedForms:
         assert smith_normal_form(a).diagonal == (2, 4)
         f = smith_normal_form(cold(a))
         assert f.u @ a @ f.v == f.s and smith_normal_form(b).rank == 2
-        # A bare read of u tracks all four transforms in one pass.
+        # A bare read of u tracks all three transforms in one pass.
         assert [track for _, track in reductions] == [frozenset(), ALL]
 
     def test_unequal_matrices_do_not_share(self, reductions):
@@ -686,7 +707,7 @@ class TestSharedForms:
             assert shared is smith_normal_form(first)
             direct = SmithNormalForm(cold(m))
             assert diagonal == shared.diagonal == direct.diagonal
-            for name in ("s", "u", "v", "u_inv", "v_inv"):
+            for name in ("s",) + TRANSFORMS:
                 assert getattr(shared, name) == getattr(direct, name)
 
 

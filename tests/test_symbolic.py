@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellkit.grammar import parse_group
 from cellkit.groups import FgAbGroup, Z, hom_fg, primary_part
 from cellkit.symbolic import (UNKNOWN, PrimeSet, ProdZpHat, ProdZpHatModZ,
                               Prufer, PruferSum, Q, QpHat, SymbolicGroup,
@@ -127,6 +128,31 @@ class TestHomRules:
         smaller = SymbolicGroup.of(ZLocal(PrimeSet.of([2])))
         assert hom_rule(zp, smaller) == smaller
         assert hom_rule(smaller, zp).is_zero
+
+    # One test per rule branch that a single-rule mutation of the table
+    # could change with every other test still passing.
+    def test_prufer_groups_of_distinct_primes(self):
+        # Only zero maps Z/2^oo -> Z/3^oo: the image would be 2- and
+        # 3-primary at once.
+        assert hom_rule(parse_group("Z/2^inf"), parse_group("Z/3^inf")).is_zero
+
+    def test_rationals_into_padic_rationals(self):
+        # Qhat_3 is a Q-vector space, so Hom(Q, Qhat_3) = Qhat_3.
+        assert hom_rule(parse_group("Q"), parse_group("Qhat_3")) == \
+            parse_group("Qhat_3")
+
+    def test_prufer_sums_meet_in_common_primes(self):
+        # Hom out of the sum over p != 2 is the product of its summands'
+        # Hom; only the primes of the target's sum (p != 3) survive.
+        assert hom_rule(parse_group("Psum_(!2)"), parse_group("Psum_(!3)")) \
+            == parse_group("Pzhat_(!2,3)")
+
+    def test_local_integers_onto_inverted_prufer(self):
+        # Z_(2,3) inverts the primes other than 2 and 3, and Z/3^oo is
+        # uniquely divisible by each of them, so every map from Z extends:
+        # Hom(Z_(2,3), Z/3^oo) = Hom(Z, Z/3^oo) = Z/3^oo.
+        assert hom_rule(parse_group("Z_(2,3)"), parse_group("Z/3^inf")) == \
+            parse_group("Z/3^inf")
 
     @settings(max_examples=60, deadline=None)
     @given(fg_groups, fg_groups)
