@@ -974,6 +974,8 @@ _bad_leaves = st.one_of(
 _near_digit_cap = st.tuples(st.sampled_from(("", "-")),
                             st.integers(4299, 4301)).map(
     lambda t: _Digits(t[0] + "7" * t[1]))
+
+
 @st.composite
 def _snf_payloads(draw):
     """A payload of the matrix schema, small and dense, with at most one
