@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, cached_property, hstack, json_int,
+                       IntMatrix, cached_property, json_int,
                        kernel_basis, smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
@@ -106,12 +106,11 @@ def _json_table(obj, key: str) -> dict:
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
-    Complexes made from data (payloads, samples, EM complexes and
-    sections) go through :meth:`build`, which normalizes the presentation
-    (zero ranks and zero boundary matrices are dropped) and rejects data
-    with d o d != 0.  Covers, and `shift`, `cone` and `coproduct` of
-    checked complexes, go through :meth:`_assembled`, which checks only
-    the caps.
+    Complexes made from data (payloads, samples and sections) go through
+    :meth:`build`, which normalizes the presentation (zero ranks and zero
+    boundary matrices are dropped) and rejects data with d o d != 0.  EM
+    complexes, covers, and `shift`, `cone` and `coproduct` of checked
+    complexes, go through :meth:`_assembled`, which checks only the caps.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
@@ -159,8 +158,8 @@ class ChainComplex(Frozen):
     def _assembled(cls, ranks: dict, boundaries: dict) -> "ChainComplex":
         """Normalized with d o d = 0 by construction: shift negates each d,
         the cone's D o D has blocks d_X o d_X, f d_X - d_Y f and d_Y o d_Y,
-        a sum is block diagonal, and a cover adds only coords @ d @ d = 0.
-        Only the caps are checked."""
+        a sum is block diagonal, a cover adds only coords @ d @ d = 0, and
+        an EM complex has one boundary.  Only the caps are checked."""
         for n, r in ranks.items():
             _check_caps(n, r)
         return cls(tuple(sorted(ranks.items())),
@@ -341,15 +340,20 @@ def _known_homology(x: ChainComplex) -> GradedGroup | None:
     return x.__dict__.get("homology")
 
 
-def _place(entries: list, width: int, row: int, col: int, m: IntMatrix,
-           sign: int = 1) -> None:
-    """Write sign * m into the row-major ``entries`` of a matrix ``width``
-    columns wide, with the top left corner of m at (row, col)."""
-    e, c = m.entries, m.cols
-    for i in range(m.rows):
-        start = (row + i) * width + col
-        line = e[i * c:(i + 1) * c]
-        entries[start:start + c] = line if sign == 1 else [-v for v in line]
+def _place(rows: int, cols: int, blocks) -> IntMatrix:
+    """The rows x cols matrix that holds sign * m with its top left corner
+    at (row, col) for each (row, col, m, sign) of ``blocks``, and zeros
+    elsewhere; a block whose m is None is zero."""
+    entries = [0] * (rows * cols)
+    for row, col, m, sign in blocks:
+        if m is None:
+            continue
+        e, c = m.entries, m.cols
+        for i in range(m.rows):
+            start = (row + i) * cols + col
+            line = e[i * c:(i + 1) * c]
+            entries[start:start + c] = line if sign == 1 else [-v for v in line]
+    return IntMatrix(rows, cols, tuple(entries))
 
 
 def shift(x: ChainComplex, k: int) -> ChainComplex:
@@ -393,14 +397,10 @@ def cone(f: ChainMap) -> ChainComplex:
     # Only degrees with a nonzero block get a matrix; the rest are zero.
     for n in set(d_sx) | set(d_y) | {n + 1 for n in comps}:
         rows_x, cols_x = sx.rank(n - 1), sx.rank(n)
-        rows, cols = rows_x + y.rank(n - 1), cols_x + y.rank(n)
-        entries = [0] * (rows * cols)
-        for row, col, m, sign in ((0, 0, d_sx.get(n), 1),
-                                  (rows_x, 0, comps.get(n - 1), -1),
-                                  (rows_x, cols_x, d_y.get(n), 1)):
-            if m is not None:
-                _place(entries, cols, row, col, m, sign)
-        boundaries[n] = IntMatrix(rows, cols, tuple(entries))
+        boundaries[n] = _place(
+            rows_x + y.rank(n - 1), cols_x + y.rank(n),
+            ((0, 0, d_sx.get(n), 1), (rows_x, 0, comps.get(n - 1), -1),
+             (rows_x, cols_x, d_y.get(n), 1)))
     return ChainComplex._assembled(ranks, boundaries)
 
 
@@ -424,16 +424,13 @@ def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
     boundaries = {}
     # Block diagonal: only degrees where some summand has a boundary.
     for n in {n for x in xs for n, _ in x.boundaries}:
-        rows, cols = ranks[n - 1], ranks[n]
-        entries = [0] * (rows * cols)
+        blocks = []
         row = col = 0
         for x in xs:
-            d = x._boundary_map.get(n)
-            if d is not None:
-                _place(entries, cols, row, col, d)
+            blocks.append((row, col, x._boundary_map.get(n), 1))
             row += x.rank(n - 1)
             col += x.rank(n)
-        boundaries[n] = IntMatrix(rows, cols, tuple(entries))
+        boundaries[n] = _place(row, col, blocks)
     out = ChainComplex._assembled(ranks, boundaries)
     hs = [_known_homology(x) for x in xs]
     if all(h is not None for h in hs):
@@ -445,7 +442,9 @@ def em_complex(g: FgAbGroup, n: int) -> ChainComplex:
     """A free two-term complex with homology g concentrated in degree n.
 
     The presentation places Z^(t+r) in degree n and Z^t in degree n+1,
-    with the invariant factors of g on the diagonal of the boundary.
+    with the invariant factors of g on the diagonal of the boundary.  That
+    boundary is the only one, of the right shape, and nonzero (every
+    factor is at least 2), so the complex is assembled unchecked.
 
     >>> em_complex(FgAbGroup.cyclic(4), 2).homology.at(2)
     FgAbGroup(rank=0, invariant_factors=(4,))
@@ -459,7 +458,7 @@ def em_complex(g: FgAbGroup, n: int) -> ChainComplex:
         ranks[n + 1] = t
         boundaries[n + 1] = IntMatrix.diagonal(
             list(g.invariant_factors), rows=t + g.rank, cols=t)
-    return ChainComplex.build(ranks, boundaries)
+    return ChainComplex._assembled(ranks, boundaries)
 
 
 def derived_hom(x: ChainComplex, y: ChainComplex, k: int = 0) -> FgAbGroup:
@@ -543,12 +542,7 @@ class HomologyPresentation(Frozen):
 def homology_presentation(x: ChainComplex, n: int) -> HomologyPresentation:
     down = x.boundary(n)
     up = x.boundary(n + 1)
-    r = x.rank(n)
-    if down.rows and down.cols:
-        cycles, coords = smith_normal_form(down).kernel()
-    else:
-        cycles = IntMatrix.identity(r)
-        coords = IntMatrix.identity(r)
+    cycles, coords = smith_normal_form(down).kernel()
     return HomologyPresentation(cycles, coords, coords @ up)
 
 
@@ -564,7 +558,9 @@ def induced_map(f: ChainMap, n: int) -> tuple[HomologyPresentation,
 def map_on_homology_is_iso(f: ChainMap, n: int) -> bool:
     """Is H_n(f), the map m of :func:`induced_map`, an isomorphism?"""
     px, py, m = induced_map(f, n)
-    stacked = hstack([m, py.relations])
+    rel = py.relations
+    stacked = _place(m.rows, m.cols + rel.cols,
+                     ((0, 0, m, 1), (0, m.cols, rel, 1)))
     # The kernel before the cokernel, so one tracked reduction serves both.
     preimage = kernel_basis(stacked).take(range(m.cols), None)
     if not cokernel(stacked).is_zero:  # not onto

@@ -24,8 +24,11 @@ image, solve and ``cellkit snf`` read change-of-basis matrices, which the
 tracked elimination of ``_reduce`` builds on first use, and only those
 that are read: kernel and image bases read v and v_inv, and a solve or
 ``cellkit snf`` u, v and v_inv.  ``cellkit snf`` proves u and v
-unimodular by their determinants (``is_unimodular``), so no inverse of u
-is built.  A product with an identity factor is the other factor.
+unimodular with the same three phases (``is_unimodular``: a square
+matrix has determinant +-1 exactly when its invariant factors are n
+ones), so no inverse of u is built.  Empty and zero matrices take the
+same path as any other.  A product with an identity factor is the other
+factor.
 
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
@@ -357,20 +360,6 @@ class IntMatrix(Frozen):
         if f is None:
             f = _FORMS[key] = SmithNormalForm(self)
         return f
-
-
-def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return IntMatrix.zero(0, 0)
-    r = mats[0].rows
-    if any(m.rows != r for m in mats):
-        raise MatrixShapeError("hstack with differing row counts")
-    ents: list[int] = []
-    for i in range(r):
-        for m in mats:
-            ents.extend(m.row(i))
-    return IntMatrix(r, sum(m.cols for m in mats), tuple(ents))
 
 
 # The change-of-basis matrices of a Smith normal form, in the order that
@@ -794,19 +783,14 @@ def _reduce(m: IntMatrix, track: frozenset
 
 
 def is_unimodular(m: IntMatrix) -> bool:
-    """Whether ``m`` is square with determinant +-1 (the 0 x 0 matrix is).
-
-    Unit pivots keep |det|, and fraction-free elimination of the k x k
-    rest ends at (k, |det|), with every entry a minor of ``m``.
+    """Whether ``m`` is square with determinant +-1 (the 0 x 0 matrix is):
+    a square matrix is unimodular exactly when it has full rank and every
+    invariant factor is 1.
 
     >>> is_unimodular(IntMatrix.from_rows([[2, 3], [3, 5]]))
     True
     """
-    if m.rows != m.cols:
-        return False
-    a = m.to_rows()
-    k = m.rows - _unit_pivots(a)
-    return not k or _bareiss([row for row in a if any(row)]) == (k, 1)
+    return m.rows == m.cols and _invariant_factors(m) == [1] * m.rows
 
 
 def smith_normal_form(m: IntMatrix) -> SmithNormalForm:
@@ -827,10 +811,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is a direct summand, so the columns are
     an honest basis, not just generators.
     """
-    if m.cols == 0:
-        return IntMatrix.zero(0, 0)
-    if m.rows == 0:
-        return IntMatrix.identity(m.cols)
     return smith_normal_form(m).kernel()[0]
 
 
@@ -838,8 +818,6 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of ``m @ x = rhs``, or None if there is none."""
     if len(rhs) != m.rows:
         raise MatrixShapeError("right-hand side length mismatch")
-    if m.cols == 0:
-        return () if not any(rhs) else None
     f = smith_normal_form(m)
     c = f.u.apply(rhs)
     diag = f.diagonal

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import cellkit
 from cellkit import cli as cli_mod
 from cellkit import matrices as matrices_mod
 from cellkit.cli import main
-from cellkit.complexes import ChainComplexError, ChainMapError, SupportCapError
+from cellkit.complexes import (DEGREE_CAP, ChainComplexError, ChainMapError,
+                               SupportCapError)
 from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
 from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
                              parse_group)
@@ -1007,31 +1009,179 @@ def _snf_payloads(draw):
     return {"matrix": {"rows": rows, "cols": cols, "data": data}}
 
 
-@settings(max_examples=200, deadline=None)
-@given(_snf_payloads())
-def test_snf_contract(payload):
+def _contract_run(argv, text, seconds=5):
+    """Run ``cellkit argv`` on the payload ``text`` in this process and
+    check the exit contract: exit 0 or 2 within ``seconds``, and on exit 2
+    one ``error:`` line of under 300 bytes.  Returns stdout on exit 0 and
+    None on exit 2."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
-    text = _dump(payload)
+
+    def expire(signum, frame):
+        raise TimeoutError(f"cellkit {' '.join(argv)} ran over {seconds} s")
+
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
+    saved = sys.stdin, signal.signal(signal.SIGALRM, expire)
     sys.stdin = io.StringIO(text)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["snf"])
+            code = main(list(argv))
     finally:
-        sys.stdin = saved
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        sys.stdin = saved[0]
+        signal.signal(signal.SIGALRM, saved[1])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2), (code, err)
     if code == 2:
         assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1 and len(err.encode()) < 300
+        return None
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snf_payloads())
+def test_snf_contract(payload):
+    text = _dump(payload)
+    out = _contract_run(["snf"], text)
+    if out is None:
         return
     m = IntMatrix.from_json(json.loads(text)["matrix"])
     r = json.loads(out)
     s, u, v = (IntMatrix.from_json(r[name]) for name in ("s", "u", "v"))
     assert u @ m @ v == s
     assert is_unimodular(u) and is_unimodular(v)
+
+
+# What a complex or map payload may hold where the schema wants an integer,
+# a matrix or a table.
+_odd_leaves = st.sampled_from((1.5, True, None, "1", 10 ** 50, []))
+
+
+@st.composite
+def _boundary_payloads(draw, rows, cols):
+    """A rows x cols matrix payload of small entries, zero or not, or one
+    that is empty, of the wrong shape or of the wrong length."""
+    kind = draw(st.sampled_from(("fit", "fit", "zero", "empty", "shape",
+                                 "length")))
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from(((0, 0), (0, cols), (rows, 0))))
+    elif kind == "shape":
+        rows, cols = cols + 1, rows
+    entries = st.just(0) if kind == "zero" else st.integers(-3, 3)
+    data = draw(st.lists(entries, min_size=rows * cols,
+                         max_size=rows * cols))
+    if kind == "length":
+        data.append(1)
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+@st.composite
+def _complex_payloads(draw):
+    """A complex payload of at most four degrees and ranks up to 3, zeros
+    included, near or outside the degree cap, whose boundaries may be
+    missing, empty, mis-shaped or adversarial leaves; a boundary follows
+    none in the degree below, so most payloads have d o d = 0."""
+    lo = draw(st.sampled_from((-DEGREE_CAP - 1, -DEGREE_CAP, -2, 0,
+                               DEGREE_CAP - 2, DEGREE_CAP)))
+    ranks = {n: draw(st.integers(0, 3))
+             for n in range(lo, lo + draw(st.integers(0, 4)))}
+    boundaries = {}
+    for n in ranks:
+        if n - 1 in ranks and n - 1 not in boundaries and draw(st.booleans()):
+            boundaries[n] = draw(_boundary_payloads(ranks[n - 1], ranks[n]))
+    payload = {"ranks": {str(n): r for n, r in ranks.items()},
+               "boundaries": {str(n): d for n, d in boundaries.items()}}
+    flaw = draw(st.sampled_from((None, None, None, "rank", "degree", "entry",
+                                 "boundary", "table")))
+    if flaw == "rank" and ranks:
+        payload["ranks"][str(draw(st.sampled_from(sorted(ranks))))] = \
+            draw(_odd_leaves)
+    elif flaw == "degree":
+        payload["ranks"][draw(st.sampled_from(("1.5", "x", "01", "+1")))] = 1
+    elif flaw == "entry" and any(d["data"] for d in boundaries.values()):
+        d = draw(st.sampled_from([d for d in boundaries.values()
+                                  if d["data"]]))
+        d["data"][draw(st.integers(0, len(d["data"]) - 1))] = \
+            draw(_odd_leaves)
+    elif flaw == "boundary" and boundaries:
+        payload["boundaries"][str(draw(st.sampled_from(sorted(boundaries))))] \
+            = draw(_odd_leaves)
+    elif flaw == "table":
+        payload[draw(st.sampled_from(("ranks", "boundaries")))] = \
+            draw(_odd_leaves)
+    return payload
+
+
+@st.composite
+def _map_payloads(draw):
+    """A triangle-check payload: a map between two complex payloads, with
+    no components (the zero map), the identity of a complex, or random
+    components, and a candidate; now and then a part is missing."""
+    source = draw(_complex_payloads())
+    kind = draw(st.sampled_from(("zero", "identity", "random")))
+    target = source if kind == "identity" else draw(_complex_payloads())
+    components = {}
+    ranks = [c["ranks"] if isinstance(c.get("ranks"), dict) else {}
+             for c in (source, target)]
+    if kind != "zero":
+        for n in set(ranks[0]) | set(ranks[1]):
+            rows, cols = (r.get(n) for r in (ranks[1], ranks[0]))
+            if not (type(rows) is type(cols) is int and 0 <= rows <= 3
+                    and 0 <= cols <= 3):
+                continue
+            if kind == "identity":
+                data = [int(i == j) for i in range(rows) for j in range(cols)]
+            else:
+                data = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                                     max_size=rows * cols))
+            components[n] = {"rows": rows, "cols": cols, "data": data}
+    payload = {"map": {"source": source, "target": target,
+                       "components": components},
+               "candidate": draw(_complex_payloads())}
+    gone = draw(st.sampled_from((None, None, None, None, "map", "candidate")))
+    if gone:
+        del payload[gone]
+    return payload
+
+
+def _euler(ranks) -> int:
+    """The Euler characteristic of ranks keyed by degree text."""
+    return sum((-1) ** int(n) * r for n, r in ranks.items())
+
+
+def _homology_euler(homology) -> int:
+    return _euler({n: g["rank"] for n, g in homology.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(["homology"]), _complex_payloads()),
+    st.tuples(st.sampled_from(("cover", "postnikov")), st.integers(-5, 5),
+              _complex_payloads()).map(
+        lambda t: (t[0:1] + ("--k", str(t[1])), t[2])),
+    st.tuples(st.just(["triangle-check"]), _map_payloads())),
+    st.sampled_from((None,) * 7 + (0.0, 0.5, 0.9)))
+def test_complex_command_contract(query, cut):
+    argv, payload = query
+    text = _dump(payload)
+    if cut is not None:  # a text cut short is no JSON
+        text = text[:int(len(text) * cut)]
+    out = _contract_run(list(argv), text)
+    if out is None:
+        return
+    r = json.loads(out)
+    if argv[0] == "homology":
+        assert _homology_euler(r["homology"]) == _euler(payload["ranks"])
+    elif argv[0] == "triangle-check":
+        report, f = r["report"], payload["map"]
+        assert _homology_euler(report["cone_homology"]) == (
+            _euler(f["target"]["ranks"]) - _euler(f["source"]["ranks"]))
+        assert _homology_euler(report["candidate_homology"]) == _euler(
+            payload["candidate"]["ranks"])
+    else:
+        assert _homology_euler(r["homology"]) == _euler(r["result"]["ranks"])
 
 
 def _cellkit_env():

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellkit.complexes import (ChainComplex, ChainComplexError, ChainMap,
-                               ChainMapError, GradedGroup, SupportCapError,
-                               cone, coproduct, derived_hom, em_complex,
-                               fiber, induced_map, map_on_homology_is_iso,
+from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
+                               ChainMap, ChainMapError, GradedGroup,
+                               SupportCapError, cone, coproduct, derived_hom,
+                               em_complex, fiber, homology_presentation,
+                               induced_map, map_on_homology_is_iso,
                                quasi_iso_eq, shift, shift_map, triangle_check)
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
-from cellkit.matrices import IntMatrix, hstack, kernel_basis, solve
+from cellkit.matrices import IntMatrix, kernel_basis, solve
 from cellkit.sampling import random_complex, random_matrix
 from cellkit.truncation import cover_inclusion, section_with_projection
 
@@ -330,6 +331,14 @@ class TestAssembly:
             assert ChainComplex.build(dict(out.ranks),
                                       dict(out.boundaries)) == out
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2), st.lists(st.integers(0, 50), max_size=4),
+           st.integers(-DEGREE_CAP, DEGREE_CAP - 1))
+    def test_em_complex_passes_the_checked_build(self, rank, orders, n):
+        x = em_complex(FgAbGroup.direct_sum(FgAbGroup.free(rank),
+                                            FgAbGroup.of_orders(orders)), n)
+        assert ChainComplex.build(dict(x.ranks), dict(x.boundaries)) == x
+
     def test_assembly_runs_no_product(self, monkeypatch):
         x = random_complex(random.Random(29), max_degrees=5, max_rank=4)
         # Adjacent boundaries, so a d o d check would multiply them.
@@ -483,7 +492,8 @@ def _iso_by_lattices(f, n):
     def inside(a, b):
         return all(solve(b, a.column(j)) is not None for j in range(a.cols))
 
-    stacked = hstack([m, py.relations])
+    r = py.relations
+    stacked = _assemble(m.rows, m.cols + r.cols, [(0, 0, m), (0, m.cols, r)])
     if not inside(IntMatrix.identity(m.rows), stacked):
         return False
     return inside(kernel_basis(stacked).take(range(m.cols), None),
@@ -491,6 +501,21 @@ def _iso_by_lattices(f, n):
 
 
 class TestLongExactSequence:
+    def test_presentation_at_the_edges(self):
+        # Degree 0 is the lowest: every chain is a cycle, and d_1 gives the
+        # relations.  Degrees -1 and 1 have rank 0: no cycles, and
+        # relations with no rows.
+        d1 = IntMatrix.from_rows([[2, 4]])
+        x = ChainComplex.build({0: 1, 1: 2, 3: 1}, {1: d1})
+        p = homology_presentation.__wrapped__(x, 0)
+        assert (p.cycles, p.coords, p.relations) == (
+            IntMatrix.identity(1), IntMatrix.identity(1), d1)
+        for n, width in ((-1, 1), (2, 1)):
+            p = homology_presentation.__wrapped__(x, n)
+            assert (p.cycles, p.coords, p.relations) == (
+                IntMatrix.zero(0, 0), IntMatrix.zero(0, 0),
+                IntMatrix.zero(0, width)), n
+
     def test_iso_detection(self):
         x = em_complex(FgAbGroup.of_orders([2, 4]), 0)
         assert map_on_homology_is_iso(ChainMap.identity(x), 0)

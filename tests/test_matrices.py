@@ -2,21 +2,22 @@ import gc
 import hashlib
 import random
 import signal
-import weakref
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import counted_passes, fresh_forms
 from cellkit import matrices as matrices_mod
 from cellkit.acceptance import _family
 from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
+from cellkit.groups import FgAbGroup, cokernel
 from cellkit.sampling import random_complex_family
 from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
                               InputError, IntMatrix, InternalInvariantError,
                               MatrixShapeError,
-                              SmithNormalForm, _reduce, hstack, is_unimodular,
+                              SmithNormalForm, _reduce, is_unimodular,
                               kernel_basis, quoted, smith_normal_form, solve,
                               strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
@@ -175,39 +176,6 @@ def cold(m):
     return IntMatrix(m.rows, m.cols, m.entries)
 
 
-@contextmanager
-def fresh_forms():
-    """An empty table of shared Smith normal forms while the block runs."""
-    saved = matrices_mod._FORMS
-    matrices_mod._FORMS = weakref.WeakValueDictionary()
-    try:
-        yield matrices_mod._FORMS
-    finally:
-        matrices_mod._FORMS = saved
-
-
-@contextmanager
-def counted_passes():
-    """The track set of every Smith reduction run while the block runs; a
-    diagonal pass (``_invariant_factors``) shows as the empty set."""
-    passes = []
-    real_reduce = matrices_mod._reduce
-    real_factors = matrices_mod._invariant_factors
-
-    def counting(m, track):
-        passes.append(track)
-        return real_reduce(m, track)
-
-    def counting_factors(m):
-        passes.append(frozenset())
-        return real_factors(m)
-
-    with mock.patch.object(matrices_mod, "_reduce", counting), \
-            mock.patch.object(matrices_mod, "_invariant_factors",
-                              counting_factors):
-        yield passes
-
-
 def fresh_complex():
     # d1 has rank 1, so degree 1 has both a kernel and an image.
     return ChainComplex.build({0: 2, 1: 3, 2: 1}, {
@@ -303,18 +271,6 @@ class TestIntMatrix:
     def test_json_round_trip(self):
         a = mat([[1, -2], [0, 7]])
         assert IntMatrix.from_json(a.to_json()) == a
-
-    def test_block_assembly(self):
-        assert hstack([]) == IntMatrix.zero(0, 0)
-
-    def test_hstack(self):
-        a, b = mat([[1, 2], [3, 4]]), mat([[5], [6]])
-        assert hstack([a, b]) == mat([[1, 2, 5], [3, 4, 6]])
-        assert hstack([a]) == a
-        assert hstack([IntMatrix.zero(0, 2), IntMatrix.zero(0, 3)]) == \
-            IntMatrix.zero(0, 5)
-        with pytest.raises(MatrixShapeError):
-            hstack([a, mat([[1]])])
 
 
 class TestSmithNormalForm:
@@ -434,8 +390,8 @@ class TestSmithNormalForm:
         assert passes.count(frozenset()) <= 1
         assert len(tracked) <= 2
         assert sum(len(t) for t in tracked) == len(ALL)   # each built once
-        # A solve of a matrix with no columns reads no form.
-        if order[0] in TRANSFORMS or (order[0] == "solve" and m.cols):
+        # A bare read or a solve, of any shape, builds all three at once.
+        if order[0] in (*TRANSFORMS, "solve"):
             assert tracked == [ALL]
 
     @settings(max_examples=50, deadline=None)
@@ -488,6 +444,35 @@ class TestSmithNormalForm:
         assert solve(mat([[2]]), (1,)) is None
         assert solve(mat([[2, 0], [0, 0]]), (2, 1)) is None
         assert solve(IntMatrix.zero(1, 0), (5,)) is None
+
+    # (shape, kernel basis, solution of m x = 0, a right-hand side with no
+    # solution, cokernel) of zero matrices; 0-row matrices have only the
+    # empty right-hand side.
+    @pytest.mark.parametrize("shape, kernel, zero_x, unsolvable, coker", [
+        ((0, 0), IntMatrix.zero(0, 0), (), None, FgAbGroup.zero()),
+        ((0, 3), IntMatrix.identity(3), (0, 0, 0), None, FgAbGroup.zero()),
+        ((3, 0), IntMatrix.zero(0, 0), (), (1, 0, 0), FgAbGroup.free(3)),
+        ((2, 3), IntMatrix.identity(3), (0, 0, 0), (0, 1),
+         FgAbGroup.free(2)),
+    ], ids=["0x0", "0x3", "3x0", "zero 2x3"])
+    def test_degenerate_shapes(self, shape, kernel, zero_x, unsolvable,
+                               coker):
+        m = IntMatrix.zero(*shape)
+        assert kernel_basis(m) == kernel
+        assert solve(m, (0,) * m.rows) == zero_x
+        if unsolvable is not None:
+            assert solve(m, unsolvable) is None
+        assert cokernel(m) == coker
+        assert is_unimodular(m) == (shape == (0, 0))
+
+    @pytest.mark.parametrize("rows, unimodular", [
+        ([[2, 3], [3, 5]], True),
+        ([[2]], False),
+        ([[1, 0], [0, 0]], False),
+        ([[1, 0, 0], [0, 1, 0]], False),
+    ])
+    def test_is_unimodular(self, rows, unimodular):
+        assert is_unimodular(mat(rows)) is unimodular
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(snf_inputs, invariant_factor_inputs))
@@ -645,7 +630,8 @@ class TestInvariantFactorPass:
         small = IntMatrix(13, 3, tuple(rng.randint(-9, 9) for _ in range(39)))
         huge = IntMatrix(3, 16, tuple(rng.randint(-2 ** 100_000, 2 ** 100_000)
                                       for _ in range(48)))
-        m = hstack([small @ huge, small])
+        m = mat([a + b for a, b in zip((small @ huge).to_rows(),
+                                       small.to_rows())])
         f = SmithNormalForm(m)
         with time_limit(1):
             diagonal = f.diagonal
