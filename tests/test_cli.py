@@ -1021,16 +1021,16 @@ def _contract_run(argv, text, seconds=5):
         raise TimeoutError(f"cellkit {' '.join(argv)} ran over {seconds} s")
 
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin, signal.signal(signal.SIGALRM, expire)
+    stdin, handler = sys.stdin, signal.signal(signal.SIGALRM, expire)
     sys.stdin = io.StringIO(text)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
+            code = main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-        sys.stdin = saved[0]
-        signal.signal(signal.SIGALRM, saved[1])
+        signal.signal(signal.SIGALRM, handler)
+        sys.stdin = stdin
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2), (code, err)
     if code == 2:
@@ -1158,9 +1158,10 @@ def _homology_euler(homology) -> int:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.tuples(st.just(["homology"]), _complex_payloads()),
-    st.tuples(st.sampled_from(("cover", "postnikov")), st.integers(-5, 5),
-              _complex_payloads()).map(
-        lambda t: (t[0:1] + ("--k", str(t[1])), t[2])),
+    st.tuples(st.builds(lambda name, k: [name, "--k", str(k)],
+                        st.sampled_from(("cover", "postnikov")),
+                        st.integers(-5, 5)),
+              _complex_payloads()),
     st.tuples(st.just(["triangle-check"]), _map_payloads())),
     st.sampled_from((None,) * 7 + (0.0, 0.5, 0.9)))
 def test_complex_command_contract(query, cut):
@@ -1168,7 +1169,7 @@ def test_complex_command_contract(query, cut):
     text = _dump(payload)
     if cut is not None:  # a text cut short is no JSON
         text = text[:int(len(text) * cut)]
-    out = _contract_run(list(argv), text)
+    out = _contract_run(argv, text)
     if out is None:
         return
     r = json.loads(out)
