@@ -503,18 +503,18 @@ def _iso_by_lattices(f, n):
 class TestLongExactSequence:
     def test_presentation_at_the_edges(self):
         # Degree 0 is the lowest: every chain is a cycle, and d_1 gives the
-        # relations.  Degrees -1 and 1 have rank 0: no cycles, and
-        # relations with no rows.
+        # relations.  Degrees -1 and 2 have rank 0 below a degree of rank
+        # 1: no cycles, and relations with no rows and one column.
         d1 = IntMatrix.from_rows([[2, 4]])
         x = ChainComplex.build({0: 1, 1: 2, 3: 1}, {1: d1})
         p = homology_presentation.__wrapped__(x, 0)
         assert (p.cycles, p.coords, p.relations) == (
             IntMatrix.identity(1), IntMatrix.identity(1), d1)
-        for n, width in ((-1, 1), (2, 1)):
+        for n in (-1, 2):
             p = homology_presentation.__wrapped__(x, n)
             assert (p.cycles, p.coords, p.relations) == (
                 IntMatrix.zero(0, 0), IntMatrix.zero(0, 0),
-                IntMatrix.zero(0, width)), n
+                IntMatrix.zero(0, 1)), n
 
     def test_iso_detection(self):
         x = em_complex(FgAbGroup.of_orders([2, 4]), 0)
