@@ -33,19 +33,19 @@ def test_criterion_1_em_morphism_identities():
 
 
 def test_criterion_2_truncation_triangle(family):
-    _report(acceptance.criterion_truncation_triangle(SEED, family))
+    _report(acceptance.criterion_truncation_triangle(family))
 
 
 def test_criterion_3_fiber_agreement(family):
-    _report(acceptance.criterion_fiber_agreement(SEED, family))
+    _report(acceptance.criterion_fiber_agreement(family))
 
 
 def test_criterion_4_tstructure_axioms(family):
-    _report(acceptance.criterion_tstructure(SEED, family))
+    _report(acceptance.criterion_tstructure(family))
 
 
 def test_criterion_5_noncommutation_witnesses(family):
-    _report(acceptance.criterion_noncommutation(SEED, family))
+    _report(acceptance.criterion_noncommutation(family))
 
 
 def test_criterion_6_closure_suite(family):
@@ -53,7 +53,7 @@ def test_criterion_6_closure_suite(family):
 
 
 def test_criterion_7_classification_tables():
-    _report(acceptance.criterion_classification_tables(SEED))
+    _report(acceptance.criterion_classification_tables())
 
 
 def test_criterion_8_ring_obstruction():
@@ -86,21 +86,21 @@ def test_em_morphism_identities_reports_a_hom_mismatch(monkeypatch):
 
 def test_truncation_triangle_reports_the_failed_cut(monkeypatch):
     monkeypatch.setattr(acceptance, "cell_null_triangle", lambda x, k: False)
-    _failed(acceptance.criterion_truncation_triangle(SEED, SMALL),
+    _failed(acceptance.criterion_truncation_triangle(SMALL),
             "truncation-triangle", f"triangle failed at k=-2 on {SMALL[0]}")
 
 
 def test_fiber_agreement_reports_the_disagreement(monkeypatch):
     monkeypatch.setattr(acceptance, "nullification_fiber",
                         lambda x, k: (x, False))
-    _failed(acceptance.criterion_fiber_agreement(SEED, SMALL),
+    _failed(acceptance.criterion_fiber_agreement(SMALL),
             "fiber-agreement", f"disagreement at k=-2 on {SMALL[0]}")
 
 
 def test_tstructure_reports_the_failed_cut(monkeypatch):
     monkeypatch.setattr(acceptance, "tstructure_check",
                         lambda k, pairs: {"verdict": False, "heart": []})
-    _failed(acceptance.criterion_tstructure(SEED, SMALL),
+    _failed(acceptance.criterion_tstructure(SMALL),
             "tstructure-axioms", "failed at k=-2")
 
 
@@ -108,14 +108,14 @@ def test_noncommutation_reports_the_failed_witness(monkeypatch):
     monkeypatch.setattr(acceptance, "suspension_noncommute_witness",
                         lambda x, k: False)
     # H_{-3} of SMALL[0] is Z/2, so the cut k = -2 is the first checked.
-    _failed(acceptance.criterion_noncommutation(SEED, SMALL),
+    _failed(acceptance.criterion_noncommutation(SMALL),
             "noncommutation-witnesses", f"witness failed at k=-2 on {SMALL[0]}")
 
 
 def test_noncommutation_reports_an_incomplete_negative_suite(monkeypatch):
     monkeypatch.setattr(acceptance, "nontriangulated_witness_suite",
                         lambda k: {"checks": [], "ok": False})
-    _failed(acceptance.criterion_noncommutation(SEED, []),
+    _failed(acceptance.criterion_noncommutation([]),
             "noncommutation-witnesses", "negative suite incomplete at k=-2")
 
 
@@ -131,7 +131,7 @@ def test_closure_reports_the_counterexamples(monkeypatch):
 def test_classification_tables_report_the_first_wrong_case(monkeypatch):
     monkeypatch.setattr(acceptance, "cell_primary_torsion",
                         lambda m, k, n, p: EMObject.zero())
-    _failed(acceptance.criterion_classification_tables(SEED),
+    _failed(acceptance.criterion_classification_tables(),
             "classification-tables",
             f"primary table wrong at {acceptance.PRIMARY_TABLE[0]}")
 

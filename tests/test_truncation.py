@@ -298,7 +298,7 @@ class TestDecompositionTriangle:
     @staticmethod
     def verdicts(x):
         return (cell_null_triangle(x, 0),
-                criterion_truncation_triangle(0, [x]).passed,
+                criterion_truncation_triangle([x]).passed,
                 tstructure_check(0, [(x, x)])["axioms"]["decomposition"])
 
     @pytest.mark.parametrize("name, mutant", [
