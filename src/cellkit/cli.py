@@ -28,7 +28,7 @@ from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
 from .groups import FgAbGroup, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
                        IntMatrix, InternalInvariantError, is_unimodular,
-                       quoted, smith_normal_form, strict_int)
+                       quoted, quoted_shape, smith_normal_form, strict_int)
 from .sampling import random_complex_family, sample_pairs
 from .symbolic import PrimeSet, SymbolicGroup
 from .truncation import (closure_suite, connective_cover,
@@ -166,7 +166,7 @@ def _cmd_snf(args) -> dict:
     if m.rows > RANK_CAP or m.cols > RANK_CAP:
         raise SupportCapError(
             f"a matrix may have at most {RANK_CAP} rows and {RANK_CAP} "
-            f"columns, not {m.rows}x{m.cols}")
+            f"columns, not {quoted_shape(m)}")
     f = smith_normal_form(m)
     # u m v = s with u and v of determinant +-1.
     if not (f.u @ m @ f.v == f.s and is_unimodular(f.u)

@@ -20,7 +20,8 @@ from functools import lru_cache
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, cached_property, json_int,
-                       kernel_basis, smith_normal_form, solve, strict_int)
+                       kernel_basis, quoted_int, quoted_shape,
+                       smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
@@ -88,9 +89,11 @@ class GradedGroup(Frozen):
 
 def _check_caps(n: int, r: int) -> None:
     if abs(n) > DEGREE_CAP:
-        raise SupportCapError(f"degree {n} outside the cap |n| <= {DEGREE_CAP}")
+        raise SupportCapError(
+            f"degree {quoted_int(n)} outside the cap |n| <= {DEGREE_CAP}")
     if r > RANK_CAP:
-        raise SupportCapError(f"rank {r} exceeds the cap {RANK_CAP}")
+        raise SupportCapError(
+            f"rank {quoted_int(r)} exceeds the cap {RANK_CAP}")
 
 
 def _json_table(obj, key: str) -> dict:
@@ -130,7 +133,8 @@ class ChainComplex(Frozen):
         for n, r in ranks.items():
             n, r = int(n), int(r)
             if r < 0:
-                raise ChainComplexError(f"negative rank {r} in degree {n}")
+                raise ChainComplexError(f"negative rank {quoted_int(r)} in "
+                                        f"degree {quoted_int(n)}")
             _check_caps(n, r)
             if r:
                 rank_map[n] = r
@@ -141,8 +145,8 @@ class ChainComplex(Frozen):
             expected = (rank_map.get(n - 1, 0), rank_map.get(n, 0))
             if (d.rows, d.cols) != expected:
                 raise ChainComplexError(
-                    f"boundary in degree {n} has shape {d.rows}x{d.cols}, "
-                    f"expected {expected[0]}x{expected[1]}")
+                    f"boundary in degree {quoted_int(n)} has shape "
+                    f"{quoted_shape(d)}, expected {expected[0]}x{expected[1]}")
             if not d.is_zero:
                 kept[n] = d
 
@@ -279,8 +283,8 @@ class ChainMap(Frozen):
             expected = (target.rank(n), source.rank(n))
             if (f.rows, f.cols) != expected:
                 raise ChainMapError(
-                    f"component in degree {n} has shape {f.rows}x{f.cols}, "
-                    f"expected {expected[0]}x{expected[1]}")
+                    f"component in degree {quoted_int(n)} has shape "
+                    f"{quoted_shape(f)}, expected {expected[0]}x{expected[1]}")
             if not f.is_zero:
                 kept[n] = f
 

@@ -24,7 +24,7 @@ from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
                         em_complex, triangle_check)
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, quoted, strict_int)
+                       IntMatrix, quoted, quoted_int, strict_int)
 from .symbolic import Q as QAtom
 from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
                        QpHat, SymbolicGroup, UnknownRuleError, as_symbolic,
@@ -197,6 +197,7 @@ def _prime_power(p: int, e: int, name: str) -> int:
     # exponent is refused before any power is computed.
     q = p ** e if e < 4 * ORDER_DIGIT_CAP else ORDER_BOUND
     if q >= ORDER_BOUND:
+        e = quoted_int(e)
         raise InputError(f"{name} = {e} is too large: {p}^{e} has more "
                          f"than {ORDER_DIGIT_CAP} digits")
     return q
@@ -238,6 +239,7 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> dict:
         q *= p
         digits += len(str(q))
         if digits > ORDER_DIGIT_CAP:
+            r = quoted_int(r)
             raise InputError(
                 f"r = {r} is too large: the candidate orders {p}^1 .. {p}^{r}"
                 f" have more than {ORDER_DIGIT_CAP} digits in all")

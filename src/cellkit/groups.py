@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from math import gcd, prod
 
 from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
-                       smith_normal_form)
+                       quoted_int, smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
@@ -240,7 +240,8 @@ def is_prime(n: int) -> bool:
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
     if n >= PSI_12:
-        raise InputError(f"{n} is beyond the exact primality bound {PSI_12}")
+        raise InputError(
+            f"{quoted_int(n)} is beyond the exact primality bound {PSI_12}")
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -266,5 +267,5 @@ def is_prime(n: int) -> bool:
 def check_prime(p: int) -> int:
     """``p`` itself when it is prime; InputError otherwise."""
     if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+        raise InputError(f"{quoted_int(p)} is not prime")
     return p

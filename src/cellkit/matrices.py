@@ -180,6 +180,32 @@ def quoted(text: str) -> str:
     return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
 
 
+def quoted_int(n: int) -> str:
+    """``str(n)``, or its sign, its first QUOTE_CAP digits and its number
+    of digits when it has more, as :func:`quoted` cuts a text.
+
+    >>> print(quoted_int(-12))
+    -12
+    >>> print(quoted_int(-7 ** 100))
+    -3234476509624757991344647769100216810857... (85 digits)
+    """
+    m = abs(n)
+    if m < 10 ** QUOTE_CAP:
+        return str(n)
+    # Counted without writing n as text, which CPython refuses past 4,300
+    # digits: the count starts from a lower bound, as 1233/4096 < log10 2.
+    digits = (m.bit_length() - 1) * 1233 // 4096
+    while 10 ** digits <= m:
+        digits += 1
+    head = m // 10 ** (digits - QUOTE_CAP)
+    return f"{'-' * (n < 0)}{head}... ({digits} digits)"
+
+
+def quoted_shape(m: "IntMatrix") -> str:
+    """The shape of ``m`` as ``RxC``, each side cut by :func:`quoted_int`."""
+    return f"{quoted_int(m.rows)}x{quoted_int(m.cols)}"
+
+
 def strict_int(text: str) -> int:
     """The integer written in ``text`` as ASCII digits with an optional
     minus sign and no leading zero.
@@ -233,13 +259,12 @@ class IntMatrix(Frozen):
     # matrices built by wrapping this method.
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise MatrixShapeError(f"negative shape {self.rows}x{self.cols}")
+            raise MatrixShapeError(f"negative shape {quoted_shape(self)}")
         ents = tuple(self.entries)
         if len(ents) != self.rows * self.cols:
             raise MatrixShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
-                f" entries, got {len(ents)}"
-            )
+                f"{quoted_shape(self)} matrix needs "
+                f"{quoted_int(self.rows * self.cols)} entries, got {len(ents)}")
         object.__setattr__(self, "entries", ents)
 
     @classmethod

@@ -573,6 +573,10 @@ _DIAG = {"lo": 0, "hi": 1, "ranks": {"0": 2, "1": 2},
                               "data": [_N1, 0, 0, _N2]}}}
 _ID2 = {"ranks": {"0": 2}}
 _LONG_GROUP = f"Z/{_N1}+Z/{_N2}"
+_BIG = int("7" * 4299)
+_BIG_CUT = "7" * 40 + "... (4299 digits)"
+_BIG_PRIME_ERROR = (f"{_BIG_CUT} is beyond the exact primality bound "
+                    "318665857834031151167461")
 OVERSIZED = [
     ("snf-5000-digit-entry", ["snf"],
      _snf_payload(1, 1, []).replace("[]", "[" + "1" * 5000 + "]"),
@@ -651,6 +655,73 @@ OVERSIZED = [
     ("5000-character-command", ["Y" * 5000], None,
      "argument command: invalid choice: '" + "Y" * 40 + "'... (5000 "
      "characters) (see cellkit --help)\n"),
+    # Integers of 4,299 digits where the schema wants a shape, a rank, a
+    # degree, an exponent or a prime: the error writes their first
+    # QUOTE_CAP digits and their number of digits.  A 4,299 x 4,299
+    # matrix has 8,597 entries' worth of digits in its size, past what
+    # CPython writes as text.
+    ("snf-4299-digit-shape-without-data", ["snf"],
+     _snf_payload(_BIG, _BIG, []),
+     f"bad matrix payload: {_BIG_CUT}x{_BIG_CUT} matrix needs "
+     "6049382716049382716049382716049382716049... (8598 digits) entries, "
+     "got 0\n"),
+    ("snf-negative-4299-digit-shape", ["snf"], _snf_payload(-_BIG, 1, []),
+     f"bad matrix payload: negative shape -{_BIG_CUT}x1\n"),
+    ("snf-4299-digit-rows-no-cols", ["snf"], _snf_payload(_BIG, 0, []),
+     "a matrix may have at most 512 rows and 512 columns, not "
+     f"{_BIG_CUT}x0\n"),
+    ("homology-4299-digit-boundary-shape", ["homology"], _complex_payload({
+        "ranks": {"0": 1, "1": 1},
+        "boundaries": {"1": {"rows": _BIG, "cols": _BIG, "data": []}}}),
+     f"bad complex payload: {_BIG_CUT}x{_BIG_CUT} matrix needs "),
+    ("homology-4299-digit-boundary-degree", ["homology"], _complex_payload({
+        "ranks": {"0": 1},
+        "boundaries": {str(_BIG): {"rows": _BIG, "cols": 0, "data": []}}}),
+     f"bad complex payload: boundary in degree {_BIG_CUT} has shape "
+     f"{_BIG_CUT}x0, expected 0x0\n"),
+    ("homology-4299-digit-rank", ["homology"],
+     _complex_payload({"ranks": {"0": _BIG}}),
+     f"bad complex payload: rank {_BIG_CUT} exceeds the cap 512\n"),
+    ("homology-negative-4299-digit-rank", ["homology"],
+     _complex_payload({"ranks": {"0": -_BIG}}),
+     f"bad complex payload: negative rank -{_BIG_CUT} in degree 0\n"),
+    ("homology-4299-digit-degree", ["homology"],
+     _complex_payload({"ranks": {str(_BIG): 1}}),
+     f"bad complex payload: degree {_BIG_CUT} outside the cap |n| <= 64\n"),
+    ("triangle-check-4299-digit-component-degree", ["triangle-check"],
+     json.dumps({"map": {"source": _ID2, "target": _ID2, "components": {
+         str(_BIG): {"rows": 1, "cols": 1, "data": [1]}}},
+         "candidate": _ID2}),
+     f"bad chain map payload: component in degree {_BIG_CUT} has shape "
+     "1x1, expected 0x0\n"),
+    ("acyclization-4299-digit-p",
+     ["acyclization", "--target", "HZpinf", "--outcome", "zero",
+      "--p", str(_BIG)], None, _BIG_PRIME_ERROR + "\n"),
+    ("acyclization-4299-digit-prime-set",
+     ["acyclization", "--target", "HZ", "--outcome", "HZ_P",
+      "--primes", str(_BIG)], None, _BIG_PRIME_ERROR + "\n"),
+    ("acyclization-negative-4299-digit-p",
+     ["acyclization", "--target", "HZpinf", "--outcome", "zero",
+      f"--p=-{_BIG}"], None, f"-{_BIG_CUT} is not prime\n"),
+    ("em-cellularize-4299-digit-p",
+     ["em-cellularize", "--mode", "primary", "--m", "0", "--k", "1",
+      "--n", "1", "--p", str(_BIG)], None, _BIG_PRIME_ERROR + "\n"),
+    ("semiexact-demo-4299-digit-p", ["semiexact-demo", "--p", str(_BIG)],
+     None, _BIG_PRIME_ERROR + "\n"),
+    ("ring-obstruction-4299-digit-pruefer-prime",
+     ["ring-obstruction", f"--wedge=0:Z/{_BIG}^inf"], None,
+     "--wedge: bad wedge summand '0:Z/" + "7" * 36 + "'... (4307 "
+     f"characters): {_BIG_PRIME_ERROR} (at position 0)\n"),
+    ("acyclization-4299-digit-k",
+     ["acyclization", "--target", "HZpk", "--outcome", "zero", "--p", "2",
+      "--k", str(_BIG)], None,
+     f"k = {_BIG_CUT} is too large: 2^{_BIG_CUT} has more than 4300 "
+     "digits\n"),
+    ("em-cellularize-4299-digit-r",
+     ["em-cellularize", "--mode", "dichotomy", "--cellular", "--p", "2",
+      "--r", str(_BIG)], None,
+     f"r = {_BIG_CUT} is too large: the candidate orders 2^1 .. "
+     f"2^{_BIG_CUT} have more than 4300 digits in all\n"),
 ]
 
 
@@ -982,13 +1053,13 @@ _near_digit_cap = st.tuples(st.sampled_from(("", "-")),
 def _snf_payloads(draw):
     """A payload of the matrix schema, small and dense, with at most one
     flaw: an entry, a dimension or the data replaced by an adversarial
-    leaf, a negative or over-cap shape, data of the wrong length, or an
-    entry near the digit cap."""
+    leaf, a negative or over-cap shape, a side near the digit cap, data of
+    the wrong length, or an entry near the digit cap."""
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     data = draw(st.lists(st.integers(-9, 9) | st.integers(-2**70, 2**70),
                          min_size=rows * cols, max_size=rows * cols))
     flaw = draw(st.sampled_from((None, None, None, "entry", "digits", "rows",
-                                 "cols", "data", "length", "cap")))
+                                 "cols", "data", "length", "cap", "huge")))
     spot = st.integers(0, max(len(data) - 1, 0))
     if flaw == "entry" and data:
         data[draw(spot)] = draw(_bad_leaves)
@@ -1006,6 +1077,11 @@ def _snf_payloads(draw):
         rows, cols = draw(st.sampled_from(((513, 0), (0, 513), (513, 1),
                                            (1, 513))))
         data = [0] * (rows * cols + draw(st.integers(0, 1)))
+    elif flaw == "huge":
+        side = draw(_near_digit_cap)
+        rows, cols = draw(st.sampled_from(((side, cols), (rows, side),
+                                           (side, side))))
+        data = draw(st.sampled_from(([], data)))
     return {"matrix": {"rows": rows, "cols": cols, "data": data}}
 
 
@@ -1062,9 +1138,15 @@ _odd_leaves = st.sampled_from((1.5, True, None, "1", 10 ** 50, []))
 @st.composite
 def _boundary_payloads(draw, rows, cols):
     """A rows x cols matrix payload of small entries, zero or not, or one
-    that is empty, of the wrong shape or of the wrong length."""
+    that is empty, of the wrong shape, of the wrong length or with a side
+    near the digit cap and no entries."""
     kind = draw(st.sampled_from(("fit", "fit", "zero", "empty", "shape",
-                                 "length")))
+                                 "length", "huge")))
+    if kind == "huge":
+        side = draw(_near_digit_cap)
+        rows, cols = draw(st.sampled_from(((side, 0), (0, side), (side, cols),
+                                           (side, side))))
+        return {"rows": rows, "cols": cols, "data": []}
     if kind == "empty":
         rows, cols = draw(st.sampled_from(((0, 0), (0, cols), (rows, 0))))
     elif kind == "shape":
@@ -1081,8 +1163,9 @@ def _boundary_payloads(draw, rows, cols):
 def _complex_payloads(draw):
     """A complex payload of at most four degrees and ranks up to 3, zeros
     included, near or outside the degree cap, whose boundaries may be
-    missing, empty, mis-shaped or adversarial leaves; a boundary follows
-    none in the degree below, so most payloads have d o d = 0."""
+    missing, empty, mis-shaped or adversarial leaves, and whose ranks and
+    degree keys may be adversarial or near the digit cap; a boundary
+    follows none in the degree below, so most payloads have d o d = 0."""
     lo = draw(st.sampled_from((-DEGREE_CAP - 1, -DEGREE_CAP, -2, 0,
                                DEGREE_CAP - 2, DEGREE_CAP)))
     ranks = {n: draw(st.integers(0, 3))
@@ -1097,9 +1180,10 @@ def _complex_payloads(draw):
                                  "boundary", "table")))
     if flaw == "rank" and ranks:
         payload["ranks"][str(draw(st.sampled_from(sorted(ranks))))] = \
-            draw(_odd_leaves)
+            draw(_odd_leaves | _near_digit_cap)
     elif flaw == "degree":
-        payload["ranks"][draw(st.sampled_from(("1.5", "x", "01", "+1")))] = 1
+        key = st.sampled_from(("1.5", "x", "01", "+1")) | _near_digit_cap
+        payload["ranks"][str(draw(key))] = 1
     elif flaw == "entry" and any(d["data"] for d in boundaries.values()):
         d = draw(st.sampled_from([d for d in boundaries.values()
                                   if d["data"]]))
@@ -1118,7 +1202,8 @@ def _complex_payloads(draw):
 def _map_payloads(draw):
     """A triangle-check payload: a map between two complex payloads, with
     no components (the zero map), the identity of a complex, or random
-    components, and a candidate; now and then a part is missing."""
+    components, now and then one more in a degree near the digit cap, and
+    a candidate; now and then a part is missing."""
     source = draw(_complex_payloads())
     kind = draw(st.sampled_from(("zero", "identity", "random")))
     target = source if kind == "identity" else draw(_complex_payloads())
@@ -1137,6 +1222,10 @@ def _map_payloads(draw):
                 data = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
                                      max_size=rows * cols))
             components[n] = {"rows": rows, "cols": cols, "data": data}
+    if draw(st.integers(0, 7)) == 0:
+        side = draw(st.integers(0, 1))
+        components[str(draw(_near_digit_cap))] = {
+            "rows": side, "cols": side, "data": [1] * side}
     payload = {"map": {"source": source, "target": target,
                        "components": components},
                "candidate": draw(_complex_payloads())}

@@ -18,8 +18,8 @@ from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
                               InputError, IntMatrix, InternalInvariantError,
                               MatrixShapeError,
                               SmithNormalForm, _reduce, is_unimodular,
-                              kernel_basis, quoted, smith_normal_form, solve,
-                              strict_int)
+                              kernel_basis, quoted, quoted_int,
+                              smith_normal_form, solve, strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -701,6 +701,20 @@ def test_quoted_cuts_long_text():
     assert quoted("x" * QUOTE_CAP) == repr("x" * QUOTE_CAP)
     assert quoted("x" * (QUOTE_CAP + 1)) == (
         repr("x" * QUOTE_CAP) + f"... ({QUOTE_CAP + 1} characters)")
+
+
+# Lengths on both sides of QUOTE_CAP and of CPython's 4,300-digit limit on
+# writing an integer as text; the smallest and largest integers of each
+# length, where a digit count from the bit length could be off by one.
+def test_quoted_int_cuts_long_integers():
+    assert quoted_int(0) == "0"
+    for length in [*range(1, 130), 4299, 4300, 4301, 8598, 20_000]:
+        for n, digits in [(10 ** (length - 1), "1" + "0" * (length - 1)),
+                          (10 ** length - 1, "9" * length),
+                          (7 * (10 ** length - 1) // 9, "7" * length)]:
+            want = digits if length <= QUOTE_CAP else (
+                f"{digits[:QUOTE_CAP]}... ({length} digits)")
+            assert (quoted_int(n), quoted_int(-n)) == (want, "-" + want)
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
