@@ -105,8 +105,7 @@ def criterion_fiber_agreement(family: Sequence[ChainComplex]) -> str:
             _, agrees = nullification_fiber(x, k)
             if not agrees:
                 raise _Failed(f"disagreement at k={k} on {x}")
-    return (f"{len(family) * len(CUTS)} fibre computations agree with "
-            f"covers")
+    return f"{len(family) * len(CUTS)} fibre computations agree with covers"
 
 
 @_criterion("tstructure-axioms")
