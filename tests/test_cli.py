@@ -657,9 +657,9 @@ OVERSIZED = [
      "characters) (see cellkit --help)\n"),
     # Integers of 4,299 digits where the schema wants a shape, a rank, a
     # degree, an exponent or a prime: the error writes their first
-    # QUOTE_CAP digits and their number of digits.  A 4,299 x 4,299
-    # matrix has 8,597 entries' worth of digits in its size, past what
-    # CPython writes as text.
+    # QUOTE_CAP digits and their number of digits.  The entry count of a
+    # matrix with 4,299-digit sides has 8,598 digits, more than CPython
+    # writes as text.
     ("snf-4299-digit-shape-without-data", ["snf"],
      _snf_payload(_BIG, _BIG, []),
      f"bad matrix payload: {_BIG_CUT}x{_BIG_CUT} matrix needs "
