@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,3 +233,32 @@ class TestPrimaryParts:
         assert hom_rule(SymbolicGroup.of(ZLocal(s)), g) == expected
         assert ext_rule(g, SymbolicGroup.of(ZLocal(s))) == expected
         assert ext_rule(g, SymbolicGroup.of(ProdZpHat(s))) == expected
+
+
+# Every ordered pair of these groups runs through hom_rule and ext_rule:
+# 0, Z, cyclic and mixed finitely generated sums, every atom kind with
+# finite and cofinite prime sets, and mixed sums of atoms.
+RULE_GRID = (
+    "0", "Z", "Z/4", "Z/12", "Z + Z", "Z + Z/6", "Z/8 + Z/2",
+    "Q", "Z/2^inf", "Z/3^inf", "Zhat_2", "Zhat_3", "Qhat_3",
+    "Z_(2,3)", "Z_(!2)", "Psum_(2,3)", "Psum_(!2)", "Pzhat_(2,5)",
+    "Pzhat_(!3)", "PzhatmodZ_(2,3)", "PzhatmodZ_(!2)",
+    "Z/8 + Z/2^inf + Q", "Z + Zhat_2", "Z/6 + Z_(!3)", "Q + Qhat_2",
+    "Z/4 + Psum_(!2)",
+)
+# sha256 of the answer lines below, one per rule and ordered pair.
+RULE_GRID_DIGEST = ("c5c2a46391d4a0b5e244ec6f51d8d0df"
+                    "888ad3eaf6b036b7fef045a3dd5d8a45")
+
+
+def test_rule_grid_answers_are_pinned():
+    groups = [parse_group(text) for text in RULE_GRID]
+    lines = []
+    for rule in (hom_rule, ext_rule):
+        for a in groups:
+            for b in groups:
+                val = rule(a, b)
+                lines.append("UNKNOWN" if is_unknown(val) else json.dumps(
+                    val.to_json(), sort_keys=True, separators=(",", ":")))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (2 * len(RULE_GRID) ** 2, RULE_GRID_DIGEST)
