@@ -141,16 +141,16 @@ def criterion_noncommutation(family: Sequence[ChainComplex]) -> str:
 
 
 @_criterion("closure-suite")
-def criterion_closure(seed: int, family: Sequence[ChainComplex]) -> str:
+def criterion_closure(family: Sequence[ChainComplex]) -> str:
     """Closure suite clean on the full family, where it is ok only with
     the wrong-closure probe flagged as failing."""
-    report = closure_suite(family, 0, seed=seed)
+    report = closure_suite(family, 0)
     if not report["ok"]:
         names = [c["check"] for c in report["checks"]
                  if c["verdict"] != c["expected"]]
         raise _Failed(f"counterexamples: {names}")
     for k in (-2, -1, 1, 2):
-        if not closure_suite(family[:60], k, seed=seed)["ok"]:
+        if not closure_suite(family[:60], k)["ok"]:
             raise _Failed(f"failed at k={k}")
     return (f"{len(family)} samples clean at k=0; probe flagged; "
             f"spot checks at other cuts clean")
@@ -290,7 +290,7 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
         criterion_fiber_agreement(family),
         criterion_tstructure(family),
         criterion_noncommutation(family),
-        criterion_closure(seed, family),
+        criterion_closure(family),
         criterion_classification_tables(),
         criterion_ring_obstruction(seed),
         criterion_chain_agreement(seed),

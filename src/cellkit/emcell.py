@@ -26,9 +26,9 @@ from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, quoted, quoted_int, strict_int)
 from .symbolic import Q as QAtom
-from .symbolic import (UNKNOWN, PrimeSet, ProdZpHatModZ, Prufer, PruferSum,
-                       QpHat, SymbolicGroup, UnknownRuleError, as_symbolic,
-                       ext_rule, hom_rule, is_divisible, is_unknown)
+from .symbolic import (PrimeSet, ProdZpHatModZ, Prufer, PruferSum, QpHat,
+                       SymbolicGroup, as_symbolic, ext_rule, hom_rule,
+                       is_divisible)
 
 CONVENTION_NOTE = "convention: derived-category values"
 
@@ -109,20 +109,16 @@ def em_morphism_group(i: int, b: SymbolicGroup | FgAbGroup,
     return SymbolicGroup.zero()
 
 
-def sphere_homotopy(i: int, x: EMObject):
+def sphere_homotopy(i: int, x: EMObject) -> SymbolicGroup:
     """The i-th homotopy group of the wedge, through the morphism calculus.
 
     The generator is modeled by the integer piece in degree zero, so each
     summand contributes its Hom group in equal degrees and a vanishing Ext
-    group from one degree up.
+    group from one degree up.  The rule table answers Hom(Z, G) and
+    Ext(Z, G) for every group G, so the value is never UNKNOWN.
     """
-    parts = []
-    for s, g in x.summands:
-        val = em_morphism_group(i, Z, s, g)
-        if is_unknown(val):
-            return UNKNOWN
-        parts.append(val)
-    return SymbolicGroup.of(*parts)
+    return SymbolicGroup.of(*(em_morphism_group(i, Z, s, g)
+                              for s, g in x.summands))
 
 
 def _shape_answer(n: int, target: SymbolicGroup, b_forced_zero: bool,
@@ -314,12 +310,7 @@ def ring_unit_obstruction(x: EMObject) -> bool:
     >>> ring_unit_obstruction(EMObject.of([(0, Z)]))
     False
     """
-    if x.is_zero:
-        return False
-    pi0 = sphere_homotopy(0, x)
-    if is_unknown(pi0):
-        raise UnknownRuleError("pi_0 needs a Hom/Ext value outside the rule table")
-    return pi0.is_zero
+    return not x.is_zero and sphere_homotopy(0, x).is_zero
 
 
 def gem_closure_check(obj: EMObject, ring: str = "Z") -> bool:

@@ -43,10 +43,6 @@ def is_unknown(x) -> bool:
     return x is UNKNOWN
 
 
-class UnknownRuleError(InputError):
-    """A computation needed a Hom/Ext value outside the rule table."""
-
-
 class PrimeSet(Frozen):
     """A finite or cofinite set of primes, with an explicit complement.
 
@@ -347,9 +343,29 @@ def _pieces(g: SymbolicGroup) -> list[_Piece]:
     return out
 
 
-def _primary_group(orders: Iterable[int], primes: Iterable[int],
-                   cofinite: bool = False) -> SymbolicGroup:
-    """The sum of the P-primary parts of the cyclic groups Z/d."""
+def _bilinear(rule, a: SymbolicGroup | FgAbGroup,
+              b: SymbolicGroup | FgAbGroup):
+    """The sum of ``rule(x, y)`` over the summands x of a and y of b, or
+    UNKNOWN as soon as one of them is."""
+    a, b = as_symbolic(a), as_symbolic(b)
+    parts = []
+    for x in _pieces(a):
+        for y in _pieces(b):
+            val = rule(x, y)
+            if is_unknown(val):
+                return UNKNOWN
+            parts.append(val)
+    return SymbolicGroup.of(*parts)
+
+
+def _primary_group(orders: Iterable[int],
+                   atom: PrimeAtom | SetAtom) -> SymbolicGroup:
+    """The sum of the primary parts of the cyclic groups Z/d at the prime
+    of a PrimeAtom or the prime set of a SetAtom."""
+    if isinstance(atom, PrimeAtom):
+        primes, cofinite = (atom.p,), False
+    else:
+        primes, cofinite = atom.primes.primes, atom.primes.cofinite
     return SymbolicGroup.of(FgAbGroup.of_orders(
         primary_part(d, primes, cofinite) for d in orders))
 
@@ -358,12 +374,10 @@ def _torsion_to_atom_hom(factors: tuple[int, ...], y: Atom):
     """Hom of a finite sum of cyclic groups into an atom."""
     if isinstance(y, _TORSION_FREE_ATOMS):
         return SymbolicGroup.zero()
-    if isinstance(y, Prufer):
+    if isinstance(y, (Prufer, PruferSum)):
         # Hom(Z/d, Z/p^oo) = Z/p^{v_p(d)}: the colimit of Hom(Z/d, Z/p^n)
         # stabilizes once n exceeds v_p(d).
-        return _primary_group(factors, (y.p,))
-    if isinstance(y, PruferSum):
-        return _primary_group(factors, y.primes.primes, y.primes.cofinite)
+        return _primary_group(factors, y)
     return UNKNOWN
 
 
@@ -393,7 +407,7 @@ def _hom_atom_atom(x: Atom, y: Atom):
         # Hom out of a sum is the product over the summands; the target
         # must localize that product to finitely many primes or to a
         # product atom.
-        if isinstance(y, FgAbGroup) or isinstance(y, _TORSION_FREE_ATOMS):
+        if isinstance(y, _TORSION_FREE_ATOMS):
             return SymbolicGroup.zero()
         if isinstance(y, Prufer):
             return (SymbolicGroup.of(ZpHat(y.p)) if y.p in x.primes
@@ -425,27 +439,21 @@ def _hom_pair(x: _Piece, y: _Piece):
         return SymbolicGroup.of(hom_fg(x, y))
     if isinstance(x, FgAbGroup):
         # Hom(Z^r + T, A) = A^r + Hom(T, A).
-        free_copies = [y] * x.rank
-        tors = _torsion_to_atom_hom(x.invariant_factors, y)
-        if tors is UNKNOWN:
-            if x.invariant_factors:
-                return UNKNOWN
-            tors = SymbolicGroup.zero()
-        return SymbolicGroup.of(*free_copies, tors)
+        tors = (_torsion_to_atom_hom(x.invariant_factors, y)
+                if x.invariant_factors else SymbolicGroup.zero())
+        return UNKNOWN if is_unknown(tors) else SymbolicGroup.of(*[y] * x.rank, tors)
     if isinstance(y, FgAbGroup):
         if isinstance(x, _DIVISIBLE_ATOMS):
             # Homomorphic images of divisible groups are divisible, and a
             # finitely generated group has none besides zero.
             return SymbolicGroup.zero()
-        if isinstance(x, ZpHat):
-            # Every map lands in the p-primary part and factors through
-            # ZpHat/p^e = Z/p^e; maps to Z would have q-divisible image.
-            return _primary_group(y.invariant_factors, (x.p,))
-        if isinstance(x, ZLocal):
-            # Hom(Z_P, finite) keeps the P-primary part; Hom(Z_P, Z) = 0
-            # because images must be divisible by the inverted primes.
-            return _primary_group(y.invariant_factors, x.primes.primes,
-                                  x.primes.cofinite)
+        if isinstance(x, (ZpHat, ZLocal)):
+            # Every map out of ZpHat lands in the p-primary part and
+            # factors through ZpHat/p^e = Z/p^e; maps to Z would have
+            # q-divisible image.  Hom(Z_P, finite) keeps the P-primary
+            # part; Hom(Z_P, Z) = 0 because images must be divisible by
+            # the inverted primes.
+            return _primary_group(y.invariant_factors, x)
         return UNKNOWN
     return _hom_atom_atom(x, y)
 
@@ -462,33 +470,22 @@ def hom_rule(a: SymbolicGroup | FgAbGroup,
     >>> hom_rule(SymbolicGroup.of(Q()), SymbolicGroup.of(FgAbGroup.cyclic(9))).is_zero
     True
     """
-    a, b = as_symbolic(a), as_symbolic(b)
-    parts = []
-    for x in _pieces(a):
-        for y in _pieces(b):
-            val = _hom_pair(x, y)
-            if val is UNKNOWN:
-                return UNKNOWN
-            parts.append(val)
-    return SymbolicGroup.of(*parts)
+    return _bilinear(_hom_pair, a, b)
 
 
 def _ext_pair(x: _Piece, y: _Piece):
-    if isinstance(y, Atom) and isinstance(y, _DIVISIBLE_ATOMS):
+    if isinstance(y, _DIVISIBLE_ATOMS):
         return SymbolicGroup.zero()  # divisible groups are injective
-    if isinstance(x, FgAbGroup):
-        if isinstance(y, FgAbGroup):
-            return SymbolicGroup.of(ext_fg(x, y))
-        # Free sources contribute nothing; for a cyclic source Z/d the
-        # value is G/dG, read off the atom.
-        if not x.invariant_factors:
-            return SymbolicGroup.zero()
-        if isinstance(y, ZpHat):
-            return _primary_group(x.invariant_factors, (y.p,))
-        if isinstance(y, (ZLocal, ProdZpHat)):
-            return _primary_group(x.invariant_factors, y.primes.primes,
-                                  y.primes.cofinite)
+    if not isinstance(x, FgAbGroup):
         return UNKNOWN
+    if isinstance(y, FgAbGroup):
+        return SymbolicGroup.of(ext_fg(x, y))
+    # Free sources contribute nothing; for a cyclic source Z/d the value
+    # is G/dG, read off the atom.
+    if not x.invariant_factors:
+        return SymbolicGroup.zero()
+    if isinstance(y, (ZpHat, ZLocal, ProdZpHat)):
+        return _primary_group(x.invariant_factors, y)
     return UNKNOWN
 
 
@@ -501,12 +498,4 @@ def ext_rule(a: SymbolicGroup | FgAbGroup,
     >>> print(ext_rule(SymbolicGroup.of(FgAbGroup.cyclic(12)), SymbolicGroup.of(ZpHat(2))))
     Z/4
     """
-    a, b = as_symbolic(a), as_symbolic(b)
-    parts = []
-    for x in _pieces(a):
-        for y in _pieces(b):
-            val = _ext_pair(x, y)
-            if val is UNKNOWN:
-                return UNKNOWN
-            parts.append(val)
-    return SymbolicGroup.of(*parts)
+    return _bilinear(_ext_pair, a, b)

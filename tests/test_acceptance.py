@@ -49,7 +49,7 @@ def test_criterion_5_noncommutation_witnesses(family):
 
 
 def test_criterion_6_closure_suite(family):
-    _report(acceptance.criterion_closure(SEED, family))
+    _report(acceptance.criterion_closure(family))
 
 
 def test_criterion_7_classification_tables():
@@ -123,8 +123,8 @@ def test_closure_reports_the_counterexamples(monkeypatch):
     checks = [{"check": "kept", "verdict": True, "expected": True},
               {"check": "broken", "verdict": True, "expected": False}]
     monkeypatch.setattr(acceptance, "closure_suite",
-                        lambda family, k, seed: {"ok": False, "checks": checks})
-    _failed(acceptance.criterion_closure(SEED, SMALL),
+                        lambda family, k: {"ok": False, "checks": checks})
+    _failed(acceptance.criterion_closure(SMALL),
             "closure-suite", "counterexamples: ['broken']")
 
 

@@ -22,8 +22,8 @@ from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
                               MatrixShapeError, _reduce, is_unimodular,
                               smith_normal_form)
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
-                              PruferSum, Q, QpHat, SymbolicGroup,
-                              UnknownRuleError, ZLocal, ZpHat)
+                              PruferSum, Q, QpHat, SymbolicGroup, ZLocal,
+                              ZpHat)
 from cellkit.truncation import PreconditionError
 
 PRIMES = (2, 3, 5, 7)
@@ -978,8 +978,8 @@ def test_library_value_error_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cls", [
     MatrixShapeError, SupportCapError, ChainComplexError, ChainMapError,
-    GroupSyntaxError, InadmissibleCaseError, UnknownRuleError,
-    SizeBoundExceededError, PreconditionError])
+    GroupSyntaxError, InadmissibleCaseError, SizeBoundExceededError,
+    PreconditionError])
 def test_bad_input_errors_are_input_errors(cls):
     assert issubclass(cls, InputError)
 

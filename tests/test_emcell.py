@@ -13,8 +13,9 @@ from cellkit.emcell import (EMObject, InadmissibleCaseError, acyclization,
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
 from cellkit.matrices import InputError
 from cellkit.sampling import random_finite_group
-from cellkit.symbolic import (PrimeSet, ProdZpHatModZ, Prufer, PruferSum, Q,
-                              QpHat, SymbolicGroup, ZpHat, is_unknown)
+from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
+                              PruferSum, Q, QpHat, SymbolicGroup, ZLocal, ZpHat,
+                              is_unknown)
 
 
 def cyc(n):
@@ -228,6 +229,24 @@ class TestRingObstruction:
         assert not ring_unit_obstruction(EMObject.of([(0, Z)]))
         assert not ring_unit_obstruction(EMObject.of([(0, cyc(8))]))
         assert not ring_unit_obstruction(EMObject.zero())
+
+    # Every atom kind, the prime-set ones with a finite and a cofinite set.
+    ATOMS = (Q(), Prufer(2), ZpHat(2), QpHat(3)) + tuple(
+        cls(primes) for cls in (ZLocal, PruferSum, ProdZpHat, ProdZpHatModZ)
+        for primes in (PrimeSet.of([2, 3]), PrimeSet.complement_of([2])))
+
+    def test_pi0_is_answered_for_every_atom(self):
+        # pi_0 reads only Hom(Z, G) at shift 0 and Ext(Z, G) = 0 at shift 1,
+        # which the rule table answers for every group G.
+        for atom in self.ATOMS:
+            for s in (-1, 0, 1):
+                want = SymbolicGroup.of(atom) if s == 0 else SymbolicGroup.zero()
+                assert sphere_homotopy(0, EMObject.of([(s, atom)])) == want
+
+    def test_summands_off_degree_zero_leave_no_unit(self):
+        obj = EMObject.of([(s, g) for g in self.ATOMS + (Z, cyc(4))
+                           for s in (-1, 1)])
+        assert not obj.is_zero and ring_unit_obstruction(obj)
 
 
 class TestGemClosure:
