@@ -67,14 +67,19 @@ SUITE_K_RANGE = {
 
 
 def _load_payload(args) -> dict:
+    path = getattr(args, "input", None)
     try:
-        if getattr(args, "input", None):
-            with open(args.input, "r", encoding="utf-8") as fh:
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read payload: {exc}") from None
+        # The text of an OSError holds the whole path; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        where = quoted(path) if path else "stdin"
+        raise InputError(
+            f"cannot read payload from {where}: {reason}") from None
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -83,7 +88,8 @@ def _load_payload(args) -> dict:
     if not isinstance(obj, dict):
         raise InputError("payload must be a JSON object")
     if obj.get("schema", SCHEMA) != SCHEMA:
-        raise InputError(f"unsupported schema {obj['schema']!r}; want {SCHEMA!r}")
+        raise InputError(f"unsupported schema {quoted(obj['schema'])}; "
+                         f"want {SCHEMA!r}")
     return obj
 
 

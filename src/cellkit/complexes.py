@@ -50,7 +50,7 @@ class GradedGroup(Frozen):
 
     @classmethod
     def of(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":
-        items = tuple(sorted((int(n), g) for n, g in mapping.items()
+        items = tuple(sorted((json_int(n), g) for n, g in mapping.items()
                              if not g.is_zero))
         return cls(items)
 
@@ -131,7 +131,7 @@ class ChainComplex(Frozen):
         boundaries = dict(boundaries or {})
         rank_map = {}
         for n, r in ranks.items():
-            n, r = int(n), int(r)
+            n, r = json_int(n), json_int(r)
             if r < 0:
                 raise ChainComplexError(f"negative rank {quoted_int(r)} in "
                                         f"degree {quoted_int(n)}")
@@ -141,7 +141,7 @@ class ChainComplex(Frozen):
 
         kept = {}
         for n, d in boundaries.items():
-            n = int(n)
+            n = json_int(n)
             expected = (rank_map.get(n - 1, 0), rank_map.get(n, 0))
             if (d.rows, d.cols) != expected:
                 raise ChainComplexError(
@@ -279,7 +279,7 @@ class ChainMap(Frozen):
               components: Mapping[int, IntMatrix]) -> "ChainMap":
         kept = {}
         for n, f in components.items():
-            n = int(n)
+            n = json_int(n)
             expected = (target.rank(n), source.rank(n))
             if (f.rows, f.cols) != expected:
                 raise ChainMapError(
@@ -522,53 +522,37 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> dict:
 # Homology presentations and induced maps
 
 
-class HomologyPresentation(Frozen):
-    """H_n as coker(relations) on a chosen basis of the cycle subgroup.
+@lru_cache(maxsize=8192)
+def homology_presentation(x: ChainComplex, n: int
+                          ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """H_n as coker(relations) on a chosen basis of the cycle subgroup,
+    given as the triple (cycles, coords, relations).
 
     ``cycles`` embeds the basis into the chain group, ``coords`` is a left
     inverse defined on cycles, and ``relations`` expresses the incoming
     boundary image in that basis.
     """
-
-    __slots__ = ("cycles", "coords", "relations")
-    cycles: IntMatrix
-    coords: IntMatrix
-    relations: IntMatrix
-
-    def __init__(self, cycles: IntMatrix, coords: IntMatrix,
-                 relations: IntMatrix):
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "relations", relations)
+    cycles, coords = smith_normal_form(x.boundary(n)).kernel()
+    return cycles, coords, coords @ x.boundary(n + 1)
 
 
-@lru_cache(maxsize=8192)
-def homology_presentation(x: ChainComplex, n: int) -> HomologyPresentation:
-    down = x.boundary(n)
-    up = x.boundary(n + 1)
-    cycles, coords = smith_normal_form(down).kernel()
-    return HomologyPresentation(cycles, coords, coords @ up)
-
-
-def induced_map(f: ChainMap, n: int) -> tuple[HomologyPresentation,
-                                              HomologyPresentation, IntMatrix]:
-    """The matrix of H_n(f) between the chosen presentations."""
-    px = homology_presentation(f.source, n)
-    py = homology_presentation(f.target, n)
-    m = py.coords @ (f.component(n) @ px.cycles)
-    return px, py, m
+def induced_map(f: ChainMap, n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The matrix of H_n(f) between the chosen presentations, followed by
+    the relations of the source's and of the target's presentation."""
+    cycles, _, rel_x = homology_presentation(f.source, n)
+    _, coords, rel_y = homology_presentation(f.target, n)
+    return coords @ (f.component(n) @ cycles), rel_x, rel_y
 
 
 def map_on_homology_is_iso(f: ChainMap, n: int) -> bool:
     """Is H_n(f), the map m of :func:`induced_map`, an isomorphism?"""
-    px, py, m = induced_map(f, n)
-    rel = py.relations
-    stacked = _place(m.rows, m.cols + rel.cols,
-                     ((0, 0, m, 1), (0, m.cols, rel, 1)))
+    m, rel_x, rel_y = induced_map(f, n)
+    stacked = _place(m.rows, m.cols + rel_y.cols,
+                     ((0, 0, m, 1), (0, m.cols, rel_y, 1)))
     # The kernel before the cokernel, so one tracked reduction serves both.
     preimage = kernel_basis(stacked).take(range(m.cols), None)
     if not cokernel(stacked).is_zero:  # not onto
         return False
     # One to one: every preimage of a relation of y is a relation of x.
-    return all(solve(px.relations, preimage.column(j)) is not None
+    return all(solve(rel_x, preimage.column(j)) is not None
                for j in range(preimage.cols))

@@ -24,7 +24,7 @@ from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
                         em_complex, triangle_check)
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, quoted, quoted_int, strict_int)
+                       IntMatrix, json_int, quoted, quoted_int, strict_int)
 from .symbolic import Q as QAtom
 from .symbolic import (PrimeSet, ProdZpHatModZ, Prufer, PruferSum, QpHat,
                        SymbolicGroup, as_symbolic, ext_rule, hom_rule,
@@ -59,7 +59,7 @@ class EMObject(Frozen):
            ) -> "EMObject":
         by_shift: dict[int, list[SymbolicGroup]] = {}
         for s, g in pairs:
-            by_shift.setdefault(int(s), []).append(as_symbolic(g))
+            by_shift.setdefault(json_int(s), []).append(as_symbolic(g))
         merged = []
         for s in sorted(by_shift):
             g = SymbolicGroup.of(*by_shift[s])

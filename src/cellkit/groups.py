@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from math import gcd, prod
 
 from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
-                       quoted_int, smith_normal_form)
+                       json_int, quoted_int, smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
@@ -34,9 +34,9 @@ class FgAbGroup(Frozen):
 
     def __init__(self, rank: int = 0,
                  invariant_factors: tuple[int, ...] = ()):
-        if rank < 0:
+        if json_int(rank) < 0:
             raise ValueError("negative rank")
-        fs = tuple(int(d) for d in invariant_factors)
+        fs = tuple(map(json_int, invariant_factors))
         if any(d < 2 for d in fs):
             raise ValueError(f"invariant factors must be >= 2, got {fs}")
         for a, b in zip(fs, fs[1:]):
@@ -68,7 +68,7 @@ class FgAbGroup(Frozen):
         rank = 0
         torsion = []
         for o in orders:
-            o = abs(int(o))
+            o = abs(json_int(o))
             if o == 0:
                 rank += 1
             elif o >= 2:

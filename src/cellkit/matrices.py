@@ -42,6 +42,7 @@ complexes alive across operations, with their matrices and forms.
 
 from __future__ import annotations
 
+import json
 import re
 import weakref
 from collections.abc import Iterable, Sequence
@@ -155,7 +156,7 @@ def json_int(x) -> int:
     """``x`` itself if it is a JSON integer; floats, booleans and strings
     raise TypeError instead of being coerced."""
     if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
+        raise TypeError(f"expected an integer, got {quoted(x)}")
     return x
 
 
@@ -166,18 +167,24 @@ _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 QUOTE_CAP = 40
 
 
-def quoted(text: str) -> str:
-    """``repr(text)``, or the repr of its first QUOTE_CAP characters and
-    its length when it is longer.
+def quoted(x) -> str:
+    """The repr of a text ``x`` and the JSON text of any other ``x``, or
+    that of its first QUOTE_CAP characters and its length when it is longer.
 
     >>> print(quoted("Z/4"))
     'Z/4'
     >>> print(quoted("x" * 100))
     'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (100 characters)
+    >>> print(quoted([0] * 400))
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (1200 characters)
     """
+    if isinstance(x, str):
+        text, show = x, repr
+    else:  # one with no JSON text, such as a Fraction, gives its repr
+        text, show = json.dumps(x, default=repr), str
     if len(text) <= QUOTE_CAP:
-        return repr(text)
-    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:QUOTE_CAP])}... ({len(text)} characters)"
 
 
 def quoted_int(n: int) -> str:
@@ -273,7 +280,7 @@ class IntMatrix(Frozen):
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise MatrixShapeError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, tuple(json_int(x) for row in rows for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -298,7 +305,7 @@ class IntMatrix(Frozen):
             raise MatrixShapeError("diagonal longer than matrix")
         ents = [0] * (r * c)
         for i, d in enumerate(diag):
-            ents[i * c + i] = int(d)
+            ents[i * c + i] = json_int(d)
         return cls(r, c, tuple(ents))
 
     def row(self, i: int) -> tuple[int, ...]:

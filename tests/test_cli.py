@@ -722,6 +722,22 @@ OVERSIZED = [
       "--r", str(_BIG)], None,
      f"r = {_BIG_CUT} is too large: the candidate orders 2^1 .. "
      f"2^{_BIG_CUT} have more than 4300 digits in all\n"),
+    # Long values where the schema wants an integer or a schema name, and
+    # a long --input path: the error cuts the text, or the JSON text of a
+    # value that is not a string, as it cuts a long option value.
+    ("snf-1000-character-entry", ["snf"], _snf_payload(1, 1, ["x" * 1000]),
+     "bad matrix payload: expected an integer, got '" + "x" * 40 + "'... "
+     "(1000 characters)\n"),
+    ("homology-400-item-rank", ["homology"],
+     _complex_payload({"ranks": {"0": list(range(400))}}),
+     "bad complex payload: expected an integer, got [0, 1, 2, 3, 4, 5, 6, "
+     "7, 8, 9, 10, 11, 1... (1890 characters)\n"),
+    ("snf-1000-character-schema", ["snf"],
+     json.dumps({"schema": "s" * 1000}),
+     "unsupported schema '" + "s" * 40 + "'... (1000 characters); want "
+     "'cellkit/1'\n"),
+    ("snf-2000-character-input-path", ["snf", "--input", "p" * 2000], None,
+     "cannot read payload from '" + "p" * 40 + "'... (2000 characters): "),
 ]
 
 
@@ -1038,11 +1054,14 @@ def _dump(x) -> str:
     return json.dumps(x)
 
 
-# What a payload may hold where the schema wants an integer.
+# What a payload may hold where the schema wants an integer: short leaves,
+# and leaves whose text is too long to write whole into an error line.
+_long_leaves = ("x" * 1000, list(range(400)), {"k" * 1000: 1})
 _bad_leaves = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
     st.none(), st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from(_long_leaves))
 # Integers of 4,299 to 4,301 digits: CPython reads at most 4,300.
 _near_digit_cap = st.tuples(st.sampled_from(("", "-")),
                             st.integers(4299, 4301)).map(
@@ -1132,7 +1151,8 @@ def test_snf_contract(payload):
 
 # What a complex or map payload may hold where the schema wants an integer,
 # a matrix or a table.
-_odd_leaves = st.sampled_from((1.5, True, None, "1", 10 ** 50, []))
+_odd_leaves = st.sampled_from((1.5, True, None, "1", 10 ** 50, [])
+                              + _long_leaves)
 
 
 @st.composite

@@ -12,8 +12,7 @@ import pickle
 import pytest
 
 from cellkit.acceptance import CriterionResult
-from cellkit.complexes import (ChainComplex, ChainMap, GradedGroup,
-                               HomologyPresentation)
+from cellkit.complexes import ChainComplex, ChainMap, GradedGroup
 from cellkit.emcell import EMObject
 from cellkit.groups import FgAbGroup
 from cellkit.matrices import IntMatrix, SmithNormalForm
@@ -56,12 +55,6 @@ VALUES = [
      "IntMatrix(rows=1, cols=1, entries=(1,))), (1, IntMatrix(rows=1, "
      "cols=1, entries=(1,)))))",
      ChainMap.zero_map(_X, _X)),
-    (HomologyPresentation(_ONE, _ONE, _TWO),
-     [("cycles", _EMPTY), ("coords", _EMPTY), ("relations", _EMPTY)],
-     "HomologyPresentation(cycles=IntMatrix(rows=1, cols=1, entries=(1,)), "
-     "coords=IntMatrix(rows=1, cols=1, entries=(1,)), "
-     "relations=IntMatrix(rows=1, cols=1, entries=(2,)))",
-     HomologyPresentation(_ONE, _ONE, _ONE)),
     (PrimeSet(True, frozenset({2})),
      [("cofinite", _EMPTY), ("primes", _EMPTY)],
      "PrimeSet(cofinite=True, primes=frozenset({2}))",
@@ -118,3 +111,26 @@ def test_equality_needs_the_same_class():
     assert hash(Prufer(3)) == hash(ZpHat(3)) == hash((3,))
     assert repr(ZpHat(3)) == "ZpHat(p=3)"
     assert {Prufer(3), ZpHat(3), Prufer(3)} == {Prufer(3), ZpHat(3)}
+
+
+# A float or a boolean where a constructor wants an integer is refused, not
+# truncated: 1.5 is no matrix entry, and 0.9 no degree.
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix.from_rows([[1.5, 2.9]]),
+    lambda: IntMatrix.diagonal([2.7]),
+    lambda: FgAbGroup(0, (2.5,)),
+    lambda: FgAbGroup(1.5),
+    lambda: FgAbGroup.of_orders([6.9]),
+    lambda: FgAbGroup.of_orders([True]),
+    lambda: GradedGroup.of({0.5: FgAbGroup(1)}),
+    lambda: ChainComplex.build({0.9: 1}),
+    lambda: ChainComplex.build({0: 1.0}),
+    lambda: ChainComplex.build({0: 1, 1: 1}, {1.0: _TWO}),
+    lambda: ChainMap.build(_X, _X, {0.9: _ONE}),
+    lambda: EMObject.of([(0.5, FgAbGroup(1))]),
+], ids=["from_rows", "diagonal", "group", "group-rank", "of_orders",
+        "of_orders-bool", "graded-degree", "complex-degree", "complex-rank",
+        "boundary-degree", "map-degree", "em-shift"])
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(TypeError, match="expected an integer, got "):
+        build()
