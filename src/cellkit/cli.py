@@ -205,7 +205,7 @@ def _cmd_triangle_check(args) -> dict:
     if "map" not in payload or "candidate" not in payload:
         raise InputError("payload needs 'map' and 'candidate'")
     f = _from_payload(ChainMap, payload, "map", "chain map")
-    if not f.source.is_zero and f.source.hi == DEGREE_CAP:
+    if f.source.hi == DEGREE_CAP:
         raise InputError(f"the map's source reaches degree {DEGREE_CAP}; its "
                          f"cone would leave the cap |n| <= {DEGREE_CAP}")
     z = _from_payload(ChainComplex, payload, "candidate", "complex")

@@ -96,14 +96,30 @@ def _check_caps(n: int, r: int) -> None:
             f"rank {quoted_int(r)} exceeds the cap {RANK_CAP}")
 
 
-def _json_table(obj, key: str) -> dict:
-    """The JSON object under ``key`` in the JSON object ``obj``, or {}."""
+def _json_table(obj, key: str, read) -> dict:
+    """The JSON object under ``key`` in the JSON object ``obj`` (or {}),
+    with each key read by ``strict_int`` and each value by ``read``."""
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
     table = obj.get(key, {})
     if not isinstance(table, dict):
         raise TypeError(f"{key!r} must be a JSON object, got {type(table).__name__}")
-    return table
+    return {strict_int(n): read(v) for n, v in table.items()}
+
+
+def _degree_table(table: Mapping, shape, error: type, what: str) -> dict:
+    """The nonzero matrices of ``table``, once the one in each degree n
+    has the shape ``shape(n)`` that the ranks fix."""
+    kept = {}
+    for n, m in table.items():
+        n = json_int(n)
+        expected = shape(n)
+        if (m.rows, m.cols) != expected:
+            raise error(f"{what} in degree {quoted_int(n)} has shape "
+                        f"{quoted_shape(m)}, expected {expected[0]}x{expected[1]}")
+        if not m.is_zero:
+            kept[n] = m
+    return kept
 
 
 class ChainComplex(Frozen):
@@ -128,7 +144,6 @@ class ChainComplex(Frozen):
     @classmethod
     def build(cls, ranks: Mapping[int, int],
               boundaries: Mapping[int, IntMatrix] | None = None) -> "ChainComplex":
-        boundaries = dict(boundaries or {})
         rank_map = {}
         for n, r in ranks.items():
             n, r = json_int(n), json_int(r)
@@ -139,17 +154,9 @@ class ChainComplex(Frozen):
             if r:
                 rank_map[n] = r
 
-        kept = {}
-        for n, d in boundaries.items():
-            n = json_int(n)
-            expected = (rank_map.get(n - 1, 0), rank_map.get(n, 0))
-            if (d.rows, d.cols) != expected:
-                raise ChainComplexError(
-                    f"boundary in degree {quoted_int(n)} has shape "
-                    f"{quoted_shape(d)}, expected {expected[0]}x{expected[1]}")
-            if not d.is_zero:
-                kept[n] = d
-
+        kept = _degree_table(
+            boundaries or {}, lambda n: (rank_map.get(n - 1, 0), rank_map.get(n, 0)),
+            ChainComplexError, "boundary")
         for n, d in kept.items():
             below = kept.get(n - 1)
             if below is not None and not (below @ d).is_zero:
@@ -187,19 +194,15 @@ class ChainComplex(Frozen):
 
     @property
     def lo(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero complex has no support")
-        return self.ranks[0][0]
+        """The lowest degree of nonzero rank; the zero complex has lo = 0
+        and hi = -1, so its support lo..hi is empty."""
+        return self.ranks[0][0] if self.ranks else 0
 
     @property
     def hi(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero complex has no support")
-        return self.ranks[-1][0]
+        return self.ranks[-1][0] if self.ranks else -1
 
     def degrees(self) -> range:
-        if self.is_zero:
-            return range(0)
         return range(self.lo, self.hi + 1)
 
     def rank(self, n: int) -> int:
@@ -237,21 +240,17 @@ class ChainComplex(Frozen):
         return GradedGroup(tuple(out))
 
     def to_json(self) -> dict:
-        lo, hi = (self.lo, self.hi) if not self.is_zero else (0, -1)
         return {
-            "lo": lo,
-            "hi": hi,
+            "lo": self.lo,
+            "hi": self.hi,
             "ranks": {str(n): r for n, r in self.ranks},
             "boundaries": {str(n): d.to_json() for n, d in self.boundaries},
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ChainComplex":
-        ranks = {strict_int(n): json_int(r)
-                 for n, r in _json_table(obj, "ranks").items()}
-        boundaries = {strict_int(n): IntMatrix.from_json(d)
-                      for n, d in _json_table(obj, "boundaries").items()}
-        return cls.build(ranks, boundaries)
+        return cls.build(_json_table(obj, "ranks", json_int),
+                         _json_table(obj, "boundaries", IntMatrix.from_json))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -277,16 +276,8 @@ class ChainMap(Frozen):
     @classmethod
     def build(cls, source: ChainComplex, target: ChainComplex,
               components: Mapping[int, IntMatrix]) -> "ChainMap":
-        kept = {}
-        for n, f in components.items():
-            n = json_int(n)
-            expected = (target.rank(n), source.rank(n))
-            if (f.rows, f.cols) != expected:
-                raise ChainMapError(
-                    f"component in degree {quoted_int(n)} has shape "
-                    f"{quoted_shape(f)}, expected {expected[0]}x{expected[1]}")
-            if not f.is_zero:
-                kept[n] = f
+        kept = _degree_table(components, lambda n: (target.rank(n), source.rank(n)),
+                             ChainMapError, "component")
 
         def product(a, b):
             # A missing factor is a zero matrix, and so is the product.
@@ -335,8 +326,7 @@ class ChainMap(Frozen):
         return cls.build(
             ChainComplex.from_json(obj["source"]),
             ChainComplex.from_json(obj["target"]),
-            {strict_int(n): IntMatrix.from_json(f)
-             for n, f in _json_table(obj, "components").items()})
+            _json_table(obj, "components", IntMatrix.from_json))
 
 
 def _known_homology(x: ChainComplex) -> GradedGroup | None:

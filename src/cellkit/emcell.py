@@ -380,7 +380,8 @@ def chain_model(x: EMObject) -> ChainComplex:
     parts = []
     for s, g in x.summands:
         if not g.is_fg:
-            raise ValueError(f"summand {g} is not finitely generated")
+            raise InputError(f"the summand in degree {quoted_int(s)} is not "
+                             "finitely generated")
         parts.append(em_complex(g.fg, s))
     return coproduct(parts)
 

@@ -35,13 +35,14 @@ class FgAbGroup(Frozen):
     def __init__(self, rank: int = 0,
                  invariant_factors: tuple[int, ...] = ()):
         if json_int(rank) < 0:
-            raise ValueError("negative rank")
+            raise InputError(f"negative rank {quoted_int(rank)}")
         fs = tuple(map(json_int, invariant_factors))
         if any(d < 2 for d in fs):
-            raise ValueError(f"invariant factors must be >= 2, got {fs}")
+            raise InputError(f"invariant factors must be >= 2, got {quoted_int(min(fs))}")
         for a, b in zip(fs, fs[1:]):
             if b % a:
-                raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+                raise InputError(f"divisibility chain violated: {quoted_int(a)} "
+                                 f"does not divide {quoted_int(b)}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "invariant_factors", fs)
 
@@ -197,7 +198,7 @@ def brute_force_hom_count(a: FgAbGroup, b: FgAbGroup) -> int:
 def p_valuation(n: int, p: int) -> int:
     """Largest e with p^e dividing n (n != 0)."""
     if n == 0:
-        raise ValueError("valuation of zero")
+        raise InputError("valuation of zero")
     n = abs(n)
     e = 0
     while n % p == 0:

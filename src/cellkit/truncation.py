@@ -46,7 +46,7 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None
     answer is kept in ``x.__dict__``, keyed by k, like ``x.homology``.
     The two outer cases are not kept, so x never refers to itself.
     """
-    if x.is_zero or k <= x.lo:
+    if k <= x.lo:
         return x, None
     if k > x.hi:
         return ChainComplex.zero_complex(), None
@@ -90,7 +90,7 @@ def cover_inclusion(x: ChainComplex, k: int) -> ChainMap:
 def _section_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None]:
     """The section, and the projection of x_k onto the image of d_k that
     becomes its degree k (None when the section is x or zero)."""
-    if x.is_zero or k > x.hi:
+    if k > x.hi:
         return x, None
     if k <= x.lo:
         return ChainComplex.zero_complex(), None

@@ -14,10 +14,12 @@ from cellkit import matrices as matrices_mod
 from cellkit.cli import main
 from cellkit.complexes import (DEGREE_CAP, ChainComplexError, ChainMapError,
                                SupportCapError)
-from cellkit.emcell import ORDER_DIGIT_CAP, InadmissibleCaseError
+from cellkit.emcell import (ORDER_DIGIT_CAP, EMObject, InadmissibleCaseError,
+                            chain_model)
 from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
                              parse_group)
-from cellkit.groups import PSI_12, FgAbGroup, SizeBoundExceededError, Z
+from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
+                            p_valuation, primary_part)
 from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
                               MatrixShapeError, _reduce, is_unimodular,
                               smith_normal_form)
@@ -312,6 +314,18 @@ class TestDispatch:
         assert code == 0
         assert out == TRIANGLE_CHECK_STDOUT
 
+    def test_triangle_check_from_zero_source(self, capsys, monkeypatch):
+        # The cone of 0 -> Z is Z: the candidate Z closes the triangle.
+        emz = {"ranks": {"0": 1}}
+        payload = json.dumps({
+            "map": {"source": {"ranks": {}}, "target": emz, "components": {}},
+            "candidate": emz,
+        })
+        code, out = run_cli(capsys, "triangle-check", stdin=payload,
+                            monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
     def test_em_cellularize_modes(self, capsys):
         code, out = run_cli(capsys, "em-cellularize", "--mode", "primary",
                             "--m", "0", "--k", "1", "--n", "2", "--p", "5")
@@ -504,6 +518,7 @@ BAD_INPUTS = [
     (["homology"], _complex_payload({"ranks": {"0": "1"}})),
     (["homology"], _complex_payload({"ranks": [1]})),
     (["homology"], _complex_payload([1])),
+    (["snf"], "[]"),
     (["homology"], _complex_payload({
         "ranks": {"0": 1, "1": 1},
         "boundaries": {"1": {"rows": 1, "cols": 1, "data": [2.0]}}})),
@@ -614,6 +629,10 @@ OVERSIZED = [
     ("ring-obstruction-long-factor",
      ["ring-obstruction", f"--wedge=0:{_LONG_GROUP}"], None,
      "--wedge has an invariant factor of more than 4300 digits"),
+    # Far over SUMMAND_CAP: refused before the group is canonicalized.
+    ("hom-200-summands", ["hom", "--a", "+".join(["Z/2"] * 200),
+                          "--b", "+".join(["Z/2"] * 200)], None,
+     "a group may have at most 12 summands, not 200\n"),
     # One sample over SAMPLE_COUNT_CAP: the suites' work grows with it.
     ("closure-suite-501-samples",
      ["closure-suite", "--k", "0", "--samples", "501"], None,
@@ -998,6 +1017,25 @@ def test_library_value_error_exits_3(capsys, monkeypatch):
     PreconditionError])
 def test_bad_input_errors_are_input_errors(cls):
     assert issubclass(cls, InputError)
+
+
+@pytest.mark.parametrize("call, args", [
+    (FgAbGroup, (-1,)),
+    (FgAbGroup, (0, (1,))),
+    (FgAbGroup, (0, (4, 6))),
+    (FgAbGroup, (0, (1,) * 500)),
+    # Writing 10^4400 + 1 as text would raise CPython's digit-limit error.
+    (FgAbGroup, (0, (3, 10 ** 4400 + 1))),
+    (chain_model, (EMObject.of([(0, SymbolicGroup.of(Q()))]),)),
+    (p_valuation, (0, 2)),
+    (primary_part, (0, [2])),
+], ids=["negative-rank", "factor-1", "factors-4-6", "500-factors-1",
+        "factors-3-4401-digits", "chain-model-of-Q", "valuation-of-0",
+        "primary-part-of-0"])
+def test_library_bad_data_is_input_error(call, args):
+    with pytest.raises(InputError) as info:
+        call(*args)
+    assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize("data, part, stored", [

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
@@ -12,7 +12,8 @@ from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
 from cellkit.groups import FgAbGroup, Z, ext_fg, hom_fg
 from cellkit.matrices import IntMatrix, kernel_basis, solve
 from cellkit.sampling import random_complex, random_matrix
-from cellkit.truncation import cover_inclusion, section_with_projection
+from cellkit.truncation import (connective_cover, cover_inclusion, postnikov,
+                                section_with_projection)
 
 
 def cyc(n):
@@ -300,6 +301,29 @@ def _chain_map(x, y, kind, m):
     return ChainMap.build(c, sx, {
         n: _assemble(sx.rank(n), r, [(0, 0, IntMatrix.identity(sx.rank(n)))])
         for n, r in c.ranks})
+
+
+class TestSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes)
+    @example(ChainComplex.zero_complex())
+    def test_support_is_lo_to_hi(self, x):
+        # The zero complex has the empty support lo..hi = 0..-1, and its
+        # covers and sections are zero at any cut.
+        assert x.degrees() == range(x.lo, x.hi + 1)
+        assert (x.to_json()["lo"], x.to_json()["hi"]) == (x.lo, x.hi)
+        if not x.is_zero:
+            assert (x.lo, x.hi) == (x.ranks[0][0], x.ranks[-1][0])
+            return
+        assert (x.lo, x.hi) == (0, -1)
+        for k in (-1, 0, 1):
+            inclusion = cover_inclusion(x, k)
+            section, projection = section_with_projection(x, k)
+            for c in (connective_cover(x, k), postnikov(x, k), section,
+                      inclusion.source, inclusion.target,
+                      projection.source, projection.target):
+                assert c.is_zero
+            assert inclusion.components == projection.components == ()
 
 
 class TestAssembly:
