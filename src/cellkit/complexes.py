@@ -14,17 +14,20 @@ decide whether a map is an isomorphism on homology.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, cached_property, json_int,
-                       kernel_basis, quoted_int, quoted_shape,
+                       IntMatrix, InternalInvariantError, cached_property,
+                       json_int, kernel_basis, quoted_int, quoted_shape,
                        smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
+# CELLKIT_CERTIFY=1: assembled values are also built checked; a failure is a bug.
+CERTIFY = os.environ.get("CELLKIT_CERTIFY") == "1"
 
 
 class SupportCapError(InputError):
@@ -122,6 +125,18 @@ def _degree_table(table: Mapping, shape, error: type, what: str) -> dict:
     return kept
 
 
+def _certified(out, build, *args):
+    """``out``, which in certify mode must equal the checked ``build(*args)``."""
+    if CERTIFY:
+        try:
+            checked = build(*args)
+        except (ChainComplexError, ChainMapError) as e:
+            raise InternalInvariantError(f"assembled value fails: {e}") from e
+        if checked != out:
+            raise InternalInvariantError("assembled value is not normalized")
+    return out
+
+
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
@@ -129,7 +144,8 @@ class ChainComplex(Frozen):
     :meth:`build`, which normalizes the presentation (zero ranks and zero
     boundary matrices are dropped) and rejects data with d o d != 0.  EM
     complexes, covers, and `shift`, `cone` and `coproduct` of checked
-    complexes, go through :meth:`_assembled`, which checks only the caps.
+    complexes, go through :meth:`_assembled`, which checks only the caps
+    unless ``CELLKIT_CERTIFY=1`` makes it re-run :meth:`build`.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
@@ -170,11 +186,13 @@ class ChainComplex(Frozen):
         """Normalized with d o d = 0 by construction: shift negates each d,
         the cone's D o D has blocks d_X o d_X, f d_X - d_Y f and d_Y o d_Y,
         a sum is block diagonal, a cover adds only coords @ d @ d = 0, and
-        an EM complex has one boundary.  Only the caps are checked."""
+        an EM complex has one boundary.  Only the caps are checked,
+        unless CERTIFY is set."""
         for n, r in ranks.items():
             _check_caps(n, r)
-        return cls(tuple(sorted(ranks.items())),
-                   tuple(sorted(boundaries.items())))
+        return _certified(cls(tuple(sorted(ranks.items())),
+                              tuple(sorted(boundaries.items()))),
+                          cls.build, ranks, boundaries)
 
     @classmethod
     def zero_complex(cls) -> "ChainComplex":
@@ -260,7 +278,13 @@ class ChainComplex(Frozen):
 
 
 class ChainMap(Frozen):
-    """A degreewise integer map commuting with the boundaries."""
+    """A degreewise integer map commuting with the boundaries.
+
+    Maps from data (payloads, the suites' literal maps) and cover
+    inclusions go through :meth:`build`, which checks the squares.
+    Identity, zero and scalar maps, `shift_map` of a checked map and the
+    section projection commute by construction and use :meth:`_assembled`.
+    """
 
     __slots__ = ("source", "target", "components", "__dict__")
     source: ChainComplex
@@ -300,16 +324,26 @@ class ChainMap(Frozen):
         return cls(source, target, tuple(sorted(kept.items())))
 
     @classmethod
+    def _assembled(cls, source: ChainComplex, target: ChainComplex,
+                   components: dict) -> "ChainMap":
+        """Zero components dropped and the rest sorted, as in build, with
+        the chain-map condition holding by construction."""
+        kept = sorted((n, m) for n, m in components.items() if not m.is_zero)
+        return _certified(cls(source, target, tuple(kept)),
+                          cls.build, source, target, components)
+
+    @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
-        return cls.build(x, x, {n: IntMatrix.identity(r) for n, r in x.ranks})
+        return cls._assembled(x, x, {n: IntMatrix.identity(r) for n, r in x.ranks})
 
     @classmethod
     def zero_map(cls, source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return cls.build(source, target, {})
+        return cls._assembled(source, target, {})
 
     @classmethod
     def scalar(cls, x: ChainComplex, m: int) -> "ChainMap":
-        return cls.build(x, x, {n: IntMatrix.diagonal([m] * r) for n, r in x.ranks})
+        return cls._assembled(
+            x, x, {n: IntMatrix.diagonal([m] * r) for n, r in x.ranks})
 
     @cached_property
     def _component_map(self) -> dict[int, IntMatrix]:
@@ -370,11 +404,12 @@ def shift(x: ChainComplex, k: int) -> ChainComplex:
 
 
 def shift_map(f: ChainMap, k: int) -> ChainMap:
-    """Suspend a chain map; components are reused at shifted degrees."""
+    """Suspend a chain map; components are reused at shifted degrees, and
+    commute with the boundaries, which all change by the same sign."""
     if k == 0:
         return f
     comps = {n + k: m for n, m in f.components}
-    return ChainMap.build(shift(f.source, k), shift(f.target, k), comps)
+    return ChainMap._assembled(shift(f.source, k), shift(f.target, k), comps)
 
 
 def cone(f: ChainMap) -> ChainComplex:

@@ -567,9 +567,10 @@ def _unit_pivots(a: list[list[int]]) -> int:
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int]:
-    """(r, g): the rank of ``a`` and the gcd of its last pivot row under
-    fraction-free elimination, a gcd of r x r minors and so a multiple
-    of d1...dr.  ``a`` (nonzero rows, none of them empty) is not changed.
+    """(r, g): the rank of ``a`` and the gcd of its last pivot row and of
+    the leading entries of the rows that pivot cleared, under fraction-free
+    elimination: a gcd of r x r minors and so a multiple of d1...dr.
+    ``a`` (nonzero rows, none of them empty) is not changed.
     """
     # Columns of small entries first.  The rank does not depend on the
     # column order, but the size of the minors on the way does: with huge
@@ -577,13 +578,14 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     # them is a pivot.
     rest = [list(row) for row in zip(*sorted(
         zip(*a), key=lambda col: max(map(abs, col))))]
-    prev, r, last = 1, 0, ()
+    prev, r, last, cleared = 1, 0, (), ()
     while rest and rest[0]:
         i = next((i for i, row in enumerate(rest) if row[0]), None)
         if i is None:  # no pivot in this column
             rest = [row[1:] for row in rest]
             continue
         last = rest.pop(i)
+        cleared = [row[0] for row in rest]
         p, tail = last[0], last[1:]
         below = []
         for row in rest:
@@ -595,7 +597,7 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
                 below.append(row)
         rest, prev = below, p
         r += 1
-    return r, gcd(*last)
+    return r, gcd(*last, *cleared)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

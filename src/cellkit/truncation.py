@@ -110,11 +110,13 @@ def postnikov(x: ChainComplex, k: int) -> ChainComplex:
 
 def section_with_projection(x: ChainComplex, k: int) -> tuple[ChainComplex, ChainMap]:
     """postnikov(x, k) and the chain-level projection onto it from x: the
-    identity below k and onto the image of d_k in degree k."""
+    identity below k and onto the image of d_k in degree k.  It commutes
+    unchecked: d_k = basis @ proj, and as the basis has full column rank,
+    proj @ d_{k+1} = 0 follows from d_k @ d_{k+1} = 0."""
     section, proj = _section_data(x, k)
     comps = {n: proj if n == k else IntMatrix.identity(r)
              for n, r in section.ranks}
-    return section, ChainMap.build(x, section, comps)
+    return section, ChainMap._assembled(x, section, comps)
 
 
 def nullification_fiber(x: ChainComplex, k: int) -> tuple[ChainComplex, bool]:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cellkit import complexes as complexes_mod
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
                                SupportCapError, cone, coproduct, derived_hom,
@@ -203,6 +204,7 @@ class TestCone:
         assert quasi_iso_eq(fp, shift(em_complex(cyc(3), 0), -1))
 
     def test_cone_builds_no_chain_map(self, monkeypatch):
+        monkeypatch.setattr(complexes_mod, "CERTIFY", False)
         x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
         _, proj = section_with_projection(x, x.lo + 1)
         maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)), proj]
@@ -363,7 +365,26 @@ class TestAssembly:
                                             FgAbGroup.of_orders(orders)), n)
         assert ChainComplex.build(dict(x.ranks), dict(x.boundaries)) == x
 
+    @settings(max_examples=60, deadline=None)
+    @given(complexes, st.integers(-3, 3), st.integers(-2, 2))
+    def test_assembled_maps_pass_the_checked_build(self, x, m, k):
+        # identity, zero and scalar maps, the section projection at every
+        # cut and shift_map of these and of cover inclusions take no
+        # product; build runs the chain-map check, and must return the
+        # same map.
+        maps = [ChainMap.identity(x), ChainMap.zero_map(x, x),
+                ChainMap.scalar(x, m), ChainMap.zero_map(x, shift(x, 1))]
+        for cut in range(x.lo - 1, x.hi + 2):
+            maps += [section_with_projection(x, cut)[1],
+                     cover_inclusion(x, cut)]
+        maps += [shift_map(f, k) for f in maps]
+        for f in maps:
+            assert ChainMap.build(f.source, f.target,
+                                  dict(f.components)) == f
+        assert ChainMap.scalar(x, 0) == ChainMap.zero_map(x, x)
+
     def test_assembly_runs_no_product(self, monkeypatch):
+        monkeypatch.setattr(complexes_mod, "CERTIFY", False)
         x = random_complex(random.Random(29), max_degrees=5, max_rank=4)
         # Adjacent boundaries, so a d o d check would multiply them.
         assert any(n - 1 in dict(x.boundaries) for n, _ in x.boundaries)

@@ -578,6 +578,9 @@ class TestInvariantFactorPass:
         # Rows > cols, with entries of 2^100 and more.
         ([[2 ** 100, 0], [0, 3 * 2 ** 100], [2 ** 100, 3 * 2 ** 100]],
          (2 ** 100, 3 * 2 ** 100), {"bareiss", "modular"}),
+        # The last pivot row [2, 4] has gcd 2, but the row it clears leads
+        # with the 1 x 1 minor 3, so g = 1.
+        ([[2, 4], [3, 6]], (1, 0), {"bareiss"}),
     ])
     def test_each_phase_on_a_fixed_input(self, rows, diagonal, phases):
         with mock.patch.object(matrices_mod, "_bareiss",
@@ -590,6 +593,23 @@ class TestInvariantFactorPass:
         assert reached == phases
         assert _reduce(mat(rows), ALL)[0] == IntMatrix.diagonal(
             diagonal, len(rows), len(rows[0])).to_rows()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6),
+           st.integers(1, 12), st.data())
+    def test_low_rank_products_match_the_euclidean_pass(
+            self, rows, inner, cols, scale, data):
+        # P Q with P of entries up to 2^200: huge minors, small factors.
+        def entries(n, bound):
+            return tuple(data.draw(st.lists(st.integers(-bound, bound),
+                                            min_size=n, max_size=n)))
+
+        p = IntMatrix(rows, inner, entries(rows * inner, 2 ** 200))
+        q = IntMatrix(inner, cols, entries(inner * cols, 9))
+        m = mat([[scale * v for v in row] for row in (p @ q).to_rows()])
+        s = _reduce(m, frozenset())[0]
+        want = [s[i][i] for i in range(min(rows, cols)) if s[i][i]]
+        assert matrices_mod._invariant_factors(m) == want
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
     def test_empty_shapes_reach_no_phase(self, shape):

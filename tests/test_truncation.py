@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellkit import truncation
+from cellkit import cli, complexes, truncation
 from cellkit.acceptance import criterion_truncation_triangle
 from cellkit.complexes import (ChainComplex, ChainMapError, GradedGroup,
                                coproduct, em_complex, map_on_homology_is_iso,
                                quasi_iso_eq, shift, triangle_check)
 from cellkit.groups import FgAbGroup, Z
-from cellkit.matrices import IntMatrix, SmithNormalForm, kernel_basis
+from cellkit.matrices import (IntMatrix, InternalInvariantError,
+                              SmithNormalForm, kernel_basis)
 from cellkit.sampling import random_complex, random_complex_family, sample_pairs
 from cellkit.truncation import (PreconditionError, cell_null_triangle,
                                 closure_suite, connective_cover,
@@ -175,6 +176,7 @@ class TestCoverMemo:
     @staticmethod
     def count_work(monkeypatch):
         """Count kernel takes and ChainComplex._assembled calls from now on."""
+        monkeypatch.setattr(complexes, "CERTIFY", False)
         calls = {"kernel": 0, "assembled": 0}
         kernel = SmithNormalForm.kernel
         assembled = ChainComplex._assembled.__func__
@@ -274,6 +276,43 @@ class TestSection:
                 c = connective_cover(x, k).homology
                 p = postnikov(x, k).homology
                 assert c.direct_sum(p) == x.homology
+
+
+class TestCertifyMode:
+    """A wrong projection is assembled unchecked, and only certify mode
+    (CELLKIT_CERTIFY=1) re-runs the chain-map check that catches it."""
+
+    @staticmethod
+    def negate_first_projection_row(monkeypatch):
+        real = truncation._section_data
+
+        def wrong(x, k):
+            section, proj = real(x, k)
+            if proj is not None and proj.rows:
+                e, c = proj.entries, proj.cols
+                proj = IntMatrix(proj.rows, c,
+                                 tuple(-v for v in e[:c]) + e[c:])
+            return section, proj
+
+        monkeypatch.setattr(truncation, "_section_data", wrong)
+
+    def test_only_certify_mode_rejects_the_wrong_projection(self, monkeypatch):
+        x = mixed_sample()                  # d_0 is nonzero
+        self.negate_first_projection_row(monkeypatch)
+        monkeypatch.setattr(complexes, "CERTIFY", False)
+        section, proj = section_with_projection(x, 0)
+        assert section.boundary(0) @ proj.component(0) == -x.boundary(0)
+        monkeypatch.setattr(complexes, "CERTIFY", True)
+        with pytest.raises(InternalInvariantError,
+                           match="not a chain map in degree 0"):
+            section_with_projection(x, 0)
+
+    def test_certify_mode_exits_3_on_the_wrong_projection(self, monkeypatch,
+                                                          capsys):
+        self.negate_first_projection_row(monkeypatch)
+        monkeypatch.setattr(complexes, "CERTIFY", True)
+        assert cli.main(["acceptance"]) == 3
+        assert "not a chain map" in capsys.readouterr().err
 
 
 class TestDecompositionTriangle:
