@@ -1,3 +1,4 @@
+import signal
 import weakref
 from contextlib import contextmanager
 from unittest import mock
@@ -5,6 +6,39 @@ from unittest import mock
 import pytest
 
 from cellkit import matrices as matrices_mod
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block is still
+    running after ``seconds``: a broken elimination can loop forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def bareiss_determinant(m):
+    """det m of a square matrix by fraction-free elimination."""
+    a, sign, prev = m.to_rows(), 1, 1
+    n = len(a)
+    for t in range(n):
+        p = next((i for i in range(t, n) if a[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p], sign = a[p], a[t], -sign
+        for i in range(t + 1, n):
+            a[i] = [(a[t][t] * a[i][j] - a[i][t] * a[t][j]) // prev
+                    for j in range(n)]
+        prev = a[t][t]
+    return sign * prev if n else 1
 
 
 @contextmanager

@@ -1,14 +1,17 @@
 import hashlib
+import io
 import json
 import os
-import signal
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellkit
+from conftest import bareiss_determinant, time_limit
 from cellkit import cli as cli_mod
 from cellkit import matrices as matrices_mod
 from cellkit.cli import main
@@ -139,12 +142,9 @@ TSTRUCTURE_STDOUT = """\
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
+    return code, capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +239,10 @@ class TestGrammar:
 # Dispatch
 
 
+ATOM_KINDS = ("Q + Z/2^inf + Zhat_2 + Qhat_3 + Z_(2,3) + Psum_(!2) + "
+              "Pzhat_(!3) + PzhatmodZ_(2,3)")
+
+
 class TestDispatch:
     def test_hom_example(self, capsys):
         code, out = run_cli(capsys, "hom", "--a", "Z/4", "--b", "Z/6")
@@ -271,6 +275,13 @@ class TestDispatch:
         assert code == 0
         body = json.loads(out)
         assert body["result"]["ranks"] == {}
+
+    def test_cover_where_d1_is_one_to_one(self):
+        # d_1 = (2, 4) has no kernel, so the cover at k = 1 is zero.
+        body = json.loads(_contract_run(["cover", "--k", "1"], json.dumps({
+            "ranks": {"0": 2, "1": 1},
+            "boundaries": {"1": {"rows": 2, "cols": 1, "data": [2, 4]}}})))
+        assert body["result"]["ranks"] == {} and body["homology"] == {}
 
     def test_postnikov_bytes(self, capsys, monkeypatch):
         # The section keeps degree 0 of the input and takes the image basis
@@ -350,6 +361,15 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["verdict"] is True
 
+    # pi_0 through Hom(Z, G) and Ext(Z, G) of every atom kind: false with
+    # the atoms at shift 0, true with them and Z at shift 1 alone.
+    @pytest.mark.parametrize("wedge, verdict", [
+        (f"0:{ATOM_KINDS}; 1:Z/4 + Q", False),
+        (f"1:{ATOM_KINDS} + Z/4 + Z", True)], ids=["shift-0", "shift-1"])
+    def test_ring_obstruction_of_every_atom_kind(self, wedge, verdict):
+        out = _contract_run(["ring-obstruction", f"--wedge={wedge}"], None)
+        assert json.loads(out)["verdict"] is verdict
+
     def test_semiexact_demo(self, capsys):
         code, out = run_cli(capsys, "semiexact-demo", "--p", "2")
         assert code == 0
@@ -357,31 +377,24 @@ class TestDispatch:
 
 
 class TestExitCodes:
-    def test_schema_violation(self, capsys, monkeypatch):
-        code, _ = run_cli(capsys, "snf", stdin="not json",
-                          monkeypatch=monkeypatch)
-        assert code == 2
+    def test_schema_violation(self):
+        _contract_run(["snf"], "not json", message="")
 
-    def test_bad_group_text(self, capsys):
-        code, _ = run_cli(capsys, "hom", "--a", "Z/frog", "--b", "Z")
-        assert code == 2
+    def test_bad_group_text(self):
+        _contract_run(["hom", "--a", "Z/frog", "--b", "Z"], None, message="")
 
-    def test_symbolic_group_where_fg_needed(self, capsys):
-        code, _ = run_cli(capsys, "hom", "--a", "Q", "--b", "Z")
-        assert code == 2
+    def test_symbolic_group_where_fg_needed(self):
+        _contract_run(["hom", "--a", "Q", "--b", "Z"], None, message="")
 
-    def test_inadmissible_case(self, capsys):
-        code, _ = run_cli(capsys, "acyclization", "--target", "HZ",
-                          "--outcome", "SigmaZpHat")
-        assert code == 2
+    def test_inadmissible_case(self):
+        _contract_run(["acyclization", "--target", "HZ", "--outcome",
+                       "SigmaZpHat"], None, message="")
 
-    def test_bad_complex_payload(self, capsys, monkeypatch):
-        payload = json.dumps({"complex": {
+    def test_bad_complex_payload(self):
+        _contract_run(["homology"], _complex_payload({
             "lo": 0, "hi": 1, "ranks": {"0": 1, "1": 1},
-            "boundaries": {"1": {"rows": 2, "cols": 1, "data": [2, 0]}}}})
-        code, _ = run_cli(capsys, "homology", stdin=payload,
-                          monkeypatch=monkeypatch)
-        assert code == 2
+            "boundaries": {"1": {"rows": 2, "cols": 1, "data": [2, 0]}}}),
+            message="")
 
 
 class TestDeterminism:
@@ -405,7 +418,12 @@ class TestDeterminism:
          "ba272e903eb2fe09"),
         (["nontriangulated-suite", "--k", "0"], "18891dda959d19f8"),
         (["semiexact-demo", "--p", "2"], "4bf151ce7a2ceee7"),
-    ], ids=["closure-suite", "nontriangulated-suite", "semiexact-demo"])
+        # Samples of rank at most 1 send 0xn, nx0 and 1x1 matrices through
+        # kernels, cokernels, solves and homology presentations.
+        (["closure-suite", "--k", "0", "--samples", "40", "--max-rank", "1"],
+         "25c3a6a61afa70ef"),
+    ], ids=["closure-suite", "nontriangulated-suite", "semiexact-demo",
+            "closure-suite-rank-1"])
     def test_suite_report_bytes(self, capsys, argv, want):
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -563,16 +581,36 @@ BAD_INPUTS = [
 ]
 
 
+def _contract_run(argv, stdin, seconds=5, message=None):
+    """Run ``cellkit argv`` on the payload ``stdin`` in this process and
+    check the exit contract within ``seconds``: exit 0 or 2, and on exit 2
+    an empty stdout and one ``error:`` line of under 300 bytes.  A
+    ``message``, empty for any, asks for exit 2 and an error line that
+    starts with it.  Returns stdout on exit 0 and None on exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with time_limit(seconds), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses an option itself
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    out, err = out.getvalue(), err.getvalue()
+    assert code in ((0, 2) if message is None else (2,)), (code, err)
+    if code == 2:
+        assert out == "" and err.startswith(f"error: {message or ''}")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        return None
+    return out
+
+
 @pytest.mark.parametrize("argv, stdin", BAD_INPUTS, ids=[
     " ".join(argv) + (f" <<< {stdin}" if stdin else "")
     for argv, stdin in BAD_INPUTS])
-def test_bad_input_exits_2(capsys, monkeypatch, argv, stdin):
-    import io
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_bad_input_exits_2(argv, stdin):
+    _contract_run(argv, stdin, 20, message="")
 
 
 # Payloads and answers past CPython's limits: an entry of 5,000 digits,
@@ -763,19 +801,8 @@ OVERSIZED = [
 @pytest.mark.parametrize("argv, stdin, message",
                          [row[1:] for row in OVERSIZED],
                          ids=[row[0] for row in OVERSIZED])
-def test_oversized_payload_exits_2(capsys, monkeypatch, argv, stdin,
-                                   message):
-    import io
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert len(err.encode()) < 300
+def test_oversized_payload_exits_2(argv, stdin, message):
+    _contract_run(argv, stdin, 20, message=message)
 
 
 # 2^14284 has ORDER_DIGIT_CAP = 4300 digits and 2^14285 one more.
@@ -1050,22 +1077,58 @@ def test_library_bad_data_is_input_error(call, args):
     ([1, 0, 0, 0], "u", lambda m: IntMatrix.from_rows([[1, 0], [0, 2]])),
 ], ids=["u-1", "v-2", "det-u"])
 def test_snf_certificate_can_fail(capsys, monkeypatch, data, part, stored):
-    import io
-    import weakref
-    # The payload's matrix finds this form, kept alive here, with one
-    # transform stored before any pass ran.  The pass that builds the
-    # others keeps it.  A fresh table: the form of an earlier case, with
-    # its own stored transform, may still be uncollected.
+    form = _stored_transform(monkeypatch, data, part, stored)
+    assert main(["snf"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "internal error: Smith decomposition failed to certify\n")
+
+
+def _stored_transform(monkeypatch, data, part, stored):
+    """Put the 2-row matrix m of ``data`` on stdin as a ``cellkit snf``
+    payload, and return its Smith form with ``stored(m)`` as the transform
+    ``part``, which the pass that builds the others keeps.  The table of
+    forms is fresh, as an earlier case's form may linger; the caller keeps
+    this one alive."""
     monkeypatch.setattr(matrices_mod, "_FORMS", weakref.WeakValueDictionary())
     m = IntMatrix(2, len(data) // 2, tuple(data))
     form = smith_normal_form(m)
     form.__dict__[part] = stored(m)
     monkeypatch.setattr(sys, "stdin",
                         io.StringIO(_snf_payload(m.rows, m.cols, data)))
-    assert main(["snf"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(
-        "internal error: Smith decomposition failed to certify\n")
+    return form
+
+
+def _assert_snf_certificate(m, out):
+    """u m v = s for the ``cellkit snf`` report ``out`` on m, with u and v
+    unimodular by the library's check and by their determinants."""
+    s, u, v = (IntMatrix.from_json(json.loads(out)[t]) for t in "suv")
+    assert u @ m @ v == s
+    assert is_unimodular(u) and is_unimodular(v)
+    dets = bareiss_determinant(u), bareiss_determinant(v)
+    assert abs(dets[0]) == abs(dets[1]) == 1, f"det u, det v = {dets}"
+
+
+def test_snf_determinant_check_can_fail(capsys, monkeypatch):
+    # The det-u case above with every is_unimodular answering True: the bad
+    # u is printed, u m v = s holds, and only det u = 2 gives it away.
+    form = _stored_transform(monkeypatch, [1, 0, 0, 0], "u",
+                             lambda m: IntMatrix.from_rows([[1, 0], [0, 2]]))
+    monkeypatch.setattr(cli_mod, "is_unimodular", lambda m: True)
+    monkeypatch.setitem(globals(), "is_unimodular", lambda m: True)
+    assert main(["snf"]) == 0
+    with pytest.raises(AssertionError, match=r"det u, det v = \(2, 1\)"):
+        _assert_snf_certificate(form.matrix, capsys.readouterr().out)
+
+
+# The Smith forms of a 3x4 matrix, of a 0x3 and a 3x0 matrix, whose u or v
+# is 0x0 of determinant 1, and of a rank-deficient one.
+@pytest.mark.parametrize("rows, cols, data", [
+    (3, 4, [2, 4, 6, 8, 1, 3, 5, 7, 0, 2, 2, 4]), (0, 3, []), (3, 0, []),
+    (2, 2, [1, 0, 0, 0])], ids=["3x4", "0x3", "3x0", "rank-1"])
+def test_snf_transforms_have_unit_determinants(rows, cols, data):
+    out = _contract_run(["snf"], _snf_payload(rows, cols, data))
+    _assert_snf_certificate(IntMatrix(rows, cols, tuple(data)), out)
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 512), (512, 1)])
@@ -1142,49 +1205,14 @@ def _snf_payloads(draw):
     return {"matrix": {"rows": rows, "cols": cols, "data": data}}
 
 
-def _contract_run(argv, text, seconds=5):
-    """Run ``cellkit argv`` on the payload ``text`` in this process and
-    check the exit contract: exit 0 or 2 within ``seconds``, and on exit 2
-    one ``error:`` line of under 300 bytes.  Returns stdout on exit 0 and
-    None on exit 2."""
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
-
-    def expire(signum, frame):
-        raise TimeoutError(f"cellkit {' '.join(argv)} ran over {seconds} s")
-
-    out, err = io.StringIO(), io.StringIO()
-    stdin, handler = sys.stdin, signal.signal(signal.SIGALRM, expire)
-    sys.stdin = io.StringIO(text)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, handler)
-        sys.stdin = stdin
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), (code, err)
-    if code == 2:
-        assert out == "" and err.startswith("error: ")
-        assert err.count("\n") == 1 and len(err.encode()) < 300
-        return None
-    return out
-
-
 @settings(max_examples=200, deadline=None)
 @given(_snf_payloads())
 def test_snf_contract(payload):
     text = _dump(payload)
     out = _contract_run(["snf"], text)
-    if out is None:
-        return
-    m = IntMatrix.from_json(json.loads(text)["matrix"])
-    r = json.loads(out)
-    s, u, v = (IntMatrix.from_json(r[name]) for name in ("s", "u", "v"))
-    assert u @ m @ v == s
-    assert is_unimodular(u) and is_unimodular(v)
+    if out is not None:
+        _assert_snf_certificate(
+            IntMatrix.from_json(json.loads(text)["matrix"]), out)
 
 
 # What a complex or map payload may hold where the schema wants an integer,

@@ -1,14 +1,13 @@
 import gc
 import hashlib
 import random
-import signal
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counted_passes, fresh_forms
+from conftest import (bareiss_determinant, counted_passes, fresh_forms,
+                      time_limit)
 from cellkit import matrices as matrices_mod
 from cellkit.acceptance import _family
 from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
@@ -153,22 +152,6 @@ def golden_corpus():
 # zeros must leave all four row lists bit-identical.
 GOLDEN_REDUCE_DIGEST = (
     "5397fd03ac74e1e28bcb1dc7b2302e434757f811f7f9cd18e80a97a3602b9b9c")
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail with TimeoutError, instead of hanging, if the block is still
-    running after ``seconds``: a broken elimination can loop forever."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def cold(m):
@@ -543,23 +526,6 @@ def chain_map_condition(a, b):
                     row[col[n - 1, i, t]] -= da.row(t)[j]
                 rows.append(row)
     return mat(rows)
-
-
-def bareiss_determinant(m):
-    """det m of a square matrix by fraction-free elimination."""
-    a, sign, prev = m.to_rows(), 1, 1
-    n = len(a)
-    for t in range(n):
-        p = next((i for i in range(t, n) if a[i][t]), None)
-        if p is None:
-            return 0
-        if p != t:
-            a[t], a[p], sign = a[p], a[t], -sign
-        for i in range(t + 1, n):
-            a[i] = [(a[t][t] * a[i][j] - a[i][t] * a[t][j]) // prev
-                    for j in range(n)]
-        prev = a[t][t]
-    return sign * prev if n else 1
 
 
 class TestInvariantFactorPass:
