@@ -21,8 +21,8 @@ from functools import lru_cache
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, InternalInvariantError, cached_property,
-                       json_int, kernel_basis, quoted_int, quoted_shape,
-                       smith_normal_form, solve, strict_int)
+                       json_int, kernel_basis, product_is_zero, quoted_int,
+                       quoted_shape, smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
@@ -175,7 +175,7 @@ class ChainComplex(Frozen):
             ChainComplexError, "boundary")
         for n, d in kept.items():
             below = kept.get(n - 1)
-            if below is not None and not (below @ d).is_zero:
+            if below is not None and not product_is_zero(below, d):
                 raise ChainComplexError(f"d o d != 0 between degrees {n} and {n - 2}")
 
         return cls(tuple(sorted(rank_map.items())),
@@ -302,24 +302,13 @@ class ChainMap(Frozen):
               components: Mapping[int, IntMatrix]) -> "ChainMap":
         kept = _degree_table(components, lambda n: (target.rank(n), source.rank(n)),
                              ChainMapError, "component")
-
-        def product(a, b):
-            # A missing factor is a zero matrix, and so is the product.
-            return None if a is None or b is None else a @ b
-
-        degrees = set(kept)
-        degrees.update(n for n, _ in source.ranks)
-        degrees.update(n for n, _ in target.ranks)
-        for n in degrees:
-            left = product(kept.get(n - 1), source._boundary_map.get(n))
-            right = product(target._boundary_map.get(n), kept.get(n))
-            if left is None:
-                commutes = right is None or right.is_zero
-            elif right is None:
-                commutes = left.is_zero
-            else:
-                commutes = left == right
-            if not commutes:
+        # f d_X == d_Y f; a missing factor, and so its product, is zero.
+        for n in {*kept, *(n for n, _ in source.ranks),
+                  *(n for n, _ in target.ranks)}:
+            pairs = ((kept.get(n - 1), source._boundary_map.get(n)),
+                     (target._boundary_map.get(n), kept.get(n)))
+            factors = [m for pair in pairs if None not in pair for m in pair]
+            if factors and not product_is_zero(*factors):
                 raise ChainMapError(f"not a chain map in degree {n}")
         return cls(source, target, tuple(sorted(kept.items())))
 

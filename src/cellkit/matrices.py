@@ -30,6 +30,13 @@ ones), so no inverse of u is built.  Empty and zero matrices take the
 same path as any other.  A product with an identity factor is the other
 factor.
 
+``product_is_zero`` tests a product for zero, or two for equality, without
+forming them: each line of the factor with the larger entries is packed in
+base 2^s, so a line of a product is one dot product in CPython's big-integer
+code (Kronecker substitution).  It is exact: with s the bit length of the
+sum of k max|x| max|y| over the products, no entry of a difference reaches
+2^s, so a packed line sum_j e_j 2^(s j) is zero only when every e_j is.
+
 Equal matrices share one Smith normal form, found through a table of weak
 references, so a value that is rebuilt (the same cone, shift or cover
 made again) is reduced once while its form lives.  A form and the matrix
@@ -47,8 +54,9 @@ import re
 import weakref
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import compress
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, eq, lshift, mul
 
 
 # CPython writes no integer of more than ORDER_DIGIT_CAP decimal digits as
@@ -392,6 +400,49 @@ class IntMatrix(Frozen):
         if f is None:
             f = _FORMS[key] = SmithNormalForm(self)
         return f
+
+
+# Measured: past this many bits in both factors, a plain product is as quick.
+PLAIN_BITS = 384
+
+
+def _packed_lines(x: IntMatrix, y: IntMatrix, s: int, by_rows: bool):
+    """Rows (by_rows) or columns of x @ y in base 2^s; zeros are skipped."""
+    def lines(m):
+        return (map(m.row, range(m.rows)) if by_rows
+                else map(m.column, range(m.cols)))
+    if not by_rows:  # the columns of x @ y are the rows of y^T @ x^T
+        x, y = y, x
+    shifts = range(0, s * (y.cols if by_rows else y.rows), s)
+    packed = [sum(map(lshift, line, shifts)) for line in lines(y)]
+    return (sum(map(mul, compress(line, line), compress(packed, line)))
+            for line in lines(x))
+
+
+def product_is_zero(a: IntMatrix, b: IntMatrix, c: IntMatrix | None = None,
+                    d: IntMatrix | None = None) -> bool:
+    """Whether ``a @ b`` is zero or, given c and d, whether a @ b == c @ d,
+    by the packed test above; it stops at the first line that differs.
+
+    >>> a = IntMatrix.from_rows([[1, 2], [2, 4]])
+    >>> b = IntMatrix.from_rows([[2, -4], [-1, 2]])
+    >>> [product_is_zero(*m) for m in ((a, b), (b, a), (b, a, -b, -a))]
+    [True, False, True]
+    """
+    terms = ((a, b),) if c is None else ((a, b), (c, d))
+    free, plain, bound, right_heavy = True, False, 0, 0
+    for x, y in terms:
+        if x.cols != y.rows or x.rows != a.rows or y.cols != b.cols:
+            raise MatrixShapeError("cannot compare products of these shapes")
+        p, q = max(map(abs, x.entries or (0,))), max(map(abs, y.entries or (0,)))
+        free = free and (x.is_identity or y.is_identity)
+        plain = plain or min(p, q).bit_length() > PLAIN_BITS
+        bound += x.cols * p * q
+        right_heavy += q.bit_length() - p.bit_length()
+    s, by_rows = bound.bit_length() or 1, right_heavy >= 0
+    lines = [(x @ y).entries if free or plain  # an identity factor is free
+             else _packed_lines(x, y, s, by_rows) for x, y in terms]
+    return not any(lines[0]) if c is None else all(map(eq, *lines))
 
 
 # The change-of-basis matrices of a Smith normal form, in the order that

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from cellkit import matrices as matrices_mod
+from cellkit.groups import FgAbGroup
 
 
 @contextmanager
@@ -22,6 +23,11 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def cyc(n):
+    """The cyclic group Z/n."""
+    return FgAbGroup.cyclic(n)
 
 
 def bareiss_determinant(m):

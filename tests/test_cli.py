@@ -946,25 +946,20 @@ def test_symbolic_command_bytes(capsys):
     ["semiexact-demo", "--p", "\u0663"],
     ["tstructure-check", "--k", "0", "--samples", " 1"],
 ])
-def test_bad_integer_option_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "invalid strict_int value" in capsys.readouterr().err
+def test_bad_integer_option_exits_2(argv):
+    _contract_run(argv, None, message=f"argument {argv[-2]}: invalid "
+                  f"strict_int value: {argv[-1]!r}")
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"], "--seed"),
-    (["cover"], "--k"),
-    (["bogus"], "'bogus'"),
-])
-def test_bad_command_line_is_one_error_line(capsys, argv, named):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and named in lines[0]
+# Each id names the row and the option or command that its error names.
+@pytest.mark.parametrize("argv, message", [
+    (["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"],
+     "argument --seed: invalid strict_int value: '1_0'"),
+    (["cover"], "the following arguments are required: --k"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["argv0---seed", "argv1---k", "argv2-'bogus'"])
+def test_bad_command_line_is_one_error_line(argv, message):
+    _contract_run(argv, None, message=message)
 
 
 def test_sampler_caps_are_accepted(capsys):

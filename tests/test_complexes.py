@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import cyc, time_limit
 from cellkit import complexes as complexes_mod
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
@@ -15,10 +16,6 @@ from cellkit.matrices import IntMatrix, kernel_basis, solve
 from cellkit.sampling import random_complex, random_matrix
 from cellkit.truncation import (connective_cover, cover_inclusion, postnikov,
                                 section_with_projection)
-
-
-def cyc(n):
-    return FgAbGroup.cyclic(n)
 
 
 def two_term(d, lo=0):
@@ -390,20 +387,43 @@ class TestAssembly:
         assert any(n - 1 in dict(x.boundaries) for n, _ in x.boundaries)
         maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)),
                 section_with_projection(x, x.lo + 1)[1]]
+        # A check forms products with @ or compares them packed.
         products = []
-        real = IntMatrix.__matmul__
 
-        def counting(a, b):
-            products.append((a, b))
-            return real(a, b)
+        def counting(real):
+            def count(*factors):
+                products.append(factors)
+                return real(*factors)
+            return count
 
-        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            counting(IntMatrix.__matmul__))
+        monkeypatch.setattr(complexes_mod, "product_is_zero",
+                            counting(complexes_mod.product_is_zero))
         for k in (-2, -1, 1, 2, 3):
             assert shift(x, k).rank(x.lo + k) == x.rank(x.lo)
         for f in maps:
             assert not cone(f).is_zero and not fiber(f).is_zero
         assert coproduct([x, shift(x, 1), x]).rank(x.lo) == 2 * x.rank(x.lo)
         assert products == []
+
+    def test_dense_check_scales(self):
+        # d1 = [A | A] and d2 = [[B], [-B]] give d1 @ d2 = AB - AB = 0, so
+        # the check is a dense 256x384 by 384x256 product, and the complex
+        # is built without one.
+        rng = random.Random(31)
+        a = [[rng.randint(-9, 9) for _ in range(192)] for _ in range(256)]
+        b = [[rng.randint(-9, 9) for _ in range(256)] for _ in range(192)]
+        d1 = IntMatrix.from_rows([row + row for row in a])
+        d2 = IntMatrix.from_rows(b + [[-x for x in row] for row in b])
+        ranks = {0: 256, 1: 384, 2: 256}
+        with time_limit(1.5):
+            x = ChainComplex.build(ranks, {1: d1, 2: d2})
+        assert x.boundary(2) is d2
+        bad = list(d2.entries)
+        bad[-1] += 1
+        with time_limit(1.5), pytest.raises(ChainComplexError):
+            ChainComplex.build(ranks, {1: d1, 2: IntMatrix(384, 256, tuple(bad))})
 
     def test_cone_builds_no_zero_matrix(self, monkeypatch):
         x = random_complex(random.Random(12), max_degrees=5, max_rank=4)

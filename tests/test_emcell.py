@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import cyc
 from cellkit.complexes import em_complex
 from cellkit.emcell import (EMObject, InadmissibleCaseError, acyclization,
                             cell_primary_torsion, cell_shape,
@@ -16,10 +17,6 @@ from cellkit.sampling import random_finite_group
 from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                               PruferSum, Q, QpHat, SymbolicGroup, ZLocal, ZpHat,
                               is_unknown)
-
-
-def cyc(n):
-    return FgAbGroup.cyclic(n)
 
 
 class TestEMObject:

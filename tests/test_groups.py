@@ -3,14 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cyc
 from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
                             ZERO_GROUP, brute_force_hom_count, cokernel,
                             ext_fg, hom_fg, is_prime, p_valuation)
 from cellkit.matrices import IntMatrix
-
-
-def cyc(n):
-    return FgAbGroup.cyclic(n)
 
 
 small_finite_groups = st.lists(st.integers(2, 12), max_size=3).map(

@@ -15,10 +15,11 @@ from cellkit.groups import FgAbGroup, cokernel
 from cellkit.sampling import random_complex_family
 from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
                               InputError, IntMatrix, InternalInvariantError,
-                              MatrixShapeError,
+                              MatrixShapeError, PLAIN_BITS,
                               SmithNormalForm, _reduce, is_unimodular,
-                              kernel_basis, quoted, quoted_int,
-                              smith_normal_form, solve, strict_int)
+                              kernel_basis, product_is_zero, quoted,
+                              quoted_int, smith_normal_form, solve,
+                              strict_int)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
@@ -154,6 +155,56 @@ GOLDEN_REDUCE_DIGEST = (
     "5397fd03ac74e1e28bcb1dc7b2302e434757f811f7f9cd18e80a97a3602b9b9c")
 
 
+def hcat(a, b):
+    """[a | b]."""
+    return IntMatrix(a.rows, a.cols + b.cols, tuple(
+        x for i in range(a.rows) for x in a.row(i) + b.row(i)))
+
+
+def vcat(a, b):
+    """[[a], [b]]."""
+    return IntMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def digit_bits(*terms):
+    """The s of product_is_zero for the products x @ y of ``terms``: the
+    bits of the sum of k max|x| max|y|, so that no entry of a difference
+    reaches 2^s."""
+    return sum(x.cols * max(map(abs, x.entries), default=0)
+               * max(map(abs, y.entries), default=0)
+               for x, y in terms).bit_length() or 1
+
+
+# Entries of the packed test's factors: small, sparse units, and magnitudes
+# near 2^400, above PLAIN_BITS, so that with such entries on both sides the
+# product is formed plainly and on one side it is packed.
+HUGE = st.sampled_from((1, -1)).flatmap(
+    lambda s: st.integers(2**390, 2**400).map(lambda x: s * x))
+PACKED_KINDS = (st.integers(-9, 9), st.sampled_from((0, 0, 1, -1)),
+                st.one_of(st.integers(-9, 9), HUGE))
+
+
+@st.composite
+def packed_cases(draw):
+    """(a, b, c, d) in every shape from zero sides up: a @ b is often zero
+    ([a | a] @ [[b], [-b]]), and c @ d often equals it ([a | z] @ [[b],
+    [0]]), sometimes with one entry changed."""
+    n, k, m, j = (draw(st.integers(0, 5)) for _ in range(4))
+    a = draw(dense(n, k, draw(st.sampled_from(PACKED_KINDS))))
+    b = draw(dense(k, m, draw(st.sampled_from(PACKED_KINDS))))
+    if draw(st.booleans()):
+        a, b = hcat(a, a), vcat(b, -b)
+    z = draw(dense(n, j, draw(st.sampled_from(PACKED_KINDS))))
+    c, d = hcat(a, z), vcat(b, IntMatrix.zero(j, m))
+    if draw(st.booleans()) and d.entries:
+        e = list(d.entries)
+        e[draw(st.integers(0, len(e) - 1))] += draw(st.sampled_from((1, -1)))
+        d = IntMatrix(d.rows, d.cols, tuple(e))
+    if draw(st.booleans()):
+        c = draw(dense(n, c.cols, draw(st.sampled_from(PACKED_KINDS))))
+    return a, b, c, d
+
+
 def cold(m):
     """An equal matrix with no cached Smith normal form."""
     return IntMatrix(m.rows, m.cols, m.entries)
@@ -243,6 +294,79 @@ class TestIntMatrix:
             f = ChainMap.identity(x)
             assert f.source is x and len(f.components) == len(x.ranks)
         assert made == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(packed_cases())
+    def test_packed_test_matches_products(self, case):
+        a, b, c, d = case
+        assert product_is_zero(a, b) == (a @ b).is_zero
+        assert product_is_zero(c, d) == (c @ d).is_zero
+        assert product_is_zero(a, b, c, d) == (a @ b == c @ d)
+        assert product_is_zero(c, d, a, b) == (a @ b == c @ d)
+
+    def test_packed_test_at_the_digit_bound(self):
+        # The only nonzero entry is 15 = 2^s - 1 for s = 4.
+        a, b = mat([[3], [0]]), mat([[5, 0]])
+        assert digit_bits((a, b)) == 4
+        assert not product_is_zero(a, b)
+        assert product_is_zero(a, b, a, b)
+        # a @ b - c @ d = [[31, 0], [0, 0]]: 2^s - 1 for s = 5.
+        c, d = mat([[4], [0]]), mat([[-4, 0]])
+        assert digit_bits((a, b), (c, d)) == 5
+        assert not product_is_zero(a, b, c, d)
+        assert not product_is_zero(c, d, a, b)
+
+    def test_packed_test_carries_across_digits(self):
+        # Rows of mixed signs whose packed integers would agree one digit
+        # size lower: 16 - 1 * 2^4 = 0, and [[15, 0]] and [[-17, 1]] as
+        # 15 = -17 + 2^5.
+        one = mat([[1]])
+        assert digit_bits((one, mat([[16, -1]]))) == 5
+        assert not product_is_zero(one, mat([[16, -1]]))
+        a, b, d = mat([[3], [0]]), mat([[5, 0]]), mat([[-17, 1]])
+        c = mat([[1], [0]])
+        assert digit_bits((a, b), (c, d)) == 6
+        assert not product_is_zero(a, b, c, d)
+        assert not product_is_zero(c, d, a, b)
+        # Every digit borrows from the next, and rows agree entry by entry.
+        x, y = mat([[3], [-3]]), mat([[5, -5, 5, -5]])
+        assert not product_is_zero(x, y)
+        assert product_is_zero(x, y, -x, -y)
+        assert product_is_zero(x, y, mat([[1], [-1]]),
+                               mat([[15, -15, 15, -15]]))
+        assert not product_is_zero(x, y, x, mat([[5, -5, 5, 5]]))
+        assert not product_is_zero(x, y, x, mat([[-5, 5, -5, 5]]))
+
+    def test_packed_test_shapes(self):
+        for n, k, m in ((0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0)):
+            a, b = IntMatrix.zero(n, k), IntMatrix.zero(k, m)
+            assert product_is_zero(a, b) and product_is_zero(a, b, a, b)
+        ones = IntMatrix(2, 3, (1,) * 6)
+        c, d = mat([[1], [1]]), mat([[1, 1, 1]])
+        assert not product_is_zero(IntMatrix.zero(2, 0),
+                                   IntMatrix.zero(0, 3), c, d)
+        assert product_is_zero(c, d, IntMatrix.identity(2), ones)
+        with pytest.raises(MatrixShapeError):
+            product_is_zero(c, c)
+        with pytest.raises(MatrixShapeError):
+            product_is_zero(c, d, c, c)
+
+    def test_packed_test_takes_both_paths(self, monkeypatch):
+        packed = []
+        real = matrices_mod._packed_lines
+        monkeypatch.setattr(matrices_mod, "_packed_lines",
+                            lambda *args: packed.append(args) or real(*args))
+        small, big = mat([[2, 3], [4, 5]]), 2 ** (PLAIN_BITS + 1)
+        huge = IntMatrix(2, 2, tuple(big * x for x in small.entries))
+        assert not product_is_zero(huge, huge) and packed == []
+        assert not product_is_zero(small, huge) and len(packed) == 1
+        # The factor with the larger entries is packed: the rows of huge
+        # here, then its columns.
+        assert packed[-1][3] is True
+        assert not product_is_zero(huge, small) and packed[-1][3] is False
+        # An identity factor leaves the other factor as the product.
+        assert not product_is_zero(IntMatrix.identity(2), small)
+        assert len(packed) == 2
 
     def test_take_keeps_shape(self):
         a = mat([[1, 2, 3], [4, 5, 6]])

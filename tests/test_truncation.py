@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cyc
 from cellkit import cli, complexes, truncation
 from cellkit.acceptance import criterion_truncation_triangle
 from cellkit.complexes import (ChainComplex, ChainMapError, GradedGroup,
@@ -20,10 +21,6 @@ from cellkit.truncation import (PreconditionError, cell_null_triangle,
                                 section_with_projection,
                                 suspension_noncommute_witness,
                                 tstructure_check)
-
-
-def cyc(n):
-    return FgAbGroup.cyclic(n)
 
 
 def mixed_sample():
