@@ -402,10 +402,6 @@ class IntMatrix(Frozen):
         return f
 
 
-# Measured: past this many bits in both factors, a plain product is as quick.
-PLAIN_BITS = 384
-
-
 def _packed_lines(x: IntMatrix, y: IntMatrix, s: int, by_rows: bool):
     """Rows (by_rows) or columns of x @ y in base 2^s; zeros are skipped."""
     def lines(m):
@@ -430,18 +426,21 @@ def product_is_zero(a: IntMatrix, b: IntMatrix, c: IntMatrix | None = None,
     [True, False, True]
     """
     terms = ((a, b),) if c is None else ((a, b), (c, d))
-    free, plain, bound, right_heavy = True, False, 0, 0
+    free = True
     for x, y in terms:
         if x.cols != y.rows or x.rows != a.rows or y.cols != b.cols:
             raise MatrixShapeError("cannot compare products of these shapes")
-        p, q = max(map(abs, x.entries or (0,))), max(map(abs, y.entries or (0,)))
         free = free and (x.is_identity or y.is_identity)
-        plain = plain or min(p, q).bit_length() > PLAIN_BITS
+    if free:  # each product is a factor, at no cost (cover inclusions)
+        return (a @ b).is_zero if c is None else a @ b == c @ d
+    bound = right_heavy = 0
+    for x, y in terms:
+        p = max(map(abs, x.entries), default=0)
+        q = max(map(abs, y.entries), default=0)
         bound += x.cols * p * q
         right_heavy += q.bit_length() - p.bit_length()
     s, by_rows = bound.bit_length() or 1, right_heavy >= 0
-    lines = [(x @ y).entries if free or plain  # an identity factor is free
-             else _packed_lines(x, y, s, by_rows) for x, y in terms]
+    lines = [_packed_lines(x, y, s, by_rows) for x, y in terms]
     return not any(lines[0]) if c is None else all(map(eq, *lines))
 
 
