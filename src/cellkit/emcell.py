@@ -25,10 +25,9 @@ from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, json_int, quoted, quoted_int, strict_int)
-from .symbolic import Q as QAtom
-from .symbolic import (PrimeSet, ProdZpHatModZ, Prufer, PruferSum, QpHat,
-                       SymbolicGroup, as_symbolic, ext_rule, hom_rule,
-                       is_divisible)
+from .symbolic import (Q_VECTOR_ATOMS, PrimeSet, ProdZpHatModZ, Prufer,
+                       PruferSum, QpHat, SymbolicGroup, as_symbolic, ext_rule,
+                       hom_rule, is_divisible)
 
 CONVENTION_NOTE = "convention: derived-category values"
 
@@ -329,7 +328,7 @@ def gem_closure_check(obj: EMObject, ring: str = "Z") -> bool:
     if ring == "Q":
         # Q-modules are the rational vector spaces in the atom zoo.
         return all(g.fg.is_zero and
-                   all(isinstance(a, (QAtom, QpHat)) for a in g.atoms)
+                   all(isinstance(a, Q_VECTOR_ATOMS) for a in g.atoms)
                    for g in groups)
     if ring.startswith("Z/"):
         m = strict_int(ring[2:])

@@ -11,6 +11,12 @@ over direct sums.  Any pair the table does not cover evaluates to the
 explicit value ``UNKNOWN`` -- the calculus never guesses.  Every rule in
 the table is an elementary classical fact; the test suite cross-checks a
 sample of them against finite approximations.
+
+Each rule and each atom fact is stated once.  The divisible atoms and
+the torsion-free atoms are listed once each, and the Q-vector spaces are
+derived as the atoms in both lists.  A Pruefer group is the sum over a
+one-prime set, so Pruefer groups and sums of them share every rule,
+through the prime set that ``_primes`` reads off an atom.
 """
 
 from __future__ import annotations
@@ -225,6 +231,8 @@ class ProdZpHatModZ(SetAtom):
 _DIVISIBLE_ATOMS = (Q, Prufer, PruferSum, QpHat)
 # Torsion-free atoms (no elements of finite order).
 _TORSION_FREE_ATOMS = (Q, ZLocal, ZpHat, QpHat, ProdZpHat)
+# Divisible and torsion-free: the atoms that are Q-vector spaces.
+Q_VECTOR_ATOMS = tuple(a for a in _DIVISIBLE_ATOMS if a in _TORSION_FREE_ATOMS)
 
 
 def _normalize_atom(atom: Atom) -> tuple[list[int], list[Atom]]:
@@ -358,70 +366,41 @@ def _bilinear(rule, a: SymbolicGroup | FgAbGroup,
     return SymbolicGroup.of(*parts)
 
 
+def _primes(atom: PrimeAtom | SetAtom) -> PrimeSet:
+    """The prime of a PrimeAtom as a one-prime set, or a SetAtom's set."""
+    return PrimeSet.of((atom.p,)) if isinstance(atom, PrimeAtom) else atom.primes
+
+
 def _primary_group(orders: Iterable[int],
                    atom: PrimeAtom | SetAtom) -> SymbolicGroup:
-    """The sum of the primary parts of the cyclic groups Z/d at the prime
-    of a PrimeAtom or the prime set of a SetAtom."""
-    if isinstance(atom, PrimeAtom):
-        primes, cofinite = (atom.p,), False
-    else:
-        primes, cofinite = atom.primes.primes, atom.primes.cofinite
+    """The sum of the primary parts of the cyclic groups Z/d at the primes
+    of the atom."""
+    s = _primes(atom)
     return SymbolicGroup.of(FgAbGroup.of_orders(
-        primary_part(d, primes, cofinite) for d in orders))
-
-
-def _torsion_to_atom_hom(factors: tuple[int, ...], y: Atom):
-    """Hom of a finite sum of cyclic groups into an atom."""
-    if isinstance(y, _TORSION_FREE_ATOMS):
-        return SymbolicGroup.zero()
-    if isinstance(y, (Prufer, PruferSum)):
-        # Hom(Z/d, Z/p^oo) = Z/p^{v_p(d)}: the colimit of Hom(Z/d, Z/p^n)
-        # stabilizes once n exceeds v_p(d).
-        return _primary_group(factors, y)
-    return UNKNOWN
+        primary_part(d, s.primes, s.cofinite) for d in orders))
 
 
 def _hom_atom_atom(x: Atom, y: Atom):
+    """Hom between two atoms; a pair that no branch answers is UNKNOWN."""
     if isinstance(x, Q):
-        if isinstance(y, Q):
-            return SymbolicGroup.of(Q())
-        if isinstance(y, (ZLocal, ZpHat, ProdZpHat)):
+        if isinstance(y, Q_VECTOR_ATOMS):
+            return SymbolicGroup.of(y)  # Hom(Q, V) = V for a Q-vector space
+        if isinstance(y, _TORSION_FREE_ATOMS):
             # Reduced torsion-free target: the image of a divisible group
             # is divisible, hence zero.
             return SymbolicGroup.zero()
-        if isinstance(y, QpHat):
-            # The p-adic rationals are a Q-vector space.
-            return SymbolicGroup.of(y)
-        return UNKNOWN
-    if isinstance(x, Prufer):
+    elif isinstance(x, (Prufer, PruferSum)):
         if isinstance(y, _TORSION_FREE_ATOMS):
             return SymbolicGroup.zero()  # torsion source, torsion-free target
-        if isinstance(y, Prufer):
-            # End(Z/p^oo) = ZpHat; different primes see only zero maps.
-            return SymbolicGroup.of(ZpHat(x.p)) if x.p == y.p else SymbolicGroup.zero()
-        if isinstance(y, PruferSum):
-            return (SymbolicGroup.of(ZpHat(x.p)) if x.p in y.primes
-                    else SymbolicGroup.zero())
-        return UNKNOWN
-    if isinstance(x, PruferSum):
-        # Hom out of a sum is the product over the summands; the target
-        # must localize that product to finitely many primes or to a
-        # product atom.
-        if isinstance(y, _TORSION_FREE_ATOMS):
-            return SymbolicGroup.zero()
-        if isinstance(y, Prufer):
-            return (SymbolicGroup.of(ZpHat(y.p)) if y.p in x.primes
-                    else SymbolicGroup.zero())
-        if isinstance(y, PruferSum):
-            both = x.primes.intersect(y.primes)
-            return SymbolicGroup.of(ProdZpHat(both))
-        return UNKNOWN
-    if isinstance(x, ZpHat):
+        if isinstance(y, (Prufer, PruferSum)):
+            # Hom out of a sum is the product over its summands, and
+            # Hom(Z/p^oo, Z/q^oo) is ZpHat for p = q and 0 otherwise.
+            return SymbolicGroup.of(ProdZpHat(_primes(x).intersect(_primes(y))))
+    elif isinstance(x, ZpHat):
         if isinstance(y, ZpHat):
             # End(ZpHat) = ZpHat; across distinct primes everything dies.
             return SymbolicGroup.of(y) if x.p == y.p else SymbolicGroup.zero()
-        return UNKNOWN
-    if isinstance(x, ZLocal):
+    elif isinstance(x, ZLocal):
         if isinstance(y, Q):
             return SymbolicGroup.of(Q())
         if isinstance(y, ZLocal):
@@ -430,7 +409,6 @@ def _hom_atom_atom(x: Atom, y: Atom):
                     else SymbolicGroup.zero())
         if isinstance(y, Prufer) and y.p in x.primes:
             return SymbolicGroup.of(y)
-        return UNKNOWN
     return UNKNOWN
 
 
@@ -438,10 +416,16 @@ def _hom_pair(x: _Piece, y: _Piece):
     if isinstance(x, FgAbGroup) and isinstance(y, FgAbGroup):
         return SymbolicGroup.of(hom_fg(x, y))
     if isinstance(x, FgAbGroup):
-        # Hom(Z^r + T, A) = A^r + Hom(T, A).
-        tors = (_torsion_to_atom_hom(x.invariant_factors, y)
-                if x.invariant_factors else SymbolicGroup.zero())
-        return UNKNOWN if is_unknown(tors) else SymbolicGroup.of(*[y] * x.rank, tors)
+        # Hom(Z^r + T, A) = A^r + Hom(T, A), and Hom(T, A) = 0 for a
+        # torsion-free A.
+        free = [y] * x.rank
+        if not x.invariant_factors or isinstance(y, _TORSION_FREE_ATOMS):
+            return SymbolicGroup.of(*free)
+        if isinstance(y, (Prufer, PruferSum)):
+            # Hom(Z/d, Z/p^oo) = Z/p^{v_p(d)}: the colimit of
+            # Hom(Z/d, Z/p^n) stabilizes once n exceeds v_p(d).
+            return SymbolicGroup.of(*free, _primary_group(x.invariant_factors, y))
+        return UNKNOWN
     if isinstance(y, FgAbGroup):
         if isinstance(x, _DIVISIBLE_ATOMS):
             # Homomorphic images of divisible groups are divisible, and a

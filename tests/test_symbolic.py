@@ -157,6 +157,34 @@ class TestHomRules:
         assert hom_rule(parse_group("Z_(2,3)"), parse_group("Z/3^inf")) == \
             parse_group("Z/3^inf")
 
+    # The shared rules, checked against their definitions rather than
+    # against pinned answers.
+    @settings(max_examples=80, deadline=None)
+    @given(prime_sets, prime_sets)
+    def test_prufer_sums_meet_prime_by_prime(self, s, t):
+        # Hom(sum_{p in S} Z/p^oo, sum_{q in T} Z/q^oo) is the product of
+        # End(Z/p^oo) = ZpHat over the primes in both sets.
+        val = hom_rule(SymbolicGroup.of(PruferSum(s)),
+                       SymbolicGroup.of(PruferSum(t)))
+        assert val.fg.is_zero
+        assert all(isinstance(a, (ZpHat, ProdZpHat)) for a in val.atoms)
+        for p in PRIMES:
+            has_zphat = any(a.p == p if isinstance(a, ZpHat) else p in a.primes
+                            for a in val.atoms)
+            assert has_zphat == (p in s and p in t)
+
+    @pytest.mark.parametrize("target, want_target", [
+        ("Q", True), ("Qhat_3", True), ("Q + Qhat_2", True),
+        ("Z_(2,3)", False), ("Z_(!2)", False), ("Zhat_3", False),
+        ("Pzhat_(!3)", False),
+    ])
+    def test_rationals_map_onto_vector_spaces_only(self, target, want_target):
+        # Hom(Q, V) = V for a Q-vector space V; a reduced torsion-free
+        # target has no nonzero divisible subgroup, so Hom(Q, -) is 0.
+        target = parse_group(target)
+        val = hom_rule(parse_group("Q"), target)
+        assert val == (target if want_target else SymbolicGroup.zero())
+
     @settings(max_examples=60, deadline=None)
     @given(fg_groups, fg_groups)
     def test_agrees_with_hom_fg(self, a, b):
