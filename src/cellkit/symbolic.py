@@ -213,9 +213,10 @@ class ProdZpHat(SetAtom):
 class ProdZpHatModZ(SetAtom):
     """(Prod_{p in P} ZpHat)/Z, the product modulo its diagonal integers.
 
-    This atom only ever appears as an output of the acyclization tables;
-    every Hom/Ext rule specific to it is deliberately absent, so queries
-    about it propagate UNKNOWN.
+    This atom is divisible: a prime q outside P is a unit in every ZpHat,
+    and for q in P an integer n congruent to x_q mod q leaves x - n in
+    q.Prod ZpHat.  The general rules for divisible groups apply to it; no
+    rule specific to it exists, so every other query about it is UNKNOWN.
     """
 
     __slots__ = ()
@@ -228,7 +229,7 @@ class ProdZpHatModZ(SetAtom):
 
 
 # Atoms that are divisible groups.  ZpHat is not: ZpHat/p.ZpHat = Z/p != 0.
-_DIVISIBLE_ATOMS = (Q, Prufer, PruferSum, QpHat)
+_DIVISIBLE_ATOMS = (Q, Prufer, PruferSum, QpHat, ProdZpHatModZ)
 # Torsion-free atoms (no elements of finite order).
 _TORSION_FREE_ATOMS = (Q, ZLocal, ZpHat, QpHat, ProdZpHat)
 # Divisible and torsion-free: the atoms that are Q-vector spaces.
@@ -329,7 +330,8 @@ def as_symbolic(g: SymbolicGroup | FgAbGroup | Atom) -> SymbolicGroup:
 
 
 def is_divisible(g: SymbolicGroup | FgAbGroup) -> bool:
-    """True exactly for sums of Q, Pruefer groups, their sums, and QpHat.
+    """True exactly for sums of the divisible atoms: Q, Pruefer groups and
+    their sums, QpHat, and the quotients (Prod ZpHat)/Z.
 
     >>> is_divisible(SymbolicGroup.of(Q(), Prufer(2)))
     True
