@@ -214,9 +214,10 @@ class ProdZpHatModZ(SetAtom):
     """(Prod_{p in P} ZpHat)/Z, the product modulo its diagonal integers.
 
     This atom is divisible: a prime q outside P is a unit in every ZpHat,
-    and for q in P an integer n congruent to x_q mod q leaves x - n in
-    q.Prod ZpHat.  The general rules for divisible groups apply to it; no
-    rule specific to it exists, so every other query about it is UNKNOWN.
+    and for q in P each x of the product has an integer n = x_q mod q, so
+    x - n lies in q.Prod ZpHat.  The general rules for divisible groups
+    apply to it; no rule specific to it exists, so every other query about
+    it is UNKNOWN.
     """
 
     __slots__ = ()
