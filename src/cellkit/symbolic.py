@@ -404,8 +404,10 @@ def _hom_atom_atom(x: Atom, y: Atom):
             # End(ZpHat) = ZpHat; across distinct primes everything dies.
             return SymbolicGroup.of(y) if x.p == y.p else SymbolicGroup.zero()
     elif isinstance(x, ZLocal):
-        if isinstance(y, Q):
-            return SymbolicGroup.of(Q())
+        if isinstance(y, Q_VECTOR_ATOMS):
+            # V is uniquely divisible, so each map Z -> V extends uniquely
+            # over Z_P: Hom(Z_P, V) = V.
+            return SymbolicGroup.of(y)
         if isinstance(y, ZLocal):
             # Maps must divide by every inverted prime of the source.
             return (SymbolicGroup.of(y) if y.primes.issubset(x.primes)

@@ -178,6 +178,14 @@ class TestHomRules:
         assert hom_rule(parse_group("Z_(2,3)"), parse_group("Z/3^inf")) == \
             parse_group("Z/3^inf")
 
+    @pytest.mark.parametrize("source", ["Z_(2,3)", "Z_(!2)"])
+    @pytest.mark.parametrize("target", ["Q", "Qhat_3", "Q + Qhat_2"])
+    def test_local_integers_into_vector_spaces(self, source, target):
+        # A Q-vector space V is uniquely divisible, so each map Z -> V
+        # extends uniquely over Z_P: Hom(Z_P, V) = V.
+        target = parse_group(target)
+        assert hom_rule(parse_group(source), target) == target
+
     # The shared rules, checked against their definitions rather than
     # against pinned answers.
     @settings(max_examples=80, deadline=None)
@@ -301,8 +309,8 @@ RULE_GRID = (
     "Z/4 + Psum_(!2)",
 )
 # sha256 of the answer lines below, one per rule and ordered pair.
-RULE_GRID_DIGEST = ("d4a80b5460e0dffa21c4d76ec160ee81"
-                    "1f7c72a60a5580382aa20b59d58a818e")
+RULE_GRID_DIGEST = ("e3c7b0740dc9dcce087455090d0a2455"
+                    "1c014b47862e8ee2fd097f6331995911")
 
 
 def test_rule_grid_answers_are_pinned():
