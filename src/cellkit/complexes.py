@@ -14,20 +14,20 @@ decide whether a map is an isomorphism on homology.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, InternalInvariantError, cached_property,
-                       json_int, kernel_basis, product_is_zero, quoted_int,
-                       quoted_shape, smith_normal_form, solve, strict_int)
+# CERTIFY (CELLKIT_CERTIFY=1) is read here, through this module's binding,
+# when an assembled complex or map is made.
+from .matrices import (CERTIFY, ORDER_BOUND, ORDER_DIGIT_CAP, Frozen,
+                       InputError, IntMatrix, InternalInvariantError,
+                       cached_property, json_int, kernel_basis,
+                       product_is_zero, quoted_int, quoted_shape,
+                       smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
-# CELLKIT_CERTIFY=1: assembled values are also built checked; a failure is a bug.
-CERTIFY = os.environ.get("CELLKIT_CERTIFY") == "1"
 
 
 class SupportCapError(InputError):

@@ -3,6 +3,15 @@
 A group is ``Z^rank + Z/d1 + ... + Z/dt`` with d1 | d2 | ... | dt and every
 di >= 2.  That normal form is unique, so equality of values is isomorphism
 of groups; all the Hom/Ext computations below return canonical values.
+
+Groups are validated once, where data enters: ``FgAbGroup(...)``,
+``free``, ``cyclic`` and ``of_orders`` refuse floats, booleans, factors
+below 2 and broken chains.  A group whose chain the library computed
+itself (``of_chain`` from a Smith diagonal, ``direct_sum``, ``hom_fg``,
+``ext_fg``, and so ``cokernel`` and homology) is built by the trusted
+``FgAbGroup._trusted``, which checks nothing unless ``CELLKIT_CERTIFY=1``
+makes it re-run the validation and report a difference as an
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -11,8 +20,9 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, prod
 
-from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
-                       json_int, quoted_int, smith_normal_form)
+from .matrices import (CERTIFY, Frozen, InputError, IntMatrix,
+                       InternalInvariantError, _invariant_chain, json_int,
+                       quoted_int, smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
@@ -47,6 +57,24 @@ class FgAbGroup(Frozen):
         object.__setattr__(self, "invariant_factors", fs)
 
     @classmethod
+    def _trusted(cls, rank: int, factors: tuple[int, ...]) -> "FgAbGroup":
+        """Z^rank plus Z/d for each d of ``factors``, a canonical chain that
+        library code computed itself.  Nothing is checked, unless CERTIFY
+        makes it re-run the validation of ``FgAbGroup(rank, factors)``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "rank", rank)
+        object.__setattr__(g, "invariant_factors", factors)
+        if CERTIFY:
+            try:
+                checked = cls(rank, factors)
+            except (InputError, TypeError) as e:
+                raise InternalInvariantError(f"trusted group fails: {e}") from e
+            if checked != g:
+                raise InternalInvariantError(f"trusted group {g!r} is not "
+                                             "in canonical form")
+        return g
+
+    @classmethod
     def zero(cls) -> "FgAbGroup":
         return cls(0, ())
 
@@ -61,8 +89,9 @@ class FgAbGroup(Frozen):
 
     @classmethod
     def of_chain(cls, rank: int, chain: Iterable[int]) -> "FgAbGroup":
-        """Z^rank plus Z/d for each d > 1 of a divisibility chain."""
-        return cls(rank, tuple(d for d in chain if d > 1))
+        """Z^rank plus Z/d for each d > 1 of a divisibility chain that the
+        library computed, such as a Smith diagonal; it is trusted."""
+        return cls._trusted(rank, tuple(d for d in chain if d > 1))
 
     @classmethod
     def of_orders(cls, orders: Iterable[int]) -> "FgAbGroup":
@@ -78,9 +107,14 @@ class FgAbGroup(Frozen):
 
     @classmethod
     def direct_sum(cls, *groups: "FgAbGroup") -> "FgAbGroup":
-        rank = sum(g.rank for g in groups)
+        """The sum of canonical groups: zero summands drop out, and a lone
+        nonzero summand is the sum."""
+        groups = [g for g in groups if not g.is_zero]
+        if len(groups) == 1:
+            return groups[0]
         torsion = [d for g in groups for d in g.invariant_factors]
-        return cls(rank, _invariant_chain(torsion))
+        return cls._trusted(sum(g.rank for g in groups),
+                            _invariant_chain(torsion))
 
     def __add__(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup.direct_sum(self, other)
@@ -126,13 +160,10 @@ def hom_fg(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     >>> print(hom_fg(Z, FgAbGroup.of_orders([0, 5])))
     Z + Z/5
     """
-    orders: list[int] = [0] * (a.rank * b.rank)
-    for e in b.invariant_factors:
-        orders.extend([e] * a.rank)
-    for d in a.invariant_factors:
-        for e in b.invariant_factors:
-            orders.append(gcd(d, e))
-    return FgAbGroup.of_orders(orders)
+    torsion = [e for e in b.invariant_factors for _ in range(a.rank)]
+    torsion += [gcd(d, e) for d in a.invariant_factors
+                for e in b.invariant_factors]
+    return FgAbGroup._trusted(a.rank * b.rank, _invariant_chain(torsion))
 
 
 def ext_fg(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -143,12 +174,11 @@ def ext_fg(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     >>> print(ext_fg(Z, FgAbGroup.cyclic(12)))
     0
     """
-    orders: list[int] = []
+    torsion: list[int] = []
     for d in a.invariant_factors:
-        orders.extend([d] * b.rank)
-        for e in b.invariant_factors:
-            orders.append(gcd(d, e))
-    return FgAbGroup.of_orders(orders)
+        torsion.extend([d] * b.rank)
+        torsion.extend(gcd(d, e) for e in b.invariant_factors)
+    return FgAbGroup._trusted(0, _invariant_chain(torsion))
 
 
 def cokernel(m: IntMatrix) -> FgAbGroup:

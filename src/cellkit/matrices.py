@@ -50,6 +50,7 @@ complexes alive across operations, with their matrices and forms.
 from __future__ import annotations
 
 import json
+import os
 import re
 import weakref
 from collections.abc import Iterable, Sequence
@@ -79,6 +80,12 @@ class MatrixShapeError(InputError):
 class InternalInvariantError(RuntimeError):
     """A certified identity or an internal count failed to verify; this is
     a bug, and ``cellkit`` exits 3 on it."""
+
+
+# CELLKIT_CERTIFY=1, read once at import: values that the library builds
+# unchecked (assembled complexes and maps, groups of computed chains) are
+# also built checked, and a failed check is a bug.
+CERTIFY = os.environ.get("CELLKIT_CERTIFY") == "1"
 
 
 class cached_property:
@@ -578,6 +585,8 @@ def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     (6,)
     """
     fs = [x for x in torsion if x > 1]
+    if len(fs) < 2:
+        return tuple(fs)
     # After step i, fs[i] divides every later entry: the gcd or lcm of two
     # multiples of fs[i] is again a multiple of fs[i].
     for i in range(len(fs)):

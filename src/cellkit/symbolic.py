@@ -296,7 +296,9 @@ class SymbolicGroup(Frozen):
                 extra_orders, residual = _normalize_atom(a)
                 orders.extend(extra_orders)
                 atoms.extend(residual)
-        fg = FgAbGroup.direct_sum(*fgs, FgAbGroup.of_orders(orders))
+        if orders:
+            fgs.append(FgAbGroup.of_orders(orders))
+        fg = FgAbGroup.direct_sum(*fgs)
         atoms.sort(key=lambda a: a.sort_key())
         return cls(fg, tuple(atoms))
 

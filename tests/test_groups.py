@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyc
+from cellkit import groups as groups_mod
+from cellkit.complexes import ChainComplex
 from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
                             ZERO_GROUP, brute_force_hom_count, cokernel,
                             ext_fg, hom_fg, is_prime, p_valuation)
-from cellkit.matrices import IntMatrix
+from cellkit.matrices import (InputError, IntMatrix, InternalInvariantError,
+                              _invariant_chain)
+from cellkit.symbolic import SymbolicGroup
 
 
 small_finite_groups = st.lists(st.integers(2, 12), max_size=3).map(
@@ -130,6 +134,114 @@ class TestHomExt:
         a = FgAbGroup.direct_sum(FgAbGroup.free(2), cyc(4))
         b = FgAbGroup.direct_sum(Z, cyc(8))
         assert hom_fg(a, b) == FgAbGroup.of_orders([0, 0, 8, 8, 4])
+
+
+def hom_orders(a, b):
+    """Cyclic orders whose sum is Hom(a, b), as hom_fg once listed them
+    for FgAbGroup.of_orders."""
+    orders = [0] * (a.rank * b.rank)
+    for e in b.invariant_factors:
+        orders.extend([e] * a.rank)
+    orders += [math.gcd(d, e) for d in a.invariant_factors
+               for e in b.invariant_factors]
+    return orders
+
+
+def ext_orders(a, b):
+    orders = []
+    for d in a.invariant_factors:
+        orders.extend([d] * b.rank)
+        orders += [math.gcd(d, e) for e in b.invariant_factors]
+    return orders
+
+
+order_lists = st.lists(cyclic_orders, max_size=4)
+
+
+class TestTrustedConstruction:
+    """Library-made groups skip validation; each must equal the validated
+    FgAbGroup.of_orders of the same raw orders."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_lists, st.integers(0, 3))
+    def test_of_chain(self, orders, ones):
+        # A Smith diagonal: its unit factors first, then the chain.
+        chain = (1,) * ones + _invariant_chain(o for o in orders if o)
+        g = FgAbGroup.of_chain(orders.count(0), chain)
+        assert g == FgAbGroup.of_orders(orders)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(order_lists, max_size=4))
+    def test_direct_sum(self, parts):
+        # Empty lists and lists of 1s are zero summands.
+        g = FgAbGroup.direct_sum(*map(FgAbGroup.of_orders, parts))
+        assert g == FgAbGroup.of_orders([o for p in parts for o in p])
+        assert SymbolicGroup.of(*map(FgAbGroup.of_orders, parts)) == \
+            SymbolicGroup(g, ())
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_lists, order_lists)
+    def test_hom_and_ext(self, a, b):
+        a, b = FgAbGroup.of_orders(a), FgAbGroup.of_orders(b)
+        assert hom_fg(a, b) == FgAbGroup.of_orders(hom_orders(a, b))
+        assert ext_fg(a, b) == FgAbGroup.of_orders(ext_orders(a, b))
+
+    def test_lone_summand_is_returned(self):
+        g = FgAbGroup.of_orders([0, 4, 6])
+        assert FgAbGroup.direct_sum(ZERO_GROUP, g, ZERO_GROUP) is g
+        assert FgAbGroup.direct_sum() == ZERO_GROUP
+
+    def test_certify_catches_a_broken_chain(self, monkeypatch):
+        a, b = cyc(4), cyc(6)
+        monkeypatch.setattr(groups_mod, "_invariant_chain", lambda t: (4, 6))
+        monkeypatch.setattr(groups_mod, "CERTIFY", True)
+        with pytest.raises(InternalInvariantError,
+                           match="4 does not divide 6"):
+            hom_fg(a, b)
+        # Without certify mode the malformed value goes through, so the
+        # check above is certify mode's own.
+        monkeypatch.setattr(groups_mod, "CERTIFY", False)
+        assert hom_fg(a, b).invariant_factors == (4, 6)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: FgAbGroup(True), TypeError, "expected an integer, got true"),
+        (lambda: FgAbGroup(0, (2.0,)), TypeError,
+         "expected an integer, got 2.0"),
+        (lambda: FgAbGroup(0, (4, 6)), InputError,
+         "divisibility chain violated: 4 does not divide 6"),
+        (lambda: FgAbGroup(0, (1,)), InputError,
+         "invariant factors must be >= 2, got 1"),
+        (lambda: FgAbGroup.of_orders([2.0]), TypeError,
+         "expected an integer, got 2.0"),
+    ], ids=["bool-rank", "float-factor", "broken-chain", "unit-factor",
+            "float-order"])
+    def test_public_constructors_still_validate(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_library_paths_validate_nothing(self, monkeypatch):
+        # Validate once: on library-made inputs none of these runs the
+        # validating FgAbGroup.__init__ (certify mode would, on purpose).
+        a = FgAbGroup.of_orders([0, 4, 12])
+        b = FgAbGroup.of_orders([0, 0, 6, 8])
+        m = IntMatrix.from_rows([[2, 4, 0], [0, 6, 3], [0, 0, 0]])
+        d2 = IntMatrix.from_rows([[-4], [2], [-4]])
+        x = ChainComplex.build({0: 3, 1: 3, 2: 1}, {1: m, 2: d2})
+        validated = []
+
+        def spy(self, *args):
+            validated.append(args)
+
+        monkeypatch.setattr(groups_mod, "CERTIFY", False)
+        monkeypatch.setattr(FgAbGroup, "__init__", spy)
+        made = [g for _, g in x.homology.groups]
+        made += [cokernel(m), hom_fg(a, b), ext_fg(b, a),
+                 FgAbGroup.direct_sum(a, b, ZERO_GROUP)]
+        monkeypatch.undo()
+        assert validated == []
+        assert len(made) == 6
+        assert all(FgAbGroup(g.rank, g.invariant_factors) == g for g in made)
 
 
 class TestBruteForce:
