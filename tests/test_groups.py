@@ -137,8 +137,8 @@ class TestHomExt:
 
 
 def hom_orders(a, b):
-    """Cyclic orders whose sum is Hom(a, b), as hom_fg once listed them
-    for FgAbGroup.of_orders."""
+    """Cyclic orders whose sum is Hom(a, b), by additivity over the
+    summands: the reference for the trusted path of hom_fg."""
     orders = [0] * (a.rank * b.rank)
     for e in b.invariant_factors:
         orders.extend([e] * a.rank)
