@@ -9,7 +9,9 @@ therefore a complete invariant here, and `quasi_iso_eq` is decided by it.
 Besides the object-level operations (homology, shift, cones, fibres,
 coproducts) this module computes presentations of homology groups and the
 maps induced on them by chain maps, which the verification suites use to
-decide whether a map is an isomorphism on homology.
+decide whether a map is an isomorphism on homology.  Homology already
+computed on the parts is carried through `shift` and `coproduct`; certify
+mode (``matrices.certified``) compares it with a fresh computation.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-# CERTIFY (CELLKIT_CERTIFY=1) is read here, through this module's binding,
-# when an assembled complex or map is made.
-from .matrices import (CERTIFY, ORDER_BOUND, ORDER_DIGIT_CAP, Frozen,
-                       InputError, IntMatrix, InternalInvariantError,
-                       cached_property, json_int, kernel_basis,
-                       product_is_zero, quoted_int, quoted_shape,
-                       smith_normal_form, solve, strict_int)
+from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
+                       IntMatrix, cached_property, certified, json_int,
+                       kernel_basis, product_is_zero, quoted_int,
+                       quoted_shape, smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
@@ -125,18 +124,6 @@ def _degree_table(table: Mapping, shape, error: type, what: str) -> dict:
     return kept
 
 
-def _certified(out, build, *args):
-    """``out``, which in certify mode must equal the checked ``build(*args)``."""
-    if CERTIFY:
-        try:
-            checked = build(*args)
-        except (ChainComplexError, ChainMapError) as e:
-            raise InternalInvariantError(f"assembled value fails: {e}") from e
-        if checked != out:
-            raise InternalInvariantError("assembled value is not normalized")
-    return out
-
-
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
@@ -145,7 +132,7 @@ class ChainComplex(Frozen):
     boundary matrices are dropped) and rejects data with d o d != 0.  EM
     complexes, covers, and `shift`, `cone` and `coproduct` of checked
     complexes, go through :meth:`_assembled`, which checks only the caps
-    unless ``CELLKIT_CERTIFY=1`` makes it re-run :meth:`build`.
+    unless ``CELLKIT_CERTIFY=1`` makes ``certified`` re-run :meth:`build`.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
@@ -190,9 +177,9 @@ class ChainComplex(Frozen):
         unless CERTIFY is set."""
         for n, r in ranks.items():
             _check_caps(n, r)
-        return _certified(cls(tuple(sorted(ranks.items())),
-                              tuple(sorted(boundaries.items()))),
-                          cls.build, ranks, boundaries)
+        return certified(cls(tuple(sorted(ranks.items())),
+                             tuple(sorted(boundaries.items()))),
+                         cls.build, ranks, boundaries)
 
     @classmethod
     def zero_complex(cls) -> "ChainComplex":
@@ -248,11 +235,11 @@ class ChainComplex(Frozen):
             up = boundaries.get(n + 1)
             r_down = 0 if down is None else smith_normal_form(down).rank
             if up is None:
-                r_up, chain = 0, ()
+                r_up, torsion = 0, ()
             else:
                 f_up = smith_normal_form(up)
-                r_up, chain = f_up.rank, f_up.nonzero_diagonal
-            g = FgAbGroup.of_chain(self.rank(n) - r_down - r_up, chain)
+                r_up, torsion = f_up.rank, f_up.torsion
+            g = FgAbGroup._trusted(self.rank(n) - r_down - r_up, torsion)
             if not g.is_zero:
                 out.append((n, g))
         return GradedGroup(tuple(out))
@@ -318,8 +305,8 @@ class ChainMap(Frozen):
         """Zero components dropped and the rest sorted, as in build, with
         the chain-map condition holding by construction."""
         kept = sorted((n, m) for n, m in components.items() if not m.is_zero)
-        return _certified(cls(source, target, tuple(kept)),
-                          cls.build, source, target, components)
+        return certified(cls(source, target, tuple(kept)),
+                         cls.build, source, target, components)
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
@@ -352,9 +339,15 @@ class ChainMap(Frozen):
             _json_table(obj, "components", IntMatrix.from_json))
 
 
-def _known_homology(x: ChainComplex) -> GradedGroup | None:
-    """The homology of x if it has been computed already, else None."""
-    return x.__dict__.get("homology")
+def _carry_homology(out: ChainComplex, parts, combine) -> ChainComplex:
+    """``out``, given the homology ``combine(*hs)`` of the hs its parts have
+    computed already, if every part has; the carried value is unchecked,
+    and certify mode compares it with homology computed afresh."""
+    hs = [x.__dict__.get("homology") for x in parts]
+    if all(h is not None for h in hs):
+        out.__dict__["homology"] = certified(
+            combine(*hs), ChainComplex.homology.func, out)
+    return out
 
 
 def _place(rows: int, cols: int, blocks) -> IntMatrix:
@@ -385,11 +378,8 @@ def shift(x: ChainComplex, k: int) -> ChainComplex:
     sign = -1 if k % 2 else 1
     ranks = {n + k: r for n, r in x.ranks}
     boundaries = {n + k: (d if sign == 1 else -d) for n, d in x.boundaries}
-    out = ChainComplex._assembled(ranks, boundaries)
-    h = _known_homology(x)
-    if h is not None:
-        out.__dict__["homology"] = h.shifted(k)
-    return out
+    return _carry_homology(ChainComplex._assembled(ranks, boundaries), [x],
+                           lambda h: h.shifted(k))
 
 
 def shift_map(f: ChainMap, k: int) -> ChainMap:
@@ -449,11 +439,8 @@ def coproduct(xs: Sequence[ChainComplex]) -> ChainComplex:
             row += x.rank(n - 1)
             col += x.rank(n)
         boundaries[n] = _place(row, col, blocks)
-    out = ChainComplex._assembled(ranks, boundaries)
-    hs = [_known_homology(x) for x in xs]
-    if all(h is not None for h in hs):
-        out.__dict__["homology"] = hs[0].direct_sum(*hs[1:])
-    return out
+    return _carry_homology(ChainComplex._assembled(ranks, boundaries), xs,
+                           GradedGroup.direct_sum)
 
 
 def em_complex(g: FgAbGroup, n: int) -> ChainComplex:

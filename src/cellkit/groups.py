@@ -6,12 +6,12 @@ of groups; all the Hom/Ext computations below return canonical values.
 
 Groups are validated once, where data enters: ``FgAbGroup(...)``,
 ``free``, ``cyclic`` and ``of_orders`` refuse floats, booleans, factors
-below 2 and broken chains.  A group whose chain the library computed
-itself (``of_chain`` from a Smith diagonal, ``direct_sum``, ``hom_fg``,
-``ext_fg``, and so ``cokernel`` and homology) is built by the trusted
-``FgAbGroup._trusted``, which checks nothing unless ``CELLKIT_CERTIFY=1``
-makes it re-run the validation and report a difference as an
-InternalInvariantError.
+below 2 and broken chains, and no public constructor skips that check.  A
+group whose chain the library computed itself (the torsion of a Smith
+diagonal in ``cokernel`` and homology, ``direct_sum``, ``hom_fg`` and
+``ext_fg``) is built by the private ``FgAbGroup._trusted``, which checks
+nothing unless ``CELLKIT_CERTIFY=1`` makes ``matrices.certified`` re-run
+the validation and report a difference as an InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, prod
 
-from .matrices import (CERTIFY, Frozen, InputError, IntMatrix,
-                       InternalInvariantError, _invariant_chain, json_int,
-                       quoted_int, smith_normal_form)
+from . import matrices
+from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
+                       certified, json_int, quoted_int, smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
@@ -59,20 +59,12 @@ class FgAbGroup(Frozen):
     @classmethod
     def _trusted(cls, rank: int, factors: tuple[int, ...]) -> "FgAbGroup":
         """Z^rank plus Z/d for each d of ``factors``, a canonical chain that
-        library code computed itself.  Nothing is checked, unless CERTIFY
-        makes it re-run the validation of ``FgAbGroup(rank, factors)``."""
+        library code computed itself; only certify mode checks it.  The
+        flag is tested before the call because this path is hot."""
         g = object.__new__(cls)
         object.__setattr__(g, "rank", rank)
         object.__setattr__(g, "invariant_factors", factors)
-        if CERTIFY:
-            try:
-                checked = cls(rank, factors)
-            except (InputError, TypeError) as e:
-                raise InternalInvariantError(f"trusted group fails: {e}") from e
-            if checked != g:
-                raise InternalInvariantError(f"trusted group {g!r} is not "
-                                             "in canonical form")
-        return g
+        return certified(g, cls, rank, factors) if matrices.CERTIFY else g
 
     @classmethod
     def zero(cls) -> "FgAbGroup":
@@ -86,12 +78,6 @@ class FgAbGroup(Frozen):
     def cyclic(cls, n: int) -> "FgAbGroup":
         """Z/n, with Z/0 = Z and Z/1 = 0."""
         return cls.of_orders([n])
-
-    @classmethod
-    def of_chain(cls, rank: int, chain: Iterable[int]) -> "FgAbGroup":
-        """Z^rank plus Z/d for each d > 1 of a divisibility chain that the
-        library computed, such as a Smith diagonal; it is trusted."""
-        return cls._trusted(rank, tuple(d for d in chain if d > 1))
 
     @classmethod
     def of_orders(cls, orders: Iterable[int]) -> "FgAbGroup":
@@ -190,7 +176,7 @@ def cokernel(m: IntMatrix) -> FgAbGroup:
     Z + Z
     """
     f = smith_normal_form(m)
-    return FgAbGroup.of_chain(m.rows - f.rank, f.nonzero_diagonal)
+    return FgAbGroup._trusted(m.rows - f.rank, f.torsion)
 
 
 BRUTE_FORCE_BOUND = 10**6  # the largest |A| * |B| enumerated below

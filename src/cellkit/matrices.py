@@ -83,9 +83,27 @@ class InternalInvariantError(RuntimeError):
 
 
 # CELLKIT_CERTIFY=1, read once at import: values that the library builds
-# unchecked (assembled complexes and maps, groups of computed chains) are
-# also built checked, and a failed check is a bug.
+# unchecked (assembled complexes and maps, groups of computed chains, and
+# homology carried through shift and coproduct) are also built checked, by
+# ``certified``, and a failed check is a bug.  This is the flag's only
+# binding: other modules read it as ``matrices.CERTIFY``.
 CERTIFY = os.environ.get("CELLKIT_CERTIFY") == "1"
+
+
+def certified(value, build, *args):
+    """``value``, which library code built unchecked.  In certify mode it
+    must also equal the checked ``build(*args)``; an InputError or
+    TypeError of that build, or a difference, is an InternalInvariantError."""
+    if CERTIFY:
+        try:
+            checked = build(*args)
+        except (InputError, TypeError) as e:
+            raise InternalInvariantError(
+                f"unchecked {type(value).__name__} fails: {e}") from e
+        if checked != value:
+            raise InternalInvariantError(f"unchecked {type(value).__name__}"
+                                         " differs from its checked build")
+    return value
 
 
 class cached_property:
@@ -395,11 +413,6 @@ class IntMatrix(Frozen):
         return cls(json_int(obj["rows"]), json_int(obj["cols"]),
                    tuple(json_int(x) for x in obj["data"]))
 
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
     @cached_property
     def _snf(self) -> "SmithNormalForm":
         key = (self.rows, self.cols, self.entries)
@@ -470,7 +483,7 @@ class SmithNormalForm(Frozen):
     reduction.
 
     Everything is computed lazily, and only what is read.  ``diagonal``
-    (and with it ``rank``, ``nonzero_diagonal`` and ``s``) comes from
+    (and with it ``rank``, ``torsion`` and ``s``) comes from
     ``_invariant_factors``: unit pivots, a Bareiss rank and minor gcd g,
     then, only if g > 1, elimination modulo 2g.  Its entries are minors of
     ``m`` in the first two phases and below 2g in the last, so its cost is
@@ -554,12 +567,13 @@ class SmithNormalForm(Frozen):
         return tuple(factors) + (0,) * (min(m.rows, m.cols) - len(factors))
 
     @cached_property
-    def nonzero_diagonal(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d)
+    def torsion(self) -> tuple[int, ...]:
+        """The diagonal entries above 1, a divisibility chain."""
+        return tuple(d for d in self.diagonal if d > 1)
 
     @cached_property
     def rank(self) -> int:
-        return len(self.nonzero_diagonal)
+        return len(self.diagonal) - self.diagonal.count(0)
 
 
 # Smith normal forms keyed by matrix value.  The table holds them weakly,

@@ -31,13 +31,6 @@ from .matrices import Frozen, InputError
 class UnknownValue:
     """Sentinel for Hom/Ext values outside the rule table."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "UNKNOWN"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyc
-from cellkit import groups as groups_mod
+from cellkit import groups as groups_mod, matrices as matrices_mod
 from cellkit.complexes import ChainComplex
 from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
                             ZERO_GROUP, brute_force_hom_count, cokernel,
@@ -164,11 +164,16 @@ class TestTrustedConstruction:
 
     @settings(max_examples=200, deadline=None)
     @given(order_lists, st.integers(0, 3))
-    def test_of_chain(self, orders, ones):
-        # A Smith diagonal: its unit factors first, then the chain.
+    def test_smith_diagonal(self, orders, ones):
+        # A Smith diagonal: its unit factors first, then the chain, and a
+        # zero row for each free summand.  Both readers of its torsion
+        # build a trusted group.
         chain = (1,) * ones + _invariant_chain(o for o in orders if o)
-        g = FgAbGroup.of_chain(orders.count(0), chain)
-        assert g == FgAbGroup.of_orders(orders)
+        rows = len(chain) + orders.count(0)
+        m = IntMatrix.diagonal(list(chain), rows=rows, cols=len(chain))
+        x = ChainComplex.build({0: rows, 1: len(chain)}, {1: m})
+        assert cokernel(m) == FgAbGroup.of_orders(orders)
+        assert x.homology.at(0) == FgAbGroup.of_orders(orders)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(order_lists, max_size=4))
@@ -194,14 +199,26 @@ class TestTrustedConstruction:
     def test_certify_catches_a_broken_chain(self, monkeypatch):
         a, b = cyc(4), cyc(6)
         monkeypatch.setattr(groups_mod, "_invariant_chain", lambda t: (4, 6))
-        monkeypatch.setattr(groups_mod, "CERTIFY", True)
+        monkeypatch.setattr(matrices_mod, "CERTIFY", True)
         with pytest.raises(InternalInvariantError,
                            match="4 does not divide 6"):
             hom_fg(a, b)
         # Without certify mode the malformed value goes through, so the
         # check above is certify mode's own.
-        monkeypatch.setattr(groups_mod, "CERTIFY", False)
+        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
         assert hom_fg(a, b).invariant_factors == (4, 6)
+
+    def test_no_public_constructor_builds_a_broken_chain(self):
+        # Z/4 + Z/6 is Z/2 + Z/12: the value (0, (4, 6)) is not canonical,
+        # and only the private _trusted may build a value unchecked.
+        public = {name for name, attr in vars(FgAbGroup).items()
+                  if isinstance(attr, classmethod) and name[0] != "_"}
+        assert public == {"zero", "free", "cyclic", "of_orders", "direct_sum"}
+        with pytest.raises(InputError, match="4 does not divide 6"):
+            FgAbGroup(0, (4, 6))
+        for g in (FgAbGroup.of_orders([4, 6]),
+                  FgAbGroup.direct_sum(cyc(4), cyc(6))):
+            assert g.invariant_factors == (2, 12)
 
     @pytest.mark.parametrize("make, error, message", [
         (lambda: FgAbGroup(True), TypeError, "expected an integer, got true"),
@@ -233,7 +250,7 @@ class TestTrustedConstruction:
         def spy(self, *args):
             validated.append(args)
 
-        monkeypatch.setattr(groups_mod, "CERTIFY", False)
+        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
         monkeypatch.setattr(FgAbGroup, "__init__", spy)
         made = [g for _, g in x.homology.groups]
         made += [cokernel(m), hom_fg(a, b), ext_fg(b, a),

@@ -47,6 +47,29 @@ def test_no_unused_imports(module):
     assert unused_imports(_read(os.path.join(PACKAGE_DIR, module))) == []
 
 
+def certify_names(source: str) -> list[int]:
+    """The lines that import, bind or read the bare name CERTIFY.  A module
+    that reads the flag as ``matrices.CERTIFY`` sees its one binding, the
+    one that a test patches."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == "CERTIFY"
+                   or isinstance(node, ast.alias)
+                   and "CERTIFY" in (node.name, node.asname)})
+
+
+def test_scan_finds_a_certify_name():
+    assert certify_names("from .matrices import CERTIFY as C\n"
+                         "from .m import CERTIFY\nif CERTIFY: pass\n"
+                         "x = matrices.CERTIFY\n") == [1, 2, 3]
+
+
+def test_only_matrices_names_the_certify_flag():
+    found = {m: certify_names(_read(os.path.join(PACKAGE_DIR, m)))
+             for m in os.listdir(PACKAGE_DIR)
+             if m.endswith(".py") and m != "matrices.py"}
+    assert {m: lines for m, lines in found.items() if lines} == {}
+
+
 # Files that may call into cellkit besides the package itself.  The
 # package's __init__ only re-exports, and tests do not count as callers.
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")

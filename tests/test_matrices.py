@@ -592,7 +592,7 @@ class TestSmithNormalForm:
 
     def test_diagonal_alone_builds_no_transform(self, reductions):
         f = smith_normal_form(mat([[2, 4], [6, 8]]))
-        assert (f.diagonal, f.rank, f.nonzero_diagonal) == ((2, 4), 2, (2, 4))
+        assert (f.diagonal, f.rank, f.torsion) == ((2, 4), 2, (2, 4))
         assert f.s == mat([[2, 0], [0, 4]])
         assert [track for _, track in reductions] == [frozenset()]
 
