@@ -340,9 +340,9 @@ class ChainMap(Frozen):
 
 
 def _carry_homology(out: ChainComplex, parts, combine) -> ChainComplex:
-    """``out``, given the homology ``combine(*hs)`` of the hs its parts have
-    computed already, if every part has; the carried value is unchecked,
-    and certify mode compares it with homology computed afresh."""
+    """``out``, with ``combine(*hs)`` as its homology when each of ``parts``
+    has its homology h computed already.  The carried value is unchecked;
+    certify mode compares it with homology computed afresh."""
     hs = [x.__dict__.get("homology") for x in parts]
     if all(h is not None for h in hs):
         out.__dict__["homology"] = certified(
