@@ -43,6 +43,13 @@ made again) is reduced once while its form lives.  A form and the matrix
 it was made from refer to each other, so the form outlives the last
 matrix that uses it until the cyclic garbage collector frees the pair:
 whether a rebuilt value is reduced again depends on collection timing.
+A form keeps the kernel and image bases it builds, so every reader of it
+gets the same matrices.  ``IntMatrix.zero`` and ``IntMatrix.identity``
+return one shared matrix per shape, with its form, from a cache of the
+SHARED_SHAPES = 64 shapes last used: a missing boundary is reduced once per
+shape.  At RANK_CAP = 512 such a matrix holds 2 MiB of entries, and so
+do u, v, v_inv and one basis pair on its form (a zero matrix has no image,
+an identity no kernel), so the cache may hold up to 64 x 12 = 768 MiB.
 The cache of ``complexes.homology_presentation`` also keeps up to 8,192
 complexes alive across operations, with their matrices and forms.
 """
@@ -270,10 +277,16 @@ def strict_int(text: str) -> int:
     return int(text)
 
 
-@lru_cache(maxsize=None)
-def _identity_entries(n: int) -> tuple[int, ...]:
-    """The entries of the n x n identity, one shared tuple per n."""
-    return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+# How many zero and identity matrices _shared keeps, the ones used last.
+SHARED_SHAPES = 64
+
+
+@lru_cache(maxsize=SHARED_SHAPES)
+def _shared(rows: int, cols: int, identity: bool) -> "IntMatrix":
+    """The one zero or identity matrix of its shape, with its form."""
+    return IntMatrix(rows, cols, tuple(
+        int(i == j) for i in range(rows) for j in range(cols))
+        if identity else (0,) * (rows * cols))
 
 
 class IntMatrix(Frozen):
@@ -298,7 +311,9 @@ class IntMatrix(Frozen):
     # Kept apart from __init__ because perfbench/tracer.py counts the
     # matrices built by wrapping this method.
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        r, c = self.rows, self.cols
+        if type(r) is not int or type(c) is not int or r < 0 or c < 0:
+            json_int(r), json_int(c)  # a bool or a float is no shape
             raise MatrixShapeError(f"negative shape {quoted_shape(self)}")
         ents = tuple(self.entries)
         if len(ents) != self.rows * self.cols:
@@ -317,7 +332,7 @@ class IntMatrix(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, _identity_entries(n))
+        return _shared(json_int(n), n, True)
 
     @cached_property
     def is_identity(self) -> bool:
@@ -327,7 +342,7 @@ class IntMatrix(Frozen):
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return _shared(json_int(rows), json_int(cols), False)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None,
@@ -494,7 +509,8 @@ class SmithNormalForm(Frozen):
     stored, so a form runs at most one diagonal pass and two tracked
     passes (bases, then u for a solve), and every transform is the same
     whichever pass built it.  A tracked pass also stores the diagonal, so
-    a later rank costs nothing.
+    a later rank costs nothing.  ``kernel()`` and ``image()`` keep their
+    pairs on the form, so a second read returns the same matrices.
     """
 
     # __weakref__: the table _FORMS below holds forms weakly.
@@ -545,9 +561,7 @@ class SmithNormalForm(Frozen):
         """(basis, coords): the columns of ``basis`` are a basis of ker(m),
         and ``coords`` is its left inverse, zero on the other columns of v.
         """
-        t = self.transforms(_BASES)
-        r, n = self.rank, self.matrix.cols
-        return t["v"].take(None, range(r, n)), t["v_inv"].take(range(r, n), None)
+        return self._kernel
 
     def image(self) -> tuple[IntMatrix, IntMatrix]:
         """(basis, proj): the columns of ``basis`` are a basis of im(m), the
@@ -555,6 +569,16 @@ class SmithNormalForm(Frozen):
         the columns of u^-1 scaled by the invariant factors), and ``proj``
         is the matching rows of v_inv, so that m == basis @ proj.
         """
+        return self._image
+
+    @cached_property
+    def _kernel(self) -> tuple[IntMatrix, IntMatrix]:
+        t = self.transforms(_BASES)
+        r, n = self.rank, self.matrix.cols
+        return t["v"].take(None, range(r, n)), t["v_inv"].take(range(r, n), None)
+
+    @cached_property
+    def _image(self) -> tuple[IntMatrix, IntMatrix]:
         t = self.transforms(_BASES)
         r = self.rank
         return (self.matrix @ t["v"].take(None, range(r)),

@@ -49,7 +49,10 @@ def bareiss_determinant(m):
 
 @contextmanager
 def fresh_forms():
-    """An empty table of shared Smith normal forms while the block runs."""
+    """An empty table of shared Smith normal forms while the block runs,
+    which also starts from no shared zero or identity matrix, so that no
+    form read in an earlier test is found on one."""
+    matrices_mod._shared.cache_clear()
     saved = matrices_mod._FORMS
     matrices_mod._FORMS = weakref.WeakValueDictionary()
     try:

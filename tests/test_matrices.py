@@ -374,6 +374,37 @@ class TestIntMatrix:
         a = mat([[1, -2], [0, 7]])
         assert IntMatrix.from_json(a.to_json()) == a
 
+    def test_zero_and_identity_are_shared_per_shape(self):
+        assert IntMatrix.zero(2, 3) is IntMatrix.zero(2, 3)
+        assert IntMatrix.identity(3) is IntMatrix.identity(3)
+        assert IntMatrix.zero(3, 3) is not IntMatrix.identity(3)
+        assert IntMatrix.zero(2, 3) == IntMatrix(2, 3, (0,) * 6)
+        assert IntMatrix.identity(2) == mat([[1, 0], [0, 1]])
+        # The cache is bounded: a shape pushed out is built again, equal.
+        first = IntMatrix.zero(1, 1)
+        for n in range(matrices_mod.SHARED_SHAPES):
+            IntMatrix.identity(n)
+        assert matrices_mod._shared.cache_info().currsize == (
+            matrices_mod.SHARED_SHAPES)
+        again = IntMatrix.zero(1, 1)
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("make", [
+        lambda: IntMatrix(True, 2, (0, 0)),
+        lambda: IntMatrix(2, 1.0, (0, 0)),
+        lambda: IntMatrix.zero(True, 2),
+        lambda: IntMatrix.zero(1, False),
+        lambda: IntMatrix.identity(True),
+        lambda: IntMatrix.diagonal([1], rows=True, cols=1),
+    ], ids=["init", "float", "zero rows", "zero cols", "identity",
+            "diagonal"])
+    def test_shapes_must_be_integers(self, make):
+        with pytest.raises(TypeError):
+            make()
+        # True == 1, but no bool-shaped matrix reaches the shared ones.
+        assert IntMatrix.zero(1, 2).to_json()["rows"] is not True
+        assert type(IntMatrix.identity(1).rows) is int
+
 
 class TestSmithNormalForm:
     def test_worked_example(self):
@@ -787,6 +818,43 @@ class TestSharedForms:
             del b
             gc.collect()
             assert key not in table and len(table) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(snf_inputs)
+    def test_bases_are_built_once(self, m):
+        f = SmithNormalForm(cold(m))
+        assert f.kernel() is f.kernel() and f.image() is f.image()
+        x = cold(m)
+        basis = kernel_basis(x)
+        assert kernel_basis(x) is basis
+        # An equal matrix finds the same form, and so the same basis.
+        assert kernel_basis(cold(m)) is basis
+
+    def test_covers_of_equal_complexes_reduce_a_missing_boundary_once(self):
+        # d_1 is missing, so both covers at 1 read the kernel of the 2 x 3
+        # zero matrix; the collection drops any form that only a cycle of
+        # the first cover's zero matrix kept.
+        def build():
+            return ChainComplex.build({0: 2, 1: 3, 2: 1},
+                                      {2: mat([[1], [2], [3]])})
+        with fresh_forms(), counted_passes() as passes:
+            first = connective_cover(build(), 1)
+            gc.collect()
+            second = connective_cover(build(), 1)
+        assert first == second and first is not second
+        assert passes == [BASES]
+
+    def test_rebuilt_section_reuses_its_boundary(self, reductions):
+        x = fresh_complex()
+        section, proj = section_with_projection(x, 1)
+        section.homology
+        assert reductions
+        reductions.clear()
+        again, proj_again = section_with_projection(x, 1)
+        again.homology
+        assert reductions == []
+        assert again.boundary(1) is section.boundary(1)
+        assert proj_again.component(1) is proj.component(1)
 
     @settings(max_examples=150, deadline=None)
     @given(snf_inputs)
