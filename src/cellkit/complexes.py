@@ -19,14 +19,16 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
+from . import matrices
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, cached_property, certified, json_int,
-                       kernel_basis, product_is_zero, quoted_int,
+                       kernel_basis, product_is_zero, quoted, quoted_int,
                        quoted_shape, smith_normal_form, solve, strict_int)
 
 DEGREE_CAP = 64
 RANK_CAP = 512
+_new, _set = object.__new__, object.__setattr__  # bound once: the doors are hot
 
 
 class SupportCapError(InputError):
@@ -47,14 +49,17 @@ class GradedGroup(Frozen):
     __slots__ = ("groups",)
     groups: tuple[tuple[int, FgAbGroup], ...]
 
-    def __init__(self, groups: tuple[tuple[int, FgAbGroup], ...] = ()):
-        object.__setattr__(self, "groups", groups)
+    def __init__(self, groups: Mapping | Sequence = ()):
+        table = _degree_table(groups, "group", FgAbGroup)
+        _set(self, "groups", tuple(sorted(
+            (n, g) for n, g in table.items() if not g.is_zero)))
 
     @classmethod
-    def of(cls, mapping: Mapping[int, FgAbGroup]) -> "GradedGroup":
-        items = tuple(sorted((json_int(n), g) for n, g in mapping.items()
-                             if not g.is_zero))
-        return cls(items)
+    def _trusted(cls, groups: tuple) -> "GradedGroup":
+        """``groups``, nonzero and sorted, as library code computed them."""
+        h = _new(cls)
+        _set(h, "groups", groups)
+        return certified(h, cls, groups) if matrices.CERTIFY else h
 
     def at(self, n: int) -> FgAbGroup:
         for m, g in self.groups:
@@ -71,14 +76,14 @@ class GradedGroup(Frozen):
         return not self.groups
 
     def shifted(self, k: int) -> "GradedGroup":
-        return GradedGroup(tuple((n + k, g) for n, g in self.groups))
+        return GradedGroup._trusted(tuple((n + k, g) for n, g in self.groups))
 
     def direct_sum(self, *others: "GradedGroup") -> "GradedGroup":
         acc: dict[int, FgAbGroup] = {}
         for gg in (self, *others):
             for n, g in gg.groups:
                 acc[n] = acc.get(n, ZERO_GROUP) + g
-        return GradedGroup.of(acc)
+        return GradedGroup._trusted(tuple(sorted(acc.items())))
 
     def to_json(self) -> dict:
         return {str(n): g.to_json() for n, g in self.groups}
@@ -109,64 +114,58 @@ def _json_table(obj, key: str, read) -> dict:
     return {strict_int(n): read(v) for n, v in table.items()}
 
 
-def _degree_table(table: Mapping, shape, error: type, what: str) -> dict:
-    """The nonzero matrices of ``table``, once the one in each degree n
-    has the shape ``shape(n)`` that the ranks fix."""
-    kept = {}
-    for n, m in table.items():
-        n = json_int(n)
-        expected = shape(n)
-        if (m.rows, m.cols) != expected:
+def _degree_table(items, what: str, kind=None, shape=None, error=InputError) -> dict:
+    """``items`` (a mapping or pairs (n, value)) as a dict: each n an integer
+    given once, each value a ``kind`` of the shape ``shape(n)`` if given."""
+    table = {}
+    for n, v in items.items() if isinstance(items, Mapping) else items:
+        if json_int(n) in table:
+            raise InputError(f"two {what}s in degree {quoted_int(n)}")
+        if kind and type(v) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {quoted(v)}")
+        if shape and (v.rows, v.cols) != shape(n):
             raise error(f"{what} in degree {quoted_int(n)} has shape "
-                        f"{quoted_shape(m)}, expected {expected[0]}x{expected[1]}")
-        if not m.is_zero:
-            kept[n] = m
-    return kept
+                        f"{quoted_shape(v)}, expected {'%dx%d' % shape(n)}")
+        table[n] = v
+    return table
 
 
 class ChainComplex(Frozen):
     """A bounded complex of free abelian groups with exact integer boundaries.
 
-    Complexes made from data (payloads, samples and sections) go through
-    :meth:`build`, which normalizes the presentation (zero ranks and zero
-    boundary matrices are dropped) and rejects data with d o d != 0.  EM
-    complexes, covers, and `shift`, `cone` and `coproduct` of checked
-    complexes, go through :meth:`_assembled`, which checks only the caps
-    unless ``CELLKIT_CERTIFY=1`` makes ``certified`` re-run :meth:`build`.
+    The constructor (and :meth:`build`) takes ranks and boundaries keyed by
+    degree, drops zeros, and rejects a repeated degree, a wrong shape and
+    d o d != 0.  EM complexes, covers, and `shift`, `cone` and `coproduct`
+    go through :meth:`_assembled`, which checks only the caps unless
+    ``CELLKIT_CERTIFY=1`` makes ``certified`` rebuild them checked.
     """
 
     __slots__ = ("ranks", "boundaries", "__dict__")
     ranks: tuple[tuple[int, int], ...]
     boundaries: tuple[tuple[int, IntMatrix], ...]
 
-    def __init__(self, ranks: tuple[tuple[int, int], ...] = (),
-                 boundaries: tuple[tuple[int, IntMatrix], ...] = ()):
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "boundaries", boundaries)
-
-    @classmethod
-    def build(cls, ranks: Mapping[int, int],
-              boundaries: Mapping[int, IntMatrix] | None = None) -> "ChainComplex":
-        rank_map = {}
-        for n, r in ranks.items():
-            n, r = json_int(n), json_int(r)
-            if r < 0:
+    def __init__(self, ranks: Mapping | Sequence = (),
+                 boundaries: Mapping | Sequence = ()):
+        rank_map = _degree_table(ranks, "rank")
+        for n, r in rank_map.items():
+            if json_int(r) < 0:
                 raise ChainComplexError(f"negative rank {quoted_int(r)} in "
                                         f"degree {quoted_int(n)}")
             _check_caps(n, r)
-            if r:
-                rank_map[n] = r
-
-        kept = _degree_table(
-            boundaries or {}, lambda n: (rank_map.get(n - 1, 0), rank_map.get(n, 0)),
-            ChainComplexError, "boundary")
+        kept = {n: d for n, d in _degree_table(
+            boundaries, "boundary", IntMatrix,
+            lambda n: (rank_map.get(n - 1, 0), rank_map.get(n, 0)),
+            ChainComplexError).items() if not d.is_zero}
         for n, d in kept.items():
             below = kept.get(n - 1)
             if below is not None and not product_is_zero(below, d):
                 raise ChainComplexError(f"d o d != 0 between degrees {n} and {n - 2}")
+        _set(self, "ranks", tuple(sorted((n, r) for n, r in rank_map.items() if r)))
+        _set(self, "boundaries", tuple(sorted(kept.items())))
 
-        return cls(tuple(sorted(rank_map.items())),
-                   tuple(sorted(kept.items())))
+    @classmethod
+    def build(cls, ranks: Mapping, boundaries: Mapping | None = None) -> "ChainComplex":
+        return cls(ranks, boundaries or ())
 
     @classmethod
     def _assembled(cls, ranks: dict, boundaries: dict) -> "ChainComplex":
@@ -177,13 +176,16 @@ class ChainComplex(Frozen):
         unless CERTIFY is set."""
         for n, r in ranks.items():
             _check_caps(n, r)
-        return certified(cls(tuple(sorted(ranks.items())),
-                             tuple(sorted(boundaries.items()))),
-                         cls.build, ranks, boundaries)
+        x = _new(cls)
+        _set(x, "ranks", tuple(sorted(ranks.items())))
+        _set(x, "boundaries", tuple(sorted(boundaries.items())))
+        return certified(x, cls, *cls._values(x)) if matrices.CERTIFY else x
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero_complex(cls) -> "ChainComplex":
-        return cls((), ())
+        """One shared value; with an empty support it never keeps a cover."""
+        return cls._assembled({}, {})
 
     @cached_property
     def _rank_map(self) -> dict[int, int]:
@@ -242,7 +244,7 @@ class ChainComplex(Frozen):
             g = FgAbGroup._trusted(self.rank(n) - r_down - r_up, torsion)
             if not g.is_zero:
                 out.append((n, g))
-        return GradedGroup(tuple(out))
+        return GradedGroup._trusted(tuple(out))
 
     def to_json(self) -> dict:
         return {
@@ -267,10 +269,10 @@ class ChainComplex(Frozen):
 class ChainMap(Frozen):
     """A degreewise integer map commuting with the boundaries.
 
-    Maps from data (payloads, the suites' literal maps) and cover
-    inclusions go through :meth:`build`, which checks the squares.
-    Identity, zero and scalar maps, `shift_map` of a checked map and the
-    section projection commute by construction and use :meth:`_assembled`.
+    The constructor (and :meth:`build`, for payloads, literal maps and
+    cover inclusions, and `zero_map`) checks the squares.  Identity and
+    scalar maps, `shift_map` and the section projection commute by
+    construction and use :meth:`_assembled`.
     """
 
     __slots__ = ("source", "target", "components", "__dict__")
@@ -279,16 +281,13 @@ class ChainMap(Frozen):
     components: tuple[tuple[int, IntMatrix], ...]
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components: tuple[tuple[int, IntMatrix], ...] = ()):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
-
-    @classmethod
-    def build(cls, source: ChainComplex, target: ChainComplex,
-              components: Mapping[int, IntMatrix]) -> "ChainMap":
-        kept = _degree_table(components, lambda n: (target.rank(n), source.rank(n)),
-                             ChainMapError, "component")
+                 components: Mapping | Sequence = ()):
+        if not type(source) is type(target) is ChainComplex:
+            raise TypeError("a chain map goes between two ChainComplex values")
+        kept = {n: m for n, m in _degree_table(
+            components, "component", IntMatrix,
+            lambda n: (target.rank(n), source.rank(n)),
+            ChainMapError).items() if not m.is_zero}
         # f d_X == d_Y f; a missing factor, and so its product, is zero.
         for n in {*kept, *(n for n, _ in source.ranks),
                   *(n for n, _ in target.ranks)}:
@@ -297,16 +296,26 @@ class ChainMap(Frozen):
             factors = [m for pair in pairs if None not in pair for m in pair]
             if factors and not product_is_zero(*factors):
                 raise ChainMapError(f"not a chain map in degree {n}")
-        return cls(source, target, tuple(sorted(kept.items())))
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "components", tuple(sorted(kept.items())))
+
+    @classmethod
+    def build(cls, source: ChainComplex, target: ChainComplex,
+              components: Mapping[int, IntMatrix]) -> "ChainMap":
+        return cls(source, target, components)
 
     @classmethod
     def _assembled(cls, source: ChainComplex, target: ChainComplex,
                    components: dict) -> "ChainMap":
         """Zero components dropped and the rest sorted, as in build, with
         the chain-map condition holding by construction."""
-        kept = sorted((n, m) for n, m in components.items() if not m.is_zero)
-        return certified(cls(source, target, tuple(kept)),
-                         cls.build, source, target, components)
+        f = _new(cls)
+        _set(f, "source", source)
+        _set(f, "target", target)
+        _set(f, "components", tuple(sorted(
+            (n, m) for n, m in components.items() if not m.is_zero)))
+        return certified(f, cls, *cls._values(f)) if matrices.CERTIFY else f
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
@@ -314,7 +323,7 @@ class ChainMap(Frozen):
 
     @classmethod
     def zero_map(cls, source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return cls._assembled(source, target, {})
+        return cls(source, target)
 
     @classmethod
     def scalar(cls, x: ChainComplex, m: int) -> "ChainMap":
@@ -363,7 +372,7 @@ def _place(rows: int, cols: int, blocks) -> IntMatrix:
             start = (row + i) * cols + col
             line = e[i * c:(i + 1) * c]
             entries[start:start + c] = line if sign == 1 else [-v for v in line]
-    return IntMatrix(rows, cols, tuple(entries))
+    return IntMatrix._trusted(rows, cols, tuple(entries))
 
 
 def shift(x: ChainComplex, k: int) -> ChainComplex:
@@ -461,8 +470,9 @@ def em_complex(g: FgAbGroup, n: int) -> ChainComplex:
     boundaries = {}
     if t:
         ranks[n + 1] = t
-        boundaries[n + 1] = IntMatrix.diagonal(
-            list(g.invariant_factors), rows=t + g.rank, cols=t)
+        entries = [0] * ((t + g.rank) * t)
+        entries[:t * (t + 1):t + 1] = g.invariant_factors
+        boundaries[n + 1] = IntMatrix._trusted(t + g.rank, t, tuple(entries))
     return ChainComplex._assembled(ranks, boundaries)
 
 

@@ -4,14 +4,14 @@ A group is ``Z^rank + Z/d1 + ... + Z/dt`` with d1 | d2 | ... | dt and every
 di >= 2.  That normal form is unique, so equality of values is isomorphism
 of groups; all the Hom/Ext computations below return canonical values.
 
-Groups are validated once, where data enters: ``FgAbGroup(...)``,
-``free``, ``cyclic`` and ``of_orders`` refuse floats, booleans, factors
-below 2 and broken chains, and no public constructor skips that check.  A
-group whose chain the library computed itself (the torsion of a Smith
-diagonal in ``cokernel`` and homology, ``direct_sum``, ``hom_fg`` and
-``ext_fg``) is built by the private ``FgAbGroup._trusted``, which checks
-nothing unless ``CELLKIT_CERTIFY=1`` makes ``matrices.certified`` re-run
-the validation and report a difference as an InternalInvariantError.
+Groups are validated once, where data enters, as every value class is:
+``FgAbGroup(...)``, ``free``, ``cyclic`` and ``of_orders`` refuse floats,
+booleans, factors below 2 and broken chains.  A group whose chain the
+library computed itself (the torsion of a Smith diagonal in ``cokernel``
+and homology, ``direct_sum``, ``hom_fg`` and ``ext_fg``) takes the one
+unchecked door, ``FgAbGroup._trusted``, which checks nothing unless
+``CELLKIT_CERTIFY=1`` makes ``matrices.certified`` rebuild it through the
+public constructor and report a difference as an InternalInvariantError.
 """
 
 from __future__ import annotations

@@ -90,10 +90,10 @@ class InternalInvariantError(RuntimeError):
 
 
 # CELLKIT_CERTIFY=1, read once at import: values that the library builds
-# unchecked (assembled complexes and maps, groups of computed chains, and
-# homology carried through shift and coproduct) are also built checked, by
-# ``certified``, and a failed check is a bug.  This is the flag's only
-# binding: other modules read it as ``matrices.CERTIFY``.
+# through the unchecked door of their class (``_trusted``, ``_assembled``)
+# are rebuilt through its public constructor by ``certified``, which also
+# recomputes homology carried by shift and coproduct; a failure is a bug.
+# This is the flag's only binding: other modules read ``matrices.CERTIFY``.
 CERTIFY = os.environ.get("CELLKIT_CERTIFY") == "1"
 
 
@@ -284,7 +284,9 @@ SHARED_SHAPES = 64
 @lru_cache(maxsize=SHARED_SHAPES)
 def _shared(rows: int, cols: int, identity: bool) -> "IntMatrix":
     """The one zero or identity matrix of its shape, with its form."""
-    return IntMatrix(rows, cols, tuple(
+    if rows < 0 or cols < 0:
+        raise MatrixShapeError(f"negative shape {quoted_int(rows)}x{quoted_int(cols)}")
+    return IntMatrix._trusted(rows, cols, tuple(
         int(i == j) for i in range(rows) for j in range(cols))
         if identity else (0,) * (rows * cols))
 
@@ -302,25 +304,31 @@ class IntMatrix(Frozen):
     cols: int
     entries: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...] = ()):
+    def __init__(self, rows: int, cols: int, entries: Iterable[int] = ()):
+        self.__post_init__(rows, cols, tuple(entries))
+        if not {int}.issuperset(map(type, (rows, cols, *self.entries))):
+            json_int(rows), json_int(cols)  # a bool or a float is no shape
+            json_int(next(x for x in self.entries if type(x) is not int))
+        if rows < 0 or cols < 0:
+            raise MatrixShapeError(f"negative shape {quoted_shape(self)}")
+        if len(self.entries) != rows * cols:
+            raise MatrixShapeError(
+                f"{quoted_shape(self)} matrix needs "
+                f"{quoted_int(rows * cols)} entries, got {len(self.entries)}")
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """Unchecked: a tuple of rows * cols ints that library code made."""
+        m = object.__new__(cls)
+        m.__post_init__(rows, cols, entries)
+        return certified(m, cls, rows, cols, entries) if CERTIFY else m
+
+    # Every matrix, checked or trusted, sets its fields here once:
+    # perfbench/tracer.py counts the matrices built by wrapping this method.
+    def __post_init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    # Kept apart from __init__ because perfbench/tracer.py counts the
-    # matrices built by wrapping this method.
-    def __post_init__(self):
-        r, c = self.rows, self.cols
-        if type(r) is not int or type(c) is not int or r < 0 or c < 0:
-            json_int(r), json_int(c)  # a bool or a float is no shape
-            raise MatrixShapeError(f"negative shape {quoted_shape(self)}")
-        ents = tuple(self.entries)
-        if len(ents) != self.rows * self.cols:
-            raise MatrixShapeError(
-                f"{quoted_shape(self)} matrix needs "
-                f"{quoted_int(self.rows * self.cols)} entries, got {len(ents)}")
-        object.__setattr__(self, "entries", ents)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -328,7 +336,7 @@ class IntMatrix(Frozen):
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise MatrixShapeError("ragged rows")
-        return cls(r, c, tuple(json_int(x) for row in rows for x in row))
+        return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -352,9 +360,8 @@ class IntMatrix(Frozen):
         if len(diag) > min(r, c):
             raise MatrixShapeError("diagonal longer than matrix")
         ents = [0] * (r * c)
-        for i, d in enumerate(diag):
-            ents[i * c + i] = json_int(d)
-        return cls(r, c, tuple(ents))
+        ents[:len(diag) * (c + 1):c + 1] = diag
+        return cls(r, c, ents)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -374,15 +381,17 @@ class IntMatrix(Frozen):
         if not all(0 <= i < self.rows for i in ri) or not all(
                 0 <= j < self.cols for j in ci):
             raise IndexError((row_idx, col_idx))
+        if list(ri) == [*range(self.rows)] and list(ci) == [*range(self.cols)]:
+            return self  # every row and column in order: no copy
         c, e = self.cols, self.entries
         ents: list[int] = []
         for i in ri:
             row = e[i * c:(i + 1) * c]
             ents.extend(row if col_idx is None else [row[j] for j in ci])
-        return IntMatrix(len(ri), len(ci), tuple(ents))
+        return IntMatrix._trusted(len(ri), len(ci), tuple(ents))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntMatrix._trusted(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -407,7 +416,7 @@ class IntMatrix(Frozen):
                 if x:
                     for j, y in bnz[t]:
                         out[base + j] += x * y
-        return IntMatrix(n, m, tuple(out))
+        return IntMatrix._trusted(n, m, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -425,8 +434,7 @@ class IntMatrix(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMatrix":
-        return cls(json_int(obj["rows"]), json_int(obj["cols"]),
-                   tuple(json_int(x) for x in obj["data"]))
+        return cls(obj["rows"], obj["cols"], obj["data"])
 
     @cached_property
     def _snf(self) -> "SmithNormalForm":
@@ -533,7 +541,7 @@ class SmithNormalForm(Frozen):
             for name, rows in zip(TRANSFORMS, found):
                 if rows is not None:
                     n = len(rows)
-                    known[name] = IntMatrix(
+                    known[name] = IntMatrix._trusted(
                         n, n, tuple(x for row in rows for x in row))
         return known
 

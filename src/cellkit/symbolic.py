@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from .groups import (FgAbGroup, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
-from .matrices import Frozen, InputError
+from .matrices import Frozen, InputError, quoted
 
 
 class UnknownValue:
@@ -57,6 +57,8 @@ class PrimeSet(Frozen):
     primes: frozenset[int]
 
     def __init__(self, cofinite: bool, primes: frozenset[int]):
+        if type(cofinite) is not bool:
+            raise TypeError(f"cofinite must be a boolean, got {quoted(cofinite)}")
         object.__setattr__(self, "cofinite", cofinite)
         object.__setattr__(self, "primes",
                            frozenset(check_prime(p) for p in primes))

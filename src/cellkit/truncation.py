@@ -143,9 +143,9 @@ def cell_null_triangle(x: ChainComplex, k: int) -> bool:
     """
     hx = x.homology.groups
     return (connective_cover(x, k).homology
-            == GradedGroup(tuple((n, g) for n, g in hx if n >= k))
+            == GradedGroup._trusted(tuple((n, g) for n, g in hx if n >= k))
             and postnikov(x, k).homology
-            == GradedGroup(tuple((n, g) for n, g in hx if n < k)))
+            == GradedGroup._trusted(tuple((n, g) for n, g in hx if n < k)))
 
 
 def suspension_noncommute_witness(x: ChainComplex, k: int) -> bool:

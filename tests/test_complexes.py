@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cyc, time_limit
+from conftest import cyc, fresh_forms, time_limit
 from cellkit import complexes as complexes_mod, matrices as matrices_mod
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
@@ -67,7 +67,7 @@ class TestConstruction:
 
 class TestHomology:
     def test_multiplication_complex(self):
-        assert two_term(2).homology == GradedGroup.of({0: cyc(2)})
+        assert two_term(2).homology == GradedGroup({0: cyc(2)})
 
     def test_zero_complex(self):
         assert ChainComplex.zero_complex().homology.is_zero
@@ -75,15 +75,15 @@ class TestHomology:
     def test_em_complex(self):
         g = FgAbGroup.of_orders([0, 2, 6])
         x = em_complex(g, -1)
-        assert x.homology == GradedGroup.of({-1: g})
-        assert em_complex(cyc(4), 2).homology == GradedGroup.of({2: cyc(4)})
+        assert x.homology == GradedGroup({-1: g})
+        assert em_complex(cyc(4), 2).homology == GradedGroup({2: cyc(4)})
         assert em_complex(FgAbGroup.zero(), 3).is_zero
 
     def test_free_rank_bookkeeping(self):
         # Z^3 --[[1,0,0]]--> Z : H_1 = Z^2, H_0 = 0
         x = ChainComplex.build({0: 1, 1: 3},
                                {1: IntMatrix.from_rows([[1, 0, 0]])})
-        assert x.homology == GradedGroup.of({1: FgAbGroup.free(2)})
+        assert x.homology == GradedGroup({1: FgAbGroup.free(2)})
 
     def test_builds_no_zero_matrix(self, monkeypatch):
         # Degrees 1 and 2 have no boundary, and degree 4 has no chains.
@@ -97,7 +97,7 @@ class TestHomology:
             return real(cls, *args)
 
         monkeypatch.setattr(IntMatrix, "zero", classmethod(counting))
-        assert x.homology == GradedGroup.of({
+        assert x.homology == GradedGroup({
             0: Z, 1: FgAbGroup.free(2), 2: cyc(3), 5: FgAbGroup.free(2)})
         assert built == []
 
@@ -110,7 +110,7 @@ class TestShift:
 
     def test_homology_shifts(self):
         x = em_complex(cyc(2), 0)
-        assert shift(x, 1).homology == GradedGroup.of({1: cyc(2)})
+        assert shift(x, 1).homology == GradedGroup({1: cyc(2)})
 
     def test_sign_keeps_chain_condition(self):
         rng = random.Random(5)
@@ -228,7 +228,7 @@ class TestCoproduct:
     def test_homology_adds(self):
         a = em_complex(cyc(2), 0)
         b = em_complex(cyc(3), 0)
-        assert coproduct([a, b]).homology == GradedGroup.of({0: cyc(6)})
+        assert coproduct([a, b]).homology == GradedGroup({0: cyc(6)})
 
     def test_commutes_with_homology(self):
         rng = random.Random(3)
@@ -324,6 +324,11 @@ class TestSupport:
                       projection.source, projection.target):
                 assert c.is_zero
             assert inclusion.components == projection.components == ()
+        # One zero complex is shared: no cut is inside its support, so it
+        # keeps no cover.
+        shared = ChainComplex.zero_complex()
+        assert shared is ChainComplex.zero_complex()
+        assert "_covers" not in shared.__dict__
 
 
 class TestAssembly:
@@ -442,6 +447,31 @@ class TestAssembly:
             assert not cone(f).is_zero
         assert built == []
 
+    def test_library_values_take_no_public_constructor(self, monkeypatch):
+        # Certify mode rebuilds each value through its public constructor
+        # on purpose.
+        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        x = ChainComplex.build({0: 2, 1: 3, 2: 1}, {
+            1: IntMatrix.from_rows([[2, 4, 6], [4, 8, 12]]),
+            2: IntMatrix.from_rows([[2], [-1], [0]])})
+        y = two_term(4, lo=1)
+        f = ChainMap.scalar(x, 3)
+        g = FgAbGroup.of_orders([0, 2, 6])
+        calls = []
+        for cls in (IntMatrix, GradedGroup, ChainComplex, ChainMap, FgAbGroup):
+            def spy(self, *args, _init=cls.__init__, _name=cls.__name__):
+                calls.append(_name)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", spy)
+        with fresh_forms():
+            h = x.homology
+            cone(f).homology, fiber(f).homology, shift_map(f, -1)
+            shift(x, 1), coproduct([x, y]).homology, em_complex(g, 2).homology
+            covers = [connective_cover(x, k).homology for k in range(4)]
+        assert calls == []
+        assert covers == [GradedGroup(tuple((n, a) for n, a in h.groups
+                                            if n >= k)) for k in range(4)]
+
 
 class TestCarriedHomology:
     @settings(max_examples=80, deadline=None)
@@ -509,7 +539,7 @@ class TestCarriedHomology:
         g = FgAbGroup.of_orders([0, 2, 6])
         x = em_complex(g, 1)
         assert "homology" not in x.__dict__
-        assert x.homology == GradedGroup.of({1: g})
+        assert x.homology == GradedGroup({1: g})
         assert reductions
 
     def test_homology_is_computed_once_per_instance(self, monkeypatch):

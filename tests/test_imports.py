@@ -70,6 +70,57 @@ def test_only_matrices_names_the_certify_flag():
     assert {m: lines for m, lines in found.items() if lines} == {}
 
 
+# The classes whose public constructor validates, and ``cls`` for any
+# value class.  Library code builds their values through the one unchecked
+# door of each class (``_trusted`` or ``_assembled``); a bare call is
+# allowed only in a public classmethod or function that hands the caller's
+# data to the constructor (``random_matrix`` takes the caller's shape).
+CONSTRUCTORS = {"IntMatrix", "GradedGroup", "ChainComplex", "ChainMap", "cls"}
+PUBLIC_DOORS = {"IntMatrix.from_rows", "IntMatrix.from_json",
+                "IntMatrix.diagonal", "ChainComplex.build", "ChainMap.build",
+                "ChainMap.zero_map", "FgAbGroup.zero", "FgAbGroup.free",
+                "FgAbGroup.of_orders", "PrimeSet.of", "PrimeSet.complement_of",
+                "SymbolicGroup.zero", "SymbolicGroup.of", "EMObject.of",
+                "EMObject.zero", "random_matrix"}
+
+
+def constructor_calls(source: str) -> list[tuple[str, int]]:
+    """(scope, line) of each call of a name in CONSTRUCTORS, where the
+    scope is the dotted name of the enclosing classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in CONSTRUCTORS):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scan_finds_a_constructor_call():
+    source = ("x = IntMatrix(1, 1, (1,))\n"
+              "class C:\n"
+              "    def f(cls):\n"
+              "        return g(cls(), IntMatrix._trusted(0, 0, ()))\n"
+              "def h():\n"
+              "    return [ChainMap(a, b) for a in ()], GradedGroup.of({})\n")
+    assert constructor_calls(source) == [("", 1), ("C.f", 4), ("h", 6)]
+
+
+def test_library_values_take_the_unchecked_doors():
+    found = [f"{m}:{line} {scope}" for m in MODULES
+             for scope, line in constructor_calls(
+                 _read(os.path.join(PACKAGE_DIR, m)))
+             if scope not in PUBLIC_DOORS]
+    assert found == []
+
+
 # Files that may call into cellkit besides the package itself.  The
 # package's __init__ only re-exports, and tests do not count as callers.
 PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")

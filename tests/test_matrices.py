@@ -830,6 +830,18 @@ class TestSharedForms:
         # An equal matrix finds the same form, and so the same basis.
         assert kernel_basis(cold(m)) is basis
 
+    def test_take_of_every_row_and_column_is_the_matrix_itself(self):
+        # A zero matrix has no image, so its kernel pair is all of (v, v_inv);
+        # a nonsingular one has no kernel, so its image's proj is v_inv.
+        f = smith_normal_form(IntMatrix.zero(3, 4))
+        assert f.kernel()[0] is f.v and f.kernel()[1] is f.v_inv
+        g = smith_normal_form(mat([[2, 0], [0, 3]]))
+        assert g.image()[1] is g.v_inv
+        m = mat([[1, 2], [3, 4]])
+        assert m.take() is m and m.take([0, 1], range(2)) is m
+        assert m.take([1, 0]) == mat([[3, 4], [1, 2]])
+        assert m.take(None, [0]) == mat([[1], [3]])
+
     def test_covers_of_equal_complexes_reduce_a_missing_boundary_once(self):
         # d_1 is missing, so both covers at 1 read the kernel of the 2 x 3
         # zero matrix; the collection drops any form that only a cycle of

@@ -12,10 +12,10 @@ import pickle
 import pytest
 
 from cellkit.acceptance import CriterionResult
-from cellkit.complexes import ChainComplex, ChainMap, GradedGroup
+from cellkit.complexes import DEGREE_CAP, ChainComplex, ChainMap, GradedGroup
 from cellkit.emcell import EMObject
 from cellkit.groups import FgAbGroup
-from cellkit.matrices import IntMatrix, SmithNormalForm
+from cellkit.matrices import InputError, IntMatrix, SmithNormalForm
 from cellkit.symbolic import (Atom, PrimeAtom, PrimeSet, ProdZpHatModZ,
                               Prufer, SetAtom, SymbolicGroup, ZpHat)
 
@@ -122,7 +122,7 @@ def test_equality_needs_the_same_class():
     lambda: FgAbGroup(1.5),
     lambda: FgAbGroup.of_orders([6.9]),
     lambda: FgAbGroup.of_orders([True]),
-    lambda: GradedGroup.of({0.5: FgAbGroup(1)}),
+    lambda: GradedGroup({0.5: FgAbGroup(1)}),
     lambda: ChainComplex.build({0.9: 1}),
     lambda: ChainComplex.build({0: 1.0}),
     lambda: ChainComplex.build({0: 1, 1: 1}, {1.0: _TWO}),
@@ -134,3 +134,94 @@ def test_equality_needs_the_same_class():
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(TypeError, match="expected an integer, got "):
         build()
+
+
+# Each class has one validating door, its public constructor, which every
+# public classmethod that takes the caller's data goes through.  Each row
+# is a malformed value, refused with InputError or TypeError.
+_Z = FgAbGroup(1)
+_I2 = IntMatrix(2, 2, (1, 0, 0, 1))
+_Y = ChainComplex(((0, 1),))                # rank 1 in degree 0 only
+MALFORMED = {
+    "matrix-float": lambda: IntMatrix(1, 1, (1.5,)),
+    "matrix-bool": lambda: IntMatrix(1, 1, (True,)),
+    "matrix-text": lambda: IntMatrix(1, 1, ("a",)),
+    "matrix-shape": lambda: IntMatrix(1.0, 1, (1,)),
+    "matrix-length": lambda: IntMatrix(2, 2, (1, 2, 3)),
+    "from_rows": lambda: IntMatrix.from_rows([[1, 2], [3]]),
+    "from_json": lambda: IntMatrix.from_json(
+        {"rows": 1, "cols": 1, "data": [True]}),
+    "diagonal": lambda: IntMatrix.diagonal([2, 0.5]),
+    "identity": lambda: IntMatrix.identity(-1),
+    "zero": lambda: IntMatrix.zero(2, -1),
+    "graded-zero-degree-twice": lambda: GradedGroup(
+        ((0, FgAbGroup(0)), (0, _Z))),
+    "graded-degree-twice": lambda: GradedGroup(((0, _Z), (0, _Z))),
+    "graded-float-degree": lambda: GradedGroup(((0.5, _Z),)),
+    "graded-not-a-group": lambda: GradedGroup(((0, 5),)),
+    "complex-d-squared": lambda: ChainComplex(
+        ((0, 1), (1, 1), (2, 1)), ((1, _ONE), (2, _ONE))),
+    "complex-list-boundaries": lambda: ChainComplex(
+        ((0, 1), (1, 1), (2, 1)), ((1, [[1]]), (2, [[1]]))),
+    "complex-degree-twice": lambda: ChainComplex(((0, 1), (0, 2))),
+    "complex-boundary-twice": lambda: ChainComplex(
+        ((0, 1), (1, 1)), ((1, _TWO), (1, _TWO))),
+    "complex-negative-rank": lambda: ChainComplex(((0, -1),)),
+    "complex-bool-rank": lambda: ChainComplex(((0, True),)),
+    "complex-shape": lambda: ChainComplex(((0, 1),), ((1, _ONE),)),
+    "complex-cap": lambda: ChainComplex(((DEGREE_CAP + 1, 1),)),
+    "complex-build": lambda: ChainComplex.build({0: 1, 1: 1}, {1: _I2}),
+    "complex-from_json": lambda: ChainComplex.from_json({"ranks": {"0": -1}}),
+    "map-shape": lambda: ChainMap(_Y, _Y, ((0, _I2),)),
+    "map-degree-twice": lambda: ChainMap(_X, _X, ((0, _ONE), (0, _ONE))),
+    "map-not-a-chain-map": lambda: ChainMap(_X, _X, ((0, _ONE),)),
+    "map-not-complexes": lambda: ChainMap(_X, _X.ranks, ()),
+    "map-build": lambda: ChainMap.build(_X, _X, {1: _ONE}),
+    "map-from_json": lambda: ChainMap.from_json(
+        {"source": _X.to_json(), "target": _X.to_json(),
+         "components": {"0": {"rows": 1, "cols": 1, "data": [1.0]}}}),
+    "map-scalar": lambda: ChainMap.scalar(_X, 1.5),
+    "map-zero_map": lambda: ChainMap.zero_map(_X, None),
+    "group-rank": lambda: FgAbGroup(-1),
+    "group-chain": lambda: FgAbGroup(0, (4, 6)),
+    "group-free": lambda: FgAbGroup.free(True),
+    "group-cyclic": lambda: FgAbGroup.cyclic(2.0),
+    "group-of_orders": lambda: FgAbGroup.of_orders(["2"]),
+    "primes-cofinite": lambda: PrimeSet("yes", frozenset()),
+    "primes-composite": lambda: PrimeSet(False, frozenset({4})),
+    "primes-of": lambda: PrimeSet.of([1]),
+    "primes-complement_of": lambda: PrimeSet.complement_of([9]),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED)
+def test_constructors_refuse_malformed_values(build):
+    with pytest.raises((InputError, TypeError)):
+        build()
+
+
+# A value given out of order, or with zero entries, is the canonical value:
+# the constructor drops zeros and sorts by degree.  (value, canonical value)
+NORMALIZED = {
+    "graded-zero-group": (lambda: GradedGroup(((0, FgAbGroup(0)),)),
+                          GradedGroup()),
+    "graded-unsorted": (lambda: GradedGroup(((1, _Z), (0, _Z))),
+                        GradedGroup({0: _Z, 1: _Z})),
+    "complex-unsorted": (lambda: ChainComplex(((1, 1), (0, 1)), ((1, _TWO),)),
+                         _X),
+    "complex-zero-rank": (lambda: ChainComplex(((0, 1), (1, 0))),
+                          ChainComplex({0: 1})),
+    "map-unsorted": (lambda: ChainMap(_X, _X, ((1, _ONE), (0, _ONE))),
+                     ChainMap.identity(_X)),
+    "map-zero-component": (
+        lambda: ChainMap(_X, _X, ((0, IntMatrix(1, 1, (0,))),)),
+        ChainMap.zero_map(_X, _X)),
+}
+
+
+@pytest.mark.parametrize("value, canonical", NORMALIZED.values(),
+                         ids=NORMALIZED)
+def test_constructors_give_canonical_values(value, canonical):
+    built = value()
+    assert built == canonical
+    assert built._values(built) == canonical._values(canonical)
