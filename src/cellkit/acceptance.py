@@ -245,9 +245,9 @@ def criterion_ring_obstruction(seed: int = 0) -> str:
         if not ring_unit_obstruction(obj):
             raise _Failed(f"no obstruction for P={chosen}")
     negatives = [
-        EMObject.of([(0, Z)]),
-        EMObject.of([(0, FgAbGroup.cyclic(8))]),
-        EMObject.zero(),
+        EMObject([(0, Z)]),
+        EMObject([(0, FgAbGroup.cyclic(8))]),
+        EMObject(),
     ]
     for obj in negatives:
         if ring_unit_obstruction(obj):

@@ -155,7 +155,7 @@ def _parse_wedge(text: str) -> EMObject:
         except InputError as exc:
             raise _named("--wedge", text, InputError(
                 f"bad wedge summand {quoted(chunk)}: {exc}")) from None
-    obj = EMObject.of(pairs)
+    obj = EMObject(pairs)
     for _, g in obj.summands:
         _printable(g, "--wedge")
     return obj

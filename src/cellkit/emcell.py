@@ -14,11 +14,15 @@ outside the tables returns a shape with unresolved constraints or
 UNKNOWN rather than a guess.  The morphism-group values adopt the
 derived-category convention (Hom in equal degrees, Ext one degree up);
 reports carry a "convention" note saying so.
+
+``EMObject(summands)`` is the one door of a wedge, checked as the
+symbolic groups are, and ``EMObject()`` is the zero wedge.  The public
+functions read their integer parameters with ``json_int``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
                         em_complex, triangle_check)
@@ -26,8 +30,8 @@ from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
 from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
                        IntMatrix, json_int, quoted, quoted_int, strict_int)
 from .symbolic import (Q_VECTOR_ATOMS, PrimeSet, ProdZpHatModZ, Prufer,
-                       PruferSum, QpHat, SymbolicGroup, as_symbolic, ext_rule,
-                       hom_rule, is_divisible)
+                       PruferSum, QpHat, SymbolicGroup, ext_rule, hom_rule,
+                       is_divisible)
 
 CONVENTION_NOTE = "convention: derived-category values"
 
@@ -39,10 +43,12 @@ class InadmissibleCaseError(InputError):
 class EMObject(Frozen):
     """A finite wedge of shifted single-homotopy-group pieces.
 
-    Summands at equal shifts merge; zero groups are dropped; the summand
-    list is sorted by shift, so equality is syntactic.
+    The constructor takes (shift, group) pairs.  It reads each shift with
+    ``json_int``, merges the groups at equal shifts with
+    ``SymbolicGroup.of``, drops zero groups and sorts by shift, so
+    equality is syntactic.
 
-    >>> x = EMObject.of([(0, FgAbGroup.cyclic(2)), (0, FgAbGroup.cyclic(3))])
+    >>> x = EMObject([(0, FgAbGroup.cyclic(2)), (0, FgAbGroup.cyclic(3))])
     >>> print(x)
     [0: Z/6]
     """
@@ -50,25 +56,16 @@ class EMObject(Frozen):
     __slots__ = ("summands",)
     summands: tuple[tuple[int, SymbolicGroup], ...]
 
-    def __init__(self, summands: tuple[tuple[int, SymbolicGroup], ...] = ()):
-        object.__setattr__(self, "summands", summands)
-
-    @classmethod
-    def of(cls, pairs: Sequence[tuple[int, SymbolicGroup | FgAbGroup]]
-           ) -> "EMObject":
-        by_shift: dict[int, list[SymbolicGroup]] = {}
-        for s, g in pairs:
-            by_shift.setdefault(json_int(s), []).append(as_symbolic(g))
+    def __init__(self, summands: Iterable[tuple] = ()):
+        by_shift: dict[int, list] = {}
+        for s, g in summands:
+            by_shift.setdefault(json_int(s), []).append(g)
         merged = []
         for s in sorted(by_shift):
             g = SymbolicGroup.of(*by_shift[s])
             if not g.is_zero:
                 merged.append((s, g))
-        return cls(tuple(merged))
-
-    @classmethod
-    def zero(cls) -> "EMObject":
-        return cls(())
+        object.__setattr__(self, "summands", tuple(merged))
 
     @property
     def is_zero(self) -> bool:
@@ -78,7 +75,7 @@ class EMObject(Frozen):
         for s, g in self.summands:
             if s == shift:
                 return g
-        return SymbolicGroup.zero()
+        return SymbolicGroup()
 
     def to_json(self) -> list:
         return [{"shift": s, "group": g.to_json()} for s, g in self.summands]
@@ -101,11 +98,11 @@ def em_morphism_group(i: int, b: SymbolicGroup | FgAbGroup,
     >>> em_morphism_group(5, FgAbGroup.cyclic(4), 0, FgAbGroup.cyclic(6)).is_zero
     True
     """
-    if i == n:
+    if json_int(i) == json_int(n):
         return hom_rule(b, g)
     if i == n - 1:
         return ext_rule(b, g)
-    return SymbolicGroup.zero()
+    return SymbolicGroup()
 
 
 def sphere_homotopy(i: int, x: EMObject) -> SymbolicGroup:
@@ -116,6 +113,7 @@ def sphere_homotopy(i: int, x: EMObject) -> SymbolicGroup:
     group from one degree up.  The rule table answers Hom(Z, G) and
     Ext(Z, G) for every group G, so the value is never UNKNOWN.
     """
+    json_int(i)
     return SymbolicGroup.of(*(em_morphism_group(i, Z, s, g)
                               for s, g in x.summands))
 
@@ -165,7 +163,8 @@ def cell_shape(n: int, g: SymbolicGroup | FgAbGroup) -> dict:
     >>> (r["kind"], r["degrees"], r["constraints"]["b_forced_zero"])
     ('shape', [-1, 0], False)
     """
-    g = as_symbolic(g)
+    json_int(n)
+    g = SymbolicGroup.of(g)
     if g.is_zero:
         return {"kind": "zero"}
     return _shape_answer(n, g, is_divisible(g))
@@ -174,9 +173,9 @@ def cell_shape(n: int, g: SymbolicGroup | FgAbGroup) -> dict:
 def constraint_check(b: FgAbGroup, c: FgAbGroup, g: FgAbGroup) -> bool:
     """Evaluate the three shape constraints on finitely generated groups.
 
-    >>> constraint_check(FgAbGroup.zero(), FgAbGroup.cyclic(4), FgAbGroup.cyclic(8))
+    >>> constraint_check(FgAbGroup(), FgAbGroup.cyclic(4), FgAbGroup.cyclic(8))
     True
-    >>> constraint_check(FgAbGroup.zero(), FgAbGroup.cyclic(9), FgAbGroup.cyclic(3))
+    >>> constraint_check(FgAbGroup(), FgAbGroup.cyclic(9), FgAbGroup.cyclic(3))
     False
     """
     first = (hom_fg(b, b) + ext_fg(b, c)) == ext_fg(b, g)
@@ -205,11 +204,11 @@ def cell_primary_torsion(m: int, k: int, n: int, p: int) -> EMObject:
     >>> print(cell_primary_torsion(0, 1, 2, 5))
     [0: Z/5]
     """
-    if k < 1 or n < 1:
+    if min(json_int(k), json_int(n)) < 1:
         raise InputError("exponents must be positive")
     check_prime(p)
     e, name = (k, "k") if k <= n else (n, "n")
-    return EMObject.of([(m, FgAbGroup.cyclic(_prime_power(p, e, name)))])
+    return EMObject([(m, FgAbGroup.cyclic(_prime_power(p, e, name)))])
 
 
 def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> dict:
@@ -219,13 +218,15 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> dict:
     If it survives, the r = 1 answer is exact, and for r >= 2 the shape
     has no lower slot and the surviving group is one of Z/p^j, j <= r.
     """
-    if r < 1:
+    if type(cellular_flag) is not bool:
+        raise TypeError(f"cellular_flag must be a boolean, got {quoted(cellular_flag)}")
+    if json_int(r) < 1:
         raise InputError("r must be positive")
     check_prime(p)
     if not cellular_flag:
         return {"kind": "zero"}
     if r == 1:
-        return exact_answer(EMObject.of([(0, FgAbGroup.cyclic(p))]))
+        return exact_answer(EMObject([(0, FgAbGroup.cyclic(p))]))
     # The report lists every candidate order, so their digits together
     # are held to ORDER_DIGIT_CAP; the loop stops at the first excess.
     candidates = []
@@ -239,7 +240,7 @@ def hzp_dichotomy(cellular_flag: bool, r: int, p: int) -> dict:
                 f"r = {r} is too large: the candidate orders {p}^1 .. {p}^{r}"
                 f" have more than {ORDER_DIGIT_CAP} digits in all")
         candidates.append(FgAbGroup.cyclic(q))
-    return _shape_answer(0, as_symbolic(FgAbGroup.cyclic(q)), True, candidates)
+    return _shape_answer(0, SymbolicGroup(FgAbGroup.cyclic(q)), True, candidates)
 
 
 _ADMISSIBLE = {
@@ -278,25 +279,25 @@ def acyclization(target: str, outcome: str, primes: PrimeSet | None = None,
         raise InadmissibleCaseError("product outcome needs a nonempty prime set")
     if target == "HZpk" and (p is None or k is None):
         raise InadmissibleCaseError("HZpk cases need p and k")
-    if target == "HZpk" and k < 1:
+    if target == "HZpk" and json_int(k) < 1:
         raise InadmissibleCaseError("HZpk cases need k >= 1")
     if target == "HZpinf" and p is None:
         raise InadmissibleCaseError("HZpinf cases need p")
     if target != "HZ":
         check_prime(p)
     if outcome == target:
-        return EMObject.zero()
+        return EMObject()
     if outcome == "zero":
         if target == "HZ":
-            return EMObject.of([(0, Z)])
+            return EMObject([(0, Z)])
         if target == "HZpk":
-            return EMObject.of([(0, FgAbGroup.cyclic(_prime_power(p, k, "k")))])
-        return EMObject.of([(0, Prufer(p))])
+            return EMObject([(0, FgAbGroup.cyclic(_prime_power(p, k, "k")))])
+        return EMObject([(0, Prufer(p))])
     if outcome == "HZ_P":
-        return EMObject.of([(-1, PruferSum(primes.complement()))])
+        return EMObject([(-1, PruferSum(primes.complement()))])
     if outcome == "ProdZpHat":
-        return EMObject.of([(-1, ProdZpHatModZ(primes))])
-    return EMObject.of([(0, QpHat(p))])
+        return EMObject([(-1, ProdZpHatModZ(primes))])
+    return EMObject([(0, QpHat(p))])
 
 
 def ring_unit_obstruction(x: EMObject) -> bool:
@@ -306,7 +307,7 @@ def ring_unit_obstruction(x: EMObject) -> bool:
     degree-zero morphism group vanishes while the object does not, the
     identity would factor through zero, so no ring structure exists.
 
-    >>> ring_unit_obstruction(EMObject.of([(0, Z)]))
+    >>> ring_unit_obstruction(EMObject([(0, Z)]))
     False
     """
     return not x.is_zero and sphere_homotopy(0, x).is_zero
@@ -319,7 +320,7 @@ def gem_closure_check(obj: EMObject, ring: str = "Z") -> bool:
     The ring is read first, even for the zero wedge; the summands are then
     checked one by one against the atom table.
 
-    >>> gem_closure_check(EMObject.of([(0, FgAbGroup.cyclic(5))]), "Z/5")
+    >>> gem_closure_check(EMObject([(0, FgAbGroup.cyclic(5))]), "Z/5")
     True
     """
     groups = [g for _, g in obj.summands]
@@ -352,10 +353,10 @@ def semiexact_counterexample(p: int = 2) -> dict:
     """
     zp = FgAbGroup.cyclic(p)
     zp2 = FgAbGroup.cyclic(p * p)
-    triangle = (EMObject.of([(0, zp)]), EMObject.of([(0, zp2)]),
-                EMObject.of([(0, zp)]))
+    triangle = (EMObject([(0, zp)]), EMObject([(0, zp2)]),
+                EMObject([(0, zp)]))
     cell_middle = cell_primary_torsion(0, 1, 2, p)
-    closure_holds = cell_middle == EMObject.of([(0, zp2)])
+    closure_holds = cell_middle == EMObject([(0, zp2)])
     # Chain-level validation: the inclusion Z/p -> Z/p^2 has cofibre Z/p.
     src = em_complex(zp, 0)
     tgt = em_complex(zp2, 0)
@@ -387,4 +388,4 @@ def chain_model(x: EMObject) -> ChainComplex:
 
 def chain_homotopy_group(x: ChainComplex, i: int) -> FgAbGroup:
     """Homotopy through the derived morphism group out of the generator."""
-    return derived_hom(em_complex(Z, 0), x, i)
+    return derived_hom(em_complex(Z, 0), x, json_int(i))

@@ -93,7 +93,7 @@ _TOKENS = [_token("Z/{}", _cyclic, strict_int)] + [
 
 def _parse_token(token: str, pos: int):
     if token == "0":
-        return SymbolicGroup.zero()
+        return SymbolicGroup()
     if token == "Z":
         return FgAbGroup.free(1)
     for pattern, build, read in _TOKENS:

@@ -67,10 +67,6 @@ class FgAbGroup(Frozen):
         return certified(g, cls, rank, factors) if matrices.CERTIFY else g
 
     @classmethod
-    def zero(cls) -> "FgAbGroup":
-        return cls(0, ())
-
-    @classmethod
     def free(cls, r: int) -> "FgAbGroup":
         return cls(r, ())
 
@@ -131,7 +127,7 @@ class FgAbGroup(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-ZERO_GROUP = FgAbGroup.zero()
+ZERO_GROUP = FgAbGroup()
 Z = FgAbGroup.free(1)
 
 
@@ -282,7 +278,8 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """``p`` itself when it is prime; InputError otherwise."""
-    if not is_prime(p):
+    """``p`` itself when it is a prime integer; TypeError when it is no
+    integer (a float, a boolean or a text) and InputError otherwise."""
+    if not is_prime(json_int(p)):
         raise InputError(f"{quoted_int(p)} is not prime")
     return p

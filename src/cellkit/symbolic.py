@@ -17,13 +17,21 @@ the torsion-free atoms are listed once each, and the Q-vector spaces are
 derived as the atoms in both lists.  A Pruefer group is the sum over a
 one-prime set, so Pruefer groups and sums of them share every rule,
 through the prime set that ``_primes`` reads off an atom.
+
+Each class has one door, its public constructor, which checks and
+canonicalizes at once: every value is a sum that has to be brought to
+canonical form anyway, so no class has an unchecked door.  A prime is
+read with ``json_int``, and ``SymbolicGroup(fg, atoms)`` refuses a
+non-group or a non-atom with a TypeError, folds the finitely generated
+and finite-sum atoms and sorts the rest, so equality is syntactic.
+``SymbolicGroup.of`` is the direct sum and ``SymbolicGroup()`` zero.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .groups import (FgAbGroup, ZERO_GROUP, check_prime, ext_fg, hom_fg,
+from .groups import (FgAbGroup, Z, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
 from .matrices import Frozen, InputError, quoted
 
@@ -149,6 +157,8 @@ class SetAtom(Atom):
     primes: PrimeSet
 
     def __init__(self, primes: PrimeSet):
+        if not isinstance(primes, PrimeSet):
+            raise TypeError(f"expected a prime set, got {quoted(primes)}")
         object.__setattr__(self, "primes", primes)
 
     def params_json(self):
@@ -219,9 +229,9 @@ class ProdZpHatModZ(SetAtom):
     name = "ProdZpHatModZ"
 
     def __init__(self, primes: PrimeSet):
+        super().__init__(primes)
         if primes.is_empty:
             raise InputError("product over the empty prime set has no quotient by Z")
-        super().__init__(primes)
 
 
 # Atoms that are divisible groups.  ZpHat is not: ZpHat/p.ZpHat = Z/p != 0.
@@ -232,20 +242,17 @@ _TORSION_FREE_ATOMS = (Q, ZLocal, ZpHat, QpHat, ProdZpHat)
 Q_VECTOR_ATOMS = tuple(a for a in _DIVISIBLE_ATOMS if a in _TORSION_FREE_ATOMS)
 
 
-def _normalize_atom(atom: Atom) -> tuple[list[int], list[Atom]]:
-    """Expand an atom into (cyclic orders for the fg part, residual atoms)."""
-    if isinstance(atom, ZLocal):
-        if atom.primes.is_all:
-            return [0], []            # nothing inverted: plain Z
-        if atom.primes.is_empty:
-            return [], [Q()]          # everything inverted: the rationals
-        return [], [atom]
+def _normalize_atom(atom: Atom) -> list[Atom]:
+    """Expand an atom other than Z_P for P all primes, which is Z, into the
+    canonical atoms that it is the sum of."""
+    if isinstance(atom, ZLocal) and atom.primes.is_empty:
+        return [Q()]              # everything inverted: the rationals
     if isinstance(atom, PruferSum) and not atom.primes.cofinite:
-        return [], [Prufer(p) for p in atom.primes.listed]
+        return [Prufer(p) for p in atom.primes.listed]
     if isinstance(atom, ProdZpHat) and not atom.primes.cofinite:
         # A product over finitely many primes is the direct sum.
-        return [], [ZpHat(p) for p in atom.primes.listed]
-    return [], [atom]
+        return [ZpHat(p) for p in atom.primes.listed]
+    return [atom]
 
 
 class SymbolicGroup(Frozen):
@@ -256,6 +263,8 @@ class SymbolicGroup(Frozen):
     Z/4 + Z/3^inf + Q
     >>> SymbolicGroup.of(PruferSum(PrimeSet.of([5]))) == SymbolicGroup.of(Prufer(5))
     True
+    >>> print(SymbolicGroup(FgAbGroup(), (ZLocal(PrimeSet.complement_of([])),)))
+    Z
     """
 
     __slots__ = ("fg", "atoms")
@@ -263,39 +272,37 @@ class SymbolicGroup(Frozen):
     atoms: tuple[Atom, ...]
 
     def __init__(self, fg: FgAbGroup = ZERO_GROUP,
-                 atoms: tuple[Atom, ...] = ()):
+                 atoms: Iterable[Atom] = ()):
+        if not isinstance(fg, FgAbGroup):
+            raise TypeError(f"expected a finitely generated group, got {quoted(fg)}")
+        residual: list[Atom] = []
+        for a in atoms:
+            if not isinstance(a, Atom):
+                raise TypeError(f"expected an atom, got {quoted(a)}")
+            if isinstance(a, ZLocal) and a.primes.is_all:
+                fg = fg + Z  # nothing inverted: plain Z
+            else:
+                residual.extend(_normalize_atom(a))
+        residual.sort(key=lambda a: a.sort_key())
         object.__setattr__(self, "fg", fg)
-        object.__setattr__(self, "atoms", atoms)
-
-    @classmethod
-    def zero(cls) -> "SymbolicGroup":
-        return cls(ZERO_GROUP, ())
+        object.__setattr__(self, "atoms", tuple(residual))
 
     @classmethod
     def of(cls, *parts: SymbolicGroup | FgAbGroup | Atom) -> "SymbolicGroup":
-        orders: list[int] = []
-        atoms: list[Atom] = []
+        """The direct sum of the parts; a lone group is returned as it is."""
         fgs: list[FgAbGroup] = []
+        atoms: list[Atom] = []
         for part in parts:
             if isinstance(part, SymbolicGroup):
+                if len(parts) == 1:
+                    return part
                 fgs.append(part.fg)
-                parts_atoms = part.atoms
+                atoms.extend(part.atoms)
             elif isinstance(part, FgAbGroup):
                 fgs.append(part)
-                parts_atoms = ()
-            elif isinstance(part, Atom):
-                parts_atoms = (part,)
-            else:
-                raise TypeError(f"cannot build a group from {part!r}")
-            for a in parts_atoms:
-                extra_orders, residual = _normalize_atom(a)
-                orders.extend(extra_orders)
-                atoms.extend(residual)
-        if orders:
-            fgs.append(FgAbGroup.of_orders(orders))
-        fg = FgAbGroup.direct_sum(*fgs)
-        atoms.sort(key=lambda a: a.sort_key())
-        return cls(fg, tuple(atoms))
+            else:  # an atom, or a value that the constructor refuses
+                atoms.append(part)
+        return cls(FgAbGroup.direct_sum(*fgs), atoms)
 
     @property
     def is_zero(self) -> bool:
@@ -321,12 +328,6 @@ class SymbolicGroup(Frozen):
         return format_group(self)
 
 
-def as_symbolic(g: SymbolicGroup | FgAbGroup | Atom) -> SymbolicGroup:
-    if isinstance(g, SymbolicGroup):
-        return g
-    return SymbolicGroup.of(g)
-
-
 def is_divisible(g: SymbolicGroup | FgAbGroup) -> bool:
     """True exactly for sums of the divisible atoms: Q, Pruefer groups and
     their sums, QpHat, and the quotients (Prod ZpHat)/Z.
@@ -336,7 +337,7 @@ def is_divisible(g: SymbolicGroup | FgAbGroup) -> bool:
     >>> is_divisible(SymbolicGroup.of(ZpHat(2)))
     False
     """
-    g = as_symbolic(g)
+    g = SymbolicGroup.of(g)
     return g.fg.is_zero and all(isinstance(a, _DIVISIBLE_ATOMS) for a in g.atoms)
 
 
@@ -355,7 +356,7 @@ def _bilinear(rule, a: SymbolicGroup | FgAbGroup,
               b: SymbolicGroup | FgAbGroup):
     """The sum of ``rule(x, y)`` over the summands x of a and y of b, or
     UNKNOWN as soon as one of them is."""
-    a, b = as_symbolic(a), as_symbolic(b)
+    a, b = SymbolicGroup.of(a), SymbolicGroup.of(b)
     parts = []
     for x in _pieces(a):
         for y in _pieces(b):
@@ -376,7 +377,7 @@ def _primary_group(orders: Iterable[int],
     """The sum of the primary parts of the cyclic groups Z/d at the primes
     of the atom."""
     s = _primes(atom)
-    return SymbolicGroup.of(FgAbGroup.of_orders(
+    return SymbolicGroup(FgAbGroup.of_orders(
         primary_part(d, s.primes, s.cofinite) for d in orders))
 
 
@@ -388,10 +389,10 @@ def _hom_atom_atom(x: Atom, y: Atom):
         if isinstance(y, _TORSION_FREE_ATOMS):
             # Reduced torsion-free target: the image of a divisible group
             # is divisible, hence zero.
-            return SymbolicGroup.zero()
+            return SymbolicGroup()
     elif isinstance(x, (Prufer, PruferSum)):
         if isinstance(y, _TORSION_FREE_ATOMS):
-            return SymbolicGroup.zero()  # torsion source, torsion-free target
+            return SymbolicGroup()  # torsion source, torsion-free target
         if isinstance(y, (Prufer, PruferSum)):
             # Hom out of a sum is the product over its summands, and
             # Hom(Z/p^oo, Z/q^oo) is ZpHat for p = q and 0 otherwise.
@@ -399,7 +400,7 @@ def _hom_atom_atom(x: Atom, y: Atom):
     elif isinstance(x, ZpHat):
         if isinstance(y, ZpHat):
             # End(ZpHat) = ZpHat; across distinct primes everything dies.
-            return SymbolicGroup.of(y) if x.p == y.p else SymbolicGroup.zero()
+            return SymbolicGroup.of(y) if x.p == y.p else SymbolicGroup()
     elif isinstance(x, ZLocal):
         if isinstance(y, Q_VECTOR_ATOMS):
             # V is uniquely divisible, so each map Z -> V extends uniquely
@@ -408,7 +409,7 @@ def _hom_atom_atom(x: Atom, y: Atom):
         if isinstance(y, ZLocal):
             # Maps must divide by every inverted prime of the source.
             return (SymbolicGroup.of(y) if y.primes.issubset(x.primes)
-                    else SymbolicGroup.zero())
+                    else SymbolicGroup())
         if isinstance(y, Prufer) and y.p in x.primes:
             return SymbolicGroup.of(y)
     return UNKNOWN
@@ -416,7 +417,7 @@ def _hom_atom_atom(x: Atom, y: Atom):
 
 def _hom_pair(x: _Piece, y: _Piece):
     if isinstance(x, FgAbGroup) and isinstance(y, FgAbGroup):
-        return SymbolicGroup.of(hom_fg(x, y))
+        return SymbolicGroup(hom_fg(x, y))
     if isinstance(x, FgAbGroup):
         # Hom(Z^r + T, A) = A^r + Hom(T, A), and Hom(T, A) = 0 for a
         # torsion-free A.
@@ -432,7 +433,7 @@ def _hom_pair(x: _Piece, y: _Piece):
         if isinstance(x, _DIVISIBLE_ATOMS):
             # Homomorphic images of divisible groups are divisible, and a
             # finitely generated group has none besides zero.
-            return SymbolicGroup.zero()
+            return SymbolicGroup()
         if isinstance(x, (ZpHat, ZLocal)):
             # Every map out of ZpHat lands in the p-primary part and
             # factors through ZpHat/p^e = Z/p^e; maps to Z would have
@@ -461,15 +462,15 @@ def hom_rule(a: SymbolicGroup | FgAbGroup,
 
 def _ext_pair(x: _Piece, y: _Piece):
     if isinstance(y, _DIVISIBLE_ATOMS):
-        return SymbolicGroup.zero()  # divisible groups are injective
+        return SymbolicGroup()  # divisible groups are injective
     if not isinstance(x, FgAbGroup):
         return UNKNOWN
     if isinstance(y, FgAbGroup):
-        return SymbolicGroup.of(ext_fg(x, y))
+        return SymbolicGroup(ext_fg(x, y))
     # Free sources contribute nothing; for a cyclic source Z/d the value
     # is G/dG, read off the atom.
     if not x.invariant_factors:
-        return SymbolicGroup.zero()
+        return SymbolicGroup()
     if isinstance(y, (ZpHat, ZLocal, ProdZpHat)):
         return _primary_group(x.invariant_factors, y)
     return UNKNOWN

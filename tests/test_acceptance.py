@@ -130,7 +130,7 @@ def test_closure_reports_the_counterexamples(monkeypatch):
 
 def test_classification_tables_report_the_first_wrong_case(monkeypatch):
     monkeypatch.setattr(acceptance, "cell_primary_torsion",
-                        lambda m, k, n, p: EMObject.zero())
+                        lambda m, k, n, p: EMObject())
     _failed(acceptance.criterion_classification_tables(),
             "classification-tables",
             f"primary table wrong at {acceptance.PRIMARY_TABLE[0]}")

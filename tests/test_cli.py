@@ -185,7 +185,7 @@ class TestGrammar:
 
     def test_zero(self):
         assert parse_group("0").is_zero
-        assert format_group(SymbolicGroup.zero()) == "0"
+        assert format_group(SymbolicGroup()) == "0"
 
     def test_errors_carry_position(self):
         with pytest.raises(GroupSyntaxError) as err:
@@ -1048,7 +1048,7 @@ def test_bad_input_errors_are_input_errors(cls):
     (FgAbGroup, (0, (1,) * 500)),
     # Writing 10^4400 + 1 as text would raise CPython's digit-limit error.
     (FgAbGroup, (0, (3, 10 ** 4400 + 1))),
-    (chain_model, (EMObject.of([(0, SymbolicGroup.of(Q()))]),)),
+    (chain_model, (EMObject([(0, SymbolicGroup.of(Q()))]),)),
     (p_valuation, (0, 2)),
     (primary_part, (0, [2])),
 ], ids=["negative-rank", "factor-1", "factors-4-6", "500-factors-1",

@@ -21,12 +21,32 @@ from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
 
 class TestEMObject:
     def test_merge_and_sort(self):
-        x = EMObject.of([(1, cyc(3)), (0, cyc(2)), (1, cyc(5))])
+        x = EMObject([(1, cyc(3)), (0, cyc(2)), (1, cyc(5))])
         assert [s for s, _ in x.summands] == [0, 1]
         assert x.group_at(1) == SymbolicGroup.of(cyc(15))
 
     def test_zero_groups_dropped(self):
-        assert EMObject.of([(0, FgAbGroup.zero())]).is_zero
+        assert EMObject([(0, FgAbGroup())]).is_zero
+
+
+# Integer parameters are read strictly: a boolean or a float is refused,
+# not taken for 1 or truncated, and the dichotomy flag must be a boolean.
+@pytest.mark.parametrize("call", [
+    lambda: cell_primary_torsion(0, True, 2, 5),
+    lambda: acyclization("HZpk", "zero", p=2, k=True),
+    lambda: acyclization("HZpinf", "zero", p=2.0),
+    lambda: cell_shape(0.5, cyc(2)),
+    lambda: hzp_dichotomy(True, 2.0, 3),
+    lambda: hzp_dichotomy(1, 2, 3),
+    lambda: em_morphism_group(0, cyc(2), 0.0, cyc(2)),
+    lambda: sphere_homotopy(0.5, EMObject()),
+    lambda: chain_homotopy_group(em_complex(cyc(2), 0), 0.5),
+], ids=["primary-k", "hzpk-k", "hzpinf-p", "shape-n",
+        "dichotomy-r", "dichotomy-flag", "morphism-n", "sphere-i", "chain-i"])
+def test_integer_parameters_are_strict(call):
+    with pytest.raises(TypeError, match="expected an integer, got |"
+                                        "must be a boolean, got "):
+        call()
 
 
 class TestMorphismGroups:
@@ -52,7 +72,7 @@ class TestMorphismGroups:
                     assert em_morphism_group(i, src, 0, tgt).is_zero
 
     def test_sphere_homotopy(self):
-        x = EMObject.of([(0, cyc(6)), (2, Z)])
+        x = EMObject([(0, cyc(6)), (2, Z)])
         assert sphere_homotopy(0, x) == SymbolicGroup.of(cyc(6))
         assert sphere_homotopy(2, x) == SymbolicGroup.of(Z)
         assert sphere_homotopy(1, x).is_zero
@@ -70,11 +90,11 @@ class TestCellShape:
         assert result["constraints"]["b_forced_zero"]
 
     def test_zero(self):
-        assert cell_shape(0, FgAbGroup.zero()) == {"kind": "zero"}
+        assert cell_shape(0, FgAbGroup()) == {"kind": "zero"}
 
     def test_fresh_answer_per_call(self):
         # A caller may add keys to an answer, as the CLI adds "convention".
-        for answer in (lambda: cell_shape(0, FgAbGroup.zero()),
+        for answer in (lambda: cell_shape(0, FgAbGroup()),
                        lambda: cell_shape(0, cyc(8)),
                        lambda: hzp_dichotomy(False, 2, 2),
                        lambda: hzp_dichotomy(True, 1, 2)):
@@ -87,11 +107,10 @@ class TestConstraintCheck:
     def test_examples(self):
         # nested cyclic p-groups satisfy all three identities
         for j, k in ((1, 3), (2, 2), (3, 5)):
-            assert constraint_check(FgAbGroup.zero(), cyc(2 ** j), cyc(2 ** k))
-        assert constraint_check(FgAbGroup.zero(), FgAbGroup.zero(),
-                                FgAbGroup.zero())
+            assert constraint_check(FgAbGroup(), cyc(2 ** j), cyc(2 ** k))
+        assert constraint_check(FgAbGroup(), FgAbGroup(), FgAbGroup())
         # endomorphisms of C detect a too-large candidate
-        assert not constraint_check(FgAbGroup.zero(), cyc(9), cyc(3))
+        assert not constraint_check(FgAbGroup(), cyc(9), cyc(3))
 
     def test_nontrivial_b(self):
         # B = C = G = Z/p passes: Hom(B,B) + Ext(B,C) = Z/p + Z/p = Ext(B,G)?
@@ -103,9 +122,9 @@ class TestConstraintCheck:
 class TestPrimaryTable:
     def test_spec_rows(self):
         p = 7
-        assert cell_primary_torsion(0, 1, 2, p) == EMObject.of([(0, cyc(p))])
-        assert cell_primary_torsion(0, 3, 2, p) == EMObject.of([(0, cyc(p * p))])
-        assert cell_primary_torsion(7, 4, 4, p) == EMObject.of([(7, cyc(p ** 4))])
+        assert cell_primary_torsion(0, 1, 2, p) == EMObject([(0, cyc(p))])
+        assert cell_primary_torsion(0, 3, 2, p) == EMObject([(0, cyc(p * p))])
+        assert cell_primary_torsion(7, 4, 4, p) == EMObject([(7, cyc(p ** 4))])
 
     def test_idempotent(self):
         for k, n in ((1, 4), (3, 2), (2, 2)):
@@ -127,7 +146,7 @@ class TestDichotomy:
     def test_alive_rank_one(self):
         result = hzp_dichotomy(True, 1, 3)
         assert result == {"kind": "exact",
-                          "object": EMObject.of([(0, cyc(3))]).to_json()}
+                          "object": EMObject([(0, cyc(3))]).to_json()}
 
     def test_alive_higher_rank_gives_shape(self):
         result = hzp_dichotomy(True, 3, 2)
@@ -138,40 +157,40 @@ class TestDichotomy:
         assert cs["target"] == cyc(8).to_json()
         # every candidate passes the constraints against G = Z/8
         for q in (2, 4, 8):
-            assert constraint_check(FgAbGroup.zero(), cyc(q), cyc(8))
+            assert constraint_check(FgAbGroup(), cyc(q), cyc(8))
 
 
 class TestAcyclization:
     def test_hz_cases(self):
-        assert acyclization("HZ", "zero") == EMObject.of([(0, Z)])
+        assert acyclization("HZ", "zero") == EMObject([(0, Z)])
         assert acyclization("HZ", "HZ").is_zero
         got = acyclization("HZ", "HZ_P", primes=PrimeSet.of([2, 3]))
-        want = EMObject.of([(-1, SymbolicGroup.of(
+        want = EMObject([(-1, SymbolicGroup.of(
             PruferSum(PrimeSet.complement_of([2, 3]))))])
         assert got == want
         got = acyclization("HZ", "ProdZpHat", primes=PrimeSet.of([2]))
-        assert got == EMObject.of([(-1, SymbolicGroup.of(
+        assert got == EMObject([(-1, SymbolicGroup.of(
             ProdZpHatModZ(PrimeSet.of([2]))))])
 
     def test_hz_cofinite_localization(self):
         # localizing away from finitely many primes leaves a finite sum
         got = acyclization("HZ", "HZ_P",
                            primes=PrimeSet.complement_of([2, 3]))
-        assert got == EMObject.of([(-1, SymbolicGroup.of(Prufer(2), Prufer(3)))])
+        assert got == EMObject([(-1, SymbolicGroup.of(Prufer(2), Prufer(3)))])
 
     def test_hzpk_cases(self):
         assert acyclization("HZpk", "zero", p=2, k=3) \
-            == EMObject.of([(0, cyc(8))])
+            == EMObject([(0, cyc(8))])
         assert acyclization("HZpk", "HZpk", p=2, k=3).is_zero
         assert acyclization("HZpk", "zero", p=5, k=1) \
-            == EMObject.of([(0, cyc(5))])
+            == EMObject([(0, cyc(5))])
 
     def test_hzpinf_cases(self):
         assert acyclization("HZpinf", "zero", p=3) \
-            == EMObject.of([(0, SymbolicGroup.of(Prufer(3)))])
+            == EMObject([(0, SymbolicGroup.of(Prufer(3)))])
         assert acyclization("HZpinf", "HZpinf", p=3).is_zero
         assert acyclization("HZpinf", "SigmaZpHat", p=3) == \
-            EMObject.of([(0, SymbolicGroup.of(QpHat(3)))])
+            EMObject([(0, SymbolicGroup.of(QpHat(3)))])
 
     def test_inadmissible_cases(self):
         with pytest.raises(InadmissibleCaseError):
@@ -223,9 +242,9 @@ class TestRingObstruction:
         assert ring_unit_obstruction(obj)
 
     def test_negatives(self):
-        assert not ring_unit_obstruction(EMObject.of([(0, Z)]))
-        assert not ring_unit_obstruction(EMObject.of([(0, cyc(8))]))
-        assert not ring_unit_obstruction(EMObject.zero())
+        assert not ring_unit_obstruction(EMObject([(0, Z)]))
+        assert not ring_unit_obstruction(EMObject([(0, cyc(8))]))
+        assert not ring_unit_obstruction(EMObject())
 
     # Every atom kind, the prime-set ones with a finite and a cofinite set.
     ATOMS = (Q(), Prufer(2), ZpHat(2), QpHat(3)) + tuple(
@@ -237,29 +256,29 @@ class TestRingObstruction:
         # which the rule table answers for every group G.
         for atom in self.ATOMS:
             for s in (-1, 0, 1):
-                want = SymbolicGroup.of(atom) if s == 0 else SymbolicGroup.zero()
-                assert sphere_homotopy(0, EMObject.of([(s, atom)])) == want
+                want = SymbolicGroup.of(atom) if s == 0 else SymbolicGroup()
+                assert sphere_homotopy(0, EMObject([(s, atom)])) == want
 
     def test_summands_off_degree_zero_leave_no_unit(self):
-        obj = EMObject.of([(s, g) for g in self.ATOMS + (Z, cyc(4))
-                           for s in (-1, 1)])
+        obj = EMObject([(s, g) for g in self.ATOMS + (Z, cyc(4))
+                        for s in (-1, 1)])
         assert not obj.is_zero and ring_unit_obstruction(obj)
 
 
 class TestGemClosure:
     def test_examples(self):
-        assert gem_closure_check(EMObject.of([(0, cyc(5))]), "Z/5")
-        assert not gem_closure_check(EMObject.of([(0, cyc(25))]), "Z/5")
-        sum_obj = EMObject.of([(-1, SymbolicGroup.of(
+        assert gem_closure_check(EMObject([(0, cyc(5))]), "Z/5")
+        assert not gem_closure_check(EMObject([(0, cyc(25))]), "Z/5")
+        sum_obj = EMObject([(-1, SymbolicGroup.of(
             PruferSum(PrimeSet.complement_of([2]))))])
         assert gem_closure_check(sum_obj, "Z")
         assert not gem_closure_check(sum_obj, "Z/2")
-        assert gem_closure_check(EMObject.zero(), "Q")
+        assert gem_closure_check(EMObject(), "Q")
 
     def test_rational_ring(self):
-        qobj = EMObject.of([(0, SymbolicGroup.of(QpHat(3)))])
+        qobj = EMObject([(0, SymbolicGroup.of(QpHat(3)))])
         assert gem_closure_check(qobj, "Q")
-        zobj = EMObject.of([(0, Z)])
+        zobj = EMObject([(0, Z)])
         assert not gem_closure_check(zobj, "Q")
 
     # int() would read the first five as 0, 4, 12, -4 and 4; with Z/0,
@@ -269,8 +288,8 @@ class TestGemClosure:
     def test_bad_ring_is_input_error(self, ring):
         # The ring is read whatever the wedge: the zero wedge has no
         # summand to test it on.
-        for obj in (EMObject.of([(0, cyc(4))]), EMObject.zero(),
-                    EMObject.of([(0, SymbolicGroup.of(Q()))])):
+        for obj in (EMObject([(0, cyc(4))]), EMObject(),
+                    EMObject([(0, SymbolicGroup.of(Q()))])):
             with pytest.raises(InputError):
                 gem_closure_check(obj, ring)
 
@@ -281,7 +300,7 @@ class TestSemiexactCounterexample:
         assert rep["verdict"]
         assert not rep["extension_closure_holds"]
         assert (rep["cellularization_of_middle"]
-                == EMObject.of([(0, cyc(2))]).to_json())
+                == EMObject([(0, cyc(2))]).to_json())
         assert rep["chain_triangle_verdict"]
 
     def test_other_primes(self):
@@ -295,7 +314,7 @@ class TestChainAgreement:
         for _ in range(20):
             b = random_finite_group(rng, 50)
             n = rng.randint(-2, 2)
-            obj = EMObject.of([(n, b)])
+            obj = EMObject([(n, b)])
             model = chain_model(obj)
             for i in range(n - 2, n + 3):
                 assert chain_homotopy_group(model, i) == \
@@ -303,4 +322,4 @@ class TestChainAgreement:
 
     def test_chain_model_rejects_atoms(self):
         with pytest.raises(ValueError):
-            chain_model(EMObject.of([(0, SymbolicGroup.of(Q()))]))
+            chain_model(EMObject([(0, SymbolicGroup.of(Q()))]))

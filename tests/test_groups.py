@@ -213,7 +213,7 @@ class TestTrustedConstruction:
         # and only the private _trusted may build a value unchecked.
         public = {name for name, attr in vars(FgAbGroup).items()
                   if isinstance(attr, classmethod) and name[0] != "_"}
-        assert public == {"zero", "free", "cyclic", "of_orders", "direct_sum"}
+        assert public == {"free", "cyclic", "of_orders", "direct_sum"}
         with pytest.raises(InputError, match="4 does not divide 6"):
             FgAbGroup(0, (4, 6))
         for g in (FgAbGroup.of_orders([4, 6]),

@@ -78,10 +78,9 @@ def test_only_matrices_names_the_certify_flag():
 CONSTRUCTORS = {"IntMatrix", "GradedGroup", "ChainComplex", "ChainMap", "cls"}
 PUBLIC_DOORS = {"IntMatrix.from_rows", "IntMatrix.from_json",
                 "IntMatrix.diagonal", "ChainComplex.build", "ChainMap.build",
-                "ChainMap.zero_map", "FgAbGroup.zero", "FgAbGroup.free",
-                "FgAbGroup.of_orders", "PrimeSet.of", "PrimeSet.complement_of",
-                "SymbolicGroup.zero", "SymbolicGroup.of", "EMObject.of",
-                "EMObject.zero", "random_matrix"}
+                "ChainMap.zero_map", "FgAbGroup.free", "FgAbGroup.of_orders",
+                "PrimeSet.of", "PrimeSet.complement_of", "SymbolicGroup.of",
+                "random_matrix"}
 
 
 def constructor_calls(source: str) -> list[tuple[str, int]]:

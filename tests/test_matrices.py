@@ -582,8 +582,8 @@ class TestSmithNormalForm:
     # solution, cokernel) of zero matrices; 0-row matrices have only the
     # empty right-hand side.
     @pytest.mark.parametrize("shape, kernel, zero_x, unsolvable, coker", [
-        ((0, 0), IntMatrix.zero(0, 0), (), None, FgAbGroup.zero()),
-        ((0, 3), IntMatrix.identity(3), (0, 0, 0), None, FgAbGroup.zero()),
+        ((0, 0), IntMatrix.zero(0, 0), (), None, FgAbGroup()),
+        ((0, 3), IntMatrix.identity(3), (0, 0, 0), None, FgAbGroup()),
         ((3, 0), IntMatrix.zero(0, 0), (), (1, 0, 0), FgAbGroup.free(3)),
         ((2, 3), IntMatrix.identity(3), (0, 0, 0), (0, 1),
          FgAbGroup.free(2)),

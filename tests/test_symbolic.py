@@ -62,6 +62,10 @@ class TestCanonicalization:
         g = SymbolicGroup.of(FgAbGroup.cyclic(2), FgAbGroup.cyclic(3))
         assert g.fg == FgAbGroup.cyclic(6) and not g.atoms
 
+    def test_lone_group_is_returned(self):
+        g = SymbolicGroup.of(FgAbGroup.cyclic(4), Prufer(3))
+        assert SymbolicGroup.of(g) is g
+
 
 class TestDivisibility:
     def test_examples(self):
@@ -69,7 +73,7 @@ class TestDivisibility:
         assert not is_divisible(SymbolicGroup.of(Z))
         # the p-adic integers are reduced: dividing by p fails
         assert not is_divisible(SymbolicGroup.of(ZpHat(2)))
-        assert is_divisible(SymbolicGroup.zero())
+        assert is_divisible(SymbolicGroup())
         assert is_divisible(SymbolicGroup.of(QpHat(7)))
         assert not is_divisible(SymbolicGroup.of(ProdZpHat(PrimeSet.complement_of([]))))
 
@@ -108,7 +112,7 @@ class TestDivisibility:
         for target in (SymbolicGroup.of(Q()), SymbolicGroup.of(Prufer(3)),
                        SymbolicGroup.of(QpHat(2)),
                        SymbolicGroup.of(PruferSum(PrimeSet.complement_of([7])))):
-            assert ext_rule(a, target) == SymbolicGroup.zero()
+            assert ext_rule(a, target) == SymbolicGroup()
 
 
 class TestHomRules:
@@ -140,7 +144,7 @@ class TestHomRules:
         assert hom_rule(SymbolicGroup.of(ZpHat(2)), SymbolicGroup.of(ZpHat(2))) \
             == SymbolicGroup.of(ZpHat(2))
         assert hom_rule(SymbolicGroup.of(ZpHat(2)), SymbolicGroup.of(ZpHat(3))) \
-            == SymbolicGroup.zero()
+            == SymbolicGroup()
         assert hom_rule(SymbolicGroup.of(ZpHat(2)), FgAbGroup.cyclic(12)) \
             == SymbolicGroup.of(FgAbGroup.cyclic(4))
 
@@ -212,7 +216,7 @@ class TestHomRules:
         # target has no nonzero divisible subgroup, so Hom(Q, -) is 0.
         target = parse_group(target)
         val = hom_rule(parse_group("Q"), target)
-        assert val == (target if want_target else SymbolicGroup.zero())
+        assert val == (target if want_target else SymbolicGroup())
 
     @settings(max_examples=60, deadline=None)
     @given(fg_groups, fg_groups)

@@ -13,11 +13,12 @@ import pytest
 
 from cellkit.acceptance import CriterionResult
 from cellkit.complexes import DEGREE_CAP, ChainComplex, ChainMap, GradedGroup
-from cellkit.emcell import EMObject
+from cellkit.emcell import EMObject, ring_unit_obstruction
 from cellkit.groups import FgAbGroup
 from cellkit.matrices import InputError, IntMatrix, SmithNormalForm
 from cellkit.symbolic import (Atom, PrimeAtom, PrimeSet, ProdZpHatModZ,
-                              Prufer, SetAtom, SymbolicGroup, ZpHat)
+                              Prufer, PruferSum, SetAtom, SymbolicGroup,
+                              ZLocal, ZpHat)
 
 _EMPTY = inspect.Parameter.empty
 _ONE = IntMatrix(1, 1, (1,))
@@ -127,7 +128,7 @@ def test_equality_needs_the_same_class():
     lambda: ChainComplex.build({0: 1.0}),
     lambda: ChainComplex.build({0: 1, 1: 1}, {1.0: _TWO}),
     lambda: ChainMap.build(_X, _X, {0.9: _ONE}),
-    lambda: EMObject.of([(0.5, FgAbGroup(1))]),
+    lambda: EMObject([(0.5, FgAbGroup(1))]),
 ], ids=["from_rows", "diagonal", "group", "group-rank", "of_orders",
         "of_orders-bool", "graded-degree", "complex-degree", "complex-rank",
         "boundary-degree", "map-degree", "em-shift"])
@@ -140,6 +141,7 @@ def test_constructors_refuse_non_integers(build):
 # public classmethod that takes the caller's data goes through.  Each row
 # is a malformed value, refused with InputError or TypeError.
 _Z = FgAbGroup(1)
+_SZ = SymbolicGroup.of(_Z)
 _I2 = IntMatrix(2, 2, (1, 0, 0, 1))
 _Y = ChainComplex(((0, 1),))                # rank 1 in degree 0 only
 MALFORMED = {
@@ -201,7 +203,8 @@ def test_constructors_refuse_malformed_values(build):
 
 
 # A value given out of order, or with zero entries, is the canonical value:
-# the constructor drops zeros and sorts by degree.  (value, canonical value)
+# the constructor drops zeros and sorts by degree, and a symbolic group
+# folds its atoms into canonical pieces.  (value, canonical value)
 NORMALIZED = {
     "graded-zero-group": (lambda: GradedGroup(((0, FgAbGroup(0)),)),
                           GradedGroup()),
@@ -216,6 +219,12 @@ NORMALIZED = {
     "map-zero-component": (
         lambda: ChainMap(_X, _X, ((0, IntMatrix(1, 1, (0,))),)),
         ChainMap.zero_map(_X, _X)),
+    "em-unsorted": (lambda: EMObject(((1, _SZ), (0, _SZ))),
+                    EMObject(((0, _SZ), (1, _SZ)))),
+    "em-zero-group": (lambda: EMObject(((0, SymbolicGroup()),)), EMObject()),
+    "group-all-primes": (
+        lambda: SymbolicGroup(FgAbGroup(), (ZLocal(PrimeSet.complement_of([])),)),
+        _SZ),
 }
 
 
@@ -225,3 +234,30 @@ def test_constructors_give_canonical_values(value, canonical):
     built = value()
     assert built == canonical
     assert built._values(built) == canonical._values(canonical)
+
+
+# The symbolic classes have no unchecked door: each row is a value of the
+# wrong type that the public constructor refuses.
+SYMBOLIC_TYPE_ERRORS = {
+    "em-not-a-group": lambda: EMObject(((0, 5),)),
+    "em-bool-shift": lambda: EMObject(((True, _SZ),)),
+    "group-not-fg": lambda: SymbolicGroup(5),
+    "group-not-an-atom": lambda: SymbolicGroup(FgAbGroup(), (5,)),
+    "set-atom-text": lambda: ZLocal("abc"),
+    "set-atom-int": lambda: PruferSum(5),
+    "prime-atom-float": lambda: Prufer(2.0),
+    "primes-float": lambda: PrimeSet.of([3.0]),
+}
+
+
+@pytest.mark.parametrize("build", SYMBOLIC_TYPE_ERRORS.values(),
+                         ids=SYMBOLIC_TYPE_ERRORS)
+def test_symbolic_constructors_refuse_malformed_values(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_wedge_of_zero_groups_is_zero_and_z_prints_as_z():
+    zero_wedge = EMObject(((0, SymbolicGroup()),))
+    assert zero_wedge.is_zero and not ring_unit_obstruction(zero_wedge)
+    assert str(NORMALIZED["group-all-primes"][0]()) == "Z"
