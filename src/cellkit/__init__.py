@@ -9,37 +9,36 @@ Two executable models of the same functor pair:
   Pruefer pieces are reproduced and cross-checked against the chain model.
 """
 
-from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
-                        coproduct, derived_hom, em_complex, fiber,
-                        quasi_iso_eq, shift, triangle_check)
-from .emcell import (EMObject, acyclization, cell_primary_torsion,
-                     cell_shape, constraint_check, em_morphism_group,
-                     gem_closure_check, hzp_dichotomy, ring_unit_obstruction,
-                     semiexact_counterexample)
-from .grammar import format_group, parse_group
-from .groups import (FgAbGroup, brute_force_hom_count, cokernel, ext_fg,
-                     hom_fg)
-from .matrices import IntMatrix, kernel_basis, smith_normal_form, solve
-from .symbolic import (UNKNOWN, PrimeSet, SymbolicGroup, ext_rule, hom_rule,
-                       is_divisible, is_unknown)
-from .truncation import (cell_null_triangle, closure_suite, connective_cover,
-                         nontriangulated_witness_suite, nullification_fiber,
-                         postnikov, suspension_noncommute_witness,
-                         tstructure_check)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainComplex", "ChainMap", "EMObject", "FgAbGroup", "GradedGroup",
-    "IntMatrix", "PrimeSet", "SymbolicGroup", "UNKNOWN", "acyclization",
-    "brute_force_hom_count", "cell_null_triangle", "cell_primary_torsion",
-    "cell_shape", "closure_suite", "cokernel", "cone", "connective_cover",
-    "constraint_check", "coproduct", "derived_hom", "em_complex",
-    "em_morphism_group", "ext_fg", "ext_rule", "fiber", "format_group",
-    "gem_closure_check", "hom_fg", "hom_rule", "hzp_dichotomy", "is_divisible",
-    "is_unknown", "kernel_basis", "nontriangulated_witness_suite",
-    "nullification_fiber", "parse_group", "postnikov", "quasi_iso_eq",
-    "ring_unit_obstruction", "semiexact_counterexample", "shift",
-    "smith_normal_form", "solve", "suspension_noncommute_witness",
-    "triangle_check", "tstructure_check",
-]
+# Each public name and the module that defines it.  Importing the package
+# loads no module: a name is loaded on first access, so that a ``cellkit``
+# query loads only the modules its subcommand runs.
+_EXPORTS = {name: module for module, names in {
+    "complexes": "ChainComplex ChainMap GradedGroup cone coproduct "
+                 "derived_hom em_complex fiber quasi_iso_eq shift "
+                 "triangle_check",
+    "emcell": "EMObject acyclization cell_primary_torsion cell_shape "
+              "constraint_check em_morphism_group gem_closure_check "
+              "hzp_dichotomy ring_unit_obstruction semiexact_counterexample",
+    "grammar": "format_group parse_group",
+    "groups": "FgAbGroup brute_force_hom_count cokernel ext_fg hom_fg",
+    "matrices": "IntMatrix kernel_basis smith_normal_form solve",
+    "symbolic": "UNKNOWN PrimeSet SymbolicGroup ext_rule hom_rule "
+                "is_divisible is_unknown",
+    "truncation": "cell_null_triangle closure_suite connective_cover "
+                  "nontriangulated_witness_suite nullification_fiber "
+                  "postnikov suspension_noncommute_witness tstructure_check",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_EXPORTS[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -15,27 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
-from .complexes import (DEGREE_CAP, RANK_CAP, ChainComplex, ChainMap,
-                        SupportCapError, triangle_check)
-from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
-                     cell_primary_torsion, cell_shape, constraint_check,
-                     exact_answer, hzp_dichotomy, ring_unit_obstruction,
-                     semiexact_counterexample)
-from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
-from .groups import FgAbGroup, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP, InputError,
-                       IntMatrix, InternalInvariantError, is_unimodular,
-                       quoted, quoted_shape, smith_normal_form, strict_int)
-from .sampling import random_complex_family, sample_pairs
-from .symbolic import PrimeSet, SymbolicGroup
-from .truncation import (closure_suite, connective_cover,
-                         nontriangulated_witness_suite, postnikov,
-                         tstructure_check)
-
-import random
+from .matrices import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP,
+                       RANK_CAP, InputError, IntMatrix, InternalInvariantError,
+                       SupportCapError, is_unimodular, quoted, quoted_shape,
+                       smith_normal_form, strict_int)
 
 SCHEMA = "cellkit/1"
 # Largest --max-rank of the sampled suites.  SNF coefficient growth makes
@@ -64,6 +51,57 @@ SUITE_K_RANGE = {
     "closure-suite": (-DEGREE_CAP + 3, DEGREE_CAP - 1),
     "nontriangulated-suite": (-DEGREE_CAP + 1, DEGREE_CAP - 1),
 }
+
+
+_BOUND = set()  # the library modules whose names _bind has bound here
+
+
+def _bind(modules) -> None:
+    """Bind the names that handlers read from ``modules`` here, once per
+    process, so that a wrapper or a patch set on a binding later stays."""
+    global acceptance, ChainComplex, ChainMap, triangle_check, \
+        CONVENTION_NOTE, EMObject, acyclization, cell_primary_torsion, \
+        cell_shape, constraint_check, exact_answer, hzp_dichotomy, \
+        ring_unit_obstruction, semiexact_counterexample, SUMMAND_CAP, \
+        GroupSyntaxError, parse_group, FgAbGroup, ext_fg, hom_fg, \
+        random_complex_family, sample_pairs, PrimeSet, SymbolicGroup, \
+        closure_suite, connective_cover, nontriangulated_witness_suite, \
+        postnikov, tstructure_check
+    for module in sorted(set(modules) - _BOUND):
+        if module == "acceptance":
+            from . import acceptance
+        elif module == "complexes":
+            from .complexes import ChainComplex, ChainMap, triangle_check
+        elif module == "emcell":
+            from .emcell import (CONVENTION_NOTE, EMObject, acyclization,
+                                 cell_primary_torsion, cell_shape,
+                                 constraint_check, exact_answer,
+                                 hzp_dichotomy, ring_unit_obstruction,
+                                 semiexact_counterexample)
+        elif module == "grammar":
+            from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
+        elif module == "groups":
+            from .groups import FgAbGroup, ext_fg, hom_fg
+        elif module == "sampling":
+            from .sampling import random_complex_family, sample_pairs
+        elif module == "symbolic":
+            from .symbolic import PrimeSet, SymbolicGroup
+        elif module == "truncation":
+            from .truncation import (closure_suite, connective_cover,
+                                     nontriangulated_witness_suite, postnikov,
+                                     tstructure_check)
+        _BOUND.add(module)
+
+
+def __getattr__(name):
+    """A handler's library name, read from outside before a command bound
+    it.  The import system's probes (``__path__``) load nothing."""
+    if not name.startswith("__"):
+        _bind(("acceptance", "complexes", "emcell", "grammar", "groups",
+               "sampling", "symbolic", "truncation"))
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
 
 
 def _load_payload(args) -> dict:
@@ -189,14 +227,14 @@ def _cmd_homology(args) -> dict:
 
 def _cmd_hom_ext(args) -> dict:
     a, b = (_fg_group(args, flag) for flag in "ab")
-    value = args.op(a, b)
+    value = (hom_fg if args.command == "hom" else ext_fg)(a, b)
     return {"a": a.to_json(), "b": b.to_json(), "result": value.to_json(),
             "text": str(value)}
 
 
 def _cmd_truncate(args) -> dict:
     x = _from_payload(ChainComplex, _load_payload(args), "complex")
-    c = args.op(x, args.k)
+    c = (connective_cover if args.command == "cover" else postnikov)(x, args.k)
     return {"k": args.k, "result": c.to_json(), "homology": c.homology.to_json()}
 
 
@@ -305,7 +343,6 @@ def _cmd_semiexact(args) -> dict:
 
 
 def _cmd_acceptance(args) -> dict:
-    from . import acceptance
     results = acceptance.run_all(seed=args.seed)
     return {
         "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -349,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
                "PzhatmodZ_(...).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler, *, payload=False, k=False,
-            suite=False, gated=False, op=None):
-        """A subcommand, with its handler, the library function that a
-        shared handler calls, whether a false verdict exits 1 and the
-        accepted range of its --k (None: any)."""
+    def add(name, help_text, handler, uses="", *, payload=False, k=False,
+            suite=False, gated=False):
+        """A subcommand, with its handler, the library modules that the
+        handler reads (space-separated), whether a false verdict exits 1
+        and the accepted range of its --k (None: any)."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, op=op, gated=gated,
+        p.set_defaults(handler=handler, modules=uses.split(), gated=gated,
                        k_range=SUITE_K_RANGE.get(name))
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=strict_int, default=0,
@@ -373,27 +410,28 @@ def build_parser() -> argparse.ArgumentParser:
     add("snf", "Smith normal form of an integer matrix", _cmd_snf,
         payload=True)
     add("homology", "graded homology of a bounded complex", _cmd_homology,
-        payload=True)
-    for name, what, op in (("hom", "Hom", hom_fg), ("ext", "Ext", ext_fg)):
+        "complexes", payload=True)
+    for name, what in (("hom", "Hom"), ("ext", "Ext")):
         p = add(name, f"{what} of finitely generated abelian groups",
-                _cmd_hom_ext, op=op)
+                _cmd_hom_ext, "grammar groups")
         for flag in "ab":
             p.add_argument(f"--{flag}", required=True)
     add("cover", "connective cover at a cut degree", _cmd_truncate,
-        payload=True, k=True, op=connective_cover)
+        "complexes truncation", payload=True, k=True)
     add("postnikov", "section below a cut degree", _cmd_truncate,
-        payload=True, k=True, op=postnikov)
+        "complexes truncation", payload=True, k=True)
     add("triangle-check", "compare a candidate cofibre against the cone",
-        _cmd_triangle_check, payload=True)
+        _cmd_triangle_check, "complexes", payload=True)
     add("tstructure-check", "check the three t-structure axioms on samples",
-        _cmd_tstructure, k=True, suite=True, gated=True)
+        _cmd_tstructure, "sampling truncation", k=True, suite=True,
+        gated=True)
     add("closure-suite", "closure properties of the cover/section classes",
-        _cmd_closure, k=True, suite=True, gated=True)
+        _cmd_closure, "sampling truncation", k=True, suite=True, gated=True)
     add("nontriangulated-suite",
         "witnesses that covering does not commute with suspension",
-        _cmd_nontriangulated, k=True, gated=True)
+        _cmd_nontriangulated, "truncation", k=True, gated=True)
     p = add("em-cellularize", "symbolic cellularization of a single piece",
-            _cmd_em_cellularize)
+            _cmd_em_cellularize, "emcell grammar")
     p.add_argument("--mode", choices=("shape", "primary", "dichotomy"),
                    default="shape")
     p.add_argument("--n", type=strict_int)
@@ -402,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag}", type=strict_int)
     p.add_argument("--cellular", action="store_true", default=False)
     p = add("acyclization", "cellularization from a nullification outcome",
-            _cmd_acyclization)
+            _cmd_acyclization, "emcell symbolic")
     p.add_argument("--target", required=True,
                    help="HZ, HZ/p^k or HZ/p^inf")
     p.add_argument("--outcome", required=True,
@@ -413,19 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=strict_int)
     p.add_argument("--k", type=strict_int)
     p = add("constraint-check", "evaluate the two-slot shape constraints",
-            _cmd_constraint_check)
+            _cmd_constraint_check, "emcell grammar")
     for flag in "bcg":
         p.add_argument(f"--{flag}", required=True)
     p = add("ring-obstruction", "unit obstruction of a wedge",
-            _cmd_ring_obstruction)
+            _cmd_ring_obstruction, "emcell grammar")
     p.add_argument("--wedge",
                    help="'shift:GROUP; shift:GROUP' (use --wedge=... when "
                         "the first shift is negative)")
     p = add("semiexact-demo", "the extension-closure counterexample",
-            _cmd_semiexact)
+            _cmd_semiexact, "emcell")
     p.add_argument("--p", type=strict_int, default=2)
     add("acceptance", "run the full acceptance suite", _cmd_acceptance,
-        gated=True)
+        "acceptance", gated=True)
     return parser
 
 
@@ -455,11 +493,10 @@ def _too_long(value) -> bool:
 
 
 def main(argv=None) -> int:
-    # Built on each call, so that the parser reads this module's current
-    # bindings of the library functions it dispatches to.
     args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        _bind(args.modules)
+        started = time.perf_counter()
         if args.k_range is not None:
             lo, hi = args.k_range
             if not lo <= args.k <= hi:

@@ -21,18 +21,13 @@ from functools import lru_cache
 
 from . import matrices
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, cached_property, certified, json_int,
-                       kernel_basis, product_is_zero, quoted, quoted_int,
-                       quoted_shape, smith_normal_form, solve, strict_int)
+from .matrices import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, RANK_CAP,
+                       Frozen, InputError, IntMatrix, SupportCapError,
+                       cached_property, certified, json_int, kernel_basis,
+                       product_is_zero, quoted, quoted_int, quoted_shape,
+                       smith_normal_form, solve, strict_int)
 
-DEGREE_CAP = 64
-RANK_CAP = 512
 _new, _set = object.__new__, object.__setattr__  # bound once: the doors are hot
-
-
-class SupportCapError(InputError):
-    """Degree or rank outside the supported desk-scale window."""
 
 
 class ChainComplexError(InputError):

@@ -266,6 +266,8 @@ def acyclization(target: str, outcome: str, primes: PrimeSet | None = None,
     leaves the desuspended product-modulo-Z piece.  For the Pruefer piece,
     SigmaZpHat leaves the p-adic rationals.
     """
+    if primes is not None and not isinstance(primes, PrimeSet):
+        raise TypeError(f"expected a prime set, got {quoted(primes)}")
     allowed = _ADMISSIBLE.get(target)
     if allowed is None:
         raise InadmissibleCaseError(f"unknown target {quoted(target)}")
@@ -323,6 +325,10 @@ def gem_closure_check(obj: EMObject, ring: str = "Z") -> bool:
     >>> gem_closure_check(EMObject([(0, FgAbGroup.cyclic(5))]), "Z/5")
     True
     """
+    if not isinstance(obj, EMObject):
+        raise TypeError(f"expected an EM object, got {quoted(obj)}")
+    if not isinstance(ring, str):
+        raise TypeError(f"ring must be a string, got {quoted(ring)}")
     groups = [g for _, g in obj.summands]
     if ring == "Z":
         return True

@@ -84,6 +84,15 @@ class MatrixShapeError(InputError):
     """Inconsistent matrix dimensions."""
 
 
+# The window of chain complexes: degrees |n| <= DEGREE_CAP, ranks <= RANK_CAP.
+DEGREE_CAP = 64
+RANK_CAP = 512
+
+
+class SupportCapError(InputError):
+    """Degree or rank outside the supported desk-scale window."""
+
+
 class InternalInvariantError(RuntimeError):
     """A certified identity or an internal count failed to verify; this is
     a bug, and ``cellkit`` exits 3 on it."""

@@ -324,8 +324,7 @@ class SymbolicGroup(Frozen):
         return {"sum": parts}
 
     def __str__(self) -> str:
-        from .grammar import format_group  # local import to avoid a cycle
-        return format_group(self)
+        return grammar.format_group(self)
 
 
 def is_divisible(g: SymbolicGroup | FgAbGroup) -> bool:
@@ -486,3 +485,7 @@ def ext_rule(a: SymbolicGroup | FgAbGroup,
     Z/4
     """
     return _bilinear(_ext_pair, a, b)
+
+
+# Last, and as a module: grammar imports this one, and either may load first.
+from . import grammar  # noqa: E402

@@ -1408,3 +1408,72 @@ def test_query_does_not_import_acceptance():
                          text=True, env=_cellkit_env(), timeout=120,
                          check=True).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+# The library modules of cellkit, without the package and the CLI itself.
+_LIBRARY = {f[:-3] for f in os.listdir(os.path.dirname(cellkit.__file__))
+            if f.endswith(".py")} - {"__init__", "cli"}
+_HOM_MODULES = {"grammar", "groups", "matrices", "symbolic"}
+_ACYCLIZATION_NEVER = {"truncation", "sampling"}
+
+# A query loads the modules its subcommand runs and no other: (argv,
+# stdin, modules it loads, modules it must not load).  Each query is a
+# fresh process, so every module it loads is compiled and run on its start.
+QUERY_MODULES = [
+    (["snf"], _snf_payload(1, 1, [2]), {"matrices"}, _LIBRARY - {"matrices"}),
+    (["hom", "--a", "Z/4", "--b", "Z/6"], None, _HOM_MODULES,
+     _LIBRARY - _HOM_MODULES),
+    (["ext", "--a", "Z/4", "--b", "Z/6"], None, _HOM_MODULES,
+     _LIBRARY - _HOM_MODULES),
+    (["homology"], _complex_payload({"ranks": {"0": 1}}), {"complexes"},
+     {"truncation", "emcell", "sampling", "symbolic", "grammar"}),
+    (["cover", "--k", "0"], _complex_payload({"ranks": {"0": 1}}),
+     {"complexes", "truncation"}, {"emcell", "sampling", "grammar"}),
+    (["acyclization", "--target", "HZ", "--outcome", "HZ_P", "--primes", "2"],
+     None, {"emcell"}, _ACYCLIZATION_NEVER),
+    (["semiexact-demo"], None, {"emcell"}, _ACYCLIZATION_NEVER),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, loads, never", QUERY_MODULES,
+                         ids=[row[0][0] for row in QUERY_MODULES])
+def test_query_loads_only_its_modules(argv, stdin, loads, never):
+    # Imported as the console script imports it.
+    probe = ("import io, sys; from cellkit.cli import main; "
+             "sys.stdin = io.StringIO(sys.argv[1]); code = main(sys.argv[2:]); "
+             "print(code, *sorted(m for m in sys.modules "
+             "if m.startswith('cellkit.')))")
+    out = subprocess.run([sys.executable, "-c", probe, stdin or "", *argv],
+                         capture_output=True, text=True, env=_cellkit_env(),
+                         timeout=120, check=True).stdout
+    code, *loaded = out.strip().splitlines()[-1].split()
+    loaded = {m.partition(".")[2] for m in loaded} - {"cli"}
+    assert code == "0"
+    assert loads <= loaded and not loaded & never, loaded
+
+
+def test_import_cellkit_loads_no_module_and_resolves_every_name():
+    probe = ("import sys, cellkit; print(sorted(m for m in sys.modules "
+             "if m.startswith('cellkit.'))); "
+             "print([n for n in cellkit.__all__ if not hasattr(cellkit, n)])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert cellkit.smith_normal_form is matrices_mod.smith_normal_form
+    assert not hasattr(cellkit, "no_such_name")
+
+
+def test_patch_before_the_first_query_reaches_the_handler():
+    # The handler's names are bound once per process, on first use; a
+    # patch put on one before any query must not be bound over.
+    probe = ("import pytest, cellkit.cli as cli\n"
+             "def broken(m, k, n, p): raise ValueError('patched')\n"
+             "pytest.MonkeyPatch().setattr(cli, 'cell_primary_torsion', broken)\n"
+             "print(cli.main(['em-cellularize', '--mode', 'primary', '--m', "
+             "'0', '--k', '1', '--n', '2', '--p', '5']))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True)
+    assert run.stdout.strip() == "3"
+    assert run.stderr.startswith("internal error: patched")

@@ -31,6 +31,7 @@ class TestEMObject:
 
 # Integer parameters are read strictly: a boolean or a float is refused,
 # not taken for 1 or truncated, and the dichotomy flag must be a boolean.
+# A prime set, a wedge and a ring name of another type are refused too.
 @pytest.mark.parametrize("call", [
     lambda: cell_primary_torsion(0, True, 2, 5),
     lambda: acyclization("HZpk", "zero", p=2, k=True),
@@ -41,11 +42,20 @@ class TestEMObject:
     lambda: em_morphism_group(0, cyc(2), 0.0, cyc(2)),
     lambda: sphere_homotopy(0.5, EMObject()),
     lambda: chain_homotopy_group(em_complex(cyc(2), 0), 0.5),
+    lambda: acyclization("HZ", "HZ_P", {2, 3}),
+    lambda: acyclization("HZ", "ProdZpHat", [2]),
+    lambda: gem_closure_check(SymbolicGroup.of(cyc(2))),
+    lambda: gem_closure_check(EMObject(), 5),
 ], ids=["primary-k", "hzpk-k", "hzpinf-p", "shape-n",
-        "dichotomy-r", "dichotomy-flag", "morphism-n", "sphere-i", "chain-i"])
+        "dichotomy-r", "dichotomy-flag", "morphism-n", "sphere-i", "chain-i",
+        "acyclization-primes-set", "acyclization-primes-list",
+        "gem-closure-object", "gem-closure-ring"])
 def test_integer_parameters_are_strict(call):
     with pytest.raises(TypeError, match="expected an integer, got |"
-                                        "must be a boolean, got "):
+                                        "must be a boolean, got |"
+                                        "expected a prime set, got |"
+                                        "expected an EM object, got |"
+                                        "ring must be a string, got "):
         call()
 
 
