@@ -386,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
                "PzhatmodZ_(...).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, handler, uses="", *, payload=False, k=False,
+    def add(name, help_text, handler, modules="", *, payload=False, k=False,
             suite=False, gated=False):
         """A subcommand, with its handler, the library modules that the
         handler reads (space-separated), whether a false verdict exits 1
         and the accepted range of its --k (None: any)."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, modules=uses.split(), gated=gated,
+        p.set_defaults(handler=handler, modules=modules.split(), gated=gated,
                        k_range=SUITE_K_RANGE.get(name))
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=strict_int, default=0,
