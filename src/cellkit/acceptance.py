@@ -20,7 +20,7 @@ from .emcell import (EMObject, acyclization, cell_primary_torsion,
                      ring_unit_obstruction)
 from .groups import (FgAbGroup, Z, ZERO_GROUP, brute_force_hom_count, ext_fg,
                      hom_fg)
-from .matrices import Frozen
+from .base import Frozen
 from .sampling import random_complex_family, random_finite_group, sample_pairs
 from .symbolic import PrimeSet
 from .truncation import (cell_null_triangle, closure_suite,

@@ -19,10 +19,10 @@ import random
 import sys
 import time
 
-from .matrices import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP,
-                       RANK_CAP, InputError, IntMatrix, InternalInvariantError,
-                       SupportCapError, is_unimodular, quoted, quoted_shape,
-                       smith_normal_form, strict_int)
+from .base import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP,
+                   RANK_CAP, InputError, InternalInvariantError,
+                   SupportCapError, quoted, quoted_shape, smith_normal_form,
+                   strict_int)
 
 SCHEMA = "cellkit/1"
 # Largest --max-rank of the sampled suites.  SNF coefficient growth makes
@@ -64,9 +64,9 @@ def _bind(modules) -> None:
         cell_shape, constraint_check, exact_answer, hzp_dichotomy, \
         ring_unit_obstruction, semiexact_counterexample, SUMMAND_CAP, \
         GroupSyntaxError, parse_group, FgAbGroup, ext_fg, hom_fg, \
-        random_complex_family, sample_pairs, PrimeSet, SymbolicGroup, \
-        closure_suite, connective_cover, nontriangulated_witness_suite, \
-        postnikov, tstructure_check
+        IntMatrix, is_unimodular, random_complex_family, sample_pairs, \
+        PrimeSet, SymbolicGroup, closure_suite, connective_cover, \
+        nontriangulated_witness_suite, postnikov, tstructure_check
     for module in sorted(set(modules) - _BOUND):
         if module == "acceptance":
             from . import acceptance
@@ -82,6 +82,8 @@ def _bind(modules) -> None:
             from .grammar import SUMMAND_CAP, GroupSyntaxError, parse_group
         elif module == "groups":
             from .groups import FgAbGroup, ext_fg, hom_fg
+        elif module == "matrices":
+            from .matrices import IntMatrix, is_unimodular
         elif module == "sampling":
             from .sampling import random_complex_family, sample_pairs
         elif module == "symbolic":
@@ -98,7 +100,7 @@ def __getattr__(name):
     it.  The import system's probes (``__path__``) load nothing."""
     if not name.startswith("__"):
         _bind(("acceptance", "complexes", "emcell", "grammar", "groups",
-               "sampling", "symbolic", "truncation"))
+               "matrices", "sampling", "symbolic", "truncation"))
     if name not in globals():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return globals()[name]
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("snf", "Smith normal form of an integer matrix", _cmd_snf,
-        payload=True)
+        "matrices", payload=True)
     add("homology", "graded homology of a bounded complex", _cmd_homology,
         "complexes", payload=True)
     for name, what in (("hom", "Hom"), ("ext", "Ext")):

@@ -11,7 +11,7 @@ coproducts) this module computes presentations of homology groups and the
 maps induced on them by chain maps, which the verification suites use to
 decide whether a map is an isomorphism on homology.  Homology already
 computed on the parts is carried through `shift` and `coproduct`; certify
-mode (``matrices.certified``) compares it with a fresh computation.
+mode (``base.certified``) compares it with a fresh computation.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
-from . import matrices
+from . import base
+from .base import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, RANK_CAP, Frozen,
+                   InputError, SupportCapError, cached_property, certified,
+                   json_int, quoted, quoted_int, quoted_shape,
+                   smith_normal_form, strict_int)
 from .groups import FgAbGroup, ZERO_GROUP, cokernel, ext_fg, hom_fg
-from .matrices import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, RANK_CAP,
-                       Frozen, InputError, IntMatrix, SupportCapError,
-                       cached_property, certified, json_int, kernel_basis,
-                       product_is_zero, quoted, quoted_int, quoted_shape,
-                       smith_normal_form, solve, strict_int)
+from .matrices import IntMatrix, kernel_basis, product_is_zero, solve
 
 _new, _set = object.__new__, object.__setattr__  # bound once: the doors are hot
 
@@ -54,7 +54,7 @@ class GradedGroup(Frozen):
         """``groups``, nonzero and sorted, as library code computed them."""
         h = _new(cls)
         _set(h, "groups", groups)
-        return certified(h, cls, groups) if matrices.CERTIFY else h
+        return certified(h, cls, groups) if base.CERTIFY else h
 
     def at(self, n: int) -> FgAbGroup:
         for m, g in self.groups:
@@ -174,7 +174,7 @@ class ChainComplex(Frozen):
         x = _new(cls)
         _set(x, "ranks", tuple(sorted(ranks.items())))
         _set(x, "boundaries", tuple(sorted(boundaries.items())))
-        return certified(x, cls, *cls._values(x)) if matrices.CERTIFY else x
+        return certified(x, cls, *cls._values(x)) if base.CERTIFY else x
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -310,7 +310,7 @@ class ChainMap(Frozen):
         _set(f, "target", target)
         _set(f, "components", tuple(sorted(
             (n, m) for n, m in components.items() if not m.is_zero)))
-        return certified(f, cls, *cls._values(f)) if matrices.CERTIFY else f
+        return certified(f, cls, *cls._values(f)) if base.CERTIFY else f
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .complexes import (ChainComplex, ChainMap, coproduct, derived_hom,
-                        em_complex, triangle_check)
+from .base import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError, json_int,
+                   quoted, quoted_int, strict_int)
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
-from .matrices import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError,
-                       IntMatrix, json_int, quoted, quoted_int, strict_int)
 from .symbolic import (Q_VECTOR_ATOMS, PrimeSet, ProdZpHatModZ, Prufer,
                        PruferSum, QpHat, SymbolicGroup, ext_rule, hom_rule,
                        is_divisible)
@@ -357,6 +355,8 @@ def semiexact_counterexample(p: int = 2) -> dict:
     outer pieces are.  The verdict is True when the counterexample is
     fully exhibited.
     """
+    from .complexes import ChainMap, em_complex, triangle_check
+    from .matrices import IntMatrix
     zp = FgAbGroup.cyclic(p)
     zp2 = FgAbGroup.cyclic(p * p)
     triangle = (EMObject([(0, zp)]), EMObject([(0, zp2)]),
@@ -383,6 +383,7 @@ def semiexact_counterexample(p: int = 2) -> dict:
 
 def chain_model(x: EMObject) -> ChainComplex:
     """Chain-complex realization of a wedge with f.g. groups."""
+    from .complexes import coproduct, em_complex
     parts = []
     for s, g in x.summands:
         if not g.is_fg:
@@ -394,4 +395,5 @@ def chain_model(x: EMObject) -> ChainComplex:
 
 def chain_homotopy_group(x: ChainComplex, i: int) -> FgAbGroup:
     """Homotopy through the derived morphism group out of the generator."""
+    from .complexes import derived_hom, em_complex
     return derived_hom(em_complex(Z, 0), x, json_int(i))

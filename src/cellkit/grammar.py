@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .groups import FgAbGroup
-from .matrices import InputError, quoted, strict_int
+from .base import InputError, quoted, strict_int
 from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                        PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
                        ZpHat)

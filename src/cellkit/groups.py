@@ -10,7 +10,7 @@ booleans, factors below 2 and broken chains.  A group whose chain the
 library computed itself (the torsion of a Smith diagonal in ``cokernel``
 and homology, ``direct_sum``, ``hom_fg`` and ``ext_fg``) takes the one
 unchecked door, ``FgAbGroup._trusted``, which checks nothing unless
-``CELLKIT_CERTIFY=1`` makes ``matrices.certified`` rebuild it through the
+``CELLKIT_CERTIFY=1`` makes ``base.certified`` rebuild it through the
 public constructor and report a difference as an InternalInvariantError.
 """
 
@@ -20,9 +20,9 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, prod
 
-from . import matrices
-from .matrices import (Frozen, InputError, IntMatrix, _invariant_chain,
-                       certified, json_int, quoted_int, smith_normal_form)
+from . import base
+from .base import (Frozen, InputError, _invariant_chain, certified, json_int,
+                   quoted_int, smith_normal_form)
 
 
 class SizeBoundExceededError(InputError):
@@ -64,7 +64,7 @@ class FgAbGroup(Frozen):
         g = object.__new__(cls)
         object.__setattr__(g, "rank", rank)
         object.__setattr__(g, "invariant_factors", factors)
-        return certified(g, cls, rank, factors) if matrices.CERTIFY else g
+        return certified(g, cls, rank, factors) if base.CERTIFY else g
 
     @classmethod
     def free(cls, r: int) -> "FgAbGroup":
@@ -166,6 +166,7 @@ def ext_fg(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 def cokernel(m: IntMatrix) -> FgAbGroup:
     """Z^rows / im(m), in canonical form.
 
+    >>> from cellkit.matrices import IntMatrix
     >>> print(cokernel(IntMatrix.diagonal([2, 3])))
     Z/6
     >>> print(cokernel(IntMatrix.zero(2, 0)))

@@ -33,7 +33,7 @@ from collections.abc import Iterable
 
 from .groups import (FgAbGroup, Z, ZERO_GROUP, check_prime, ext_fg, hom_fg,
                      primary_part)
-from .matrices import Frozen, InputError, quoted
+from .base import Frozen, InputError, quoted
 
 
 class UnknownValue:

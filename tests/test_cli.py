@@ -1410,12 +1410,15 @@ def test_query_does_not_import_acceptance():
     assert out.strip().splitlines()[-1] == "False"
 
 
-# The library modules of cellkit, without the package and the CLI itself.
+# The library modules of cellkit, without the package, the CLI itself and
+# ``base``, which every module loads.
 _LIBRARY = {f[:-3] for f in os.listdir(os.path.dirname(cellkit.__file__))
-            if f.endswith(".py")} - {"__init__", "cli"}
-_HOM_MODULES = {"grammar", "groups", "matrices", "symbolic"}
+            if f.endswith(".py")} - {"__init__", "cli", "base"}
+_HOM_MODULES = {"grammar", "groups", "symbolic"}
 _CHAIN_NEVER = {"emcell", "sampling", "grammar", "acceptance"}
-_SYMBOLIC_NEVER = {"truncation", "sampling", "acceptance"}
+# A symbolic query runs no linear algebra.
+_SYMBOLIC_NEVER = {"matrices", "complexes", "truncation", "sampling",
+                   "acceptance"}
 _SUITE_NEVER = {"emcell", "grammar", "acceptance"}
 _ONE = _complex_payload({"ranks": {"0": 1}})
 _ID_MAP = json.dumps({"map": {"source": {"ranks": {"0": 1}},
@@ -1462,7 +1465,8 @@ QUERY_MODULES = [
      {"emcell", "grammar"}, _SYMBOLIC_NEVER),
     (["ring-obstruction", "--wedge=0:Z"], None, 0, {"emcell", "grammar"},
      _SYMBOLIC_NEVER),
-    (["semiexact-demo"], None, 0, {"emcell"}, _SYMBOLIC_NEVER),
+    (["semiexact-demo"], None, 0, {"emcell", "matrices", "complexes"},
+     {"truncation", "sampling", "acceptance"}),
     (["acceptance"], None, 0, {"acceptance"}, set()),
 ]
 
@@ -1483,6 +1487,15 @@ def test_query_loads_only_its_modules(argv, stdin, exit_code, loads, never):
     loaded = {m.partition(".")[2] for m in loaded} - {"cli"}
     assert int(code) == exit_code, run.stderr
     assert loads <= loaded and not loaded & never, loaded
+
+
+def test_import_cellkit_cli_loads_base_alone():
+    probe = ("import sys, cellkit.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('cellkit.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True).stdout
+    assert out.strip() == "['cellkit.base', 'cellkit.cli']"
 
 
 def test_import_cellkit_loads_no_module_and_resolves_every_name():

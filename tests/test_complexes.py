@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cyc, fresh_forms, time_limit
-from cellkit import complexes as complexes_mod, matrices as matrices_mod
+from cellkit import base as base_mod, complexes as complexes_mod
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
                                SupportCapError, cone, coproduct, derived_hom,
@@ -202,7 +202,7 @@ class TestCone:
         assert quasi_iso_eq(fp, shift(em_complex(cyc(3), 0), -1))
 
     def test_cone_builds_no_chain_map(self, monkeypatch):
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         x = random_complex(random.Random(12), max_degrees=5, max_rank=4)
         _, proj = section_with_projection(x, x.lo + 1)
         maps = [ChainMap.scalar(x, 3), ChainMap.zero_map(x, shift(x, 1)), proj]
@@ -387,7 +387,7 @@ class TestAssembly:
         assert ChainMap.scalar(x, 0) == ChainMap.zero_map(x, x)
 
     def test_assembly_runs_no_product(self, monkeypatch):
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         x = random_complex(random.Random(29), max_degrees=5, max_rank=4)
         # Adjacent boundaries, so a d o d check would multiply them.
         assert any(n - 1 in dict(x.boundaries) for n, _ in x.boundaries)
@@ -450,7 +450,7 @@ class TestAssembly:
     def test_library_values_take_no_public_constructor(self, monkeypatch):
         # Certify mode rebuilds each value through its public constructor
         # on purpose.
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         x = ChainComplex.build({0: 2, 1: 3, 2: 1}, {
             1: IntMatrix.from_rows([[2, 4, 6], [4, 8, 12]]),
             2: IntMatrix.from_rows([[2], [-1], [0]])})
@@ -502,7 +502,7 @@ class TestCarriedHomology:
     def test_known_homology_needs_no_reduction(self, reductions,
                                                monkeypatch):
         # Certify mode recomputes carried homology on purpose.
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         x = ChainComplex.build({0: 2, 1: 3, 2: 1}, {
             1: IntMatrix.from_rows([[2, 4, 6], [4, 8, 12]]),
             2: IntMatrix.from_rows([[2], [-1], [0]])})
@@ -526,13 +526,13 @@ class TestCarriedHomology:
         # A wrong carry: zero, where the fresh homology is not.
         monkeypatch.setattr(GradedGroup, method,
                             lambda self, *args: GradedGroup())
-        monkeypatch.setattr(matrices_mod, "CERTIFY", True)
+        monkeypatch.setattr(base_mod, "CERTIFY", True)
         with pytest.raises(InternalInvariantError,
                            match="GradedGroup differs from its checked"):
             carry(x)
         # Without certify mode the wrong value comes back, so the check
         # above is certify mode's own.
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         assert carry(x).homology.is_zero
 
     def test_em_complex_homology_is_computed(self, reductions):

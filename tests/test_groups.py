@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyc
-from cellkit import groups as groups_mod, matrices as matrices_mod
+from cellkit import base as base_mod, groups as groups_mod
 from cellkit.complexes import ChainComplex
 from cellkit.groups import (PSI_12, FgAbGroup, SizeBoundExceededError, Z,
                             ZERO_GROUP, brute_force_hom_count, cokernel,
@@ -199,13 +199,13 @@ class TestTrustedConstruction:
     def test_certify_catches_a_broken_chain(self, monkeypatch):
         a, b = cyc(4), cyc(6)
         monkeypatch.setattr(groups_mod, "_invariant_chain", lambda t: (4, 6))
-        monkeypatch.setattr(matrices_mod, "CERTIFY", True)
+        monkeypatch.setattr(base_mod, "CERTIFY", True)
         with pytest.raises(InternalInvariantError,
                            match="4 does not divide 6"):
             hom_fg(a, b)
         # Without certify mode the malformed value goes through, so the
         # check above is certify mode's own.
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         assert hom_fg(a, b).invariant_factors == (4, 6)
 
     def test_no_public_constructor_builds_a_broken_chain(self):
@@ -250,7 +250,7 @@ class TestTrustedConstruction:
         def spy(self, *args):
             validated.append(args)
 
-        monkeypatch.setattr(matrices_mod, "CERTIFY", False)
+        monkeypatch.setattr(base_mod, "CERTIFY", False)
         monkeypatch.setattr(FgAbGroup, "__init__", spy)
         made = [g for _, g in x.homology.groups]
         made += [cokernel(m), hom_fg(a, b), ext_fg(b, a),

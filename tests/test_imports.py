@@ -49,8 +49,8 @@ def test_no_unused_imports(module):
 
 def certify_names(source: str) -> list[int]:
     """The lines that import, bind or read the bare name CERTIFY.  A module
-    that reads the flag as ``matrices.CERTIFY`` sees its one binding, the
-    one that a test patches."""
+    that reads the flag as ``base.CERTIFY`` sees its one binding, the one
+    that a test patches."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Name) and node.id == "CERTIFY"
                    or isinstance(node, ast.alias)
@@ -58,16 +58,49 @@ def certify_names(source: str) -> list[int]:
 
 
 def test_scan_finds_a_certify_name():
-    assert certify_names("from .matrices import CERTIFY as C\n"
+    assert certify_names("from .base import CERTIFY as C\n"
                          "from .m import CERTIFY\nif CERTIFY: pass\n"
-                         "x = matrices.CERTIFY\n") == [1, 2, 3]
+                         "x = base.CERTIFY\n") == [1, 2, 3]
 
 
-def test_only_matrices_names_the_certify_flag():
+def test_only_base_names_the_certify_flag():
     found = {m: certify_names(_read(os.path.join(PACKAGE_DIR, m)))
              for m in os.listdir(PACKAGE_DIR)
-             if m.endswith(".py") and m != "matrices.py"}
+             if m.endswith(".py") and m != "base.py"}
     assert {m: lines for m, lines in found.items() if lines} == {}
+
+
+def test_a_stale_certify_patch_on_matrices_raises(monkeypatch):
+    from cellkit import matrices
+    with pytest.raises(AttributeError):
+        monkeypatch.setattr(matrices, "CERTIFY", True)
+
+
+def top_level_imports(source: str) -> set[str]:
+    """The cellkit modules that a module imports when it loads: relative
+    imports outside any function, by their first dotted name."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+    return found
+
+
+def test_scan_finds_top_level_imports():
+    assert top_level_imports("from . import base\nfrom .groups import g\n"
+                             "import os\nfrom os import path\n"
+                             "def f():\n    from .complexes import c\n"
+                             ) == {"base", "groups"}
+
+
+def test_the_symbolic_layer_loads_no_linear_algebra():
+    # A symbolic query compiles only what it loads, and runs no Smith pass.
+    found = {m: top_level_imports(_read(os.path.join(PACKAGE_DIR, f"{m}.py")))
+             for m in ("base", "groups", "symbolic", "grammar", "emcell")}
+    assert found.pop("base") == set()
+    assert {m: imports & {"matrices", "complexes"}
+            for m, imports in found.items()} == dict.fromkeys(found, set())
 
 
 # The classes whose public constructor validates, and ``cls`` for any

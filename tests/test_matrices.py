@@ -13,13 +13,12 @@ from cellkit.acceptance import _family
 from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
 from cellkit.groups import FgAbGroup, cokernel
 from cellkit.sampling import random_complex_family
-from cellkit.matrices import (ORDER_DIGIT_CAP, QUOTE_CAP, TRANSFORMS,
-                              InputError, IntMatrix, InternalInvariantError,
-                              MatrixShapeError,
+from cellkit.base import ORDER_DIGIT_CAP, QUOTE_CAP, quoted, strict_int
+from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
+                              InternalInvariantError, MatrixShapeError,
                               SmithNormalForm, _reduce, is_unimodular,
-                              kernel_basis, product_is_zero, quoted,
-                              quoted_int, smith_normal_form, solve,
-                              strict_int)
+                              kernel_basis, product_is_zero, quoted_int,
+                              smith_normal_form, solve)
 from cellkit.truncation import connective_cover, section_with_projection
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cyc
-from cellkit import cli, matrices, truncation
+from cellkit import base, cli, truncation
 from cellkit.acceptance import criterion_truncation_triangle
 from cellkit.complexes import (ChainComplex, ChainMapError, GradedGroup,
                                coproduct, em_complex, map_on_homology_is_iso,
@@ -173,7 +173,7 @@ class TestCoverMemo:
     @staticmethod
     def count_work(monkeypatch):
         """Count kernel takes and ChainComplex._assembled calls from now on."""
-        monkeypatch.setattr(matrices, "CERTIFY", False)
+        monkeypatch.setattr(base, "CERTIFY", False)
         calls = {"kernel": 0, "assembled": 0}
         kernel = SmithNormalForm.kernel
         assembled = ChainComplex._assembled.__func__
@@ -296,10 +296,10 @@ class TestCertifyMode:
     def test_only_certify_mode_rejects_the_wrong_projection(self, monkeypatch):
         x = mixed_sample()                  # d_0 is nonzero
         self.negate_first_projection_row(monkeypatch)
-        monkeypatch.setattr(matrices, "CERTIFY", False)
+        monkeypatch.setattr(base, "CERTIFY", False)
         section, proj = section_with_projection(x, 0)
         assert section.boundary(0) @ proj.component(0) == -x.boundary(0)
-        monkeypatch.setattr(matrices, "CERTIFY", True)
+        monkeypatch.setattr(base, "CERTIFY", True)
         with pytest.raises(InternalInvariantError,
                            match="not a chain map in degree 0"):
             section_with_projection(x, 0)
@@ -307,7 +307,7 @@ class TestCertifyMode:
     def test_certify_mode_exits_3_on_the_wrong_projection(self, monkeypatch,
                                                           capsys):
         self.negate_first_projection_row(monkeypatch)
-        monkeypatch.setattr(matrices, "CERTIFY", True)
+        monkeypatch.setattr(base, "CERTIFY", True)
         assert cli.main(["acceptance"]) == 3
         assert "not a chain map" in capsys.readouterr().err
 
