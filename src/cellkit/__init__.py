@@ -25,7 +25,8 @@ _EXPORTS = {name: module for module, names in {
               "hzp_dichotomy ring_unit_obstruction semiexact_counterexample",
     "grammar": "format_group parse_group",
     "groups": "FgAbGroup brute_force_hom_count cokernel ext_fg hom_fg",
-    "matrices": "IntMatrix kernel_basis smith_normal_form solve",
+    "matrices": "IntMatrix SmithNormalForm kernel_basis smith_normal_form "
+                "solve",
     "symbolic": "UNKNOWN PrimeSet SymbolicGroup ext_rule hom_rule "
                 "is_divisible is_unknown",
     "truncation": "cell_null_triangle closure_suite connective_cover "

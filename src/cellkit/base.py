@@ -11,6 +11,12 @@ from collections.abc import Iterable
 from math import gcd
 from operator import attrgetter
 
+# The package itself, loaded before any of its modules.  Annotations name
+# the classes of modules that this one must not load through its lazy
+# names (``cellkit.IntMatrix``), so typing.get_type_hints resolves them
+# on demand.
+import cellkit
+
 
 # CPython writes no integer of more than ORDER_DIGIT_CAP decimal digits as
 # text (its int-to-str limit), so a longer answer could be computed but
@@ -198,7 +204,7 @@ def quoted_int(n: int) -> str:
     return f"{'-' * (n < 0)}{head}... ({digits} digits)"
 
 
-def quoted_shape(m: "IntMatrix") -> str:
+def quoted_shape(m: cellkit.IntMatrix) -> str:
     """The shape of ``m`` as ``RxC``, each side cut by :func:`quoted_int`."""
     return f"{quoted_int(m.rows)}x{quoted_int(m.cols)}"
 
@@ -252,7 +258,7 @@ def _invariant_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     return tuple(x for x in fs if x > 1)
 
 
-def smith_normal_form(m: "IntMatrix") -> "SmithNormalForm":
+def smith_normal_form(m: cellkit.IntMatrix) -> cellkit.SmithNormalForm:
     """Smith normal form of ``m``, shared by every live matrix equal to it.
 
     >>> from cellkit.matrices import IntMatrix

@@ -95,17 +95,6 @@ def _bind(modules) -> None:
         _BOUND.add(module)
 
 
-def __getattr__(name):
-    """A handler's library name, read from outside before a command bound
-    it.  The import system's probes (``__path__``) load nothing."""
-    if not name.startswith("__"):
-        _bind(("acceptance", "complexes", "emcell", "grammar", "groups",
-               "matrices", "sampling", "symbolic", "truncation"))
-    if name not in globals():
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals()[name]
-
-
 def _load_payload(args) -> dict:
     path = getattr(args, "input", None)
     try:

@@ -377,7 +377,7 @@ def shift(x: ChainComplex, k: int) -> ChainComplex:
     presentations: shift(shift(x, k), -k) == x.  Homology already computed
     on x is carried over, shifted.
     """
-    if k == 0 or x.is_zero:
+    if json_int(k) == 0 or x.is_zero:
         return x
     sign = -1 if k % 2 else 1
     ranks = {n + k: r for n, r in x.ranks}
@@ -389,7 +389,7 @@ def shift(x: ChainComplex, k: int) -> ChainComplex:
 def shift_map(f: ChainMap, k: int) -> ChainMap:
     """Suspend a chain map; components are reused at shifted degrees, and
     commute with the boundaries, which all change by the same sign."""
-    if k == 0:
+    if json_int(k) == 0:
         return f
     comps = {n + k: m for n, m in f.components}
     return ChainMap._assembled(shift(f.source, k), shift(f.target, k), comps)
@@ -458,6 +458,7 @@ def em_complex(g: FgAbGroup, n: int) -> ChainComplex:
     >>> em_complex(FgAbGroup.cyclic(4), 2).homology.at(2)
     FgAbGroup(rank=0, invariant_factors=(4,))
     """
+    json_int(n)  # a float or a boolean is no degree
     if g.is_zero:
         return ChainComplex.zero_complex()
     t = len(g.invariant_factors)
@@ -479,7 +480,7 @@ def derived_hom(x: ChainComplex, y: ChainComplex, k: int = 0) -> FgAbGroup:
 
         T(X, Y) = sum_n Hom(H_n X, H_n Y) + sum_n Ext(H_n X, H_{n+1} Y).
     """
-    hx = x.homology.shifted(k)
+    hx = x.homology.shifted(json_int(k))
     hy = y.homology
     parts = []
     for n, a in hx.groups:

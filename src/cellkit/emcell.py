@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import cellkit  # for annotations that name ChainComplex, as base's do
 from .base import (ORDER_BOUND, ORDER_DIGIT_CAP, Frozen, InputError, json_int,
                    quoted, quoted_int, strict_int)
 from .groups import FgAbGroup, Z, check_prime, ext_fg, hom_fg
@@ -381,7 +382,7 @@ def semiexact_counterexample(p: int = 2) -> dict:
     }
 
 
-def chain_model(x: EMObject) -> ChainComplex:
+def chain_model(x: EMObject) -> cellkit.ChainComplex:
     """Chain-complex realization of a wedge with f.g. groups."""
     from .complexes import coproduct, em_complex
     parts = []
@@ -393,7 +394,7 @@ def chain_model(x: EMObject) -> ChainComplex:
     return coproduct(parts)
 
 
-def chain_homotopy_group(x: ChainComplex, i: int) -> FgAbGroup:
+def chain_homotopy_group(x: cellkit.ChainComplex, i: int) -> FgAbGroup:
     """Homotopy through the derived morphism group out of the generator."""
     from .complexes import derived_hom, em_complex
     return derived_hom(em_complex(Z, 0), x, json_int(i))

@@ -20,6 +20,7 @@ import itertools
 from collections.abc import Iterable
 from math import gcd, prod
 
+import cellkit  # for annotations that name IntMatrix, as base's do
 from . import base
 from .base import (Frozen, InputError, _invariant_chain, certified, json_int,
                    quoted_int, smith_normal_form)
@@ -163,7 +164,7 @@ def ext_fg(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return FgAbGroup._trusted(0, _invariant_chain(torsion))
 
 
-def cokernel(m: IntMatrix) -> FgAbGroup:
+def cokernel(m: cellkit.IntMatrix) -> FgAbGroup:
     """Z^rows / im(m), in canonical form.
 
     >>> from cellkit.matrices import IntMatrix
@@ -243,7 +244,7 @@ def primary_part(d: int, primes: Iterable[int], cofinite: bool = False) -> int:
 # Miller-Rabin with the first twelve primes as bases has no strong
 # pseudoprime below PSI_12 (Sorenson and Webster, "Strong pseudoprimes to
 # twelve prime bases", Math. Comp. 86, 2017), so below it the test is exact.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PSI_12 = 318665857834031151167461
 
 
@@ -258,14 +259,14 @@ def is_prime(n: int) -> bool:
             f"{quoted_int(n)} is beyond the exact primality bound {PSI_12}")
     if n < 2:
         return False
-    for a in _MR_BASES:
+    for a in _MR_PRIMES:
         if n % a == 0:
             return n == a
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

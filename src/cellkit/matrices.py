@@ -21,9 +21,10 @@ change-of-basis matrix, in three phases:
 
 Homology, rank and cokernels read only the invariant factors.  Kernel,
 image, solve and ``cellkit snf`` read change-of-basis matrices, which the
-tracked elimination of ``_reduce`` builds on first use, and only those
-that are read: kernel and image bases read v and v_inv, and a solve or
-``cellkit snf`` u, v and v_inv.  ``cellkit snf`` proves u and v
+tracked elimination of ``_reduce`` builds on first use.  A tracked pass
+has one of two shapes: the bases pass builds v and v_inv, which kernel
+and image bases read, and the full pass builds u, v and v_inv, which a
+solve or ``cellkit snf`` reads.  ``cellkit snf`` proves u and v
 unimodular with the same three phases (``is_unimodular``: a square
 matrix has determinant +-1 exactly when its invariant factors are n
 ones), so no inverse of u is built.  Empty and zero matrices take the
@@ -217,6 +218,8 @@ class IntMatrix(Frozen):
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise MatrixShapeError("vector length mismatch")
+        if not {int}.issuperset(map(type, vec)):  # as __init__ reads entries
+            json_int(next(x for x in vec if type(x) is not int))
         c, e = self.cols, self.entries
         return tuple(sum(x * y for x, y in zip(e[i * c:(i + 1) * c], vec))
                      for i in range(self.rows))
@@ -283,16 +286,6 @@ def product_is_zero(a: IntMatrix, b: IntMatrix, c: IntMatrix | None = None,
     return not any(lines[0]) if c is None else all(map(eq, *lines))
 
 
-# The change-of-basis matrices of a Smith normal form, in the order that
-# _reduce returns them after s.  A bare read of any of them builds all
-# three, so a solve (u and v) leaves the bases nothing to build.
-TRANSFORMS = ("u", "v", "v_inv")
-_ALL = frozenset(TRANSFORMS)
-# What a basis reader needs: kernel() and image() both read v and v_inv,
-# so one pass serves a cover and a section of the same matrix.
-_BASES = frozenset(("v", "v_inv"))
-
-
 class SmithNormalForm(Frozen):
     """Certified decomposition ``s == u @ m @ v`` with unimodular u, v.
 
@@ -307,14 +300,16 @@ class SmithNormalForm(Frozen):
     then, only if g > 1, elimination modulo 2g.  Its entries are minors of
     ``m`` in the first two phases and below 2g in the last, so its cost is
     bounded by the size of the input.  The transforms come from the
-    tracked elimination of ``_reduce``: ``kernel`` and ``image`` track v
-    and v_inv, and a bare read of ``u``, ``v`` or ``v_inv``, as ``solve``
-    makes, tracks all three.  A pass tracks only the transforms not yet
-    stored, so a form runs at most one diagonal pass and two tracked
-    passes (bases, then u for a solve), and every transform is the same
-    whichever pass built it.  A tracked pass also stores the diagonal, so
-    a later rank costs nothing.  ``kernel()`` and ``image()`` keep their
-    pairs on the form, so a second read returns the same matrices.
+    tracked elimination of ``_reduce``, in one of two shapes: ``kernel``
+    and ``image`` run the bases pass, which builds v and v_inv, and a read
+    of ``u``, as ``solve`` makes, or a bare read of ``v`` or ``v_inv``
+    runs the full pass, which builds all three.  A pass runs only when
+    what it builds is not stored, and keeps what is, so a form runs at
+    most one diagonal pass and two tracked passes (bases, then full for a
+    solve), and every transform is the same whichever pass built it.  A
+    tracked pass also stores the diagonal, so a later rank costs nothing.
+    ``kernel()`` and ``image()`` keep their pairs on the form, so a second
+    read returns the same matrices.
     """
 
     # __weakref__: the table _FORMS below holds forms weakly.
@@ -324,26 +319,26 @@ class SmithNormalForm(Frozen):
     def __init__(self, matrix: IntMatrix):
         object.__setattr__(self, "matrix", matrix)
 
-    def transforms(self, names: frozenset) -> dict:
-        """A mapping that holds every transform in ``names``; those not yet
-        stored are built by one tracked pass."""
+    def _transforms(self, with_u: bool) -> dict:
+        """The stored transforms, after one tracked pass if v and v_inv,
+        or with_u u, are not stored yet.  A transform already stored is
+        kept, so every reader of it gets the same matrix."""
         known = self.__dict__
-        missing = names.difference(known)
-        if missing:
+        if "v" not in known or with_u and "u" not in known:
             m = self.matrix
-            a, *found = _reduce(m, missing)
+            a, *found = _reduce(m, with_u)
             known.setdefault("diagonal", tuple(
                 a[i][i] for i in range(min(m.rows, m.cols))))
-            for name, rows in zip(TRANSFORMS, found):
-                if rows is not None:
+            for name, rows in zip(("u", "v", "v_inv"), found):
+                if rows is not None and name not in known:
                     n = len(rows)
                     known[name] = IntMatrix._trusted(
                         n, n, tuple(x for row in rows for x in row))
         return known
 
-    u = cached_property(lambda self: self.transforms(_ALL)["u"])
-    v = cached_property(lambda self: self.transforms(_ALL)["v"])
-    v_inv = cached_property(lambda self: self.transforms(_ALL)["v_inv"])
+    u = cached_property(lambda self: self._transforms(True)["u"])
+    v = cached_property(lambda self: self._transforms(True)["v"])
+    v_inv = cached_property(lambda self: self._transforms(True)["v_inv"])
 
     @cached_property
     def u_inv(self) -> IntMatrix:
@@ -352,7 +347,7 @@ class SmithNormalForm(Frozen):
         reads counters kept inside the package (ROADMAP item 4)."""
         # g_u u g_v = I for a unimodular u, so u^-1 = g_v g_u, multiplied
         # on plain lists: the tracer counts and times IntMatrix products.
-        _, gu, gv, _ = _reduce(self.u, frozenset(("u", "v")))
+        _, gu, gv, _ = _reduce(self.u, True)
         return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col))
                                      for col in zip(*gu)] for row in gv])
 
@@ -377,13 +372,13 @@ class SmithNormalForm(Frozen):
 
     @cached_property
     def _kernel(self) -> tuple[IntMatrix, IntMatrix]:
-        t = self.transforms(_BASES)
+        t = self._transforms(False)
         r, n = self.rank, self.matrix.cols
         return t["v"].take(None, range(r, n)), t["v_inv"].take(range(r, n), None)
 
     @cached_property
     def _image(self) -> tuple[IntMatrix, IntMatrix]:
-        t = self.transforms(_BASES)
+        t = self._transforms(False)
         r = self.rank
         return (self.matrix @ t["v"].take(None, range(r)),
                 t["v_inv"].take(range(r), None))
@@ -564,32 +559,28 @@ def _invariant_factors(m: IntMatrix) -> list[int]:
     return [1] * (units + r - len(torsion)) + list(torsion)
 
 
-def _reduce(m: IntMatrix, track: frozenset
+def _reduce(m: IntMatrix, with_u: bool
             ) -> tuple[list[list[int]] | None, ...]:
     """Reduce ``m`` to Smith form by Euclidean elimination; returns the rows
-    of s, u, v and v_inv.
+    of s, u (None unless ``with_u``), v and v_inv.
 
-    Only the transforms named in ``track`` (a subset of TRANSFORMS) are
-    built; the others come back as None.  The pivoting never reads a
-    transform, and each transform's updates read only that transform, so
-    a tracked one is the same whatever else is tracked.  Neither the
-    entries of the working matrix nor those of the transforms are bounded
-    by the size of ``m``: a diagonal alone comes from
-    ``_invariant_factors``.
+    The pivoting never reads a transform, and each transform's updates
+    read only that transform, so v and v_inv are the same with or without
+    u.  Neither the entries of the working matrix nor those of the
+    transforms are bounded by the size of ``m``: a diagonal alone comes
+    from ``_invariant_factors``.
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    tu, tv, tvi = (name in track for name in TRANSFORMS)
     # The working matrix is [[A, u], [v, .]]: u = I takes columns nc...
     # of rows 0..nr-1 and v = I rows nr..., so every row operation on A
     # reaches u and every column operation reaches v.
-    width, height = nc + nr * tu, nr + nc * tv
-    if tu:
+    width, height = nc + nr * with_u, nr + nc
+    if with_u:
         for row, eye in zip(a, _eye_rows(nr)):
             row.extend(eye)
-    if tv:
-        a.extend(_eye_rows(nc))
-    vinv = _eye_rows(nc) if tvi else None
+    a.extend(_eye_rows(nc))
+    vinv = _eye_rows(nc)
 
     # A column operation A <- A F keeps vinv <- F^{-1} vinv.
     #
@@ -611,8 +602,7 @@ def _reduce(m: IntMatrix, track: frozenset
         for r in range(t, height):
             row = a[r]
             row[i], row[j] = row[j], row[i]
-        if tvi:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(j, i, q):  # col_j += q * col_i
         for r in range(t, height):
@@ -620,10 +610,9 @@ def _reduce(m: IntMatrix, track: frozenset
             x = row[i]
             if x:
                 row[j] += q * x
-        if tvi:
-            ri, rj = vinv[i], vinv[j]
-            for c in range(nc):
-                ri[c] -= q * rj[c]
+        ri, rj = vinv[i], vinv[j]
+        for c in range(nc):
+            ri[c] -= q * rj[c]
 
     t = 0
     limit = min(nr, nc)
@@ -687,9 +676,9 @@ def _reduce(m: IntMatrix, track: frozenset
             add_row(t, bad_row, 1)
         t += 1
 
-    s = [row[:nc] for row in a[:nr]] if tu else a[:nr]
-    u = [row[nc:] for row in a[:nr]] if tu else None
-    return s, u, a[nr:] if tv else None, vinv
+    s = [row[:nc] for row in a[:nr]] if with_u else a[:nr]
+    u = [row[nc:] for row in a[:nr]] if with_u else None
+    return s, u, a[nr:], vinv
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .base import InputError, json_int, smith_normal_form
 from .complexes import (ChainComplex, ChainMap, GradedGroup, cone,
                         coproduct, derived_hom, em_complex, fiber,
                         map_on_homology_is_iso, quasi_iso_eq, shift,
                         shift_map)
 from .groups import FgAbGroup
-from .matrices import InputError, IntMatrix, smith_normal_form
+from .matrices import IntMatrix
 
 
 class PreconditionError(InputError):
@@ -46,7 +47,7 @@ def _cover_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None
     answer is kept in ``x.__dict__``, keyed by k, like ``x.homology``.
     The two outer cases are not kept, so x never refers to itself.
     """
-    if k <= x.lo:
+    if json_int(k) <= x.lo:
         return x, None
     if k > x.hi:
         return ChainComplex.zero_complex(), None
@@ -90,7 +91,7 @@ def cover_inclusion(x: ChainComplex, k: int) -> ChainMap:
 def _section_data(x: ChainComplex, k: int) -> tuple[ChainComplex, IntMatrix | None]:
     """The section, and the projection of x_k onto the image of d_k that
     becomes its degree k (None when the section is x or zero)."""
-    if k > x.hi:
+    if json_int(k) > x.hi:
         return x, None
     if k <= x.lo:
         return ChainComplex.zero_complex(), None

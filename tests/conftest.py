@@ -62,20 +62,21 @@ def fresh_forms():
 
 
 @contextmanager
-def counted_passes(entry=lambda m, track: track):
-    """``entry(m, track)`` for every Smith reduction of a matrix m run while
-    the block runs, with track the set of transforms it builds; a diagonal
-    pass (``_invariant_factors``) shows as the empty set."""
+def counted_passes(entry=lambda m, shape: shape):
+    """``entry(m, shape)`` for every Smith reduction of a matrix m run while
+    the block runs.  The shape is "bases" for a tracked pass that builds v
+    and v_inv, "full" for one that builds u too, and "diagonal" for a pass
+    that builds no transform (``_invariant_factors``)."""
     passes = []
     real_reduce = matrices_mod._reduce
     real_factors = matrices_mod._invariant_factors
 
-    def counting(m, track):
-        passes.append(entry(m, track))
-        return real_reduce(m, track)
+    def counting(m, with_u):
+        passes.append(entry(m, "full" if with_u else "bases"))
+        return real_reduce(m, with_u)
 
     def counting_factors(m):
-        passes.append(entry(m, frozenset()))
+        passes.append(entry(m, "diagonal"))
         return real_factors(m)
 
     with mock.patch.object(matrices_mod, "_reduce", counting), \
@@ -86,7 +87,7 @@ def counted_passes(entry=lambda m, track: track):
 
 @pytest.fixture
 def reductions():
-    """(matrix, track) for every Smith reduction run while the test runs,
+    """(matrix, shape) for every Smith reduction run while the test runs,
     which starts from an empty table of shared forms."""
-    with fresh_forms(), counted_passes(lambda m, track: (m, track)) as calls:
+    with fresh_forms(), counted_passes(lambda m, shape: (m, shape)) as calls:
         yield calls

@@ -120,6 +120,25 @@ class TestShift:
                 assert shift(x, k).homology == x.homology.shifted(k)
 
 
+# A degree, a cut or a vector entry is read as a JSON integer: a float or a
+# boolean raises TypeError instead of naming a degree such as 0.5 or 1.
+@pytest.mark.parametrize("call", [
+    lambda x: shift(x, 0.5),
+    lambda x: shift_map(ChainMap.identity(x), 0.5),
+    lambda x: em_complex(cyc(4), 0.5),
+    lambda x: derived_hom(x, x, 0.5),
+    lambda x: connective_cover(x, 0.5),
+    lambda x: connective_cover(x, True),
+    lambda x: postnikov(x, 1.5),
+    lambda x: solve(IntMatrix.from_rows([[2]]), [2.0]),
+    lambda x: IntMatrix.from_rows([[2]]).apply([1.5]),
+], ids=["shift", "shift-map", "em-complex", "derived-hom", "cover",
+        "cover-bool", "section", "solve", "apply"])
+def test_degrees_and_vectors_are_strict(call):
+    with pytest.raises(TypeError, match="expected an integer, got "):
+        call(em_complex(cyc(4), 0))
+
+
 class TestChainMaps:
     def test_invalid_rejected(self):
         x = two_term(2)

@@ -2,8 +2,11 @@
 and every module-level function and method is called from somewhere."""
 
 import ast
+import importlib
+import inspect
 import os
 import pydoc
+import typing
 from collections import Counter
 
 import pytest
@@ -101,6 +104,81 @@ def test_the_symbolic_layer_loads_no_linear_algebra():
     assert found.pop("base") == set()
     assert {m: imports & {"matrices", "complexes"}
             for m, imports in found.items()} == dict.fromkeys(found, set())
+
+
+def definitions(source: str) -> set[str]:
+    """The names a module binds at its top level other than by an import:
+    its functions, classes and assignment targets."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def foreign_imports(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` for each relative ``from .m import name``, at
+    any depth, whose module m does not define the name (``sources`` maps
+    each module name to its source).  ``from . import m`` imports a module
+    and is not counted."""
+    defined = {m: definitions(source) for m, source in sources.items()}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found.extend(f"{module}:{node.lineno} {alias.name}"
+                             for alias in node.names
+                             if alias.name not in defined[node.module])
+    return sorted(found)
+
+
+def test_scan_finds_a_foreign_import():
+    sources = {"a": "X: int = 1\nY, (Z, W) = 2, (3, 4)\ndef f(): pass\n"
+                    "from .b import g\n",
+               "b": "from .a import X, Z, f, g\nfrom . import a\n"
+                    "def h():\n    from .a import Q\ndef g(): pass\n"}
+    assert foreign_imports(sources) == ["b:1 g", "b:4 Q"]
+
+
+def test_each_name_is_imported_from_its_home_module():
+    assert foreign_imports({m[:-3]: _read(os.path.join(PACKAGE_DIR, m))
+                            for m in MODULES}) == []
+
+
+def public_callables(module) -> list:
+    """The public functions and classes that ``module`` defines, and the
+    methods, class and static methods, properties and cached properties
+    of those classes, dunders included."""
+    found = []
+    for name, obj in vars(module).items():
+        if (name.startswith("_") or getattr(obj, "__module__", None)
+                != module.__name__ or not (inspect.isfunction(obj)
+                                           or inspect.isclass(obj))):
+            continue
+        found.append(obj)
+        for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+            for unwrap in ("__func__", "fget", "func"):
+                member = getattr(member, unwrap, member)
+            if inspect.isfunction(member) and (
+                    not attr.startswith("_") or attr.startswith("__")):
+                found.append(member)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_type_hints_resolve(module):
+    mod = importlib.import_module(f"cellkit.{module[:-3]}")
+    unresolved = []
+    for obj in public_callables(mod):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as e:
+            unresolved.append(f"{obj.__qualname__}: {e}")
+    assert unresolved == []
 
 
 # The classes whose public constructor validates, and ``cls`` for any

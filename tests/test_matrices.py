@@ -14,17 +14,16 @@ from cellkit.complexes import ChainComplex, ChainMap, homology_presentation
 from cellkit.groups import FgAbGroup, cokernel
 from cellkit.sampling import random_complex_family
 from cellkit.base import ORDER_DIGIT_CAP, QUOTE_CAP, quoted, strict_int
-from cellkit.matrices import (TRANSFORMS, InputError, IntMatrix,
-                              InternalInvariantError, MatrixShapeError,
-                              SmithNormalForm, _reduce, is_unimodular,
-                              kernel_basis, product_is_zero, quoted_int,
-                              smith_normal_form, solve)
+from cellkit.matrices import (InputError, IntMatrix, InternalInvariantError,
+                              MatrixShapeError, SmithNormalForm, _reduce,
+                              is_unimodular, kernel_basis, product_is_zero,
+                              quoted_int, smith_normal_form, solve)
 from cellkit.truncation import connective_cover, section_with_projection
 
 
-ALL = frozenset(TRANSFORMS)
-# The transforms that kernel() and image() track.
-BASES = frozenset(("v", "v_inv"))
+# The change-of-basis matrices of a Smith form: the full pass builds all
+# three, the bases pass (kernel and image) v and v_inv.
+TRACKED = ("u", "v", "v_inv")
 
 
 def mat(rows):
@@ -147,7 +146,7 @@ def golden_corpus():
 
 
 # sha256 over the golden corpus of, for each matrix, repr of its diagonal
-# and then repr of _reduce(m, ALL), the rows of s, u, v and v_inv, as the
+# and then repr of _reduce(m, True), the rows of s, u, v and v_inv, as the
 # plain elimination that visits every entry computes them.  Skipping known
 # zeros must leave all four row lists bit-identical.
 GOLDEN_REDUCE_DIGEST = (
@@ -476,18 +475,18 @@ class TestSmithNormalForm:
         with time_limit(60):
             for m in corpus:
                 h.update(repr(SmithNormalForm(m).diagonal).encode())
-                h.update(repr(_reduce(m, ALL)).encode())
+                h.update(repr(_reduce(m, True)).encode())
         assert h.hexdigest() == GOLDEN_REDUCE_DIGEST
 
     @settings(max_examples=150, deadline=None)
     @given(snf_inputs, st.permutations(
-        ("kernel", "image", "solve", "diagonal", "rank") + TRANSFORMS))
+        ("kernel", "image", "solve", "diagonal", "rank") + TRACKED))
     def test_tracked_reads_match_the_full_pass(self, m, order):
         # Whatever is read first, every transform and basis is the one the
-        # pass that tracks all three builds, and no transform is built
-        # twice.  Bases, then a solve or a bare u, run two tracked passes;
-        # a solve or a bare read first runs one.
-        a, *transforms = _reduce(m, ALL)
+        # full pass builds.  Bases, then a solve or a bare u, run a bases
+        # pass and then a full pass; a solve or a bare read first runs one
+        # full pass.
+        a, *transforms = _reduce(m, True)
         u, v, v_inv = (
             IntMatrix(len(t), len(t), tuple(x for row in t for x in row))
             for t in transforms)
@@ -515,16 +514,13 @@ class TestSmithNormalForm:
                 "solve": lambda: solve(x, probe),
                 "diagonal": lambda: f.diagonal, "rank": lambda: f.rank,
                 **{name: (lambda name=name: getattr(f, name))
-                   for name in TRANSFORMS}}
+                   for name in TRACKED}}
             for name in order:
                 assert read[name]() == want[name], name
-        tracked = [t for t in passes if t]
-        assert passes.count(frozenset()) <= 1
-        assert len(tracked) <= 2
-        assert sum(len(t) for t in tracked) == len(ALL)   # each built once
-        # A bare read or a solve, of any shape, builds all three at once.
-        if order[0] in (*TRANSFORMS, "solve"):
-            assert tracked == [ALL]
+        assert passes.count("diagonal") <= 1
+        first = next(name for name in order if name not in ("diagonal", "rank"))
+        assert [p for p in passes if p != "diagonal"] == (
+            ["bases", "full"] if first in ("kernel", "image") else ["full"])
 
     @settings(max_examples=50, deadline=None)
     @given(snf_inputs, st.booleans())
@@ -535,7 +531,7 @@ class TestSmithNormalForm:
                          else (f.image, f.kernel)):
                 read()
             f.rank
-        assert passes == [BASES]
+        assert passes == ["bases"]
 
     @settings(max_examples=50, deadline=None)
     @given(snf_inputs)
@@ -544,8 +540,8 @@ class TestSmithNormalForm:
         f.kernel()
         f.image()
         assert "u" not in f.__dict__
-        # A later bare read builds it, as the three-transform pass does.
-        want = _reduce(m, ALL)[1]
+        # A later bare read builds it, as the full pass does.
+        want = _reduce(m, True)[1]
         assert f.u == IntMatrix(m.rows, m.rows,
                                 tuple(x for row in want for x in row))
 
@@ -566,11 +562,13 @@ class TestSmithNormalForm:
                 f.u
             f.kernel()
             f.image()
+            v = f.__dict__["v"]
             solve(m, (2, 6, 1))
-        # Bases and a solve: v and v_inv, then u.  A bare read first
-        # builds all three, and nothing later runs a pass.
-        assert passes == ([ALL] if bare_first
-                          else [BASES, frozenset(("u",))])
+        # Bases and a solve: a bases pass, then a full pass, which keeps
+        # the v and v_inv already stored.  A bare read first runs the full
+        # pass, and nothing later runs a pass.
+        assert passes == (["full"] if bare_first else ["bases", "full"])
+        assert f.v is v and f.kernel()[0] is f.kernel()[0]
 
     def test_solve_unsolvable(self):
         assert solve(mat([[2]]), (1,)) is None
@@ -615,7 +613,7 @@ class TestSmithNormalForm:
             diag = smith_normal_form(cold(m)).diagonal
             f = smith_normal_form(m)
         # The tracked pass ends at the very diagonal matrix that s is.
-        assert _reduce(m, ALL)[0] == IntMatrix.diagonal(
+        assert _reduce(m, True)[0] == IntMatrix.diagonal(
             diag, m.rows, m.cols).to_rows()
         assert f.diagonal == diag
         assert f.u @ m @ f.v == f.s
@@ -624,13 +622,13 @@ class TestSmithNormalForm:
         f = smith_normal_form(mat([[2, 4], [6, 8]]))
         assert (f.diagonal, f.rank, f.torsion) == ((2, 4), 2, (2, 4))
         assert f.s == mat([[2, 0], [0, 4]])
-        assert [track for _, track in reductions] == [frozenset()]
+        assert [shape for _, shape in reductions] == ["diagonal"]
 
     def test_homology_of_fresh_complex_builds_no_transform(self, reductions):
         h = fresh_complex().homology
         assert str(h) == "H0=Z + Z/2, H1=Z"
         assert reductions and all(
-            track == frozenset() for _, track in reductions)
+            shape == "diagonal" for _, shape in reductions)
 
     @pytest.mark.parametrize("use, only", [
         (lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])), None),
@@ -639,7 +637,7 @@ class TestSmithNormalForm:
         (lambda: connective_cover(fresh_complex(), 1), None),
         # The cycles of d_1 alone: the relations are never reduced.
         (lambda: homology_presentation.__wrapped__(fresh_complex(), 1),
-         [(fresh_complex().boundary(1), BASES)]),
+         [(fresh_complex().boundary(1), "bases")]),
     ], ids=["kernel_basis", "solve", "section_with_projection",
             "connective_cover", "homology_presentation"])
     def test_basis_users_reduce_each_matrix_once(self, reductions, use, only):
@@ -706,7 +704,7 @@ class TestInvariantFactorPass:
         reached = {name for name, spy in (("bareiss", bareiss),
                                           ("modular", modular)) if spy.called}
         assert reached == phases
-        assert _reduce(mat(rows), ALL)[0] == IntMatrix.diagonal(
+        assert _reduce(mat(rows), True)[0] == IntMatrix.diagonal(
             diagonal, len(rows), len(rows[0])).to_rows()
 
     @settings(max_examples=150, deadline=None)
@@ -722,7 +720,7 @@ class TestInvariantFactorPass:
         p = IntMatrix(rows, inner, entries(rows * inner, 2 ** 200))
         q = IntMatrix(inner, cols, entries(inner * cols, 9))
         m = mat([[scale * v for v in row] for row in (p @ q).to_rows()])
-        s = _reduce(m, frozenset())[0]
+        s = _reduce(m, False)[0]
         want = [s[i][i] for i in range(min(rows, cols)) if s[i][i]]
         assert matrices_mod._invariant_factors(m) == want
 
@@ -770,7 +768,7 @@ class TestInvariantFactorPass:
         f = SmithNormalForm(m)
         with time_limit(1):
             diagonal = f.diagonal
-        want = _reduce(small, ALL)[0]
+        want = _reduce(small, True)[0]
         assert diagonal == tuple(want[i][i] for i in range(3)) + (0,) * 10
 
     def test_dense_80x80_homology(self):
@@ -794,8 +792,8 @@ class TestSharedForms:
         assert smith_normal_form(a).diagonal == (2, 4)
         f = smith_normal_form(cold(a))
         assert f.u @ a @ f.v == f.s and smith_normal_form(b).rank == 2
-        # A bare read of u tracks all three transforms in one pass.
-        assert [track for _, track in reductions] == [frozenset(), ALL]
+        # A bare read of u runs one full pass.
+        assert [shape for _, shape in reductions] == ["diagonal", "full"]
 
     def test_unequal_matrices_do_not_share(self, reductions):
         a, b = mat([[2, 4], [6, 8]]), mat([[2, 4, 6, 8]])
@@ -853,7 +851,7 @@ class TestSharedForms:
             gc.collect()
             second = connective_cover(build(), 1)
         assert first == second and first is not second
-        assert passes == [BASES]
+        assert passes == ["bases"]
 
     def test_rebuilt_section_reuses_its_boundary(self, reductions):
         x = fresh_complex()
@@ -877,7 +875,7 @@ class TestSharedForms:
             assert shared is smith_normal_form(first)
             direct = SmithNormalForm(cold(m))
             assert diagonal == shared.diagonal == direct.diagonal
-            for name in ("s",) + TRANSFORMS:
+            for name in ("s",) + TRACKED:
                 assert getattr(shared, name) == getattr(direct, name)
 
 
