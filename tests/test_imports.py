@@ -114,7 +114,8 @@ def definitions(source: str) -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
     return names
