@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from collections.abc import Iterable
 from math import gcd
 from operator import attrgetter
@@ -156,8 +155,6 @@ def json_int(x) -> int:
     return x
 
 
-_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
-
 # Most characters of a text that an error message quotes.  A longer text is
 # cut there and its length given, so that every error stays a short line.
 QUOTE_CAP = 40
@@ -224,12 +221,13 @@ def strict_int(text: str) -> int:
     ...
     cellkit.base.InputError: not an integer: '1_0'
     """
-    if not _INT_TEXT.fullmatch(text):
+    digits = text[text.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()) or (
+            digits[0] == "0" and text != "0"):
         raise InputError(f"not an integer: {quoted(text)}")
-    digits = len(text) - text.startswith("-")
-    if digits > ORDER_DIGIT_CAP:  # more than CPython reads
+    if len(digits) > ORDER_DIGIT_CAP:  # more than CPython reads
         raise InputError(f"an integer may have at most {ORDER_DIGIT_CAP} "
-                         f"digits, not {digits}")
+                         f"digits, not {len(digits)}")
     return int(text)
 
 

@@ -18,6 +18,7 @@ import os
 import random
 import sys
 import time
+from functools import lru_cache
 
 from .base import (DEGREE_CAP, ORDER_BOUND, ORDER_DIGIT_CAP, QUOTE_CAP,
                    RANK_CAP, InputError, InternalInvariantError,
@@ -281,9 +282,8 @@ def _cmd_em_cellularize(args) -> dict:
         g = _group(args.group, "--group")
         result = cell_shape(args.n or 0, g)
     elif args.mode == "primary":
-        for flag in ("m", "k", "n", "p"):
-            if getattr(args, flag) is None:
-                raise InputError("primary mode needs --m --k --n --p")
+        if None in (args.m, args.k, args.n, args.p):
+            raise InputError("primary mode needs --m --k --n --p")
         result = exact_answer(
             cell_primary_torsion(args.m, args.k, args.n, args.p))
     else:  # dichotomy
@@ -366,7 +366,76 @@ class _Parser(argparse.ArgumentParser):
             raise
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT, _REQUIRED = {"type": strict_int}, {"required": True}
+_COMMON = (("--format", {"choices": ("json", "text"), "default": "json"}),
+           ("--seed", {**_INT, "default": 0, "help": "seed for randomized "
+                       "suites (echoed in the report)"}))
+_PAYLOAD = (("--input", {"help": "JSON payload file (default: stdin)"}),)
+_CUT = (("--k", {**_INT, **_REQUIRED, "help": "cut degree"}),)
+_SUITE = _CUT + tuple((option, {**_INT, "default": default}) for option,
+                      default in (("--samples", 40), ("--max-degree", 6),
+                                  ("--max-rank", 5)))
+
+# One record per subcommand, in --help order: help text, handler, the
+# library modules the handler reads, whether a false verdict exits 1, and
+# the arguments after _COMMON as (option, add_argument keywords) pairs.
+_COMMANDS = {
+    "snf": ("Smith normal form of an integer matrix", _cmd_snf, "matrices",
+            False, _PAYLOAD),
+    "homology": ("graded homology of a bounded complex", _cmd_homology,
+                 "complexes", False, _PAYLOAD),
+    **{name: (f"{what} of finitely generated abelian groups", _cmd_hom_ext,
+              "grammar groups", False, (("--a", _REQUIRED), ("--b", _REQUIRED)))
+       for name, what in (("hom", "Hom"), ("ext", "Ext"))},
+    "cover": ("connective cover at a cut degree", _cmd_truncate,
+              "complexes truncation", False, _PAYLOAD + _CUT),
+    "postnikov": ("section below a cut degree", _cmd_truncate,
+                  "complexes truncation", False, _PAYLOAD + _CUT),
+    "triangle-check": ("compare a candidate cofibre against the cone",
+                       _cmd_triangle_check, "complexes", False, _PAYLOAD),
+    "tstructure-check": ("check the three t-structure axioms on samples",
+                         _cmd_tstructure, "sampling truncation", True, _SUITE),
+    "closure-suite": ("closure properties of the cover/section classes",
+                      _cmd_closure, "sampling truncation", True, _SUITE),
+    "nontriangulated-suite": (
+        "witnesses that covering does not commute with suspension",
+        _cmd_nontriangulated, "truncation", True, _CUT),
+    "em-cellularize": (
+        "symbolic cellularization of a single piece", _cmd_em_cellularize,
+        "emcell grammar", False, (
+            ("--mode", {"choices": ("shape", "primary", "dichotomy"),
+                        "default": "shape"}),
+            ("--n", _INT), ("--group", {}), *((f"--{f}", _INT) for f in "mkpr"),
+            ("--cellular", {"action": "store_true", "default": False}))),
+    "acyclization": (
+        "cellularization from a nullification outcome", _cmd_acyclization,
+        "emcell symbolic", False, (
+            ("--target", {**_REQUIRED, "help": "HZ, HZ/p^k or HZ/p^inf"}),
+            ("--outcome", {**_REQUIRED, "help": "zero | HZ | HZ_P | "
+                           "ProdZpHat | HZpk | HZpinf | SigmaZpHat"}),
+            ("--primes", {"default": "", "help": "comma-separated primes"}),
+            ("--cofinite", {"action": "store_true",
+                            "help": "interpret --primes as the complement"}),
+            ("--p", _INT), ("--k", _INT))),
+    "constraint-check": ("evaluate the two-slot shape constraints",
+                         _cmd_constraint_check, "emcell grammar", False,
+                         tuple((f"--{flag}", _REQUIRED) for flag in "bcg")),
+    "ring-obstruction": (
+        "unit obstruction of a wedge", _cmd_ring_obstruction,
+        "emcell grammar", False, (("--wedge", {
+            "help": "'shift:GROUP; shift:GROUP' (use --wedge=... when the "
+                    "first shift is negative)"}),)),
+    "semiexact-demo": ("the extension-closure counterexample", _cmd_semiexact,
+                       "emcell", False, (("--p", {**_INT, "default": 2}),)),
+    "acceptance": ("run the full acceptance suite", _cmd_acceptance,
+                   "acceptance", True, ()),
+}
+
+
+@lru_cache(maxsize=None)
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command`` alone, or of every subcommand
+    when it is None.  Each is built once per process."""
     parser = _Parser(
         prog="cellkit",
         description="Exact cellularization/nullification calculus on integer "
@@ -376,85 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
                "prime set.  Set-indexed atoms: Psum_(...), Pzhat_(...), "
                "PzhatmodZ_(...).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, handler, modules="", *, payload=False, k=False,
-            suite=False, gated=False):
-        """A subcommand, with its handler, the library modules that the
-        handler reads (space-separated), whether a false verdict exits 1
-        and the accepted range of its --k (None: any)."""
+    for name in [command] if command else _COMMANDS:
+        help_text, _, _, _, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, modules=modules.split(), gated=gated,
-                       k_range=SUITE_K_RANGE.get(name))
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=strict_int, default=0,
-                       help="seed for randomized suites (echoed in the report)")
-        if payload:
-            p.add_argument("--input", help="JSON payload file (default: stdin)")
-        if k:
-            p.add_argument("--k", type=strict_int, required=True, help="cut degree")
-        if suite:
-            p.add_argument("--samples", type=strict_int, default=40)
-            p.add_argument("--max-degree", type=strict_int, default=6)
-            p.add_argument("--max-rank", type=strict_int, default=5)
-        return p
-
-    add("snf", "Smith normal form of an integer matrix", _cmd_snf,
-        "matrices", payload=True)
-    add("homology", "graded homology of a bounded complex", _cmd_homology,
-        "complexes", payload=True)
-    for name, what in (("hom", "Hom"), ("ext", "Ext")):
-        p = add(name, f"{what} of finitely generated abelian groups",
-                _cmd_hom_ext, "grammar groups")
-        for flag in "ab":
-            p.add_argument(f"--{flag}", required=True)
-    add("cover", "connective cover at a cut degree", _cmd_truncate,
-        "complexes truncation", payload=True, k=True)
-    add("postnikov", "section below a cut degree", _cmd_truncate,
-        "complexes truncation", payload=True, k=True)
-    add("triangle-check", "compare a candidate cofibre against the cone",
-        _cmd_triangle_check, "complexes", payload=True)
-    add("tstructure-check", "check the three t-structure axioms on samples",
-        _cmd_tstructure, "sampling truncation", k=True, suite=True,
-        gated=True)
-    add("closure-suite", "closure properties of the cover/section classes",
-        _cmd_closure, "sampling truncation", k=True, suite=True, gated=True)
-    add("nontriangulated-suite",
-        "witnesses that covering does not commute with suspension",
-        _cmd_nontriangulated, "truncation", k=True, gated=True)
-    p = add("em-cellularize", "symbolic cellularization of a single piece",
-            _cmd_em_cellularize, "emcell grammar")
-    p.add_argument("--mode", choices=("shape", "primary", "dichotomy"),
-                   default="shape")
-    p.add_argument("--n", type=strict_int)
-    p.add_argument("--group")
-    for flag in "mkpr":
-        p.add_argument(f"--{flag}", type=strict_int)
-    p.add_argument("--cellular", action="store_true", default=False)
-    p = add("acyclization", "cellularization from a nullification outcome",
-            _cmd_acyclization, "emcell symbolic")
-    p.add_argument("--target", required=True,
-                   help="HZ, HZ/p^k or HZ/p^inf")
-    p.add_argument("--outcome", required=True,
-                   help="zero | HZ | HZ_P | ProdZpHat | HZpk | HZpinf | SigmaZpHat")
-    p.add_argument("--primes", default="", help="comma-separated primes")
-    p.add_argument("--cofinite", action="store_true",
-                   help="interpret --primes as the complement")
-    p.add_argument("--p", type=strict_int)
-    p.add_argument("--k", type=strict_int)
-    p = add("constraint-check", "evaluate the two-slot shape constraints",
-            _cmd_constraint_check, "emcell grammar")
-    for flag in "bcg":
-        p.add_argument(f"--{flag}", required=True)
-    p = add("ring-obstruction", "unit obstruction of a wedge",
-            _cmd_ring_obstruction, "emcell grammar")
-    p.add_argument("--wedge",
-                   help="'shift:GROUP; shift:GROUP' (use --wedge=... when "
-                        "the first shift is negative)")
-    p = add("semiexact-demo", "the extension-closure counterexample",
-            _cmd_semiexact, "emcell")
-    p.add_argument("--p", type=strict_int, default=2)
-    add("acceptance", "run the full acceptance suite", _cmd_acceptance,
-        "acceptance", gated=True)
+        for option, keywords in _COMMON + arguments:
+            p.add_argument(option, **keywords)
     return parser
 
 
@@ -484,15 +479,20 @@ def _too_long(value) -> bool:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # --help, a missing command or an unknown one needs every subcommand.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None
+                        ).parse_args(argv)
+    _, handler, modules, gated, _ = _COMMANDS[args.command]
     try:
-        _bind(args.modules)
+        _bind(modules.split())
         started = time.perf_counter()
-        if args.k_range is not None:
-            lo, hi = args.k_range
+        if args.command in SUITE_K_RANGE:
+            lo, hi = SUITE_K_RANGE[args.command]
             if not lo <= args.k <= hi:
                 raise InputError(f"--k must be between {lo} and {hi}")
-        body = args.handler(args)
+        # By name, so that a patch on the binding here takes effect.
+        body = globals()[handler.__name__](args)
         for name, value in body.items():
             if _too_long(value):
                 raise InputError(f"answer too long: {name} has an entry of "
@@ -519,7 +519,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # Suites and the acceptance gate signal failure through the exit code;
     # query commands report their (possibly negative) answer with exit 0.
-    return 1 if args.gated and not body["verdict"] else 0
+    return 1 if gated and not body["verdict"] else 0
 
 
 if __name__ == "__main__":

@@ -529,7 +529,9 @@ def triangle_check(f: ChainMap, z_candidate: ChainComplex) -> dict:
 # Homology presentations and induced maps
 
 
-@lru_cache(maxsize=8192)
+# Typed, so that a float or a boolean degree, equal to an integer one,
+# misses the cache and is refused.
+@lru_cache(maxsize=8192, typed=True)
 def homology_presentation(x: ChainComplex, n: int
                           ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """H_n as coker(relations) on a chosen basis of the cycle subgroup,
@@ -539,6 +541,7 @@ def homology_presentation(x: ChainComplex, n: int
     inverse defined on cycles, and ``relations`` expresses the incoming
     boundary image in that basis.
     """
+    json_int(n)  # a float or a boolean is no degree
     cycles, coords = smith_normal_form(x.boundary(n)).kernel()
     return cycles, coords, coords @ x.boundary(n + 1)
 

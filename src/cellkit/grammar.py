@@ -20,9 +20,7 @@ Summands are separated by ``+``:
 
 from __future__ import annotations
 
-import re
-
-from .groups import FgAbGroup
+from .groups import FgAbGroup, Z
 from .base import InputError, quoted, strict_int
 from .symbolic import (PrimeAtom, PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
                        PruferSum, Q, QpHat, SetAtom, SymbolicGroup, ZLocal,
@@ -73,34 +71,30 @@ _SPELLINGS = {
 }
 
 
-def _token(spelling: str, build, read):
-    """(pattern, constructor, parameter reader) of one spelling.
+# The summands without a parameter.
+_WORDS = {"0": SymbolicGroup(), "Z": Z, "Q": Q()}
 
-    Orders and primes are ASCII digits, read by ``strict_int``; ``\\d``
-    would also match non-ASCII digits.
-    """
-    param = "([^)]*)" if read is _parse_primeset else "([0-9]+)"
-    pattern = re.compile(re.escape(spelling).replace(r"\{\}", param) + "$")
-    return pattern, build, read
-
-
-# Every summand but 0 and Z.
-_TOKENS = [_token("Z/{}", _cyclic, strict_int)] + [
-    _token(spelling, cls,
-           _parse_primeset if issubclass(cls, SetAtom) else strict_int)
-    for cls, spelling in _SPELLINGS.items()]
+# Every other summand, as (text before its parameter, text after it,
+# constructor, parameter reader).  An order or a prime is ASCII digits, read
+# by ``strict_int``; ``str.isdigit`` alone would also take non-ASCII digits.
+# A prime set is any text without ")", the empty one included.
+_TOKENS = [("Z/", "", _cyclic, strict_int)] + [
+    (*spelling.split("{}"), cls,
+     _parse_primeset if issubclass(cls, SetAtom) else strict_int)
+    for cls, spelling in _SPELLINGS.items() if cls is not Q]
 
 
 def _parse_token(token: str, pos: int):
-    if token == "0":
-        return SymbolicGroup()
-    if token == "Z":
-        return FgAbGroup.free(1)
-    for pattern, build, read in _TOKENS:
-        m = pattern.match(token)
-        if m:
+    if token in _WORDS:
+        return _WORDS[token]
+    for head, tail, build, read in _TOKENS:
+        param = token[len(head):len(token) - len(tail)]
+        if (token.startswith(head) and token.endswith(tail)
+                and len(token) >= len(head) + len(tail)
+                and (")" not in param if read is _parse_primeset
+                     else param.isascii() and param.isdigit())):
             try:
-                return build(*map(read, m.groups()))
+                return build(read(param))
             except InputError as exc:  # a bad order, prime or prime set
                 raise GroupSyntaxError(str(exc), pos) from None
     raise GroupSyntaxError(f"unrecognized summand {quoted(token)}", pos)

@@ -74,6 +74,13 @@ class MatrixShapeError(InputError):
     """Inconsistent matrix dimensions."""
 
 
+def _int_vector(vec: Sequence[int]) -> None:
+    """Refuse a vector with a float or a boolean entry, as IntMatrix reads
+    its entries: ``json_int`` raises TypeError on the first one."""
+    if not {int}.issuperset(map(type, vec)):
+        json_int(next(x for x in vec if type(x) is not int))
+
+
 # How many zero and identity matrices _shared keeps, the ones used last.
 SHARED_SHAPES = 64
 
@@ -218,8 +225,7 @@ class IntMatrix(Frozen):
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise MatrixShapeError("vector length mismatch")
-        if not {int}.issuperset(map(type, vec)):  # as __init__ reads entries
-            json_int(next(x for x in vec if type(x) is not int))
+        _int_vector(vec)
         c, e = self.cols, self.entries
         return tuple(sum(x * y for x, y in zip(e[i * c:(i + 1) * c], vec))
                      for i in range(self.rows))
@@ -705,6 +711,7 @@ def solve(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of ``m @ x = rhs``, or None if there is none."""
     if len(rhs) != m.rows:
         raise MatrixShapeError("right-hand side length mismatch")
+    _int_vector(rhs)  # before the Smith pass, not after it
     f = smith_normal_form(m)
     c = f.u.apply(rhs)
     diag = f.diagonal

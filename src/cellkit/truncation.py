@@ -156,6 +156,7 @@ def suspension_noncommute_witness(x: ChainComplex, k: int) -> bool:
     suspension sees the extra class in degree k while the suspended cover
     cannot, so the result is expected True.
     """
+    json_int(k)  # a float or a boolean is no degree
     if x.homology.at(k - 1).is_zero:
         raise PreconditionError(f"H_{k-1}(X) vanishes; the witness needs it nonzero")
     return not quasi_iso_eq(connective_cover(shift(x, 1), k),

@@ -1,11 +1,16 @@
+import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 import cellkit
 from conftest import bareiss_determinant, time_limit
 from cellkit import cli as cli_mod
+from cellkit import grammar as grammar_mod
 from cellkit import matrices as matrices_mod
 from cellkit.cli import main
 from cellkit.complexes import (DEGREE_CAP, ChainComplexError, ChainMapError,
                                SupportCapError)
+from cellkit.base import quoted, strict_int
 from cellkit.emcell import (ORDER_DIGIT_CAP, EMObject, InadmissibleCaseError,
                             chain_model)
 from cellkit.grammar import (SUMMAND_CAP, GroupSyntaxError, format_group,
@@ -31,6 +38,12 @@ from cellkit.symbolic import (PrimeSet, ProdZpHat, ProdZpHatModZ, Prufer,
 from cellkit.truncation import PreconditionError
 
 PRIMES = (2, 3, 5, 7)
+# Every subcommand, in the order that `cellkit --help` lists them.
+COMMANDS = ("snf", "homology", "hom", "ext", "cover", "postnikov",
+            "triangle-check", "tstructure-check", "closure-suite",
+            "nontriangulated-suite", "em-cellularize", "acyclization",
+            "constraint-check", "ring-obstruction", "semiexact-demo",
+            "acceptance")
 
 
 # Full stdout of the triangle-check payload of TestDispatch and of
@@ -174,6 +187,20 @@ symbolic_groups = st.tuples(
 ).map(lambda t: SymbolicGroup.of(
     FgAbGroup.free(t[0]), FgAbGroup.of_orders(t[1]), *t[2]))
 
+# Group texts of up to four summands, each the text before the parameter
+# of a spelling, a parameter right, wrong or out of the ASCII digits, and
+# the text after one (Arabic-Indic 3 and superscript 2 are digits to
+# str.isdigit).
+_summand_texts = st.lists(st.tuples(
+    st.sampled_from(["Z/", "Q", "Zhat_", "Qhat_", "Z_(", "Psum_(", "Pzhat_(",
+                     "PzhatmodZ_(", "Z", "0", ""]),
+    st.one_of(st.sampled_from(["", "2", "3", "4", "04", "12", "2,3", "!2",
+                               "!", "2)", "\u0663", "\u00b2"]),
+              st.text(alphabet="0123456789!,()_ \n-x^\u0663\u00b2",
+                      max_size=5)),
+    st.sampled_from(["", "^inf", ")", "))", "^in", "^inf)"]),
+).map("".join), min_size=1, max_size=4).map(" + ".join)
+
 
 class TestGrammar:
     def test_spec_examples(self):
@@ -232,6 +259,55 @@ class TestGrammar:
         with pytest.raises(GroupSyntaxError) as err:
             parse_group(text)
         assert str(err.value) == message
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_summand_texts, symbolic_groups.map(format_group),
+                     st.text(max_size=12)))
+    def test_parse_group_matches_its_former_patterns(self, text):
+        with mock.patch.object(grammar_mod, "_parse_token", _regex_token):
+            want = _outcome(parse_group, text)
+        assert _outcome(parse_group, text) == want
+
+
+# The patterns that each summand matched (with re.match) before the
+# grammar tested prefixes and suffixes, with its constructor and the
+# reader of its parameter: the oracle of which texts it reads, and how.
+_SET = grammar_mod._parse_primeset
+_REGEX_TOKENS = [
+    (r"Z/([0-9]+)$", grammar_mod._cyclic, strict_int),
+    (r"Q$", Q, strict_int),
+    (r"Z/([0-9]+)\^inf$", Prufer, strict_int),
+    (r"Zhat_([0-9]+)$", ZpHat, strict_int),
+    (r"Qhat_([0-9]+)$", QpHat, strict_int),
+    (r"Z_\(([^)]*)\)$", ZLocal, _SET),
+    (r"Psum_\(([^)]*)\)$", PruferSum, _SET),
+    (r"Pzhat_\(([^)]*)\)$", ProdZpHat, _SET),
+    (r"PzhatmodZ_\(([^)]*)\)$", ProdZpHatModZ, _SET),
+]
+
+
+def _regex_token(token, pos):
+    if token == "0":
+        return SymbolicGroup()
+    if token == "Z":
+        return FgAbGroup.free(1)
+    for pattern, build, read in _REGEX_TOKENS:
+        m = re.match(pattern, token)
+        if m:
+            try:
+                return build(*map(read, m.groups()))
+            except InputError as exc:
+                raise GroupSyntaxError(str(exc), pos) from None
+    raise GroupSyntaxError(f"unrecognized summand {quoted(token)}", pos)
+
+
+def _outcome(call, *args):
+    """("ok", value) of ``call(*args)``, or the type and text of the
+    InputError it raises."""
+    try:
+        return "ok", call(*args)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
 
 
 # --------------------------------------------------------------------------
@@ -580,12 +656,9 @@ BAD_INPUTS = [
 ]
 
 
-def _contract_run(argv, stdin, seconds=5, message=None):
-    """Run ``cellkit argv`` on the payload ``stdin`` in this process and
-    check the exit contract within ``seconds``: exit 0 or 2, and on exit 2
-    an empty stdout and one ``error:`` line of under 300 bytes.  A
-    ``message``, empty for any, asks for exit 2 and an error line that
-    starts with it.  Returns stdout on exit 0 and None on exit 2."""
+def _captured(argv, stdin, seconds=20):
+    """(exit code, stdout, stderr) of ``cellkit argv`` on the payload
+    ``stdin``, run in this process within ``seconds``."""
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
     try:
@@ -596,7 +669,16 @@ def _contract_run(argv, stdin, seconds=5, message=None):
                 code = exc.code
     finally:
         sys.stdin = saved
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _contract_run(argv, stdin, seconds=5, message=None):
+    """Run ``cellkit argv`` on the payload ``stdin`` in this process and
+    check the exit contract within ``seconds``: exit 0 or 2, and on exit 2
+    an empty stdout and one ``error:`` line of under 300 bytes.  A
+    ``message``, empty for any, asks for exit 2 and an error line that
+    starts with it.  Returns stdout on exit 0 and None on exit 2."""
+    code, out, err = _captured(argv, stdin, seconds)
     assert code in ((0, 2) if message is None else (2,)), (code, err)
     if code == 2:
         assert out == "" and err.startswith(f"error: {message or ''}")
@@ -950,15 +1032,66 @@ def test_bad_integer_option_exits_2(argv):
                   f"strict_int value: {argv[-1]!r}")
 
 
-# Each id names the row and the option or command that its error names.
-@pytest.mark.parametrize("argv, message", [
+BAD_COMMAND_LINES = [
     (["hom", "--a", "Z", "--b", "Z", "--seed", "1_0"],
      "argument --seed: invalid strict_int value: '1_0'"),
     (["cover"], "the following arguments are required: --k"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
-], ids=["argv0---seed", "argv1---k", "argv2-'bogus'"])
+]
+
+
+# Each id names the row and the option or command that its error names.
+@pytest.mark.parametrize("argv, message", BAD_COMMAND_LINES,
+                         ids=["argv0---seed", "argv1---k", "argv2-'bogus'"])
 def test_bad_command_line_is_one_error_line(argv, message):
     _contract_run(argv, None, message=message)
+
+
+def _cli_mix():
+    """perfbench's cli_mix module, which writes the benchmark's queries."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "cli_mix.py")
+    spec = importlib.util.spec_from_file_location("cli_mix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_command_parser_matches_the_full_parser(monkeypatch, tmp_path):
+    # A query builds the parser of its own subcommand alone; every output
+    # byte and exit code is what the parser of all sixteen gives.
+    mix = _cli_mix()
+    corpus = ([(["--help"], None), (["bogus"], None)]
+              + [([name, "--help"], None) for name in COMMANDS] + BAD_INPUTS
+              + [(argv, None) for argv, _ in BAD_COMMAND_LINES]
+              + [(argv, None) for seed in range(6)
+                 for argv in mix.write_queries(seed, str(tmp_path))])
+    monkeypatch.setattr(cli_mod, "build_parser", lru_cache(maxsize=None)(
+        cli_mod.build_parser.__wrapped__))
+    one = [_captured(argv, stdin) for argv, stdin in corpus]
+    full = cli_mod.build_parser.__wrapped__(None)
+    monkeypatch.setattr(cli_mod, "build_parser", lambda command: full)
+    assert [_captured(argv, stdin) for argv, stdin in corpus] == one
+    assert one[0][0] == 0 and all(name in one[0][1] for name in COMMANDS)
+
+
+def test_a_query_builds_its_own_parser_once(monkeypatch, capsys):
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    monkeypatch.setattr(cli_mod, "build_parser", lru_cache(maxsize=None)(
+        cli_mod.build_parser.__wrapped__))
+    hom = ["hom", "--a", "Z/4", "--b", "Z/6"]
+    assert main(hom) == 0 and built == ["hom"]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built[1:] == list(COMMANDS)
+    assert main(hom) == 0 and len(built) == 1 + len(COMMANDS)
 
 
 def test_sampler_caps_are_accepted(capsys):
@@ -1011,6 +1144,8 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def broken_handler(args):
         raise RuntimeError("boom")
 
+    # The parser of hom is built and used before the patch.
+    assert main(["hom", "--a", "Z", "--b", "Z"]) == 0
     monkeypatch.setattr(cli_mod, "_cmd_hom_ext", broken_handler)
     code = main(["hom", "--a", "Z", "--b", "Z"])
     err = capsys.readouterr().err
@@ -1488,6 +1623,29 @@ def test_query_loads_only_its_modules(argv, stdin, exit_code, loads, never):
     loaded = {m.partition(".")[2] for m in loaded} - {"cli"}
     assert int(code) == exit_code, run.stderr
     assert loads <= loaded and not loaded & never, loaded
+
+
+def test_no_cellkit_module_compiles_a_regex():
+    # A pattern costs about 0.1 ms to compile on each start.  The probe
+    # names the module that called into re for each pattern compiled (or
+    # looked up) while every cellkit module loads and a query runs.
+    probe = ("import re, sys\n"
+             "callers, real = set(), re._compile\n"
+             "def spy(*args):\n"
+             "    f = sys._getframe(1)\n"
+             "    while f.f_globals['__name__'].split('.')[0] == 're':\n"
+             "        f = f.f_back\n"
+             "    callers.add(f.f_globals['__name__'])\n"
+             "    return real(*args)\n"
+             "re._compile = spy\n"
+             "import cellkit, cellkit.cli\n"
+             "for m in sorted(cellkit.__all__): getattr(cellkit, m)\n"
+             "cellkit.cli.main(['hom', '--a', 'Z/4 + Q', '--b', 'Z/6'])\n"
+             "print(sorted(m for m in callers if m.startswith('cellkit')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_cellkit_env(), timeout=120,
+                         check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_import_cellkit_cli_loads_base_alone():

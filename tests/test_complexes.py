@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cyc, fresh_forms, time_limit
+from conftest import counted_passes, cyc, fresh_forms, time_limit
 from cellkit import base as base_mod, complexes as complexes_mod
 from cellkit.complexes import (DEGREE_CAP, ChainComplex, ChainComplexError,
                                ChainMap, ChainMapError, GradedGroup,
@@ -16,7 +16,8 @@ from cellkit.matrices import (IntMatrix, InternalInvariantError,
                               kernel_basis, solve)
 from cellkit.sampling import random_complex, random_matrix
 from cellkit.truncation import (connective_cover, cover_inclusion, postnikov,
-                                section_with_projection)
+                                section_with_projection,
+                                suspension_noncommute_witness)
 
 
 def two_term(d, lo=0):
@@ -137,6 +138,29 @@ class TestShift:
 def test_degrees_and_vectors_are_strict(call):
     with pytest.raises(TypeError, match="expected an integer, got "):
         call(em_complex(cyc(4), 0))
+
+
+# The homology of a map in one degree and the suspension witness refuse a
+# float or boolean degree before any Smith pass, even where the integer
+# degree that it equals is cached; solve refuses a float entry of its
+# right-hand side before its pass.
+@pytest.mark.parametrize("call", [
+    lambda x: homology_presentation(x, 0.0),
+    lambda x: homology_presentation(x, False),
+    lambda x: induced_map(ChainMap.identity(x), 0.0),
+    lambda x: map_on_homology_is_iso(ChainMap.identity(x), 0.5),
+    lambda x: map_on_homology_is_iso(ChainMap.identity(x), 0.0),
+    lambda x: suspension_noncommute_witness(x, 0.5),
+    lambda x: solve(IntMatrix.from_rows([[2, 1], [1, 3]]), [2.0, 1]),
+], ids=["presentation", "presentation-bool", "induced-map", "iso", "iso-0.0",
+        "witness", "solve-rhs"])
+def test_degrees_are_refused_before_any_pass(call):
+    x = em_complex(cyc(4), 0)
+    assert map_on_homology_is_iso(ChainMap.identity(x), 0)  # caches degree 0
+    with fresh_forms(), counted_passes() as passes:
+        with pytest.raises(TypeError, match="expected an integer, got "):
+            call(x)
+    assert passes == []
 
 
 class TestChainMaps:

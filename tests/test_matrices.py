@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -910,3 +911,34 @@ def test_strict_int_digit_cap(sign):
     with pytest.raises(InputError) as err:
         strict_int("x" * 5000)
     assert str(err.value) == f"not an integer: {quoted('x' * 5000)}"
+
+
+def _regex_strict_int(text):
+    """strict_int as it read its text with a regex before: the oracle of
+    what it accepts and of the text of each refusal."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", text):
+        raise InputError(f"not an integer: {quoted(text)}")
+    digits = len(text) - text.startswith("-")
+    if digits > ORDER_DIGIT_CAP:
+        raise InputError(f"an integer may have at most {ORDER_DIGIT_CAP} "
+                         f"digits, not {digits}")
+    return int(text)
+
+
+def _outcome(read, text):
+    try:
+        return "ok", read(text)
+    except InputError as exc:
+        return "refused", str(exc)
+
+
+# One spelling per integer: no underscore, plus sign, minus zero, space,
+# leading zero or non-ASCII digit (Arabic-Indic 3, superscript 2).
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="-+0123456789_ \n\u0663\u00b2x", max_size=8),
+    st.integers().map(str), st.text(max_size=6),
+    st.sampled_from(["1_0", "+1", "-0", " 1", "01", "-01", "\u0663", "0",
+                     "-", "", "9" * (ORDER_DIGIT_CAP + 1)])))
+def test_strict_int_matches_its_former_pattern(text):
+    assert _outcome(strict_int, text) == _outcome(_regex_strict_int, text)
