@@ -89,8 +89,8 @@ def _parse_token(token: str, pos: int):
         return _WORDS[token]
     for head, tail, build, read in _TOKENS:
         param = token[len(head):len(token) - len(tail)]
+        # No head ends as a tail begins, so the two never overlap.
         if (token.startswith(head) and token.endswith(tail)
-                and len(token) >= len(head) + len(tail)
                 and (")" not in param if read is _parse_primeset
                      else param.isascii() and param.isdigit())):
             try:
